@@ -14,8 +14,8 @@ from pathlib import Path
 from .errors import FacePulseError, InputError, ProcessingError
 from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions,
                        load_groundtruth, write_report_csv, write_report_json)
-from .pipeline import COMBINE_MODES, PipelineParams, estimate_session
-from .pulse import BandLimits
+from .pipeline import PipelineParams, estimate_session
+from .pulse import COMBINE_METHODS, BandLimits
 from .spectral import WindowSpec, session_mean
 from .synth import ConstantProfile, SynthConfig, parse_profile, render_session
 
@@ -161,7 +161,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--band", default="0.7:4.0", metavar="LO:HI",
                      help="pulse band in Hz (default %(default)s)")
-    sub.add_argument("--combine", choices=COMBINE_MODES, default=None,
+    sub.add_argument("--combine", choices=COMBINE_METHODS, default=None,
                      help="channel combination (default: chrom for rgb8, "
                           "intensity for gray8)")
 

@@ -32,7 +32,8 @@ class SizeMismatchError(InputError):
 
 
 class FrameReadError(ProcessingError):
-    """I/O failure mid-stream; message carries the frame index."""
+    """The frames file could not be mapped; message carries the path and
+    the byte counts."""
 
 
 # face-box track
@@ -41,11 +42,6 @@ class EmptyTrackError(InputError):
 
 
 class NonMonotonicIndicesError(InputError):
-    pass
-
-
-# ROI geometry
-class DegenerateRoiError(ProcessingError):
     pass
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (EmptyInputError, EmptySeriesError, EmptyWindowGtError,
                      FacePulseError, InputError, LengthMismatchError,
                      MissingFileError)
+from .frameio import parse_finite
 from .pipeline import PipelineParams, build_session_signal
 from .spectral import HrSeries, WindowSpec, estimate_series, session_mean
 
@@ -81,11 +82,8 @@ def load_groundtruth(path: str | os.PathLike) -> GroundTruth:
             if len(row) != 2:
                 raise InputError(
                     f"{path}:{row_no}: expected 2 columns, got {len(row)}")
-            try:
-                times.append(float(row[0]))
-                bpm.append(float(row[1]))
-            except ValueError as exc:
-                raise InputError(f"{path}:{row_no}: {exc}") from exc
+            times.append(parse_finite(row[0], f"{path}:{row_no}: time"))
+            bpm.append(parse_finite(row[1], f"{path}:{row_no}: bpm"))
     if not times:
         raise InputError(f"groundtruth file {path} has no samples")
     t = np.asarray(times)

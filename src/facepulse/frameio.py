@@ -1,15 +1,16 @@
-"""Raw frame-stream ingest.
+"""Raw frame ingest.
 
 Sessions are stored as a headerless concatenation of raw frames plus a
 JSON sidecar manifest.  rgb8 frames are interleaved R,G,B per pixel,
-row-major; gray8 frames are one byte per pixel and are expanded to three
-identical planes at ingest so the rest of the pipeline always sees three
-channels.
+row-major; gray8 frames are one byte per pixel.  The frames file is
+memory-mapped as one (frames, height, width, bytes per pixel) array, so
+gray8 stays a single plane.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     FrameReadError,
+    InputError,
     MalformedManifestError,
     MissingFileError,
     SizeMismatchError,
@@ -52,20 +54,21 @@ class SessionManifest:
         return self.frame_count / self.fps
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One decoded frame: three (height, width) uint8 planes in R,G,B order."""
+def parse_finite(value, what: str, error: type[InputError] = InputError,
+                 integral: bool = False) -> float | int:
+    """Read one sidecar number: finite, and a whole number when integral.
 
-    index: int
-    timestamp: float
-    channels: np.ndarray  # shape (3, height, width), dtype uint8
-
-
-def replicate_mono(plane: np.ndarray) -> np.ndarray:
-    """Expand a single 8-bit plane into three bitwise-identical planes."""
-    if plane.ndim != 2:
-        raise ValueError(f"expected a 2-d plane, got shape {plane.shape}")
-    return np.stack((plane, plane, plane))
+    Anything else raises `error` with a message that starts with `what`,
+    so NaN, infinities and fractional sizes never reach the arrays.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what}: {exc}") from exc
+    if not math.isfinite(number) or (integral and not number.is_integer()):
+        kind = "a whole number" if integral else "a finite number"
+        raise error(f"{what} must be {kind}, got {value!r}")
+    return int(number) if integral else number
 
 
 def _parse_manifest(manifest_path: Path) -> SessionManifest:
@@ -85,13 +88,14 @@ def _parse_manifest(manifest_path: Path) -> SessionManifest:
         raise MalformedManifestError(
             f"{manifest_path}: missing manifest keys {sorted(missing)}")
 
-    try:
-        width = int(raw["width"])
-        height = int(raw["height"])
-        fps = float(raw["fps"])
-        frame_count = int(raw["frame_count"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedManifestError(f"{manifest_path}: {exc}") from exc
+    def number(key: str, integral: bool = False):
+        return parse_finite(raw[key], f"{manifest_path}: {key}",
+                            MalformedManifestError, integral)
+
+    width = number("width", integral=True)
+    height = number("height", integral=True)
+    fps = number("fps")
+    frame_count = number("frame_count", integral=True)
     pixel_format = raw["pixel_format"]
     if pixel_format not in BYTES_PER_PIXEL:
         raise MalformedManifestError(
@@ -131,8 +135,8 @@ def _parse_manifest(manifest_path: Path) -> SessionManifest:
     )
 
 
-def open_session(manifest_path: str | os.PathLike) -> "FrameStream":
-    """Open a session for reading, validating the manifest eagerly.
+def open_session(manifest_path: str | os.PathLike) -> SessionManifest:
+    """Validate a session's manifest and the size of its frames file.
 
     Raises MissingFileError, MalformedManifestError, or SizeMismatchError
     before any frame is read.
@@ -149,54 +153,24 @@ def open_session(manifest_path: str | os.PathLike) -> "FrameStream":
         raise SizeMismatchError(
             f"{manifest.frames_path}: expected {expected} bytes "
             f"({manifest.frame_count} frames of {manifest.frame_bytes}), got {actual}")
-    return FrameStream(manifest)
+    return manifest
 
 
-class FrameStream:
-    """Sequential reader over one session's frames.
+def map_frames(manifest: SessionManifest) -> np.memmap:
+    """Read-only view of every frame, shape (frames, height, width, bpp).
 
-    Yields each frame exactly once, in index order.  Not safe to share
-    between concurrent readers; open one stream per reader.
+    bpp is 3 (R,G,B) for rgb8 and 1 for gray8.  Pages are read on first
+    touch; the frames file must not shrink while the view is alive.
+    Raises FrameReadError when the file cannot be mapped, e.g. when it
+    holds fewer bytes than the manifest describes.
     """
-
-    def __init__(self, manifest: SessionManifest):
-        self.manifest = manifest
-        self.cursor = 0
-        self._file = open(manifest.frames_path, "rb")
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "FrameStream":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __iter__(self):
-        while True:
-            frame = self.next_frame()
-            if frame is None:
-                return
-            yield frame
-
-    def next_frame(self) -> Frame | None:
-        """Return the next Frame, or None at end of stream."""
-        m = self.manifest
-        if self.cursor >= m.frame_count:
-            return None
-        index = self.cursor
-        try:
-            data = self._file.read(m.frame_bytes)
-        except OSError as exc:
-            raise FrameReadError(f"I/O error reading frame {index}: {exc}") from exc
-        if len(data) != m.frame_bytes:
-            raise FrameReadError(
-                f"short read at frame {index}: got {len(data)} of {m.frame_bytes} bytes")
-        flat = np.frombuffer(data, dtype=np.uint8)
-        if m.pixel_format == "rgb8":
-            channels = flat.reshape(m.height, m.width, 3).transpose(2, 0, 1)
-        else:
-            channels = replicate_mono(flat.reshape(m.height, m.width))
-        self.cursor = index + 1
-        return Frame(index=index, timestamp=index / m.fps, channels=channels)
+    m = manifest
+    shape = (m.frame_count, m.height, m.width, BYTES_PER_PIXEL[m.pixel_format])
+    try:
+        return np.memmap(m.frames_path, dtype=np.uint8, mode="r", shape=shape)
+    except (ValueError, OSError) as exc:
+        actual = m.frames_path.stat().st_size if m.frames_path.is_file() else 0
+        raise FrameReadError(
+            f"{m.frames_path}: cannot map {m.frame_count * m.frame_bytes} bytes "
+            f"({m.frame_count} frames of {m.frame_bytes}), file has {actual}: "
+            f"{exc}") from exc

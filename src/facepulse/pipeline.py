@@ -12,13 +12,11 @@ import os
 from dataclasses import dataclass
 
 from .errors import MissingFileError
-from .frameio import SessionManifest, open_session
+from .frameio import SessionManifest, map_frames, open_session
 from .pulse import (DEFAULT_BAND, DEFAULT_DETREND_WINDOW_S, BandLimits,
                     RawTrace, build_pulse_signal, extract_traces)
 from .roi import DEFAULT_LAYOUT, RoiLayout, load_box_track
 from .spectral import HrSeries, WindowSpec, estimate_series
-
-COMBINE_MODES = ("green", "intensity", "chrom")
 
 
 def default_combine(pixel_format: str) -> str:
@@ -41,15 +39,14 @@ class PipelineParams:
 def load_session_trace(manifest_path: str | os.PathLike,
                        layout: RoiLayout = DEFAULT_LAYOUT,
                        ) -> tuple[SessionManifest, RawTrace]:
-    """Read every frame and reduce it to per-region channel means."""
-    with open_session(manifest_path) as stream:
-        manifest = stream.manifest
-        if manifest.boxes_path is None:
-            raise MissingFileError(
-                f"session {manifest_path} has no box track; regions cannot "
-                "be placed")
-        boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
-        trace = extract_traces(stream, boxes, layout)
+    """Map every frame and reduce it to per-region channel means."""
+    manifest = open_session(manifest_path)
+    if manifest.boxes_path is None:
+        raise MissingFileError(
+            f"session {manifest_path} has no box track; regions cannot "
+            "be placed")
+    boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
+    trace = extract_traces(map_frames(manifest), boxes, manifest.fps, layout)
     return manifest, trace
 
 

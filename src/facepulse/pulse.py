@@ -1,6 +1,6 @@
 """Pulse-signal extraction and conditioning.
 
-Turns a frame stream plus face-box track into one clean pulse waveform:
+Turns a frame array plus face-box track into one clean pulse waveform:
 spatial means per region and channel, then per-channel normalisation,
 moving-average detrending and zero-phase FIR bandpass, a channel
 combination step (green / intensity / chrominance), and finally fusion
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     AllFramesInvalidError,
-    DegenerateRoiError,
     InputError,
     LengthMismatchError,
     NonPositiveMeanError,
@@ -24,10 +23,13 @@ from .errors import (
     WindowTooShortError,
     ZeroVarianceError,
 )
-from .frameio import Frame, FrameStream
-from .roi import DEFAULT_LAYOUT, FaceBox, Rect, RoiLayout, derive_rois
+from .roi import DEFAULT_LAYOUT, RoiLayout, place_regions
 
 COMBINE_METHODS = ("green", "intensity", "chrom")
+
+# frames per reduction call: bounds the uint32 row-sum intermediate to
+# REDUCE_BLOCK_FRAMES x region width x bpp values
+REDUCE_BLOCK_FRAMES = 64
 
 DEFAULT_DETREND_WINDOW_S = 1.5
 
@@ -93,38 +95,32 @@ class PulseSignal:
         return len(self.samples)
 
 
-def spatial_mean(frame: Frame, roi: Rect) -> tuple[float, float, float]:
-    """Arithmetic mean of each channel inside the rectangle, in double precision."""
-    _, h, w = frame.channels.shape
-    if roi.x < 0 or roi.y < 0 or roi.x + roi.w > w or roi.y + roi.h > h:
-        raise DegenerateRoiError(f"roi {roi} outside {w}x{h} frame")
-    if roi.area < 4:
-        raise DegenerateRoiError(f"roi {roi} has area {roi.area} < 4")
-    patch = frame.channels[:, roi.y:roi.y + roi.h, roi.x:roi.x + roi.w]
-    means = patch.mean(axis=(1, 2), dtype=np.float64)
-    return float(means[0]), float(means[1]), float(means[2])
-
-
-def extract_traces(stream: FrameStream, boxes: list[FaceBox],
+def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float,
                    layout: RoiLayout = DEFAULT_LAYOUT) -> RawTrace:
-    """Spatial-mean trace for every frame; degenerate frames are
-    interpolated from their valid neighbours so the trace keeps exactly
-    one entry per frame."""
-    m = stream.manifest
-    if len(boxes) != m.frame_count:
-        raise LengthMismatchError(
-            f"box track has {len(boxes)} entries for {m.frame_count} frames")
-    values = np.zeros((m.frame_count, 3, 3), dtype=np.float64)
-    valid = np.zeros(m.frame_count, dtype=bool)
-    for frame in stream:
-        i = frame.index
-        try:
-            rois = derive_rois(boxes[i], m.width, m.height, layout)
-        except DegenerateRoiError:
+    """Spatial-mean trace of every region and channel for every frame.
+
+    frames is a (n, height, width, bpp) uint8 array, as returned by
+    frameio.map_frames, and boxes the (n, 4) face-box track.  Each run
+    of consecutive frames with identical rects is reduced in blocks of
+    REDUCE_BLOCK_FRAMES; a gray8 mean fills all three channels.
+    Degenerate frames are interpolated from their valid neighbours so
+    the trace keeps exactly one entry per frame.
+    """
+    n, height, width, _ = frames.shape
+    if len(boxes) != n:
+        raise LengthMismatchError(f"box track has {len(boxes)} entries for {n} frames")
+    rects, valid = place_regions(boxes, width, height, layout)
+    values = np.zeros((n, 3, 3), dtype=np.float64)
+    starts = np.flatnonzero(np.r_[True, (rects[1:] != rects[:-1]).any(axis=(1, 2))])
+    for a, b in zip(starts, np.append(starts[1:], n)):
+        if not valid[a]:
             continue
-        for r, rect in enumerate(rois):
-            values[i, r, :] = spatial_mean(frame, rect)
-        valid[i] = True
+        for r, (x, y, w, h) in enumerate(rects[a].tolist()):
+            for lo in range(a, b, REDUCE_BLOCK_FRAMES):
+                patch = frames[lo:min(lo + REDUCE_BLOCK_FRAMES, b), y:y + h, x:x + w]
+                # exact integer sums: a uint32 column holds 2**24 rows of 255
+                sums = patch.sum(axis=1, dtype=np.uint32).sum(axis=1, dtype=np.uint64)
+                values[lo:lo + len(sums), r] = sums / (w * h)
     if not valid.any():
         raise AllFramesInvalidError("every frame produced a degenerate region set")
     if not valid.all():
@@ -133,7 +129,7 @@ def extract_traces(stream: FrameStream, boxes: list[FaceBox],
         for r in range(3):
             for c in range(3):
                 values[bad, r, c] = np.interp(bad, good, values[good, r, c])
-    return RawTrace(fps=m.fps, values=values, valid=valid)
+    return RawTrace(fps=fps, values=values, valid=valid)
 
 
 def normalize_segment(segment: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 The three measurement regions (forehead, left cheek, right cheek) are
 placed at fixed ratios of the tracked face box.  Face boxes come from a
 sidecar CSV so any external detector can feed the pipeline; gaps in the
-track are filled by linear interpolation.
+track are filled by linear interpolation.  Boxes are one (frames, 4)
+array of x, y, w, h, and regions are placed for every frame at once.
 """
 
 from __future__ import annotations
@@ -12,53 +13,18 @@ import csv
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
-    DegenerateRoiError,
     EmptyTrackError,
     InputError,
     MissingFileError,
     NonMonotonicIndicesError,
 )
+from .frameio import parse_finite
 
 MIN_ROI_AREA = 4
-
-
-class Rect(NamedTuple):
-    x: int
-    y: int
-    w: int
-    h: int
-
-    @property
-    def area(self) -> int:
-        return self.w * self.h
-
-
-@dataclass(frozen=True)
-class FaceBox:
-    frame_index: int
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise InputError(
-                f"face box at frame {self.frame_index} must have positive size, "
-                f"got {self.w}x{self.h}")
-
-
-@dataclass(frozen=True)
-class RoiSet:
-    forehead: Rect
-    left_cheek: Rect
-    right_cheek: Rect
-
-    def __iter__(self):
-        return iter((self.forehead, self.left_cheek, self.right_cheek))
 
 
 @dataclass(frozen=True)
@@ -73,47 +39,37 @@ class RoiLayout:
 DEFAULT_LAYOUT = RoiLayout()
 
 
-def _place(box: FaceBox, frac: tuple[float, float, float, float],
-           frame_w: int, frame_h: int) -> Rect:
-    dx, dy, dw, dh = frac
-    x0 = int(round(box.x + dx * box.w))
-    y0 = int(round(box.y + dy * box.h))
-    x1 = x0 + int(round(dw * box.w))
-    y1 = y0 + int(round(dh * box.h))
-    # clamp to frame bounds
-    x0, x1 = max(0, min(x0, frame_w)), max(0, min(x1, frame_w))
-    y0, y1 = max(0, min(y0, frame_h)), max(0, min(y1, frame_h))
-    return Rect(x0, y0, x1 - x0, y1 - y0)
+def place_regions(boxes: np.ndarray, frame_w: int, frame_h: int,
+                  layout: RoiLayout = DEFAULT_LAYOUT,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Place the three measurement rectangles for every face box.
 
-
-def derive_rois(box: FaceBox, frame_w: int, frame_h: int,
-                layout: RoiLayout = DEFAULT_LAYOUT) -> RoiSet:
-    """Place the three measurement rectangles for one face box.
-
-    Raises DegenerateRoiError if any clamped rectangle falls below
-    MIN_ROI_AREA pixels.
+    Returns integer (x, y, w, h) rects of shape (n, 3, 4) in forehead,
+    left cheek, right cheek order, rounded half-to-even and clamped to
+    the frame, and a (n,) mask that is False where any clamped rectangle
+    falls below MIN_ROI_AREA pixels.
     """
-    rois = RoiSet(
-        forehead=_place(box, layout.forehead, frame_w, frame_h),
-        left_cheek=_place(box, layout.left_cheek, frame_w, frame_h),
-        right_cheek=_place(box, layout.right_cheek, frame_w, frame_h),
-    )
-    for name, rect in zip(("forehead", "left_cheek", "right_cheek"), rois):
-        if rect.area < MIN_ROI_AREA:
-            raise DegenerateRoiError(
-                f"{name} region degenerate for box at frame {box.frame_index}: "
-                f"{rect} has area {rect.area} < {MIN_ROI_AREA}")
-    return rois
+    frac = np.array([layout.forehead, layout.left_cheek, layout.right_cheek])
+    x, y, w, h = (boxes[:, None, k] for k in range(4))
+    # sizes are positive, so coordinates near the float limit can only
+    # overflow to +inf, which the clamp below moves to the frame edge
+    with np.errstate(over="ignore"):
+        x0 = np.rint(x + frac[:, 0] * w)
+        y0 = np.rint(y + frac[:, 1] * h)
+        x1 = x0 + np.rint(frac[:, 2] * w)
+        y1 = y0 + np.rint(frac[:, 3] * h)
+    x0, x1 = np.clip(x0, 0, frame_w), np.clip(x1, 0, frame_w)
+    y0, y1 = np.clip(y0, 0, frame_h), np.clip(y1, 0, frame_h)
+    rects = np.stack((x0, y0, x1 - x0, y1 - y0), axis=-1).astype(np.int64)
+    valid = (rects[..., 2] * rects[..., 3] >= MIN_ROI_AREA).all(axis=1)
+    return rects, valid
 
 
-def _parse_row(row: list[str], path: Path, line_no: int) -> tuple[int | None, tuple[float, ...]]:
+def _parse_row(row: list[str], path: Path, line_no: int) -> tuple[int | None, list[float]]:
     if len(row) != 5:
         raise InputError(f"{path}:{line_no}: expected 5 columns, got {len(row)}")
     idx_field = row[0].strip()
-    try:
-        coords = tuple(float(v) for v in row[1:])
-    except ValueError as exc:
-        raise InputError(f"{path}:{line_no}: {exc}") from exc
+    coords = [parse_finite(v, f"{path}:{line_no}: box coordinate") for v in row[1:]]
     if idx_field == "*":
         return None, coords
     try:
@@ -122,13 +78,13 @@ def _parse_row(row: list[str], path: Path, line_no: int) -> tuple[int | None, tu
         raise InputError(f"{path}:{line_no}: bad frame index {idx_field!r}") from exc
 
 
-def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> list[FaceBox]:
-    """Load the face-box CSV and fill it to one box per frame.
+def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> np.ndarray:
+    """Load the face-box CSV and fill it to one x, y, w, h row per frame.
 
     Frames without an annotation get a box linearly interpolated between
     the nearest annotated neighbours (copied from the nearest one at the
     track's ends).  A single row with frame index "*" applies to every
-    frame.
+    frame.  Returns a (frame_count, 4) float64 array.
     """
     boxes_path = Path(boxes_path)
     if not boxes_path.is_file():
@@ -142,43 +98,40 @@ def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> list[Face
         raise EmptyTrackError(f"{boxes_path}: no box rows")
 
     parsed = [_parse_row(row, boxes_path, i + 1) for i, row in enumerate(rows)]
+    anchors = np.array([coords for _, coords in parsed])
 
-    static = [coords for idx, coords in parsed if idx is None]
-    if static:
+    if any(idx is None for idx, _ in parsed):
         if len(parsed) != 1:
             raise InputError(
                 f"{boxes_path}: a '*' row must be the only row, got {len(parsed)} rows")
-        x, y, w, h = static[0]
-        return [FaceBox(i, x, y, w, h) for i in range(frame_count)]
-
-    indices = [idx for idx, _ in parsed]
-    for prev, cur in zip(indices, indices[1:]):
-        if cur <= prev:
+        track = np.tile(anchors[0], (frame_count, 1))
+    else:
+        keys = np.array([idx for idx, _ in parsed])
+        back = np.flatnonzero(np.diff(keys) <= 0)
+        if back.size:
             raise NonMonotonicIndicesError(
                 f"{boxes_path}: frame indices must be strictly increasing "
-                f"({prev} then {cur})")
-    if indices[0] < 0 or indices[-1] >= frame_count:
-        raise InputError(
-            f"{boxes_path}: frame indices must lie in [0, {frame_count}), "
-            f"got range [{indices[0]}, {indices[-1]}]")
+                f"({keys[back[0]]} then {keys[back[0] + 1]})")
+        if keys[0] < 0 or keys[-1] >= frame_count:
+            raise InputError(
+                f"{boxes_path}: frame indices must lie in [0, {frame_count}), "
+                f"got range [{keys[0]}, {keys[-1]}]")
+        # k is the first anchor at or past each frame; frames on an anchor
+        # or outside the annotated span copy the nearest anchor, k1, and
+        # frames between two anchors interpolate
+        frames = np.arange(frame_count)
+        k = np.searchsorted(keys, frames)
+        k1 = np.minimum(k, len(keys) - 1)
+        track = anchors[k1]
+        inner = np.flatnonzero((k > 0) & (keys[k1] > frames))
+        i, i0, i1 = frames[inner], keys[k1[inner] - 1], keys[k1[inner]]
+        a, b = anchors[k1[inner] - 1], anchors[k1[inner]]
+        track[inner] = a + (b - a) * ((i - i0) / (i1 - i0))[:, None]
 
-    anchors = {idx: coords for idx, coords in parsed}
-    track: list[FaceBox] = []
-    keys = indices
-    k = 0  # index of the next anchor at or past the current frame
-    for i in range(frame_count):
-        while k < len(keys) and keys[k] < i:
-            k += 1
-        if k < len(keys) and keys[k] == i:
-            coords = anchors[i]
-        elif k == 0:
-            coords = anchors[keys[0]]
-        elif k == len(keys):
-            coords = anchors[keys[-1]]
-        else:
-            i0, i1 = keys[k - 1], keys[k]
-            t = (i - i0) / (i1 - i0)
-            a, b = anchors[i0], anchors[i1]
-            coords = tuple(av + (bv - av) * t for av, bv in zip(a, b))
-        track.append(FaceBox(i, *coords))
+    bad = np.flatnonzero((track[:, 2] <= 0) | (track[:, 3] <= 0))
+    if bad.size:
+        w, h = track[bad[0], 2:]
+        raise InputError(
+            f"{boxes_path}: face box at frame {bad[0]} must have positive size, "
+            f"got {w:g}x{h:g}")
     return track

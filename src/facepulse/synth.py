@@ -243,6 +243,4 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     (out_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    stream = open_session(out_dir / MANIFEST_NAME)
-    stream.close()
-    return stream.manifest
+    return open_session(out_dir / MANIFEST_NAME)

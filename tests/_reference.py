@@ -1,8 +1,8 @@
 """Independent brute-force reference implementations of the metrics.
 
 Deliberately written without numpy vectorisation or any import from the
-package's evaluate module, so the fast implementations are checked
-against separately derived arithmetic.
+package, so the fast implementations are checked against separately
+derived arithmetic.
 """
 
 from __future__ import annotations
@@ -36,3 +36,23 @@ def ref_sub52(est: list[float], gt_means: list[float]) -> float:
 def ref_aggregate(values: list[float]) -> float:
     assert values
     return math.fsum(values) / len(values)
+
+
+def ref_roi_means(frames: list, rects: list) -> list[list[list[float]]]:
+    """Per-frame mean of each channel inside each (x, y, w, h) rect.
+
+    frames[i][row][col] is a list of channel values and rects[i] the
+    frame's list of rects; pixels are summed one at a time as integers.
+    """
+    out = []
+    for frame, frame_rects in zip(frames, rects):
+        regions = []
+        for x, y, w, h in frame_rects:
+            sums = [0] * len(frame[0][0])
+            for row in frame[y:y + h]:
+                for pixel in row[x:x + w]:
+                    for c, value in enumerate(pixel):
+                        sums[c] += value
+            regions.append([s / (w * h) if w * h else math.nan for s in sums])
+        out.append(regions)
+    return out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -105,6 +106,24 @@ class TestEstimateCommand:
         assert rc == 1
         assert "MissingFile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,old,new,error", [
+        ("boxes.csv", "*,3,3,10,10", "*,3,3,nan,10", "InputError"),
+        ("boxes.csv", "*,3,3,10,10", "*,3,3,inf,10", "InputError"),
+        ("session.json", '"fps": 30.0', '"fps": NaN', "MalformedManifest"),
+        ("session.json", '"width": 16', '"width": 16.5', "MalformedManifest"),
+        ("groundtruth.csv", "1.0,72.0", "1.0,nan", "InputError"),
+    ])
+    def test_non_finite_sidecar_number_exits_1(self, cli_session, tmp_path,
+                                                capsys, name, old, new, error):
+        session = tmp_path / "sess"
+        shutil.copytree(cli_session, session)
+        text = (session / name).read_text()
+        assert old in text
+        (session / name).write_text(text.replace(old, new))
+        rc = main(["estimate", str(session), "--out", str(tmp_path / "est")])
+        assert rc == 1
+        assert error in capsys.readouterr().err
+
     def test_session_shorter_than_filter(self, tmp_path, capsys):
         out = tmp_path / "blip"
         main(["synth", "--out", str(out), "--duration", "4",
@@ -163,6 +182,21 @@ class TestEvaluateCommand:
         assert any(line.startswith("# skipped,")
                    for line in _lines(rep / "report.csv"))
         assert json.loads((rep / "report.json").read_text())["sessions"] == []
+
+
+    def test_nan_groundtruth_skips_session(self, cli_session, tmp_path,
+                                           capsys):
+        session = tmp_path / "sess"
+        shutil.copytree(cli_session, session)
+        gt = session / "groundtruth.csv"
+        gt.write_text(gt.read_text().replace("1.0,72.0", "1.0,nan"))
+        rep = tmp_path / "rep"
+        rc = main(["evaluate", str(session), "--out", str(rep)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "=nan" not in captured.out
+        assert "must be a finite number" in captured.err
+        assert json.loads((rep / "report.json").read_text())["dataset"] == []
 
 
 class TestSweepCommand:

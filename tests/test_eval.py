@@ -54,6 +54,9 @@ class TestLoadGroundtruth:
         "0.0,70\n1.0,12\n",          # rate at or below 20
         "0.0,70\n1.0,250\n",         # rate at or above 250
         "t,bpm\n",                   # no samples
+        "0.0,70\n1.0,nan\n",         # non-finite rate
+        "0.0,inf\n",                 # non-finite rate
+        "nan,70\n",                  # non-finite time
     ])
     def test_rejects_malformed(self, tmp_path, body):
         p = tmp_path / "gt.csv"

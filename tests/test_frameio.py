@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facepulse import FrameStream, open_session
+from facepulse import map_frames, open_session
 from facepulse.errors import (FrameReadError, MalformedManifestError,
                               MissingFileError, SizeMismatchError)
-from facepulse.frameio import SessionManifest, replicate_mono
+from facepulse.frameio import SessionManifest
 
 
 def _write_session(tmp_path: Path, *, width=16, height=16, fps=10.0,
@@ -25,7 +25,7 @@ def _write_session(tmp_path: Path, *, width=16, height=16, fps=10.0,
         manifest.pop(key)
     bpp = 3 if pixel_format == "rgb8" else 1
     if frames is None:
-        frames = bytes(width * height * bpp * frame_count)
+        frames = bytes(int(width * height) * bpp * frame_count)
     (tmp_path / "frames.raw").write_bytes(frames)
     path = tmp_path / "session.json"
     path.write_text(json.dumps(manifest))
@@ -36,14 +36,12 @@ def test_open_session_size_arithmetic(tmp_path):
     path = _write_session(tmp_path, width=64, height=64, fps=30.0,
                           pixel_format="gray8", frame_count=90,
                           frames=bytes(368640))
-    with open_session(path) as stream:
-        frames = list(stream)
-    assert len(frames) == 90
+    frames = map_frames(open_session(path))
+    assert frames.shape == (90, 64, 64, 1)
 
 
 def test_manifest_fields_and_relative_paths(tiny_session):
-    with open_session(tiny_session / "session.json") as stream:
-        m = stream.manifest
+    m = open_session(tiny_session / "session.json")
     assert (m.width, m.height, m.fps) == (16, 16, 10.0)
     assert m.pixel_format == "rgb8"
     assert m.frame_count == 20
@@ -61,6 +59,11 @@ def test_manifest_fields_and_relative_paths(tiny_session):
     ({"width": 8}, None, "at least 16"),
     ({"fps": 0}, None, "fps"),
     ({"frame_count": 0}, None, "frame_count"),
+    ({"fps": float("nan")}, None, "fps"),
+    ({"fps": float("inf")}, None, "fps"),
+    ({"width": 64.9}, None, "width"),
+    ({"frame_count": 1.5}, None, "frame_count"),
+    ({"height": "sixteen"}, None, "height"),
 ])
 def test_manifest_rejected(tmp_path, extra, drop, message):
     path = _write_session(tmp_path, extra=extra, drop=drop)
@@ -101,65 +104,51 @@ def test_rgb8_deinterleave(tmp_path):
     pixels[0, 1] = (40, 50, 60)
     path = _write_session(tmp_path, pixel_format="rgb8",
                           frames=pixels.tobytes())
-    with open_session(path) as stream:
-        frame = stream.next_frame()
-    assert frame.channels.shape == (3, 16, 16)
-    assert frame.channels.dtype == np.uint8
-    assert np.array_equal(frame.channels, pixels.transpose(2, 0, 1))
-    assert [frame.channels[c, 0, 0] for c in range(3)] == [10, 20, 30]
-    assert [frame.channels[c, 0, 1] for c in range(3)] == [40, 50, 60]
+    frame = map_frames(open_session(path))[0]
+    assert frame.shape == (16, 16, 3)
+    assert frame.dtype == np.uint8
+    assert np.array_equal(frame, pixels)
+    assert [frame[0, 0, c] for c in range(3)] == [10, 20, 30]
+    assert [frame[0, 1, c] for c in range(3)] == [40, 50, 60]
 
 
-def test_gray8_replicated_at_ingest(tmp_path):
+def test_gray8_single_plane(tmp_path):
     rng = np.random.default_rng(43)
     plane = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
     path = _write_session(tmp_path, frames=plane.tobytes())
-    with open_session(path) as stream:
-        frame = stream.next_frame()
-    for c in range(3):
-        assert np.array_equal(frame.channels[c], plane)
+    frames = map_frames(open_session(path))
+    assert frames.shape == (1, 16, 16, 1)
+    assert np.array_equal(frames[0, :, :, 0], plane)
 
 
-def test_replicate_mono():
-    plane = np.arange(256, dtype=np.uint8).reshape(16, 16)
-    channels = replicate_mono(plane)
-    assert channels.shape == (3, 16, 16)
-    for c in range(3):
-        assert np.array_equal(channels[c], plane)
-    with pytest.raises(ValueError):
-        replicate_mono(np.zeros(16, dtype=np.uint8))
-
-
-def test_frames_in_order_with_timestamps(tiny_session):
-    with open_session(tiny_session / "session.json") as stream:
-        frames = list(stream)
-    assert [f.index for f in frames] == list(range(20))
-    assert [f.timestamp for f in frames] == [i / 10.0 for i in range(20)]
-    assert stream.next_frame() is None
+def test_frames_in_order(tiny_session):
+    m = open_session(tiny_session / "session.json")
+    frames = map_frames(m)
+    raw = m.frames_path.read_bytes()
+    assert len(frames) == 20
+    for i, frame in enumerate(frames):
+        assert frame.tobytes() == raw[i * m.frame_bytes:(i + 1) * m.frame_bytes]
+    assert not frames.flags.writeable
 
 
 def test_stream_determinism(tiny_session):
     def read_all():
-        with open_session(tiny_session / "session.json") as stream:
-            return [f.channels.copy() for f in stream]
+        return np.array(map_frames(open_session(tiny_session / "session.json")))
 
-    first, second = read_all(), read_all()
-    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert np.array_equal(read_all(), read_all())
 
 
 def test_short_read_names_frame_index(tmp_path):
     # manifest deliberately built by hand so the eager size check is
-    # bypassed and the mid-stream failure path is reachable
+    # bypassed and the map-time failure path is reachable
     (tmp_path / "frames.raw").write_bytes(bytes(2 * 256))
     manifest = SessionManifest(width=16, height=16, fps=10.0,
                                pixel_format="gray8", frame_count=3,
                                frames_path=tmp_path / "frames.raw")
-    stream = FrameStream(manifest)
-    assert stream.next_frame().index == 0
-    assert stream.next_frame().index == 1
-    with pytest.raises(FrameReadError, match="frame 2"):
-        stream.next_frame()
-    stream.close()
+    with pytest.raises(FrameReadError,
+                       match=r"frames\.raw: cannot map 768 bytes \(3 frames of "
+                             r"256\), file has 512"):
+        map_frames(manifest)
 
 
 def test_synth_roundtrip_bitwise(tmp_path):
@@ -172,9 +161,8 @@ def test_synth_roundtrip_bitwise(tmp_path):
                          noise_sigma=3.0, seed=11)
     render_session(config, tmp_path)
     rng = np.random.default_rng(11)
-    with open_session(tmp_path / "session.json") as stream:
-        for frame in stream:
-            levels = _channel_levels(config, frame.index / 10.0)
-            noise = 3.0 * rng.standard_normal((16, 16, 3))
-            expected = _quantize(levels + noise).transpose(2, 0, 1)
-            assert np.array_equal(frame.channels, expected)
+    frames = map_frames(open_session(tmp_path / "session.json"))
+    for i, frame in enumerate(frames):
+        levels = _channel_levels(config, i / 10.0)
+        noise = 3.0 * rng.standard_normal((16, 16, 3))
+        assert np.array_equal(frame, _quantize(levels + noise))

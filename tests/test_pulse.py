@@ -5,21 +5,29 @@ import json
 import numpy as np
 import pytest
 
-from facepulse import (BandLimits, DEFAULT_BAND, RawTrace, bandpass,
+from facepulse import (BandLimits, DEFAULT_BAND, RawTrace, RoiLayout, bandpass,
                        build_pulse_signal, combine_channels,
                        design_bandpass_taps, detrend, fuse_rois,
-                       load_box_track, normalize_segment, open_session)
-from facepulse.errors import (AllFramesInvalidError, DegenerateRoiError,
-                              InputError, LengthMismatchError,
-                              NonPositiveMeanError, SignalTooShortError,
-                              WindowTooShortError, ZeroVarianceError)
-from facepulse.frameio import Frame
-from facepulse.pulse import extract_traces, spatial_mean
-from facepulse.roi import Rect
+                       load_box_track, map_frames, normalize_segment,
+                       open_session)
+from facepulse.errors import (AllFramesInvalidError, InputError,
+                              LengthMismatchError, NonPositiveMeanError,
+                              SignalTooShortError, WindowTooShortError,
+                              ZeroVarianceError)
+from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
+from facepulse.roi import place_regions
+
+from _reference import ref_roi_means
 
 
-def _frame(channels: np.ndarray) -> Frame:
-    return Frame(index=0, timestamp=0.0, channels=channels)
+def _region_mean(pixels: np.ndarray, rect) -> tuple[float, float, float]:
+    """Trace channels of one 16x16 frame whose three regions are all `rect`,
+    placed on a full-frame box by a layout of sixteenths."""
+    frac = tuple(v / 16 for v in rect)
+    trace = extract_traces(pixels[None], np.array([[0.0, 0.0, 16.0, 16.0]]),
+                           10.0, RoiLayout(frac, frac, frac))
+    assert np.array_equal(trace.values[0, 1:], trace.values[0, :2])
+    return tuple(trace.values[0, 0].tolist())
 
 
 def _response(taps: np.ndarray, freq: float, fps: float) -> float:
@@ -38,64 +46,99 @@ def _fit_amplitude(signal: np.ndarray, freq: float, fps: float) -> float:
 
 class TestSpatialMean:
     def test_exact_mean(self):
-        channels = np.zeros((3, 16, 16), dtype=np.uint8)
-        channels[1, 0:2, 0:2] = [[10, 20], [30, 40]]
-        r, g, b = spatial_mean(_frame(channels), Rect(0, 0, 2, 2))
+        pixels = np.zeros((16, 16, 3), dtype=np.uint8)
+        pixels[0:2, 0:2, 1] = [[10, 20], [30, 40]]
+        r, g, b = _region_mean(pixels, (0, 0, 2, 2))
         assert g == 25.0
         assert r == 0.0 and b == 0.0
 
     def test_constant_frame(self):
-        channels = np.full((3, 16, 16), 77, dtype=np.uint8)
-        assert spatial_mean(_frame(channels), Rect(3, 4, 5, 6)) == (77.0, 77.0, 77.0)
+        pixels = np.full((16, 16, 3), 77, dtype=np.uint8)
+        assert _region_mean(pixels, (3, 4, 5, 6)) == (77.0, 77.0, 77.0)
 
     def test_replicated_planes_agree(self):
+        # a gray8 plane is reduced once and its mean fills all three channels
         rng = np.random.default_rng(1)
-        plane = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        channels = np.stack((plane, plane, plane))
-        r, g, b = spatial_mean(_frame(channels), Rect(2, 2, 8, 8))
-        assert r == g == b
+        plane = rng.integers(0, 256, (16, 16, 1), dtype=np.uint8)
+        r, g, b = _region_mean(plane, (2, 2, 8, 8))
+        assert r == g == b == plane[2:10, 2:10].mean()
 
     def test_degenerate_rois(self):
-        channels = np.zeros((3, 16, 16), dtype=np.uint8)
-        with pytest.raises(DegenerateRoiError):
-            spatial_mean(_frame(channels), Rect(14, 14, 4, 4))
-        with pytest.raises(DegenerateRoiError):
-            spatial_mean(_frame(channels), Rect(0, 0, 1, 2))
+        pixels = np.zeros((16, 16, 3), dtype=np.uint8)
+        pixels[14:, 14:] = 8
+        # a region past the frame edge is clamped to the 2x2 inside it
+        assert _region_mean(pixels, (14, 14, 4, 4)) == (8.0, 8.0, 8.0)
+        # below MIN_ROI_AREA the frame is degenerate, and it is the only one
+        with pytest.raises(AllFramesInvalidError):
+            _region_mean(pixels, (0, 0, 1, 2))
+
+
+def _session(directory):
+    manifest = open_session(directory / "session.json")
+    boxes = load_box_track(directory / "boxes.csv", manifest.frame_count)
+    return map_frames(manifest), boxes, manifest.fps
 
 
 class TestExtractTraces:
     def test_static_box_all_valid(self, tiny_session):
-        with open_session(tiny_session / "session.json") as stream:
-            boxes = load_box_track(tiny_session / "boxes.csv", 20)
-            trace = extract_traces(stream, boxes)
+        trace = extract_traces(*_session(tiny_session))
         assert len(trace) == 20
         assert trace.valid.all()
         assert trace.values.shape == (20, 3, 3)
         assert np.all((trace.values >= 0) & (trace.values <= 255))
 
     def test_box_count_mismatch(self, tiny_session):
-        with open_session(tiny_session / "session.json") as stream:
-            boxes = load_box_track(tiny_session / "boxes.csv", 20)
-            with pytest.raises(LengthMismatchError):
-                extract_traces(stream, boxes[:-1])
+        frames, boxes, fps = _session(tiny_session)
+        with pytest.raises(LengthMismatchError):
+            extract_traces(frames, boxes[:-1], fps)
 
     def test_degenerate_frame_interpolated(self, tiny_session):
-        boxes = load_box_track(tiny_session / "boxes.csv", 20)
-        bad = boxes[10].__class__(10, -300.0, -300.0, 30.0, 30.0)
-        boxes = boxes[:10] + [bad] + boxes[11:]
-        with open_session(tiny_session / "session.json") as stream:
-            trace = extract_traces(stream, boxes)
+        frames, boxes, fps = _session(tiny_session)
+        boxes[10] = (-300.0, -300.0, 30.0, 30.0)
+        trace = extract_traces(frames, boxes, fps)
         assert not trace.valid[10] and trace.valid[9] and trace.valid[11]
         expected = 0.5 * (trace.values[9] + trace.values[11])
         assert np.allclose(trace.values[10], expected, rtol=0, atol=1e-12)
 
     def test_all_frames_degenerate(self, tiny_session):
-        boxes = load_box_track(tiny_session / "boxes.csv", 20)
-        bad = [b.__class__(b.frame_index, -300.0, -300.0, 30.0, 30.0)
-               for b in boxes]
-        with open_session(tiny_session / "session.json") as stream:
-            with pytest.raises(AllFramesInvalidError):
-                extract_traces(stream, bad)
+        frames, boxes, fps = _session(tiny_session)
+        boxes[:] = (-300.0, -300.0, 30.0, 30.0)
+        with pytest.raises(AllFramesInvalidError):
+            extract_traces(frames, boxes, fps)
+
+    @staticmethod
+    def _assert_matches_reference(frames, boxes):
+        trace = extract_traces(frames, boxes, 30.0)
+        rects, valid = place_regions(boxes, frames.shape[2], frames.shape[1])
+        expected = ref_roi_means(frames.tolist(), rects.tolist())
+        assert np.array_equal(trace.valid, valid)
+        for i in np.flatnonzero(valid):
+            for r in range(3):
+                means = expected[i][r]
+                assert trace.values[i, r].tolist() == means * (3 // len(means))
+
+    def test_reduction_matches_reference(self):
+        # every frame has its own rects: in the first half only y and h
+        # move, in the second only x and w; frames 20-24 leave the frame
+        rng = np.random.default_rng(9)
+        n = 60
+        rgb = rng.integers(0, 256, (n, 24, 32, 3), dtype=np.uint8)
+        alternate = 5 * (np.arange(n // 2) % 2) + rng.uniform(0, 2, n // 2)
+        boxes = np.tile([6.0, 4.0, 16.0, 14.0], (n, 1))
+        boxes[:n // 2, 1], boxes[:n // 2, 3] = alternate, rng.uniform(12, 16, n // 2)
+        boxes[n // 2:, 0], boxes[n // 2:, 2] = alternate, rng.uniform(12, 20, n // 2)
+        boxes[20:25, 0] = 40.0
+        rects, valid = place_regions(boxes, 32, 24)
+        assert (rects[1:] != rects[:-1]).any(axis=(1, 2)).all()
+        assert not valid[20:25].any() and valid.sum() == n - 5
+        self._assert_matches_reference(rgb, boxes)
+        self._assert_matches_reference(rgb[..., 1:2].copy(), boxes)
+
+    def test_reduction_crosses_block_edges(self):
+        n = 2 * REDUCE_BLOCK_FRAMES + 7
+        rgb = np.random.default_rng(10).integers(0, 256, (n, 20, 20, 3),
+                                                 dtype=np.uint8)
+        self._assert_matches_reference(rgb, np.tile([2.5, 1.0, 15.0, 17.0], (n, 1)))
 
 
 class TestNormalize:
@@ -332,10 +375,7 @@ class TestPixelScaleInvariance:
         return d
 
     def _signal(self, session_dir, method):
-        with open_session(session_dir / "session.json") as stream:
-            boxes = load_box_track(session_dir / "boxes.csv",
-                                   stream.manifest.frame_count)
-            trace = extract_traces(stream, boxes)
+        trace = extract_traces(*_session(session_dir))
         return build_pulse_signal(trace, method=method)
 
     @pytest.mark.parametrize("method", ["green", "intensity", "chrom"])

@@ -3,62 +3,75 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from facepulse import FaceBox, Rect, derive_rois, load_box_track
-from facepulse.errors import (DegenerateRoiError, EmptyTrackError, InputError,
-                              MissingFileError, NonMonotonicIndicesError)
+from facepulse import load_box_track, place_regions
+from facepulse.errors import (EmptyTrackError, InputError, MissingFileError,
+                              NonMonotonicIndicesError)
+
+
+def _place(*box):
+    """Rects and validity of one face box (x, y, w, h) in a 1280x720 frame."""
+    rects, valid = place_regions(np.array([box], dtype=np.float64), 1280, 720)
+    return rects[0].tolist(), bool(valid[0])
 
 
 def test_derive_rois_reference_box():
-    rois = derive_rois(FaceBox(0, 100, 100, 200, 200), 1280, 720)
-    assert rois.forehead == Rect(150, 110, 100, 30)
-    assert rois.left_cheek == Rect(130, 200, 40, 40)
-    assert rois.right_cheek == Rect(230, 200, 40, 40)
+    rects, valid = _place(100, 100, 200, 200)
+    forehead, left_cheek, right_cheek = rects
+    assert forehead == [150, 110, 100, 30]
+    assert left_cheek == [130, 200, 40, 40]
+    assert right_cheek == [230, 200, 40, 40]
+    assert valid
 
 
 def test_derive_rois_clamped_at_frame_edge():
-    rois = derive_rois(FaceBox(0, 1130, 100, 200, 200), 1280, 720)
-    for rect in rois:
-        assert rect.x >= 0 and rect.y >= 0
-        assert rect.x + rect.w <= 1280
-        assert rect.y + rect.h <= 720
-        assert rect.area >= 4
+    rects, valid = _place(1130, 100, 200, 200)
+    assert valid
+    for x, y, w, h in rects:
+        assert x >= 0 and y >= 0
+        assert x + w <= 1280
+        assert y + h <= 720
+        assert w * h >= 4
     # the right cheek pokes past the frame edge and gets trimmed
-    assert rois.right_cheek == Rect(1260, 200, 20, 40)
+    assert rects[2] == [1260, 200, 20, 40]
 
 
 def test_derive_rois_degenerate_box():
-    with pytest.raises(DegenerateRoiError):
-        derive_rois(FaceBox(0, 0, 0, 2, 2), 1280, 720)
+    assert not _place(0, 0, 2, 2)[1]
+    # overflow to +inf clamps to the right edge: degenerate, no warning
+    assert not _place(1e308, 10, 1e308, 40)[1]
 
 
-def test_facebox_requires_positive_size():
-    with pytest.raises(InputError):
-        FaceBox(0, 10, 10, 0, 50)
+def test_facebox_requires_positive_size(tmp_path):
+    with pytest.raises(InputError, match="frame 0 must have positive size"):
+        load_box_track(_write_track(tmp_path, "*,10,10,0,50\n"), 5)
+    with pytest.raises(InputError, match="frame 4 must have positive size"):
+        load_box_track(_write_track(tmp_path, "0,10,10,50,50\n4,10,10,50,-1\n"), 5)
 
 
 def test_translation_equivariance():
     # integer coordinates and sizes in multiples of 20 keep every ratio
     # product integral, so placement rounding is exact
     rng = np.random.default_rng(7)
-    for _ in range(200):
-        w, h = 20 * rng.integers(1, 9), 20 * rng.integers(1, 9)
-        x, y = int(rng.integers(0, 200)), int(rng.integers(0, 200))
-        dx, dy = int(rng.integers(1, 100)), int(rng.integers(1, 100))
-        base = derive_rois(FaceBox(0, x, y, w, h), 4000, 4000)
-        moved = derive_rois(FaceBox(0, x + dx, y + dy, w, h), 4000, 4000)
-        for a, b in zip(base, moved):
-            assert (b.x - a.x, b.y - a.y) == (dx, dy)
-            assert (b.w, b.h) == (a.w, a.h)
+    w, h = 20 * rng.integers(1, 9, 200), 20 * rng.integers(1, 9, 200)
+    x, y = rng.integers(0, 200, 200), rng.integers(0, 200, 200)
+    dx, dy = rng.integers(1, 100, 200), rng.integers(1, 100, 200)
+    base, _ = place_regions(np.column_stack((x, y, w, h)).astype(float), 4000, 4000)
+    moved, _ = place_regions(np.column_stack((x + dx, y + dy, w, h)).astype(float),
+                             4000, 4000)
+    assert np.array_equal(moved[..., 0] - base[..., 0], np.repeat(dx[:, None], 3, 1))
+    assert np.array_equal(moved[..., 1] - base[..., 1], np.repeat(dy[:, None], 3, 1))
+    assert np.array_equal(moved[..., 2:], base[..., 2:])
 
 
 def test_scale_covariance():
     rng = np.random.default_rng(8)
-    for _ in range(200):
-        w, h = 20 * rng.integers(1, 9), 20 * rng.integers(1, 9)
-        base = derive_rois(FaceBox(0, 50, 50, w, h), 4000, 4000)
-        doubled = derive_rois(FaceBox(0, 50, 50, 2 * w, 2 * h), 4000, 4000)
-        for a, b in zip(base, doubled):
-            assert (b.w, b.h) == (2 * a.w, 2 * a.h)
+    w, h = 20 * rng.integers(1, 9, 200), 20 * rng.integers(1, 9, 200)
+    corner = np.full(200, 50)
+    base, _ = place_regions(np.column_stack((corner, corner, w, h)).astype(float),
+                            4000, 4000)
+    doubled, _ = place_regions(
+        np.column_stack((corner, corner, 2 * w, 2 * h)).astype(float), 4000, 4000)
+    assert np.array_equal(doubled[..., 2:], 2 * base[..., 2:])
 
 
 def _write_track(tmp_path, text):
@@ -70,28 +83,27 @@ def _write_track(tmp_path, text):
 def test_track_linear_interpolation_midpoint(tmp_path):
     path = _write_track(tmp_path, "frame,x,y,w,h\n0,10,10,50,50\n4,18,10,50,50\n")
     track = load_box_track(path, 5)
-    assert len(track) == 5
-    assert (track[2].x, track[2].y, track[2].w, track[2].h) == (14, 10, 50, 50)
+    assert track.shape == (5, 4) and track.dtype == np.float64
+    assert track[2].tolist() == [14, 10, 50, 50]
 
 
 def test_track_static_broadcast(tmp_path):
     path = _write_track(tmp_path, "frame,x,y,w,h\n*,100,100,200,200\n")
     track = load_box_track(path, 7)
-    assert len(track) == 7
-    for i, box in enumerate(track):
-        assert box.frame_index == i
-        assert (box.x, box.y, box.w, box.h) == (100, 100, 200, 200)
+    assert track.shape == (7, 4)
+    for box in track:
+        assert box.tolist() == [100, 100, 200, 200]
 
 
 def test_track_edge_copy_and_exact_anchors(tmp_path):
     path = _write_track(tmp_path, "frame,x,y,w,h\n2,10,20,30,40\n5,40,20,30,40\n")
     track = load_box_track(path, 8)
     for i in (0, 1):
-        assert track[i].x == 10
+        assert track[i, 0] == 10
     for i in (6, 7):
-        assert track[i].x == 40
-    assert track[2].x == 10 and track[5].x == 40
-    assert track[3].x == 20 and track[4].x == 30
+        assert track[i, 0] == 40
+    assert track[2, 0] == 10 and track[5, 0] == 40
+    assert track[3, 0] == 20 and track[4, 0] == 30
 
 
 def test_track_empty(tmp_path):
@@ -123,6 +135,7 @@ def test_track_index_out_of_range(tmp_path):
 
 
 def test_track_malformed_row(tmp_path):
-    path = _write_track(tmp_path, "0,1,1,5\n")
-    with pytest.raises(InputError):
-        load_box_track(path, 5)
+    for text in ("0,1,1,5\n", "0,1,1,5,x\n", "*,13,13,nan,38\n",
+                 "*,13,13,inf,38\n", "0,1,-inf,5,5\n", "0,nan,1,5,5\n2,1,1,5,5\n"):
+        with pytest.raises(InputError):
+            load_box_track(_write_track(tmp_path, text), 5)

@@ -8,7 +8,7 @@ import pytest
 
 from facepulse import (ConstantProfile, RampProfile, StepProfile, SynthConfig,
                        WindowSpec, estimate_session, evaluate_sessions,
-                       open_session, parse_profile, pulse_phase,
+                       map_frames, open_session, parse_profile, pulse_phase,
                        render_session, session_mean)
 from facepulse.errors import InputError
 from facepulse.synth import _channel_levels, _quantize, _render_frame
@@ -150,12 +150,11 @@ class TestRendering:
             SynthConfig(width=16, height=16, duration=2.0, mono=True),
             tmp_path)
         assert manifest.pixel_format == "gray8"
-        with open_session(tmp_path / "session.json") as stream:
-            frame = stream.next_frame()
+        frame = map_frames(open_session(tmp_path / "session.json"))[0]
         # at t = 0 the wave is zero: every pixel sits at the base level
         base = round((170.0 + 120.0 + 100.0) / 3.0)
-        assert np.all(frame.channels == base)
-        assert frame.channels.shape == (3, 16, 16)
+        assert np.all(frame == base)
+        assert frame.shape == (16, 16, 1)
 
     def test_channel_depth_ordering(self):
         config = SynthConfig()
