@@ -16,10 +16,10 @@ from .pipeline import (PipelineParams, build_session_signal, default_combine,
                        estimate_session, load_session_trace)
 from .pulse import (DEFAULT_BAND, BandLimits, PulseSignal, RawTrace, bandpass,
                     build_pulse_signal, combine_channels, design_bandpass_taps,
-                    detrend, extract_traces, fuse_rois, normalize_segment)
+                    detrend, extract_traces, normalize_segment)
 from .roi import DEFAULT_LAYOUT, RoiLayout, load_box_track, place_regions
-from .spectral import (HrEstimate, HrSeries, WindowSpec, estimate_series,
-                       partition_windows, peak_bpm, periodogram, session_mean)
+from .spectral import (HrSeries, WindowSpec, estimate_series, partition_windows,
+                       peak_bpm, periodogram, session_mean)
 from .synth import (ConstantProfile, RampProfile, StepProfile, SynthConfig,
                     parse_profile, pulse_phase, render_session)
 
@@ -31,9 +31,9 @@ __all__ = [
     "RoiLayout", "DEFAULT_LAYOUT", "place_regions", "load_box_track",
     "BandLimits", "DEFAULT_BAND", "RawTrace", "PulseSignal",
     "extract_traces", "normalize_segment", "detrend",
-    "design_bandpass_taps", "bandpass", "combine_channels", "fuse_rois",
+    "design_bandpass_taps", "bandpass", "combine_channels",
     "build_pulse_signal",
-    "WindowSpec", "HrEstimate", "HrSeries", "partition_windows",
+    "WindowSpec", "HrSeries", "partition_windows",
     "periodogram", "peak_bpm", "estimate_series", "session_mean",
     "GroundTruth", "load_groundtruth", "align_groundtruth", "mae",
     "session_id", "sub51_error", "sub52_mae", "dataset_aggregate", "evaluate_sessions",

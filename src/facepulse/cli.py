@@ -94,15 +94,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    starts, ends = series.window_start.tolist(), series.window_end.tolist()
+    bpm = series.bpm.tolist()
     lines = ["window_start_s,window_end_s,bpm"]
-    lines += [f"{e.window_start:g},{e.window_end:g},{e.bpm:.6f}"
-              for e in series.estimates]
+    lines += [f"{s:g},{e:g},{b:.6f}" for s, e, b in zip(starts, ends, bpm)]
     (out / "estimates.csv").write_text("\n".join(lines) + "\n")
 
     mean_bpm = session_mean(series)
     summary = {
         "session_mean_bpm": mean_bpm,
-        "n_windows": len(series.estimates),
+        "n_windows": len(series),
         "window_s": args.window,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -110,16 +111,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if manifest.groundtruth_path is not None:
         gt = load_groundtruth(manifest.groundtruth_path)
         try:
-            aligned = align_groundtruth(gt, series.intervals)
+            aligned = align_groundtruth(gt, series.window_start, series.window_end)
         except FacePulseError as exc:
             print(f"note: skipping compare.csv: {exc}", file=sys.stderr)
         else:
             rows = ["window_start_s,window_end_s,gt_bpm,est_bpm"]
-            rows += [f"{e.window_start:g},{e.window_end:g},{g:.6f},{e.bpm:.6f}"
-                     for e, g in zip(series.estimates, aligned)]
+            rows += [f"{s:g},{e:g},{g:.6f},{b:.6f}"
+                     for s, e, g, b in zip(starts, ends, aligned.tolist(), bpm)]
             (out / "compare.csv").write_text("\n".join(rows) + "\n")
 
-    print(f"session mean {mean_bpm:.2f} bpm over {len(series.estimates)} "
+    print(f"session mean {mean_bpm:.2f} bpm over {len(series)} "
           f"windows of {args.window:g} s")
     return 0
 
@@ -141,7 +142,10 @@ def _run_report(args: argparse.Namespace, lengths: list[float],
               f"sub52={a.sub52_bpm:.2f} bpm (n={a.n_sessions})")
     print(f"report written to {out / csv_name}")
     if not report.rows:
-        raise ProcessingError("no session could be evaluated; see report")
+        # bad input alone exits 1; any processing failure makes it 2
+        bad_input = all(s.exit_code == InputError.exit_code for s in report.skipped)
+        raise (InputError if bad_input else ProcessingError)(
+            "no session could be evaluated; see report")
     return 0
 
 

@@ -62,10 +62,6 @@ class SignalTooShortError(ProcessingError):
     pass
 
 
-class ZeroVarianceError(ProcessingError):
-    """Chrominance combination collapsed; caller may fall back to intensity."""
-
-
 class LengthMismatchError(ProcessingError):
     pass
 

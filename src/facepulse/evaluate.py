@@ -96,25 +96,26 @@ def load_groundtruth(path: str | os.PathLike) -> GroundTruth:
     return GroundTruth(times=t, bpm=rates)
 
 
-def align_groundtruth(gt: GroundTruth,
-                      intervals: list[tuple[float, float]]) -> np.ndarray:
+def align_groundtruth(gt: GroundTruth, starts: np.ndarray,
+                      ends: np.ndarray) -> np.ndarray:
     """Mean reference bpm per [start, end) window.
 
+    gt.times must increase strictly, as load_groundtruth guarantees.
     Every window must contain at least one sample; windows that do not
     are all collected into one EmptyWindowGtError.
     """
-    means = np.empty(len(intervals))
-    empty: list[str] = []
-    for i, (start, end) in enumerate(intervals):
-        mask = (gt.times >= start) & (gt.times < end)
-        if not mask.any():
-            empty.append(f"[{start:g}, {end:g})")
-            continue
-        means[i] = float(gt.bpm[mask].mean())
-    if empty:
+    starts = np.asarray(starts, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.float64)
+    lo = np.searchsorted(gt.times, starts, side="left")
+    hi = np.searchsorted(gt.times, ends, side="left")
+    empty = hi <= lo
+    if empty.any():
         raise EmptyWindowGtError(
-            "windows without groundtruth samples: " + ", ".join(empty))
-    return means
+            "windows without groundtruth samples: " + ", ".join(
+                f"[{start:g}, {end:g})"
+                for start, end in zip(starts[empty].tolist(), ends[empty].tolist())))
+    # one pairwise mean per window: a cumulative sum would round differently
+    return np.array([gt.bpm[a:b].mean() for a, b in zip(lo.tolist(), hi.tolist())])
 
 
 def mae(estimates: np.ndarray, reference: np.ndarray) -> float:
@@ -132,16 +133,16 @@ def mae(estimates: np.ndarray, reference: np.ndarray) -> float:
 
 def sub51_error(series: HrSeries, gt: GroundTruth) -> float:
     """Session protocol: |mean estimate - mean windowed reference|."""
-    aligned = align_groundtruth(gt, series.intervals)
+    aligned = align_groundtruth(gt, series.window_start, series.window_end)
     return abs(session_mean(series) - float(aligned.mean()))
 
 
 def sub52_mae(series: HrSeries, gt: GroundTruth) -> float:
     """Monitoring protocol: MAE over per-window (estimate, reference) pairs."""
-    if not series.estimates:
+    if len(series) == 0:
         raise EmptySeriesError("heart-rate series has no windows")
-    aligned = align_groundtruth(gt, series.intervals)
-    return mae(series.bpm_values, aligned)
+    aligned = align_groundtruth(gt, series.window_start, series.window_end)
+    return mae(series.bpm, aligned)
 
 
 def dataset_aggregate(values: list[float]) -> float:
@@ -178,6 +179,7 @@ class SkippedSession:
     session: str
     window_s: float | None  # None: the session failed before windowing
     error: str
+    exit_code: int  # of the error; kept out of the reports
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,7 @@ def evaluate_sessions(manifest_paths: list[str | os.PathLike],
                 raise MissingFileError(f"session {sid} has no groundtruth file")
             gt = load_groundtruth(manifest.groundtruth_path)
         except FacePulseError as exc:
-            skipped.append(SkippedSession(sid, None, _describe(exc)))
+            skipped.append(_skip(sid, None, exc))
             continue
         for t in lengths:
             try:
@@ -239,9 +241,9 @@ def evaluate_sessions(manifest_paths: list[str | os.PathLike],
                     session=sid, window_s=t,
                     sub51_bpm=sub51_error(series, gt),
                     sub52_bpm=sub52_mae(series, gt),
-                    n_windows=len(series.estimates))
+                    n_windows=len(series))
             except FacePulseError as exc:
-                skipped.append(SkippedSession(sid, t, _describe(exc)))
+                skipped.append(_skip(sid, t, exc))
                 continue
             rows.append(row)
             per_length[t].append(row)
@@ -258,8 +260,9 @@ def evaluate_sessions(manifest_paths: list[str | os.PathLike],
                       aggregates=tuple(aggregates), skipped=tuple(skipped))
 
 
-def _describe(exc: FacePulseError) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _skip(sid: str, window_s: float | None, exc: FacePulseError) -> SkippedSession:
+    return SkippedSession(sid, window_s, f"{type(exc).__name__}: {exc}",
+                          exc.exit_code)
 
 
 def write_report_csv(report: EvalReport, path: str | os.PathLike) -> None:

@@ -4,13 +4,13 @@ Turns a frame array plus face-box track into one clean pulse waveform:
 spatial means per region and channel, then per-channel normalisation,
 moving-average detrending and zero-phase FIR bandpass, a channel
 combination step (green / intensity / chrominance), and finally fusion
-of the three regions into a single zero-mean signal.
+of the three regions into a single zero-mean signal.  Every stage keeps
+time on the last axis: a trace is (regions, channels, frames).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import (
     NonPositiveMeanError,
     SignalTooShortError,
     WindowTooShortError,
-    ZeroVarianceError,
 )
 from .roi import DEFAULT_LAYOUT, RoiLayout, place_regions
 
@@ -65,7 +64,8 @@ DEFAULT_BAND = BandLimits()
 
 @dataclass
 class RawTrace:
-    """Per-frame spatial means, shape (n_frames, 3 regions, 3 channels)."""
+    """Per-frame spatial means, shape (3 regions, C channels, n_frames);
+    C is 3 for rgb8 and 1 for gray8."""
 
     fps: float
     values: np.ndarray
@@ -73,15 +73,17 @@ class RawTrace:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3 or self.values.shape[1:] != (3, 3):
-            raise InputError(f"trace must have shape (n, 3, 3), got {self.values.shape}")
+        if self.values.ndim != 3 or self.values.shape[0] != 3 or \
+                self.values.shape[1] not in (1, 3):
+            raise InputError(
+                f"trace must have shape (3, 1 or 3, n), got {self.values.shape}")
         if self.valid is None:
-            self.valid = np.ones(len(self.values), dtype=bool)
+            self.valid = np.ones(len(self), dtype=bool)
         else:
             self.valid = np.asarray(self.valid, dtype=bool)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -102,15 +104,15 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float,
     frames is a (n, height, width, bpp) uint8 array, as returned by
     frameio.map_frames, and boxes the (n, 4) face-box track.  Each run
     of consecutive frames with identical rects is reduced in blocks of
-    REDUCE_BLOCK_FRAMES; a gray8 mean fills all three channels.
-    Degenerate frames are interpolated from their valid neighbours so
-    the trace keeps exactly one entry per frame.
+    REDUCE_BLOCK_FRAMES; a gray8 trace has one channel.  Degenerate
+    frames are interpolated from their valid neighbours so the trace
+    keeps exactly one entry per frame.
     """
-    n, height, width, _ = frames.shape
+    n, height, width, bpp = frames.shape
     if len(boxes) != n:
         raise LengthMismatchError(f"box track has {len(boxes)} entries for {n} frames")
     rects, valid = place_regions(boxes, width, height, layout)
-    values = np.zeros((n, 3, 3), dtype=np.float64)
+    values = np.zeros((3, bpp, n), dtype=np.float64)
     starts = np.flatnonzero(np.r_[True, (rects[1:] != rects[:-1]).any(axis=(1, 2))])
     for a, b in zip(starts, np.append(starts[1:], n)):
         if not valid[a]:
@@ -120,15 +122,14 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float,
                 patch = frames[lo:min(lo + REDUCE_BLOCK_FRAMES, b), y:y + h, x:x + w]
                 # exact integer sums: a uint32 column holds 2**24 rows of 255
                 sums = patch.sum(axis=1, dtype=np.uint32).sum(axis=1, dtype=np.uint64)
-                values[lo:lo + len(sums), r] = sums / (w * h)
+                values[r, :, lo:lo + len(sums)] = (sums / (w * h)).T
     if not valid.any():
         raise AllFramesInvalidError("every frame produced a degenerate region set")
     if not valid.all():
         good = np.flatnonzero(valid)
         bad = np.flatnonzero(~valid)
-        for r in range(3):
-            for c in range(3):
-                values[bad, r, c] = np.interp(bad, good, values[good, r, c])
+        for row in values.reshape(-1, n):
+            row[bad] = np.interp(bad, good, row[good])
     return RawTrace(fps=fps, values=values, valid=valid)
 
 
@@ -196,45 +197,36 @@ def bandpass(signal: np.ndarray, fps: float, band: BandLimits = DEFAULT_BAND) ->
     return out - out.mean()
 
 
-def combine_channels(window: np.ndarray, method: str = "chrom") -> np.ndarray:
-    """Collapse an (n, 3) array of conditioned R,G,B series into one series.
+def combine_channels(x: np.ndarray, method: str = "chrom") -> np.ndarray:
+    """Collapse conditioned (regions, C, n) channel series to (regions, n).
 
-    green picks G, intensity averages the three, chrom projects onto the
-    X - (std X / std Y) * Y chrominance axis with X = 3R - 2G and
-    Y = 1.5R + G - 1.5B.  Raises ZeroVarianceError when the chrominance
-    projection collapses (replicated channels); callers fall back to
-    intensity.
+    A single channel (C == 1) passes through for every method.  For
+    C == 3 (R, G, B): green picks G, intensity averages the three, chrom
+    projects onto the X - (std X / std Y) * Y chrominance axis with
+    X = 3R - 2G and Y = 1.5R + G - 1.5B.  A region whose Y has zero
+    variance or whose projection collapses (replicated channels) gets
+    intensity instead.
     """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != 3:
-        raise InputError(f"expected an (n, 3) channel window, got {window.shape}")
-    if method == "green":
-        return window[:, 1].copy()
-    if method == "intensity":
-        return window.mean(axis=1)
-    if method != "chrom":
+    if method not in COMBINE_METHODS:
         raise InputError(f"unknown combine method {method!r}; use one of {COMBINE_METHODS}")
-    r, g, b = window[:, 0], window[:, 1], window[:, 2]
-    x = 3.0 * r - 2.0 * g
-    y = 1.5 * r + g - 1.5 * b
-    sx, sy = x.std(), y.std()
-    if sy == 0.0:
-        raise ZeroVarianceError("chrominance Y component has zero variance")
-    out = x - (sx / sy) * y
-    if out.std() <= 1e-9 * (sx + sy):
-        raise ZeroVarianceError(
-            "chrominance projection collapsed (X and Y proportional; replicated channels?)")
-    return out
-
-
-def fuse_rois(signals: Iterable[np.ndarray], fps: float) -> PulseSignal:
-    """Pointwise mean of the per-region signals, mean-subtracted."""
-    arrays = [np.asarray(s, dtype=np.float64) for s in signals]
-    lengths = {len(a) for a in arrays}
-    if len(lengths) != 1:
-        raise LengthMismatchError(f"region signals differ in length: {sorted(lengths)}")
-    fused = np.mean(arrays, axis=0)
-    return PulseSignal(fps=fps, samples=fused - fused.mean())
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1] not in (1, 3):
+        raise InputError(f"expected a (regions, 1 or 3, n) channel array, got {x.shape}")
+    if x.shape[1] == 1:
+        return x[:, 0].copy()
+    if method == "green":
+        return x[:, 1].copy()
+    intensity = x.mean(axis=1)
+    if method == "intensity":
+        return intensity
+    r, g, b = x[:, 0], x[:, 1], x[:, 2]
+    cx = 3.0 * r - 2.0 * g
+    cy = 1.5 * r + g - 1.5 * b
+    sx, sy = cx.std(axis=-1), cy.std(axis=-1)
+    ratio = np.divide(sx, sy, out=np.zeros_like(sx), where=sy != 0.0)
+    chrom = cx - ratio[:, None] * cy
+    collapsed = (sy == 0.0) | (chrom.std(axis=-1) <= 1e-9 * (sx + sy))
+    return np.where(collapsed[:, None], intensity, chrom)
 
 
 def build_pulse_signal(trace: RawTrace, band: BandLimits = DEFAULT_BAND,
@@ -242,20 +234,14 @@ def build_pulse_signal(trace: RawTrace, band: BandLimits = DEFAULT_BAND,
                        detrend_window: float = DEFAULT_DETREND_WINDOW_S) -> PulseSignal:
     """Full conditioning chain for one session trace.
 
-    Per region: normalise each channel, detrend, bandpass, then combine
-    channels; the three region signals are fused at the end.  A chrom
-    request that collapses on degenerate input falls back to intensity.
+    Each region/channel row is normalised, detrended and bandpassed on
+    its own, the channels of each region are combined, and the region
+    signals are fused by their mean, which is then made zero-mean.
     """
-    region_signals = []
-    for r in range(3):
-        chans = np.empty((len(trace), 3), dtype=np.float64)
-        for c in range(3):
-            s = normalize_segment(trace.values[:, r, c])
-            s = detrend(s, trace.fps, detrend_window)
-            chans[:, c] = bandpass(s, trace.fps, band)
-        try:
-            combined = combine_channels(chans, method)
-        except ZeroVarianceError:
-            combined = combine_channels(chans, "intensity")
-        region_signals.append(combined)
-    return fuse_rois(region_signals, trace.fps)
+    rows = trace.values.reshape(-1, len(trace))
+    conditioned = np.empty_like(rows)
+    for row, out in zip(rows, conditioned):
+        out[:] = bandpass(detrend(normalize_segment(row), trace.fps, detrend_window),
+                          trace.fps, band)
+    fused = combine_channels(conditioned.reshape(trace.values.shape), method).mean(axis=0)
+    return PulseSignal(fps=trace.fps, samples=fused - fused.mean())

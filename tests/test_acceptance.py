@@ -14,11 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from facepulse import (ConstantProfile, GroundTruth, HrEstimate, HrSeries,
-                       PipelineParams, StepProfile, SynthConfig, WindowSpec,
-                       build_pulse_signal, dataset_aggregate,
-                       design_bandpass_taps, estimate_series,
-                       estimate_session, evaluate_sessions, load_groundtruth,
+from facepulse import (ConstantProfile, GroundTruth, HrSeries, StepProfile,
+                       SynthConfig, WindowSpec, build_pulse_signal,
+                       dataset_aggregate, design_bandpass_taps,
+                       estimate_series, estimate_session, evaluate_sessions,
                        mae, partition_windows, render_session, sub51_error,
                        sub52_mae)
 from facepulse.cli import main
@@ -88,7 +87,7 @@ def test_a2_step_change(tmp_path, check):
 
     _, series5 = estimate_session(manifest_path, WindowSpec(5.0))
     pre, post, straddle5 = [], [], []
-    for (s, e), bpm in zip(series5.intervals, series5.bpm_values):
+    for s, e, bpm in zip(series5.window_start, series5.window_end, series5.bpm):
         if e <= t_switch:
             pre.append(bpm)
         elif s >= t_switch:
@@ -99,8 +98,8 @@ def test_a2_step_change(tmp_path, check):
     post_ok = all(abs(b - 100.0) <= 4.0 for b in post)
 
     _, series20 = estimate_session(manifest_path, WindowSpec(20.0))
-    straddled = [bpm for (s, e), bpm in
-                 zip(series20.intervals, series20.bpm_values)
+    straddled = [bpm for s, e, bpm in
+                 zip(series20.window_start, series20.window_end, series20.bpm)
                  if s < t_switch < e]
     mid_ok = len(straddled) == 1 and 70.0 < straddled[0] < 100.0
 
@@ -143,10 +142,9 @@ def test_a5_metric_oracle(check):
         n_win = int(rng.integers(1, 10))
         length = float(rng.integers(2, 20))
         est = rng.uniform(45.0, 210.0, n_win)
-        series = HrSeries(
-            estimates=tuple(HrEstimate(i * length, (i + 1) * length, b)
-                            for i, b in enumerate(est)),
-            window_spec=WindowSpec(length))
+        starts = np.arange(n_win) * length
+        series = HrSeries(window_start=starts, window_end=starts + length,
+                          bpm=est, window_spec=WindowSpec(length))
         times, bpm = [], []
         for i in range(n_win):
             k = int(rng.integers(1, 4))
@@ -154,7 +152,9 @@ def test_a5_metric_oracle(check):
             times.extend(ts.tolist())
             bpm.extend(rng.uniform(45.0, 210.0, k).tolist())
         gt = GroundTruth(times=np.array(times), bpm=np.array(bpm))
-        gt_means = ref_window_means(list(zip(times, bpm)), series.intervals)
+        gt_means = ref_window_means(
+            list(zip(times, bpm)),
+            list(zip(series.window_start.tolist(), series.window_end.tolist())))
 
         pairs = [
             (sub52_mae(series, gt), ref_sub52(est.tolist(), gt_means)),
@@ -196,7 +196,7 @@ def test_a6_dsp_invariants(clean72_session, tmp_path, check):
                                  valid=trace.valid)
         series = estimate_series(build_pulse_signal(scaled), WindowSpec(10.0))
         scale_gap = max(scale_gap, float(np.max(np.abs(
-            series.bpm_values - reference.bpm_values))))
+            series.bpm - reference.bpm))))
     scale_ok = scale_gap <= 1e-9
 
     # two full synth -> estimate runs, byte identical
@@ -244,7 +244,7 @@ def test_a7_performance(tmp_path, check):
         elapsed = time.perf_counter() - start
     finally:
         shutil.rmtree(tmp_path / "hd", ignore_errors=True)  # ~5 GB of frames
-    mean_off = abs(float(series.bpm_values.mean()) - 72.0)
+    mean_off = abs(float(series.bpm.mean()) - 72.0)
     check("A7 performance", elapsed < 60.0 and mean_off < 1.0,
            f"1280x720 60s session estimated in {elapsed:.1f}s<60s "
            f"(mean {mean_off:.3f} bpm off truth)")

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import shutil
 
-import numpy as np
 import pytest
 
 from facepulse.cli import main
@@ -183,20 +182,42 @@ class TestEvaluateCommand:
                    for line in _lines(rep / "report.csv"))
         assert json.loads((rep / "report.json").read_text())["sessions"] == []
 
-
     def test_nan_groundtruth_skips_session(self, cli_session, tmp_path,
                                            capsys):
+        # every skip is bad input, so the run exits 1
         session = tmp_path / "sess"
         shutil.copytree(cli_session, session)
         gt = session / "groundtruth.csv"
         gt.write_text(gt.read_text().replace("1.0,72.0", "1.0,nan"))
         rep = tmp_path / "rep"
         rc = main(["evaluate", str(session), "--out", str(rep)])
-        assert rc == 2
+        assert rc == 1
         captured = capsys.readouterr()
         assert "=nan" not in captured.out
         assert "must be a finite number" in captured.err
         assert json.loads((rep / "report.json").read_text())["dataset"] == []
+
+    def test_bad_input_and_processing_skips_exit_2(self, cli_session,
+                                                   tmp_path, capsys):
+        # one session skipped for bad input, one for a processing failure
+        bad = tmp_path / "bad"
+        shutil.copytree(cli_session, bad)
+        gt = bad / "groundtruth.csv"
+        gt.write_text(gt.read_text().replace("1.0,72.0", "1.0,nan"))
+        short = tmp_path / "short"
+        shutil.copytree(cli_session, short)
+        gt = short / "groundtruth.csv"
+        gt.write_text("\n".join(gt.read_text().splitlines()[:3]) + "\n")
+        rep = tmp_path / "rep"
+        rc = main(["evaluate", str(bad), str(short), "--out", str(rep)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "must be a finite number" in err
+        assert "EmptyWindowGtError" in err
+        payload = json.loads((rep / "report.json").read_text())
+        assert [s["session"] for s in payload["skipped"]] == ["bad", "short"]
+        assert all(set(s) == {"session", "window_s", "error"}
+                   for s in payload["skipped"])
 
 
 class TestSweepCommand:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from facepulse import (ConstantProfile, GroundTruth, HrEstimate, HrSeries,
+from facepulse import (ConstantProfile, GroundTruth, HrSeries,
                        SynthConfig, WindowSpec, align_groundtruth,
                        dataset_aggregate, evaluate_sessions, load_groundtruth,
                        mae, render_session, session_id, sub51_error, sub52_mae,
@@ -18,14 +18,23 @@ from facepulse.evaluate import (MONITORING_PROTOCOL_LENGTHS,
                                 SESSION_PROTOCOL_LENGTHS)
 
 from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
-                        ref_window_means)
+                        ref_window_means, ref_window_means_masked)
 
 
 def _series(bpms, length=10.0):
-    estimates = tuple(
-        HrEstimate(i * length, (i + 1) * length, float(b))
-        for i, b in enumerate(bpms))
-    return HrSeries(estimates=estimates, window_spec=WindowSpec(length))
+    starts = np.arange(len(bpms)) * length
+    return HrSeries(window_start=starts, window_end=starts + length,
+                    bpm=np.asarray(bpms, dtype=np.float64),
+                    window_spec=WindowSpec(length))
+
+
+def _intervals(series):
+    return list(zip(series.window_start.tolist(), series.window_end.tolist()))
+
+
+def _align(gt, intervals):
+    starts, ends = zip(*intervals)
+    return align_groundtruth(gt, starts, ends)
 
 
 def _gt(times, bpm):
@@ -68,19 +77,37 @@ class TestLoadGroundtruth:
 class TestAlign:
     def test_mean_within_window(self):
         gt = _gt([0.0, 1.0, 2.0], [70.0, 72.0, 74.0])
-        assert align_groundtruth(gt, [(0.0, 3.0)]).tolist() == [72.0]
+        assert _align(gt, [(0.0, 3.0)]).tolist() == [72.0]
 
     def test_end_boundary_excluded(self):
         gt = _gt([0.0, 1.0, 2.0, 3.0], [70.0, 72.0, 74.0, 90.0])
-        assert align_groundtruth(gt, [(0.0, 3.0)]).tolist() == [72.0]
-        assert align_groundtruth(gt, [(0.0, 2.0)]).tolist() == [71.0]
+        assert _align(gt, [(0.0, 3.0)]).tolist() == [72.0]
+        assert _align(gt, [(0.0, 2.0)]).tolist() == [71.0]
 
     def test_all_empty_windows_listed(self):
         gt = _gt([0.0], [70.0])
         with pytest.raises(EmptyWindowGtError) as err:
-            align_groundtruth(gt, [(0.0, 1.0), (5.0, 10.0), (10.0, 15.0)])
+            _align(gt, [(0.0, 1.0), (5.0, 10.0), (10.0, 15.0)])
         assert "[5, 10)" in str(err.value)
         assert "[10, 15)" in str(err.value)
+
+
+@pytest.mark.parametrize("n_windows", [1, 7, 8, 9, 8701])
+@pytest.mark.parametrize("hop", [1, 3, 300])
+def test_align_matches_masked_reference(n_windows, hop):
+    # windows as estimate_series lays them out: 10 s at 30 fps, hop in
+    # samples; reference samples 0.1 to 1.5 s apart, so a window holds
+    # from 6 to 100 of them
+    fps, win = 30.0, 300
+    starts = np.arange(n_windows) * hop / fps
+    ends = (np.arange(n_windows) * hop + win) / fps
+    rng = np.random.default_rng(n_windows * hop)
+    times = np.cumsum(rng.uniform(0.1, 1.5, int(ends[-1] / 0.1) + 2))
+    times = times[times < ends[-1] + 1.0]
+    gt = _gt(times, rng.uniform(45, 210, len(times)))
+    expected = ref_window_means_masked(gt.times, gt.bpm, starts.tolist(),
+                                       ends.tolist())
+    assert np.array_equal(align_groundtruth(gt, starts, ends), expected)
 
 
 class TestMae:
@@ -119,12 +146,12 @@ class TestProtocols:
             gt = _gt(times, rng.uniform(45, 210, len(times)))
             samples = list(zip(gt.times.tolist(), gt.bpm.tolist()))
             try:
-                gt_means = ref_window_means(samples, series.intervals)
+                gt_means = ref_window_means(samples, _intervals(series))
             except AssertionError:
                 with pytest.raises(EmptyWindowGtError):
                     sub52_mae(series, gt)
                 continue
-            est = series.bpm_values.tolist()
+            est = series.bpm.tolist()
             assert sub52_mae(series, gt) == pytest.approx(
                 ref_sub52(est, gt_means), rel=1e-12)
             assert sub51_error(series, gt) == pytest.approx(

@@ -1,0 +1,63 @@
+"""Static hygiene checks over the package and the tests.
+
+An AST pass stands in for a linter: every imported name must be used,
+and the package's public ``__all__`` must resolve without duplicates.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import facepulse
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "facepulse").glob("*.py")) + \
+    sorted((ROOT / "tests").glob("*.py"))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """Names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_checker_finds_unused_names():
+    source = ("import json\nimport numpy as np\nfrom os import path, sep\n"
+              "__all__ = ['sep']\nprint(np.pi)\n")
+    assert unused_imports(source) == ["line 1: json", "line 3: path"]
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_package_all_resolves():
+    names = facepulse.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(facepulse, n)] == []

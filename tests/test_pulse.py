@@ -7,27 +7,25 @@ import pytest
 
 from facepulse import (BandLimits, DEFAULT_BAND, RawTrace, RoiLayout, bandpass,
                        build_pulse_signal, combine_channels,
-                       design_bandpass_taps, detrend, fuse_rois,
-                       load_box_track, map_frames, normalize_segment,
-                       open_session)
+                       design_bandpass_taps, detrend, load_box_track,
+                       map_frames, normalize_segment, open_session)
 from facepulse.errors import (AllFramesInvalidError, InputError,
                               LengthMismatchError, NonPositiveMeanError,
-                              SignalTooShortError, WindowTooShortError,
-                              ZeroVarianceError)
+                              SignalTooShortError, WindowTooShortError)
 from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
 from facepulse.roi import place_regions
 
-from _reference import ref_roi_means
+from _reference import ref_combine_region, ref_roi_means
 
 
-def _region_mean(pixels: np.ndarray, rect) -> tuple[float, float, float]:
+def _region_mean(pixels: np.ndarray, rect) -> tuple[float, ...]:
     """Trace channels of one 16x16 frame whose three regions are all `rect`,
     placed on a full-frame box by a layout of sixteenths."""
     frac = tuple(v / 16 for v in rect)
     trace = extract_traces(pixels[None], np.array([[0.0, 0.0, 16.0, 16.0]]),
                            10.0, RoiLayout(frac, frac, frac))
-    assert np.array_equal(trace.values[0, 1:], trace.values[0, :2])
-    return tuple(trace.values[0, 0].tolist())
+    assert np.array_equal(trace.values[1:], trace.values[:2])
+    return tuple(trace.values[0, :, 0].tolist())
 
 
 def _response(taps: np.ndarray, freq: float, fps: float) -> float:
@@ -57,11 +55,10 @@ class TestSpatialMean:
         assert _region_mean(pixels, (3, 4, 5, 6)) == (77.0, 77.0, 77.0)
 
     def test_replicated_planes_agree(self):
-        # a gray8 plane is reduced once and its mean fills all three channels
+        # a gray8 plane is reduced once into the trace's one channel
         rng = np.random.default_rng(1)
         plane = rng.integers(0, 256, (16, 16, 1), dtype=np.uint8)
-        r, g, b = _region_mean(plane, (2, 2, 8, 8))
-        assert r == g == b == plane[2:10, 2:10].mean()
+        assert _region_mean(plane, (2, 2, 8, 8)) == (plane[2:10, 2:10].mean(),)
 
     def test_degenerate_rois(self):
         pixels = np.zeros((16, 16, 3), dtype=np.uint8)
@@ -84,7 +81,7 @@ class TestExtractTraces:
         trace = extract_traces(*_session(tiny_session))
         assert len(trace) == 20
         assert trace.valid.all()
-        assert trace.values.shape == (20, 3, 3)
+        assert trace.values.shape == (3, 3, 20)
         assert np.all((trace.values >= 0) & (trace.values <= 255))
 
     def test_box_count_mismatch(self, tiny_session):
@@ -97,8 +94,8 @@ class TestExtractTraces:
         boxes[10] = (-300.0, -300.0, 30.0, 30.0)
         trace = extract_traces(frames, boxes, fps)
         assert not trace.valid[10] and trace.valid[9] and trace.valid[11]
-        expected = 0.5 * (trace.values[9] + trace.values[11])
-        assert np.allclose(trace.values[10], expected, rtol=0, atol=1e-12)
+        expected = 0.5 * (trace.values[..., 9] + trace.values[..., 11])
+        assert np.allclose(trace.values[..., 10], expected, rtol=0, atol=1e-12)
 
     def test_all_frames_degenerate(self, tiny_session):
         frames, boxes, fps = _session(tiny_session)
@@ -114,8 +111,7 @@ class TestExtractTraces:
         assert np.array_equal(trace.valid, valid)
         for i in np.flatnonzero(valid):
             for r in range(3):
-                means = expected[i][r]
-                assert trace.values[i, r].tolist() == means * (3 // len(means))
+                assert trace.values[r, :, i].tolist() == expected[i][r]
 
     def test_reduction_matches_reference(self):
         # every frame has its own rects: in the first half only y and h
@@ -246,12 +242,17 @@ class TestBandpass:
             bandpass(np.ones(600), 7.0, BandLimits(0.7, 4.0))
 
 
+def _combine(window: np.ndarray, method: str) -> np.ndarray:
+    """combine_channels on one region given as an (n, 3) R,G,B window."""
+    return combine_channels(window.T[None], method)[0]
+
+
 class TestCombine:
     def test_green_and_intensity(self):
         rng = np.random.default_rng(4)
         window = rng.normal(0, 1, (50, 3))
-        assert np.array_equal(combine_channels(window, "green"), window[:, 1])
-        assert np.allclose(combine_channels(window, "intensity"),
+        assert np.array_equal(_combine(window, "green"), window[:, 1])
+        assert np.allclose(_combine(window, "intensity"),
                            window.mean(axis=1), atol=1e-15)
 
     def test_chrom_algebra_oracle(self):
@@ -261,73 +262,94 @@ class TestCombine:
         s = np.sin(2 * np.pi * 1.2 * t)
         a = 0.02
         window = np.column_stack([0.5 * a * s, a * s, 0.3 * a * s])
-        out = combine_channels(window, "chrom")
+        out = _combine(window, "chrom")
         assert np.allclose(out, -a * s, rtol=0, atol=1e-12)
 
     def test_chrom_replicated_channels_collapse(self):
+        # the projection collapses, so the region falls back to intensity
         s = np.sin(np.linspace(0, 20, 200))
         window = np.column_stack([s, s, s])
-        with pytest.raises(ZeroVarianceError):
-            combine_channels(window, "chrom")
+        assert np.array_equal(_combine(window, "chrom"),
+                              _combine(window, "intensity"))
 
     def test_chrom_zero_variance_y(self):
-        with pytest.raises(ZeroVarianceError):
-            combine_channels(np.zeros((50, 3)), "chrom")
+        # Y = 1.5R + G - 1.5B is constant here, so chrom falls back to intensity
+        g = np.sin(np.linspace(0, 20, 50))
+        window = np.column_stack([g, np.zeros_like(g), g])
+        assert np.array_equal(_combine(window, "chrom"),
+                              _combine(window, "intensity"))
+        assert np.array_equal(_combine(np.zeros((50, 3)), "chrom"), np.zeros(50))
 
     def test_green_selector_passthrough(self):
         t = np.arange(200) / 30.0
         g = 0.05 * np.sin(2 * np.pi * 1.0 * t)
         window = np.column_stack([np.zeros_like(g), g, np.zeros_like(g)])
-        assert np.array_equal(combine_channels(window, "green"), g)
+        assert np.array_equal(_combine(window, "green"), g)
+
+    def test_single_channel_passes_through(self):
+        g = np.random.default_rng(7).normal(0, 1, (3, 1, 40))
+        for method in ("green", "intensity", "chrom"):
+            assert np.array_equal(combine_channels(g, method), g[:, 0])
 
     def test_unknown_method(self):
         with pytest.raises(InputError):
-            combine_channels(np.zeros((50, 3)), "pca")
+            _combine(np.zeros((50, 3)), "pca")
+        with pytest.raises(InputError):
+            combine_channels(np.zeros((3, 1, 50)), "pca")
+
+
+def _chain(row: np.ndarray, fps: float = 30.0) -> np.ndarray:
+    """normalize -> detrend -> bandpass on one series, called directly."""
+    return bandpass(detrend(normalize_segment(row), fps, 1.5), fps, DEFAULT_BAND)
+
+
+def _mono_trace(*regions: np.ndarray) -> RawTrace:
+    """One-channel trace with the given per-region series."""
+    return RawTrace(fps=30.0, values=np.stack(regions)[:, None, :])
 
 
 class TestFuse:
     def test_identical_signals(self):
-        s = np.sin(np.linspace(0, 20, 300)) + 0.3
-        fused = fuse_rois([s, s, s], 30.0)
-        assert np.allclose(fused.samples, s - s.mean(), atol=1e-12)
+        s = 100.0 + np.sin(np.linspace(0, 20, 300)) + 0.3
+        fused = build_pulse_signal(_mono_trace(s, s, s))
+        direct = _chain(s)
+        assert np.allclose(fused.samples, direct - direct.mean(), atol=1e-12)
 
     def test_cancellation(self):
-        s = np.sin(np.linspace(0, 20, 300))
-        fused = fuse_rois([s, -s, np.zeros_like(s)], 30.0)
+        s = np.sin(2 * np.pi * 1.2 * np.arange(300) / 30.0)
+        fused = build_pulse_signal(_mono_trace(100.0 + s, 100.0 - s,
+                                               np.full(300, 100.0)))
         assert np.allclose(fused.samples, 0.0, atol=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            fuse_rois([np.zeros(10), np.zeros(11), np.zeros(10)], 30.0)
 
     def test_fusion_improves_snr(self):
         fps, n = 30.0, 600
         freq = 1.2  # exact DFT bin: 1.2 = 24 * 30 / 600
         t = np.arange(n) / fps
-        s = np.sin(2 * np.pi * freq * t)
+        s = 100.0 + np.sin(2 * np.pi * freq * t)
         rng = np.random.default_rng(5)
-        noisy = 0.2 * s + rng.normal(0, 1.0, n)
+        noisy = 100.0 + 0.2 * np.sin(2 * np.pi * freq * t) + rng.normal(0, 1.0, n)
 
         def snr(x):
             proj = np.abs(np.sum(x * np.exp(-2j * np.pi * freq * t))) ** 2
             total = np.sum(x ** 2) * n
             return proj / (total - proj)
 
-        fused = fuse_rois([s, s, noisy], fps)
-        assert snr(fused.samples) > snr(noisy)
+        fused = build_pulse_signal(_mono_trace(s, s, noisy))
+        alone = build_pulse_signal(_mono_trace(noisy, noisy, noisy))
+        assert snr(fused.samples) > snr(alone.samples)
 
 
 class TestBuildPulseSignal:
     def _trace(self, n=600, fps=30.0) -> RawTrace:
         t = np.arange(n) / fps
-        values = np.zeros((n, 3, 3))
+        values = np.zeros((3, 3, n))
         depths = (0.5, 1.0, 0.3)
         bases = (170.0, 120.0, 100.0)
         pulse = np.sin(2 * np.pi * 1.2 * t)
         for r in range(3):
             roi_gain = 1.0 + 0.02 * r
             for c in range(3):
-                values[:, r, c] = bases[c] * roi_gain * (
+                values[r, c] = bases[c] * roi_gain * (
                     1.0 + 0.02 * depths[c] * pulse)
         return RawTrace(fps=fps, values=values)
 
@@ -337,29 +359,37 @@ class TestBuildPulseSignal:
 
     def test_chrom_falls_back_on_replicated_channels(self):
         trace = self._trace()
-        trace.values[:, :, 0] = trace.values[:, :, 1]
-        trace.values[:, :, 2] = trace.values[:, :, 1]
+        trace.values[:, 0] = trace.values[:, 1]
+        trace.values[:, 2] = trace.values[:, 1]
         chrom = build_pulse_signal(trace, method="chrom")
         intensity = build_pulse_signal(trace, method="intensity")
         assert np.allclose(chrom.samples, intensity.samples, atol=1e-12)
 
-    def test_mono_replication_equivalence(self):
-        # intensity on three replicated channels must equal the single
-        # plane pushed through the same chain directly
+    def test_chrom_fallback_is_per_region(self):
+        # only region 1 has replicated channels: it alone falls back
         trace = self._trace()
-        for c in (0, 2):
-            trace.values[:, :, c] = trace.values[:, :, 1]
-        via_pipeline = build_pulse_signal(trace, method="intensity")
+        trace.values += np.random.default_rng(8).normal(0.0, 0.5, trace.values.shape)
+        trace.values[1, 0] = trace.values[1, 2] = trace.values[1, 1]
+        conditioned = np.array([[_chain(row) for row in region]
+                                for region in trace.values])
+        chrom = combine_channels(conditioned, "chrom")
+        intensity = combine_channels(conditioned, "intensity")
+        assert np.array_equal(chrom[1], intensity[1])
+        for r in (0, 2):
+            assert not np.allclose(chrom[r], intensity[r])
+            assert np.array_equal(chrom[r], ref_combine_region(conditioned[r], "chrom"))
+        for method in ("green", "intensity", "chrom"):
+            expected = [ref_combine_region(region, method) for region in conditioned]
+            assert np.array_equal(combine_channels(conditioned, method), expected)
 
-        region_signals = []
-        for r in range(3):
-            s = normalize_segment(trace.values[:, r, 1])
-            s = detrend(s, trace.fps, 1.5)
-            region_signals.append(bandpass(s, trace.fps, DEFAULT_BAND))
-        direct = fuse_rois(region_signals, trace.fps)
-        scale = np.max(np.abs(direct.samples))
-        assert np.allclose(via_pipeline.samples, direct.samples,
-                           rtol=0, atol=1e-12 * max(scale, 1.0))
+    def test_mono_replication_equivalence(self):
+        # a one-channel (gray8) trace must equal its plane pushed through
+        # the same chain directly, for every combine method
+        gray = self._trace().values[:, 1:2]
+        direct = np.mean([_chain(gray[r, 0]) for r in range(3)], axis=0)
+        for method in ("green", "intensity", "chrom"):
+            via_pipeline = build_pulse_signal(RawTrace(30.0, gray), method=method)
+            assert np.array_equal(via_pipeline.samples, direct - direct.mean())
 
 
 class TestPixelScaleInvariance:

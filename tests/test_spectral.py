@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from facepulse import (BandLimits, HrEstimate, HrSeries, PulseSignal,
-                       WindowSpec, estimate_series, partition_windows,
-                       peak_bpm, periodogram, session_mean)
+from facepulse import (BandLimits, HrSeries, PulseSignal, WindowSpec,
+                       estimate_series, partition_windows, peak_bpm,
+                       periodogram, session_mean)
 from facepulse.errors import (EmptyBandError, EmptySeriesError, InputError,
                               SessionTooShortError)
-from facepulse.spectral import ZERO_PAD_FACTOR, Spectrum, _next_pow2
+from facepulse.spectral import (WINDOW_BLOCK, ZERO_PAD_FACTOR, Spectrum,
+                                _next_pow2)
+
+from _reference import ref_hr_series
 
 
 def _tone(freq: float, duration: float, fps: float = 30.0) -> np.ndarray:
@@ -40,17 +43,17 @@ class TestPartitionWindows:
         # 125 s at 20 s windows: the last 5 s never form a window
         windows = partition_windows(125 * 30, 30.0, WindowSpec(20.0))
         assert len(windows) == 6
-        assert windows[0] == (0, 600)
-        assert windows[-1] == (3000, 3600)
+        assert windows[0].tolist() == [0, 600]
+        assert windows[-1].tolist() == [3000, 3600]
 
     def test_exact_cover(self):
         windows = partition_windows(900, 30.0, WindowSpec(10.0))
-        assert windows == [(0, 300), (300, 600), (600, 900)]
+        assert windows.tolist() == [[0, 300], [300, 600], [600, 900]]
 
     def test_overlapping_hop(self):
         windows = partition_windows(1800, 30.0, WindowSpec(10.0, 2.0))
         assert len(windows) == 26
-        assert windows[1] == (60, 360)
+        assert windows[1].tolist() == [60, 360]
 
     def test_too_short(self):
         with pytest.raises(SessionTooShortError):
@@ -71,13 +74,13 @@ class TestPartitionWindows:
             expected = []
             s = 0
             while s + win <= n:
-                expected.append((s, s + win))
+                expected.append([s, s + win])
                 s += hop_n
             if not expected:
                 with pytest.raises(SessionTooShortError):
                     partition_windows(n, fps, spec)
             else:
-                assert partition_windows(n, fps, spec) == expected
+                assert partition_windows(n, fps, spec).tolist() == expected
 
     def test_count_formula_on_aligned_draws(self):
         # with integer seconds everywhere the window count reduces to
@@ -175,15 +178,15 @@ class TestEstimateSeries:
         signal = PulseSignal(fps=30.0, samples=_tone(1.2, 60.0))
         series = estimate_series(signal, WindowSpec(10.0))
         assert len(series) == 6
-        assert series.intervals[0] == (0.0, 10.0)
-        assert series.intervals[-1] == (50.0, 60.0)
-        assert np.allclose(series.bpm_values, 72.0, atol=0.5)
+        assert (series.window_start[0], series.window_end[0]) == (0.0, 10.0)
+        assert (series.window_start[-1], series.window_end[-1]) == (50.0, 60.0)
+        assert np.allclose(series.bpm, 72.0, atol=0.5)
 
     def test_amplitude_invariant_bitwise(self):
         samples = _tone(1.1, 40.0)
         a = estimate_series(PulseSignal(30.0, samples), WindowSpec(5.0))
         b = estimate_series(PulseSignal(30.0, 2.0 * samples), WindowSpec(5.0))
-        assert a.bpm_values.tolist() == b.bpm_values.tolist()
+        assert a.bpm.tolist() == b.bpm.tolist()
 
     def test_window_must_hold_two_cycles(self):
         signal = PulseSignal(fps=30.0, samples=_tone(1.2, 60.0))
@@ -203,20 +206,39 @@ class TestEstimateSeries:
         phase = np.where(t < t_switch, f1 * t, f1 * t_switch + f2 * (t - t_switch))
         series = estimate_series(PulseSignal(fps, np.sin(2 * np.pi * phase)),
                                  WindowSpec(5.0))
-        for (start, _), bpm in zip(series.intervals, series.bpm_values):
+        for start, bpm in zip(series.window_start, series.bpm):
             expected = 70.0 if start < t_switch else 100.0
             assert bpm == pytest.approx(expected, abs=4.0)
 
 
+@pytest.mark.parametrize("n_windows", [1, WINDOW_BLOCK - 1, WINDOW_BLOCK,
+                                       WINDOW_BLOCK + 1, 8701])
+@pytest.mark.parametrize("hop", [1, 3, 300])
+def test_blocked_windows_match_per_window_reference(n_windows, hop):
+    # 10 s windows at 30 fps are 300 samples; the hop is given in samples
+    fps, win = 30.0, 300
+    rng = np.random.default_rng(n_windows + hop)
+    n = win + (n_windows - 1) * hop + int(rng.integers(0, hop))
+    samples = _tone(1.3, n / fps) + rng.normal(0.0, 1.0, n)
+    spec = WindowSpec(10.0, None if hop == win else hop / fps)
+    series = estimate_series(PulseSignal(fps, samples), spec)
+    starts, ends, bpm = ref_hr_series(samples, fps, win, hop)
+    assert len(series) == n_windows
+    assert np.array_equal(series.window_start, starts)
+    assert np.array_equal(series.window_end, ends)
+    assert np.array_equal(series.bpm, bpm)
+
+
 class TestSessionMean:
     def test_exact_mean(self):
-        series = HrSeries(
-            estimates=(HrEstimate(0.0, 10.0, 70.0), HrEstimate(10.0, 20.0, 74.0),
-                       HrEstimate(20.0, 30.0, 75.0)),
-            window_spec=WindowSpec(10.0))
+        series = HrSeries(window_start=np.array([0.0, 10.0, 20.0]),
+                          window_end=np.array([10.0, 20.0, 30.0]),
+                          bpm=np.array([70.0, 74.0, 75.0]),
+                          window_spec=WindowSpec(10.0))
         assert session_mean(series) == 73.0
 
     def test_empty(self):
-        series = HrSeries(estimates=(), window_spec=WindowSpec(10.0))
+        series = HrSeries(window_start=np.empty(0), window_end=np.empty(0),
+                          bpm=np.empty(0), window_spec=WindowSpec(10.0))
         with pytest.raises(EmptySeriesError):
             session_mean(series)
