@@ -9,15 +9,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import FacePulseError, InputError, ProcessingError
 from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions,
                        load_groundtruth, write_report_csv, write_report_json)
-from .pipeline import PipelineParams, estimate_session
-from .pulse import COMBINE_METHODS, BandLimits
-from .spectral import WindowSpec, session_mean
+from .frameio import MANIFEST_NAME, parse_finite
+from .pipeline import PipelineParams, build_session_signal
+from .pulse import COMBINE_METHODS, DEFAULT_BAND, BandLimits
+from .spectral import WindowSpec, estimate_series, session_mean
 from .synth import ConstantProfile, SynthConfig, parse_profile, render_session
+
+# report channel labels
+CHANNELS = ("rgb", "nir")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,27 +37,21 @@ def _parse_band(text: str) -> BandLimits:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise InputError(f"bad band {text!r}; expected LO:HI in Hz")
-    try:
-        return BandLimits(float(lo), float(hi))
-    except ValueError as exc:
-        raise InputError(f"bad band {text!r}: {exc}") from exc
+    return BandLimits(parse_finite(lo, f"bad band {text!r}: LO"),
+                      parse_finite(hi, f"bad band {text!r}: HI"))
 
 
 def _parse_lengths(text: str) -> list[float]:
-    try:
-        lengths = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad lengths {text!r}: {exc}") from exc
+    lengths = [parse_finite(p, f"bad lengths {text!r}: length")
+               for p in text.split(",") if p.strip()]
     if not lengths or any(t <= 0 for t in lengths):
         raise InputError(f"bad lengths {text!r}; need positive seconds")
     return lengths
 
 
 def _parse_base_color(text: str) -> tuple[float, float, float]:
-    try:
-        parts = [float(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad base color {text!r}: {exc}") from exc
+    parts = [parse_finite(p, f"bad base color {text!r}: component")
+             for p in text.split(",")]
     if len(parts) != 3:
         raise InputError(f"bad base color {text!r}; expected R,G,B")
     return (parts[0], parts[1], parts[2])
@@ -60,11 +59,7 @@ def _parse_base_color(text: str) -> tuple[float, float, float]:
 
 def _resolve_manifest(path_text: str) -> Path:
     path = Path(path_text)
-    return path / "session.json" if path.is_dir() else path
-
-
-def _pipeline_params(args: argparse.Namespace) -> PipelineParams:
-    return PipelineParams(band=_parse_band(args.band), combine=args.combine)
+    return path / MANIFEST_NAME if path.is_dir() else path
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -88,9 +83,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     spec = WindowSpec(length=args.window, hop=args.hop)
-    params = _pipeline_params(args)
-    manifest_path = _resolve_manifest(args.session)
-    manifest, series = estimate_session(manifest_path, spec, params)
+    params = PipelineParams(args.band, args.combine)
+    manifest, signal = build_session_signal(_resolve_manifest(args.session), params)
+    series = estimate_series(signal, spec, params.band)
+    del signal  # freed before the report lines are built, which set the peak heap
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,7 +125,7 @@ def _run_report(args: argparse.Namespace, lengths: list[float],
                 csv_name: str, json_name: str) -> int:
     manifests = [_resolve_manifest(p) for p in args.sessions]
     report = evaluate_sessions(manifests, lengths, channel=args.channel,
-                               params=_pipeline_params(args))
+                               params=PipelineParams(args.band, args.combine))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, out / csv_name)
@@ -163,8 +159,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--band", default="0.7:4.0", metavar="LO:HI",
-                     help="pulse band in Hz (default %(default)s)")
+    sub.add_argument("--band", type=_parse_band, default=DEFAULT_BAND,
+                     metavar="LO:HI",
+                     help=f"pulse band in Hz (default {DEFAULT_BAND.f_lo:g}:"
+                          f"{DEFAULT_BAND.f_hi:g})")
     sub.add_argument("--combine", choices=COMBINE_METHODS, default=None,
                      help="channel combination (default: chrom for rgb8, "
                           "intensity for gray8)")
@@ -177,23 +175,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[], help="render a synthetic session")
     p.add_argument("--out", required=True, help="output session directory")
-    p.add_argument("--hr", type=float, default=None,
+    p.add_argument("--hr", default=None,
+                   type=partial(parse_finite, what="--hr"),
                    help="constant heart rate in bpm (default 72)")
     p.add_argument("--profile", default=None,
                    help="constant:BPM, step:A,B,T or ramp:A,B")
-    p.add_argument("--duration", type=float, default=60.0,
+    p.add_argument("--duration", default=60.0,
+                   type=partial(parse_finite, what="--duration"),
                    help="seconds (default %(default)s)")
-    p.add_argument("--fps", type=float, default=30.0,
+    p.add_argument("--fps", default=30.0,
+                   type=partial(parse_finite, what="--fps"),
                    help="frames per second (default %(default)s)")
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--base-color", default="170,120,100", metavar="R,G,B",
                    help="skin base colour (default %(default)s)")
-    p.add_argument("--amplitude", type=float, default=0.02,
+    p.add_argument("--amplitude", default=0.02,
+                   type=partial(parse_finite, what="--amplitude"),
                    help="fractional pulse amplitude (default %(default)s)")
-    p.add_argument("--noise", type=float, default=0.0, metavar="SIGMA",
+    p.add_argument("--noise", default=0.0, metavar="SIGMA",
+                   type=partial(parse_finite, what="--noise"),
                    help="gaussian pixel noise (default %(default)s)")
-    p.add_argument("--drift", type=float, default=0.0,
+    p.add_argument("--drift", default=0.0,
+                   type=partial(parse_finite, what="--drift"),
                    help="illumination drift depth (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mono", action="store_true",
@@ -205,9 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate heart rate for one session")
     p.add_argument("session", help="session directory or manifest path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--window", type=float, default=10.0,
+    p.add_argument("--window", default=10.0,
+                   type=partial(parse_finite, what="--window"),
                    help="window length in seconds (default %(default)s)")
-    p.add_argument("--hop", type=float, default=None,
+    p.add_argument("--hop", default=None,
+                   type=partial(parse_finite, what="--hop"),
                    help="window hop in seconds (default: window length)")
     _add_signal_flags(p)
     p.set_defaults(func=cmd_estimate)
@@ -217,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sessions", nargs="+",
                    help="session directories or manifest paths")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--window", type=float, default=10.0,
+    p.add_argument("--window", default=10.0,
+                   type=partial(parse_finite, what="--window"),
                    help="window length in seconds (default %(default)s)")
-    p.add_argument("--channel", choices=("rgb", "nir"), default="rgb",
+    p.add_argument("--channel", choices=CHANNELS, default="rgb",
                    help="channel label for the report (default %(default)s)")
     _add_signal_flags(p)
     p.set_defaults(func=cmd_evaluate)
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", default=None, metavar="T1,T2,...",
                    help="explicit window lengths in seconds, overriding "
                         "--protocol")
-    p.add_argument("--channel", choices=("rgb", "nir"), default="rgb",
+    p.add_argument("--channel", choices=CHANNELS, default="rgb",
                    help="channel label for the report (default %(default)s)")
     _add_signal_flags(p)
     p.set_defaults(func=cmd_sweep)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (EmptyInputError, EmptySeriesError, EmptyWindowGtError,
                      FacePulseError, InputError, LengthMismatchError,
                      MissingFileError)
-from .frameio import parse_finite
+from .frameio import MANIFEST_NAME, parse_finite
 from .pipeline import PipelineParams, build_session_signal
 from .spectral import HrSeries, WindowSpec, estimate_series, session_mean
 
@@ -75,15 +75,18 @@ def load_groundtruth(path: str | os.PathLike) -> GroundTruth:
         raise MissingFileError(f"groundtruth file not found: {path}")
     times: list[float] = []
     bpm: list[float] = []
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row_no == 1 and row[0].strip().lower() == "t"):
-                continue
-            if len(row) != 2:
-                raise InputError(
-                    f"{path}:{row_no}: expected 2 columns, got {len(row)}")
-            times.append(parse_finite(row[0], f"{path}:{row_no}: time"))
-            bpm.append(parse_finite(row[1], f"{path}:{row_no}: bpm"))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    for row_no, row in enumerate(rows, start=1):
+        if not row or (row_no == 1 and row[0].strip().lower() == "t"):
+            continue
+        if len(row) != 2:
+            raise InputError(f"{path}:{row_no}: expected 2 columns, got {len(row)}")
+        times.append(parse_finite(row[0], f"{path}:{row_no}: time"))
+        bpm.append(parse_finite(row[1], f"{path}:{row_no}: bpm"))
     if not times:
         raise InputError(f"groundtruth file {path} has no samples")
     t = np.asarray(times)
@@ -154,7 +157,7 @@ def dataset_aggregate(values: list[float]) -> float:
 
 def session_id(manifest_path: str | os.PathLike) -> str:
     path = Path(manifest_path)
-    return path.parent.name if path.name == "session.json" else path.stem
+    return path.parent.name if path.name == MANIFEST_NAME else path.stem
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,9 @@ from .errors import (
 
 BYTES_PER_PIXEL = {"rgb8": 3, "gray8": 1}
 
+# file name of the manifest inside a session directory
+MANIFEST_NAME = "session.json"
+
 _MANIFEST_KEYS = {"width", "height", "fps", "pixel_format", "frame_count",
                   "frames", "boxes", "groundtruth"}
 _REQUIRED_KEYS = {"width", "height", "fps", "pixel_format", "frame_count", "frames"}
@@ -74,7 +77,7 @@ def parse_finite(value, what: str, error: type[InputError] = InputError,
 def _parse_manifest(manifest_path: Path) -> SessionManifest:
     try:
         raw = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or bytes, deep nesting
         raise MalformedManifestError(f"{manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedManifestError(f"{manifest_path}: manifest must be a JSON object")

@@ -10,6 +10,7 @@ time on the last axis: a trace is (regions, channels, frames).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     SignalTooShortError,
     WindowTooShortError,
 )
-from .roi import DEFAULT_LAYOUT, RoiLayout, place_regions
+from .roi import place_regions
 
 COMBINE_METHODS = ("green", "intensity", "chrom")
 
@@ -30,7 +31,10 @@ COMBINE_METHODS = ("green", "intensity", "chrom")
 # REDUCE_BLOCK_FRAMES x region width x bpp values
 REDUCE_BLOCK_FRAMES = 64
 
-DEFAULT_DETREND_WINDOW_S = 1.5
+DETREND_WINDOW_S = 1.5
+
+# the bandpass filter spans this many periods of the band's lower edge
+FILTER_PERIODS = 4.0
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,7 @@ class PulseSignal:
         return len(self.samples)
 
 
-def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float,
-                   layout: RoiLayout = DEFAULT_LAYOUT) -> RawTrace:
+def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrace:
     """Spatial-mean trace of every region and channel for every frame.
 
     frames is a (n, height, width, bpp) uint8 array, as returned by
@@ -111,7 +114,7 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float,
     n, height, width, bpp = frames.shape
     if len(boxes) != n:
         raise LengthMismatchError(f"box track has {len(boxes)} entries for {n} frames")
-    rects, valid = place_regions(boxes, width, height, layout)
+    rects, valid = place_regions(boxes, width, height)
     values = np.zeros((3, bpp, n), dtype=np.float64)
     starts = np.flatnonzero(np.r_[True, (rects[1:] != rects[:-1]).any(axis=(1, 2))])
     for a, b in zip(starts, np.append(starts[1:], n)):
@@ -144,16 +147,18 @@ def normalize_segment(segment: np.ndarray) -> np.ndarray:
     return segment / mean - 1.0
 
 
-def detrend(signal: np.ndarray, fps: float,
-            cutoff_window: float = DEFAULT_DETREND_WINDOW_S) -> np.ndarray:
-    """Subtract a centred moving average of round(cutoff_window * fps)
+def detrend(signal: np.ndarray, fps: float) -> np.ndarray:
+    """Subtract a centred moving average of round(DETREND_WINDOW_S * fps)
     samples; edges average over the shorter window that fits."""
     signal = np.asarray(signal, dtype=np.float64)
-    w = int(round(cutoff_window * fps))
+    n = len(signal)
+    # any window of 2n + 1 or more samples averages the whole signal at
+    # every index, so a longer one is cut (to 2n + 3, at least 3) before
+    # int() can overflow
+    w = int(round(min(DETREND_WINDOW_S * fps, 2 * n + 3)))
     if w < 3:
         raise WindowTooShortError(
-            f"detrend window of {w} samples ({cutoff_window} s at {fps} fps); need >= 3")
-    n = len(signal)
+            f"detrend window of {w} samples ({DETREND_WINDOW_S} s at {fps} fps); need >= 3")
     idx = np.arange(n)
     lo = np.clip(idx - (w - 1) // 2, 0, n)
     hi = np.clip(idx + w // 2 + 1, 0, n)
@@ -163,11 +168,11 @@ def detrend(signal: np.ndarray, fps: float,
 
 
 def design_bandpass_taps(fps: float, band: BandLimits = DEFAULT_BAND) -> np.ndarray:
-    """Windowed-sinc (Hamming) bandpass taps, round(4 * fps / f_lo) long,
-    forced odd so the group delay is an integer; gain normalised to one
-    at the centre of the band."""
+    """Windowed-sinc (Hamming) bandpass taps, round(FILTER_PERIODS * fps
+    / f_lo) long, forced odd so the group delay is an integer; gain
+    normalised to one at the centre of the band."""
     band.check_nyquist(fps)
-    n_taps = int(round(4.0 * fps / band.f_lo))
+    n_taps = int(round(FILTER_PERIODS * fps / band.f_lo))
     if n_taps % 2 == 0:
         n_taps += 1
     m = np.arange(n_taps) - (n_taps - 1) / 2
@@ -186,12 +191,16 @@ def bandpass(signal: np.ndarray, fps: float, band: BandLimits = DEFAULT_BAND) ->
     reflect-padded copy, trimmed with the integer group delay, residual
     mean removed so DC is rejected regardless of edge transients."""
     signal = np.asarray(signal, dtype=np.float64)
+    n = len(signal)
+    band.check_nyquist(fps)
+    # design_bandpass_taps's odd tap count, compared with the signal before
+    # the taps are allocated; an infinite count never reaches round()
+    span = FILTER_PERIODS * fps / band.f_lo
+    if math.isinf(span) or n < round(span) | 1:
+        count = "an unbounded" if math.isinf(span) else f"the {round(span) | 1}-tap"
+        raise SignalTooShortError(f"signal of {n} samples shorter than {count} filter")
     taps = design_bandpass_taps(fps, band)
-    n, n_taps = len(signal), len(taps)
-    if n < n_taps:
-        raise SignalTooShortError(
-            f"signal of {n} samples shorter than the {n_taps}-tap filter")
-    delay = (n_taps - 1) // 2
+    delay = (len(taps) - 1) // 2
     padded = np.pad(signal, delay, mode="reflect")
     out = np.convolve(padded, taps, mode="same")[delay:delay + n]
     return out - out.mean()
@@ -230,8 +239,7 @@ def combine_channels(x: np.ndarray, method: str = "chrom") -> np.ndarray:
 
 
 def build_pulse_signal(trace: RawTrace, band: BandLimits = DEFAULT_BAND,
-                       method: str = "chrom",
-                       detrend_window: float = DEFAULT_DETREND_WINDOW_S) -> PulseSignal:
+                       method: str = "chrom") -> PulseSignal:
     """Full conditioning chain for one session trace.
 
     Each region/channel row is normalised, detrended and bandpassed on
@@ -241,7 +249,6 @@ def build_pulse_signal(trace: RawTrace, band: BandLimits = DEFAULT_BAND,
     rows = trace.values.reshape(-1, len(trace))
     conditioned = np.empty_like(rows)
     for row, out in zip(rows, conditioned):
-        out[:] = bandpass(detrend(normalize_segment(row), trace.fps, detrend_window),
-                          trace.fps, band)
+        out[:] = bandpass(detrend(normalize_segment(row), trace.fps), trace.fps, band)
     fused = combine_channels(conditioned.reshape(trace.values.shape), method).mean(axis=0)
     return PulseSignal(fps=trace.fps, samples=fused - fused.mean())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,22 +25,17 @@ from .frameio import parse_finite
 
 MIN_ROI_AREA = 4
 
-
-@dataclass(frozen=True)
-class RoiLayout:
-    """Region offsets and sizes as fractions of the face box (dx, dy, dw, dh)."""
-
-    forehead: tuple[float, float, float, float] = (0.25, 0.05, 0.50, 0.15)
-    left_cheek: tuple[float, float, float, float] = (0.15, 0.50, 0.20, 0.20)
-    right_cheek: tuple[float, float, float, float] = (0.65, 0.50, 0.20, 0.20)
-
-
-DEFAULT_LAYOUT = RoiLayout()
+# region offsets and sizes as fractions of the face box (dx, dy, dw, dh):
+# forehead, left cheek, right cheek
+REGION_FRACTIONS = (
+    (0.25, 0.05, 0.50, 0.15),
+    (0.15, 0.50, 0.20, 0.20),
+    (0.65, 0.50, 0.20, 0.20),
+)
 
 
-def place_regions(boxes: np.ndarray, frame_w: int, frame_h: int,
-                  layout: RoiLayout = DEFAULT_LAYOUT,
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def place_regions(boxes: np.ndarray, frame_w: int,
+                  frame_h: int) -> tuple[np.ndarray, np.ndarray]:
     """Place the three measurement rectangles for every face box.
 
     Returns integer (x, y, w, h) rects of shape (n, 3, 4) in forehead,
@@ -49,7 +43,7 @@ def place_regions(boxes: np.ndarray, frame_w: int, frame_h: int,
     the frame, and a (n,) mask that is False where any clamped rectangle
     falls below MIN_ROI_AREA pixels.
     """
-    frac = np.array([layout.forehead, layout.left_cheek, layout.right_cheek])
+    frac = np.array(REGION_FRACTIONS)
     x, y, w, h = (boxes[:, None, k] for k in range(4))
     # sizes are positive, so coordinates near the float limit can only
     # overflow to +inf, which the clamp below moves to the frame edge
@@ -89,9 +83,11 @@ def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> np.ndarra
     boxes_path = Path(boxes_path)
     if not boxes_path.is_file():
         raise MissingFileError(f"box track not found: {boxes_path}")
-    with open(boxes_path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        with open(boxes_path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{boxes_path}: {exc}") from exc
     if rows and rows[0][0].strip().lower() == "frame":
         rows = rows[1:]
     if not rows:

@@ -8,6 +8,7 @@ estimated WINDOW_BLOCK at a time, along the last (time) axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,14 @@ def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> np.ndarra
     """(n_windows, 2) start/end sample indices of every full window;
     trailing partial samples are discarded.  Raises SessionTooShortError
     if no window fits."""
-    win = int(round(spec.length * fps))
+    span = spec.length * fps
+    # an infinite product fits no signal and would overflow int(); a
+    # finite one is compared with n_samples below, before any allocation
+    if math.isinf(span):
+        raise SessionTooShortError(
+            f"{n_samples} samples cannot fit one {spec.length:g} s window "
+            f"at {fps:g} fps")
+    win = int(round(span))
     hop = int(round(spec.hop * fps))
     if win < 2:
         raise InputError(f"window of {win} samples ({spec.length} s at {fps} fps) too short")

@@ -18,11 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .frameio import SessionManifest, open_session
+from .frameio import (MANIFEST_NAME, MIN_FRAME_DIM, SessionManifest, open_session,
+                      parse_finite)
+from .pulse import DEFAULT_BAND
 
-# validity range for configured heart rates, matching the default pulse band
-BPM_MIN = 42.0
-BPM_MAX = 240.0
+# validity range for configured heart rates: the default pulse band
+BPM_MIN = DEFAULT_BAND.bpm_lo
+BPM_MAX = DEFAULT_BAND.bpm_hi
 
 # fixed frequency of the slow illumination drift; safely below the pulse band
 DRIFT_FREQ_HZ = 0.1
@@ -33,7 +35,6 @@ BLUE_DEPTH = 0.3
 
 SECOND_HARMONIC_DEPTH = 0.3
 
-MANIFEST_NAME = "session.json"
 FRAMES_NAME = "frames.raw"
 BOXES_NAME = "boxes.csv"
 GROUNDTRUTH_NAME = "groundtruth.csv"
@@ -109,10 +110,8 @@ def pulse_phase(t: float, profile: HrProfile, duration: float) -> float:
 def parse_profile(text: str) -> HrProfile:
     """Parse "constant:BPM", "step:A,B,T", or "ramp:A,B"."""
     kind, _, args = text.partition(":")
-    try:
-        parts = [float(p) for p in args.split(",")] if args else []
-    except ValueError as exc:
-        raise InputError(f"bad profile argument in {text!r}: {exc}") from exc
+    parts = [parse_finite(p, f"bad profile {text!r}: argument")
+             for p in args.split(",")] if args else []
     if kind == "constant" and len(parts) == 1:
         return ConstantProfile(parts[0])
     if kind == "step" and len(parts) == 3:
@@ -139,18 +138,22 @@ class SynthConfig:
     second_harmonic: bool = False
 
     def __post_init__(self):
-        if self.width < 16 or self.height < 16:
-            raise InputError(f"frame size must be at least 16x16, got "
-                             f"{self.width}x{self.height}")
+        if self.width < MIN_FRAME_DIM or self.height < MIN_FRAME_DIM:
+            raise InputError(f"frame size must be at least {MIN_FRAME_DIM}x"
+                             f"{MIN_FRAME_DIM}, got {self.width}x{self.height}")
         if self.fps <= 0:
             raise InputError(f"fps must be positive, got {self.fps}")
         if self.duration <= 0:
             raise InputError(f"duration must be positive, got {self.duration}")
+        if math.isinf(self.duration * self.fps):
+            raise InputError(f"{self.duration} s at {self.fps} fps overflows the frame count")
         if not 0.0 < self.pulse_amplitude <= 0.1:
             raise InputError(
                 f"pulse amplitude {self.pulse_amplitude} out of range (0, 0.1]")
         if self.noise_sigma < 0:
             raise InputError(f"noise sigma must be non-negative, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.illum_drift < 1.0:
             raise InputError(f"illumination drift {self.illum_drift} out of range [0, 1)")
         if any(not 0 <= c <= 255 for c in self.base_color):

@@ -16,13 +16,13 @@ import pytest
 
 from facepulse import (ConstantProfile, GroundTruth, HrSeries, StepProfile,
                        SynthConfig, WindowSpec, build_pulse_signal,
-                       dataset_aggregate, design_bandpass_taps,
-                       estimate_series, estimate_session, evaluate_sessions,
-                       mae, partition_windows, render_session, sub51_error,
-                       sub52_mae)
+                       build_session_signal, dataset_aggregate,
+                       design_bandpass_taps, estimate_series, evaluate_sessions,
+                       extract_traces, load_box_track, mae, map_frames,
+                       open_session, partition_windows, render_session,
+                       sub51_error, sub52_mae)
 from facepulse.cli import main
 from facepulse.evaluate import REFERENCE_SESSION_MAE, REFERENCE_WINDOW_MAE
-from facepulse.pipeline import load_session_trace
 
 from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
                         ref_window_means)
@@ -85,7 +85,7 @@ def test_a2_step_change(tmp_path, check):
                             hr_profile=StepProfile(70.0, 100.0, 30.0))
     t_switch = 30.0
 
-    _, series5 = estimate_session(manifest_path, WindowSpec(5.0))
+    series5 = estimate_series(build_session_signal(manifest_path)[1], WindowSpec(5.0))
     pre, post, straddle5 = [], [], []
     for s, e, bpm in zip(series5.window_start, series5.window_end, series5.bpm):
         if e <= t_switch:
@@ -97,7 +97,7 @@ def test_a2_step_change(tmp_path, check):
     pre_ok = all(abs(b - 70.0) <= 4.0 for b in pre)
     post_ok = all(abs(b - 100.0) <= 4.0 for b in post)
 
-    _, series20 = estimate_session(manifest_path, WindowSpec(20.0))
+    series20 = estimate_series(build_session_signal(manifest_path)[1], WindowSpec(20.0))
     straddled = [bpm for s, e, bpm in
                  zip(series20.window_start, series20.window_end, series20.bpm)
                  if s < t_switch < e]
@@ -188,7 +188,9 @@ def test_a6_dsp_invariants(clean72_session, tmp_path, check):
     resp_ok = dc_db <= -40.0 and abs(mid_db) <= 1.0
 
     # pixel-scale invariance of the final bpm series
-    _, trace = load_session_trace(clean72_session / "session.json")
+    manifest = open_session(clean72_session / "session.json")
+    boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
+    trace = extract_traces(map_frames(manifest), boxes, manifest.fps)
     reference = estimate_series(build_pulse_signal(trace), WindowSpec(10.0))
     scale_gap = 0.0
     for c in (0.5, 1.5):
@@ -240,7 +242,7 @@ def test_a7_performance(tmp_path, check):
                             hr_profile=ConstantProfile(72.0))
     try:
         start = time.perf_counter()
-        _, series = estimate_session(manifest_path, WindowSpec(10.0))
+        series = estimate_series(build_session_signal(manifest_path)[1], WindowSpec(10.0))
         elapsed = time.perf_counter() - start
     finally:
         shutil.rmtree(tmp_path / "hd", ignore_errors=True)  # ~5 GB of frames

@@ -5,14 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from facepulse import (BandLimits, DEFAULT_BAND, RawTrace, RoiLayout, bandpass,
+from facepulse import (BandLimits, DEFAULT_BAND, RawTrace, bandpass,
                        build_pulse_signal, combine_channels,
                        design_bandpass_taps, detrend, load_box_track,
                        map_frames, normalize_segment, open_session)
+from facepulse import roi
 from facepulse.errors import (AllFramesInvalidError, InputError,
                               LengthMismatchError, NonPositiveMeanError,
                               SignalTooShortError, WindowTooShortError)
-from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
+from facepulse.pulse import DETREND_WINDOW_S, REDUCE_BLOCK_FRAMES, extract_traces
 from facepulse.roi import place_regions
 
 from _reference import ref_combine_region, ref_roi_means
@@ -20,10 +21,12 @@ from _reference import ref_combine_region, ref_roi_means
 
 def _region_mean(pixels: np.ndarray, rect) -> tuple[float, ...]:
     """Trace channels of one 16x16 frame whose three regions are all `rect`,
-    placed on a full-frame box by a layout of sixteenths."""
+    placed on a full-frame box by region fractions of sixteenths."""
     frac = tuple(v / 16 for v in rect)
-    trace = extract_traces(pixels[None], np.array([[0.0, 0.0, 16.0, 16.0]]),
-                           10.0, RoiLayout(frac, frac, frac))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roi, "REGION_FRACTIONS", (frac, frac, frac))
+        trace = extract_traces(pixels[None], np.array([[0.0, 0.0, 16.0, 16.0]]),
+                               10.0)
     assert np.array_equal(trace.values[1:], trace.values[:2])
     return tuple(trace.values[0, :, 0].tolist())
 
@@ -157,42 +160,43 @@ class TestNormalize:
 
 class TestDetrend:
     def test_constant_to_zero(self):
-        out = detrend(np.full(300, 5.0), 30.0, 1.5)
+        out = detrend(np.full(300, 5.0), 30.0)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_ramp_interior(self):
         slope = 0.02
-        # 45-sample window is symmetric, a ramp cancels exactly
-        out = detrend(slope * np.arange(600), 30.0, 1.5)
+        # 45-sample window (fps 30) is symmetric, a ramp cancels exactly
+        out = detrend(slope * np.arange(600), 30.0)
         assert np.allclose(out[45:-45], 0.0, atol=1e-9)
-        # a 30-sample window sits half a sample off centre and leaves
-        # a -slope/2 residue
-        out = detrend(slope * np.arange(600), 30.0, 1.0)
+        # a 30-sample window (fps 20) sits half a sample off centre and
+        # leaves a -slope/2 residue
+        out = detrend(slope * np.arange(600), 20.0)
         assert np.allclose(out[31:-31], -0.5 * slope, atol=1e-9)
 
     def test_sinusoid_response_matches_kernel_dft(self):
         # independent oracle: the moving-average kernel's frequency
         # response, evaluated directly, predicts the output amplitude
-        fps, freq, window_s = 30.0, 1.2, 1.0
-        w = round(window_s * fps)
+        fps, freq = 20.0, 1.2
+        w = round(DETREND_WINDOW_S * fps)
         offsets = np.arange(-((w - 1) // 2), w // 2 + 1)
         h_ma = np.mean(np.exp(2j * np.pi * freq * offsets / fps))
         expected = abs(1.0 - h_ma)
         t = np.arange(1800) / fps
-        out = detrend(np.sin(2 * np.pi * freq * t), fps, window_s)
+        out = detrend(np.sin(2 * np.pi * freq * t), fps)
         measured = _fit_amplitude(out[w:-w], freq, fps)
         assert measured == pytest.approx(expected, abs=1e-3)
         assert 0.8 <= measured <= 1.2
 
     def test_dc_removal_idempotent(self):
-        once = detrend(np.full(200, 3.0), 30.0, 1.5)
-        twice = detrend(once, 30.0, 1.5)
+        once = detrend(np.full(200, 3.0), 30.0)
+        twice = detrend(once, 30.0)
         assert np.allclose(once, twice, atol=1e-9)
         assert np.allclose(twice, 0.0, atol=1e-9)
 
     def test_window_too_short(self):
         with pytest.raises(WindowTooShortError):
-            detrend(np.ones(100), 30.0, 0.05)
+            # 1.5 s at 1 fps rounds to a 2-sample window
+            detrend(np.ones(100), 1.0)
 
 
 class TestBandpass:
@@ -300,7 +304,7 @@ class TestCombine:
 
 def _chain(row: np.ndarray, fps: float = 30.0) -> np.ndarray:
     """normalize -> detrend -> bandpass on one series, called directly."""
-    return bandpass(detrend(normalize_segment(row), fps, 1.5), fps, DEFAULT_BAND)
+    return bandpass(detrend(normalize_segment(row), fps), fps, DEFAULT_BAND)
 
 
 def _mono_trace(*regions: np.ndarray) -> RawTrace:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from facepulse import (ConstantProfile, RampProfile, StepProfile, SynthConfig,
-                       WindowSpec, estimate_session, evaluate_sessions,
-                       map_frames, open_session, parse_profile, pulse_phase,
-                       render_session, session_mean)
+                       WindowSpec, build_session_signal, estimate_series,
+                       evaluate_sessions, map_frames, open_session,
+                       parse_profile, pulse_phase, render_session,
+                       session_mean)
 from facepulse.errors import InputError
 from facepulse.synth import _channel_levels, _quantize, _render_frame
 
@@ -183,7 +184,8 @@ class TestClosure:
         for name, drift in (("still", 0.0), ("drift", 0.1)):
             d = tmp_path / name
             render_session(SynthConfig(illum_drift=drift, **base), d)
-            _, series = estimate_session(d / "session.json", WindowSpec(10.0))
+            series = estimate_series(build_session_signal(d / "session.json")[1],
+                                     WindowSpec(10.0))
             means.append(session_mean(series))
         assert abs(means[0] - means[1]) < 1.0
 
@@ -193,7 +195,8 @@ class TestClosure:
         for name, mono in (("rgb", False), ("mono", True)):
             d = tmp_path / name
             render_session(SynthConfig(mono=mono, **base), d)
-            _, series = estimate_session(d / "session.json", WindowSpec(10.0))
+            series = estimate_series(build_session_signal(d / "session.json")[1],
+                                     WindowSpec(10.0))
             means.append(session_mean(series))
         assert abs(means[0] - means[1]) < 1.0
         assert means[0] == pytest.approx(78.0, abs=1.0)
@@ -201,6 +204,6 @@ class TestClosure:
     def test_second_harmonic_keeps_fundamental(self, tmp_path):
         render_session(SynthConfig(duration=30.0, second_harmonic=True,
                                    hr_profile=ConstantProfile(66.0)), tmp_path)
-        _, series = estimate_session(tmp_path / "session.json",
-                                     WindowSpec(10.0))
+        series = estimate_series(build_session_signal(tmp_path / "session.json")[1],
+                                 WindowSpec(10.0))
         assert session_mean(series) == pytest.approx(66.0, abs=2.0)
