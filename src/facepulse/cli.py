@@ -59,7 +59,10 @@ def _parse_base_color(text: str) -> tuple[float, float, float]:
 
 def _resolve_manifest(path_text: str) -> Path:
     path = Path(path_text)
-    return path / MANIFEST_NAME if path.is_dir() else path
+    try:
+        return path / MANIFEST_NAME if path.is_dir() else path
+    except OSError:  # e.g. a name over the length limit; open_session reports it
+        return path
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -62,20 +62,12 @@ class SignalTooShortError(ProcessingError):
     pass
 
 
-class LengthMismatchError(ProcessingError):
-    pass
-
-
 # windowed spectral estimation
 class SessionTooShortError(ProcessingError):
     pass
 
 
 class EmptyBandError(ProcessingError):
-    pass
-
-
-class EmptySeriesError(ProcessingError):
     pass
 
 

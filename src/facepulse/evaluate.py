@@ -22,10 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (EmptyInputError, EmptySeriesError, EmptyWindowGtError,
-                     FacePulseError, InputError, LengthMismatchError,
-                     MissingFileError)
-from .frameio import MANIFEST_NAME, parse_finite
+from .errors import (EmptyInputError, EmptyWindowGtError, FacePulseError,
+                     InputError, MissingFileError)
+from .frameio import MANIFEST_NAME, parse_finite, require_file
 from .pipeline import PipelineParams, build_session_signal
 from .spectral import HrSeries, WindowSpec, estimate_series, session_mean
 
@@ -71,8 +70,7 @@ class GroundTruth:
 def load_groundtruth(path: str | os.PathLike) -> GroundTruth:
     """Read a t,bpm CSV (optional header) with strictly increasing times."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFileError(f"groundtruth file not found: {path}")
+    require_file(path, "groundtruth file")
     times: list[float] = []
     bpm: list[float] = []
     try:
@@ -122,15 +120,7 @@ def align_groundtruth(gt: GroundTruth, starts: np.ndarray,
 
 
 def mae(estimates: np.ndarray, reference: np.ndarray) -> float:
-    """Mean absolute error between paired rate arrays."""
-    estimates = np.asarray(estimates, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if estimates.shape != reference.shape:
-        raise LengthMismatchError(
-            f"got {estimates.shape[0] if estimates.ndim else 0} estimates "
-            f"for {reference.shape[0] if reference.ndim else 0} reference values")
-    if estimates.size == 0:
-        raise EmptyInputError("no value pairs to compare")
+    """Mean absolute error between paired, non-empty rate arrays."""
     return float(np.mean(np.abs(estimates - reference)))
 
 
@@ -142,16 +132,12 @@ def sub51_error(series: HrSeries, gt: GroundTruth) -> float:
 
 def sub52_mae(series: HrSeries, gt: GroundTruth) -> float:
     """Monitoring protocol: MAE over per-window (estimate, reference) pairs."""
-    if len(series) == 0:
-        raise EmptySeriesError("heart-rate series has no windows")
     aligned = align_groundtruth(gt, series.window_start, series.window_end)
     return mae(series.bpm, aligned)
 
 
 def dataset_aggregate(values: list[float]) -> float:
-    """Unweighted mean of per-session errors."""
-    if not values:
-        raise EmptyInputError("no per-session values to aggregate")
+    """Unweighted mean of a non-empty list of per-session errors."""
     return float(np.mean(values))
 
 

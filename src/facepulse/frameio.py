@@ -74,6 +74,17 @@ def parse_finite(value, what: str, error: type[InputError] = InputError,
     return int(number) if integral else number
 
 
+def require_file(path: Path, what: str) -> None:
+    """Raise MissingFileError unless path names an existing file; a lookup
+    that fails with OSError (e.g. ENAMETOOLONG) is bad input as well."""
+    try:
+        found = path.is_file()
+    except OSError as exc:
+        raise MissingFileError(f"{what} not found: {path} ({exc.strerror})") from exc
+    if not found:
+        raise MissingFileError(f"{what} not found: {path}")
+
+
 def _parse_manifest(manifest_path: Path) -> SessionManifest:
     try:
         raw = json.loads(manifest_path.read_text())
@@ -118,21 +129,19 @@ def _parse_manifest(manifest_path: Path) -> SessionManifest:
 
     def _resolve(key: str) -> Path | None:
         value = raw.get(key)
-        if value is None:
+        if value is None and key not in _REQUIRED_KEYS:
             return None
         if not isinstance(value, str) or not value:
             raise MalformedManifestError(f"{manifest_path}: {key} must be a file name")
         return base / value
 
-    frames_path = _resolve("frames")
-    assert frames_path is not None
     return SessionManifest(
         width=width,
         height=height,
         fps=fps,
         pixel_format=pixel_format,
         frame_count=frame_count,
-        frames_path=frames_path,
+        frames_path=_resolve("frames"),
         boxes_path=_resolve("boxes"),
         groundtruth_path=_resolve("groundtruth"),
     )
@@ -145,11 +154,9 @@ def open_session(manifest_path: str | os.PathLike) -> SessionManifest:
     before any frame is read.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise MissingFileError(f"manifest not found: {manifest_path}")
+    require_file(manifest_path, "manifest")
     manifest = _parse_manifest(manifest_path)
-    if not manifest.frames_path.is_file():
-        raise MissingFileError(f"frames file not found: {manifest.frames_path}")
+    require_file(manifest.frames_path, "frames file")
     expected = manifest.frame_count * manifest.frame_bytes
     actual = manifest.frames_path.stat().st_size
     if actual != expected:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import MissingFileError
+from .errors import InputError, MissingFileError
 from .frameio import SessionManifest, map_frames, open_session
-from .pulse import (DEFAULT_BAND, BandLimits, PulseSignal, build_pulse_signal,
-                    extract_traces)
+from .pulse import (COMBINE_METHODS, DEFAULT_BAND, BandLimits, PulseSignal,
+                    build_pulse_signal, extract_traces)
 from .roi import load_box_track
 
 
@@ -22,6 +22,11 @@ from .roi import load_box_track
 class PipelineParams:
     band: BandLimits = DEFAULT_BAND
     combine: str | None = None  # None: chrom for rgb8, intensity for gray8
+
+    def __post_init__(self):
+        if self.combine not in (None, *COMBINE_METHODS):
+            raise InputError(f"unknown combine method {self.combine!r}; "
+                             f"use one of {COMBINE_METHODS}")
 
 
 def build_session_signal(manifest_path: str | os.PathLike,

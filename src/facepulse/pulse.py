@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     AllFramesInvalidError,
     InputError,
-    LengthMismatchError,
     NonPositiveMeanError,
     SignalTooShortError,
     WindowTooShortError,
@@ -48,11 +47,6 @@ class BandLimits:
         if not 0 < self.f_lo < self.f_hi:
             raise InputError(
                 f"band limits must satisfy 0 < f_lo < f_hi, got {self.f_lo}..{self.f_hi}")
-
-    def check_nyquist(self, fps: float) -> None:
-        if self.f_hi >= fps / 2:
-            raise InputError(
-                f"band upper edge {self.f_hi} Hz must be below Nyquist {fps / 2} Hz")
 
     @property
     def bpm_lo(self) -> float:
@@ -105,15 +99,13 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
     """Spatial-mean trace of every region and channel for every frame.
 
     frames is a (n, height, width, bpp) uint8 array, as returned by
-    frameio.map_frames, and boxes the (n, 4) face-box track.  Each run
-    of consecutive frames with identical rects is reduced in blocks of
-    REDUCE_BLOCK_FRAMES; a gray8 trace has one channel.  Degenerate
-    frames are interpolated from their valid neighbours so the trace
-    keeps exactly one entry per frame.
+    frameio.map_frames, and boxes the (n, 4) track that roi.load_box_track
+    fills to one row per frame.  Each run of consecutive frames with
+    identical rects is reduced in blocks of REDUCE_BLOCK_FRAMES; a gray8
+    trace has one channel.  Degenerate frames are interpolated from their
+    valid neighbours so the trace keeps exactly one entry per frame.
     """
     n, height, width, bpp = frames.shape
-    if len(boxes) != n:
-        raise LengthMismatchError(f"box track has {len(boxes)} entries for {n} frames")
     rects, valid = place_regions(boxes, width, height)
     values = np.zeros((3, bpp, n), dtype=np.float64)
     starts = np.flatnonzero(np.r_[True, (rects[1:] != rects[:-1]).any(axis=(1, 2))])
@@ -170,8 +162,8 @@ def detrend(signal: np.ndarray, fps: float) -> np.ndarray:
 def design_bandpass_taps(fps: float, band: BandLimits = DEFAULT_BAND) -> np.ndarray:
     """Windowed-sinc (Hamming) bandpass taps, round(FILTER_PERIODS * fps
     / f_lo) long, forced odd so the group delay is an integer; gain
-    normalised to one at the centre of the band."""
-    band.check_nyquist(fps)
+    normalised to one at the centre of the band.  f_hi must lie below
+    Nyquist, which bandpass checks."""
     n_taps = int(round(FILTER_PERIODS * fps / band.f_lo))
     if n_taps % 2 == 0:
         n_taps += 1
@@ -192,7 +184,8 @@ def bandpass(signal: np.ndarray, fps: float, band: BandLimits = DEFAULT_BAND) ->
     mean removed so DC is rejected regardless of edge transients."""
     signal = np.asarray(signal, dtype=np.float64)
     n = len(signal)
-    band.check_nyquist(fps)
+    if band.f_hi >= fps / 2:
+        raise InputError(f"band upper edge {band.f_hi} Hz must be below Nyquist {fps / 2} Hz")
     # design_bandpass_taps's odd tap count, compared with the signal before
     # the taps are allocated; an infinite count never reaches round()
     span = FILTER_PERIODS * fps / band.f_lo
@@ -209,6 +202,7 @@ def bandpass(signal: np.ndarray, fps: float, band: BandLimits = DEFAULT_BAND) ->
 def combine_channels(x: np.ndarray, method: str = "chrom") -> np.ndarray:
     """Collapse conditioned (regions, C, n) channel series to (regions, n).
 
+    method is one of COMBINE_METHODS, which PipelineParams checks.
     A single channel (C == 1) passes through for every method.  For
     C == 3 (R, G, B): green picks G, intensity averages the three, chrom
     projects onto the X - (std X / std Y) * Y chrominance axis with
@@ -216,11 +210,7 @@ def combine_channels(x: np.ndarray, method: str = "chrom") -> np.ndarray:
     variance or whose projection collapses (replicated channels) gets
     intensity instead.
     """
-    if method not in COMBINE_METHODS:
-        raise InputError(f"unknown combine method {method!r}; use one of {COMBINE_METHODS}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] not in (1, 3):
-        raise InputError(f"expected a (regions, 1 or 3, n) channel array, got {x.shape}")
     if x.shape[1] == 1:
         return x[:, 0].copy()
     if method == "green":

@@ -18,10 +18,9 @@ import numpy as np
 from .errors import (
     EmptyTrackError,
     InputError,
-    MissingFileError,
     NonMonotonicIndicesError,
 )
-from .frameio import parse_finite
+from .frameio import parse_finite, require_file
 
 MIN_ROI_AREA = 4
 
@@ -81,8 +80,7 @@ def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> np.ndarra
     frame.  Returns a (frame_count, 4) float64 array.
     """
     boxes_path = Path(boxes_path)
-    if not boxes_path.is_file():
-        raise MissingFileError(f"box track not found: {boxes_path}")
+    require_file(boxes_path, "box track")
     try:
         with open(boxes_path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]

@@ -16,7 +16,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyBandError,
-    EmptySeriesError,
     InputError,
     SessionTooShortError,
 )
@@ -99,12 +98,11 @@ def periodogram(samples: np.ndarray, fps: float) -> Spectrum:
 
     The segment mean is removed before windowing so a flat input has no
     off-DC leakage; padding to 8x the next power of two gives a bin
-    spacing of fps / padded_length Hz.
+    spacing of fps / padded_length Hz.  The last axis holds at least 2
+    samples, as partition_windows guarantees.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[-1]
-    if n < 2:
-        raise InputError(f"periodogram needs at least 2 samples, got {n}")
     windowed = (samples - samples.mean(axis=-1, keepdims=True)) * np.hanning(n)
     padded = ZERO_PAD_FACTOR * _next_pow2(n)
     spectrum = np.fft.rfft(windowed, padded, axis=-1)
@@ -164,7 +162,5 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec,
 
 
 def session_mean(series: HrSeries) -> float:
-    """Arithmetic mean of all window estimates."""
-    if len(series) == 0:
-        raise EmptySeriesError("heart-rate series has no estimates")
+    """Arithmetic mean of the window estimates; a series has at least one."""
     return float(series.bpm.mean())

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from facepulse import (ConstantProfile, GroundTruth, HrSeries, StepProfile,
-                       SynthConfig, WindowSpec, build_pulse_signal,
-                       build_session_signal, dataset_aggregate,
-                       design_bandpass_taps, estimate_series, evaluate_sessions,
-                       extract_traces, load_box_track, mae, map_frames,
-                       open_session, partition_windows, render_session,
-                       sub51_error, sub52_mae)
+                       SynthConfig, WindowSpec, build_session_signal,
+                       estimate_series, evaluate_sessions, render_session)
 from facepulse.cli import main
-from facepulse.evaluate import REFERENCE_SESSION_MAE, REFERENCE_WINDOW_MAE
+from facepulse.evaluate import (REFERENCE_SESSION_MAE, REFERENCE_WINDOW_MAE,
+                                dataset_aggregate, mae, sub51_error, sub52_mae)
+from facepulse.frameio import map_frames, open_session
+from facepulse.pulse import build_pulse_signal, design_bandpass_taps, extract_traces
+from facepulse.roi import load_box_track
+from facepulse.spectral import partition_windows
 
 from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
                         ref_window_means)

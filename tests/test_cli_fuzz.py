@@ -152,9 +152,17 @@ def test_mutated_sidecars(base, mutations):
         _check_session(session, Path(tmp) / "out")
 
 
-# argv with {s} for the session, the expected exit code and a mutation of
-# the session; the synth commands must fail before they write anything
+# argv with {s} for the session, {base} for an unmutated one and {long}
+# for LONG, the expected exit code and a mutation of the session; the
+# synth commands must fail before they write anything
+LONG = "n" * 300  # over the 255-byte file-name limit: lookups fail, ENAMETOOLONG
 HUGE_FPS = ("json", "session.json", "fps", 1e308)
+NULL_FRAMES = ("json", "session.json", "frames", None)
+LONG_FRAMES, LONG_BOXES, LONG_GT = (("json", "session.json", key, LONG)
+                                    for key in ("frames", "boxes", "groundtruth"))
+MUTATION_IDS = {HUGE_FPS: "fps=1e308", NULL_FRAMES: "frames=null",
+                LONG_FRAMES: "frames=long", LONG_BOXES: "boxes=long",
+                LONG_GT: "groundtruth=long"}
 REPRODUCERS = [
     (["estimate", "{s}", "--window", "inf"], 1),
     (["evaluate", "{s}", "--window", "inf"], 1),
@@ -177,11 +185,18 @@ REPRODUCERS = [
     (["estimate", "{s}", "--band", "1e-7:4"], 2),
     (["estimate", "{s}"], 2, HUGE_FPS),
     (["evaluate", "{s}"], 2, HUGE_FPS),
+    (["estimate", "{s}"], 1, NULL_FRAMES),
+    (["estimate", "{s}"], 1, LONG_FRAMES),
+    (["estimate", "{s}"], 1, LONG_BOXES),
+    (["estimate", "{s}"], 1, LONG_GT),
+    (["estimate", "{s}/{long}"], 1),
+    # the bad session is skipped and the good one scored
+    (["evaluate", "{s}", "{base}"], 0, LONG_GT),
 ]
 
 
 @pytest.mark.parametrize("case", REPRODUCERS, ids=[
-    " ".join(a for a in c[0] if a != "{s}") + (" fps=1e308" if c[2:] else "")
+    " ".join([a for a in c[0] if a != "{s}"] + [MUTATION_IDS[m] for m in c[2:]])
     for c in REPRODUCERS])
 def test_bad_numbers_exit_cleanly(base, tmp_path, case):
     argv, code, *mutations = case
@@ -189,12 +204,17 @@ def test_bad_numbers_exit_cleanly(base, tmp_path, case):
     shutil.copytree(base, session)
     for mutation in mutations:
         _apply(session, mutation)
-    argv = [str(session) if a == "{s}" else a for a in argv] + ["--out", str(out)]
+    argv = [a.format(s=session, base=base, long=LONG) for a in argv] + ["--out", str(out)]
     rc, err = _run(argv)
     assert rc == code
-    assert _error_lines(err) == 1 and "Traceback" not in err
+    assert _error_lines(err) == (rc != 0) and "Traceback" not in err
     if argv[0] == "synth":
         assert not out.exists()
     else:
         _assert_finite_outputs(out)
+    if code == 0:
+        report = json.loads((out / "report.json").read_text())
+        assert report["sessions"]
+        assert [(s["window_s"], s["error"].split(":")[0])
+                for s in report["skipped"]] == [(None, "MissingFileError")]
 

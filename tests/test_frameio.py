@@ -6,10 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facepulse import map_frames, open_session
 from facepulse.errors import (FrameReadError, MalformedManifestError,
                               MissingFileError, SizeMismatchError)
-from facepulse.frameio import SessionManifest
+from facepulse.frameio import SessionManifest, map_frames, open_session
 
 
 def _write_session(tmp_path: Path, *, width=16, height=16, fps=10.0,

@@ -1,12 +1,15 @@
-"""Static hygiene checks over the package and the tests.
+"""Static hygiene checks over the package, its tests and its README.
 
 An AST pass stands in for a linter: every imported name must be used,
 and the package's public ``__all__`` must resolve without duplicates.
+Every public name is documented in the README's Library section, whose
+code example is run.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,28 @@ def test_package_all_resolves():
     names = facepulse.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(facepulse, n)] == []
+
+
+def _library_section() -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_public_names_documented():
+    """Each export but the version and the error classes is named in the
+    README's Library section."""
+    def is_error(name):
+        obj = getattr(facepulse, name)
+        return isinstance(obj, type) and issubclass(obj, facepulse.FacePulseError)
+
+    section = _library_section()
+    public = [n for n in facepulse.__all__ if n != "__version__" and not is_error(n)]
+    assert [n for n in public if not re.search(rf"\b{n}\b", section)] == []
+
+
+def test_readme_library_example_runs(clean72_session, capsys):
+    # a 60 s session: the 2 s tiny_session is shorter than the bandpass filter
+    code = re.search(r"```python\n(.*?)```", _library_section(), re.S).group(1)
+    exec(code.replace("/tmp/demo", str(clean72_session)), {})
+    out = capsys.readouterr().out
+    assert out.count(" bpm\n") == 7 and out.startswith("  0.0.. 10.0s")

@@ -5,16 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from facepulse import (BandLimits, DEFAULT_BAND, RawTrace, bandpass,
-                       build_pulse_signal, combine_channels,
-                       design_bandpass_taps, detrend, load_box_track,
-                       map_frames, normalize_segment, open_session)
+from facepulse import BandLimits, DEFAULT_BAND, PipelineParams
 from facepulse import roi
 from facepulse.errors import (AllFramesInvalidError, InputError,
-                              LengthMismatchError, NonPositiveMeanError,
-                              SignalTooShortError, WindowTooShortError)
-from facepulse.pulse import DETREND_WINDOW_S, REDUCE_BLOCK_FRAMES, extract_traces
-from facepulse.roi import place_regions
+                              NonPositiveMeanError, SignalTooShortError,
+                              WindowTooShortError)
+from facepulse.frameio import map_frames, open_session
+from facepulse.pulse import (DETREND_WINDOW_S, REDUCE_BLOCK_FRAMES, RawTrace,
+                             bandpass, build_pulse_signal, combine_channels,
+                             design_bandpass_taps, detrend, extract_traces,
+                             normalize_segment)
+from facepulse.roi import load_box_track, place_regions
 
 from _reference import ref_combine_region, ref_roi_means
 
@@ -86,11 +87,6 @@ class TestExtractTraces:
         assert trace.valid.all()
         assert trace.values.shape == (3, 3, 20)
         assert np.all((trace.values >= 0) & (trace.values <= 255))
-
-    def test_box_count_mismatch(self, tiny_session):
-        frames, boxes, fps = _session(tiny_session)
-        with pytest.raises(LengthMismatchError):
-            extract_traces(frames, boxes[:-1], fps)
 
     def test_degenerate_frame_interpolated(self, tiny_session):
         frames, boxes, fps = _session(tiny_session)
@@ -297,9 +293,7 @@ class TestCombine:
 
     def test_unknown_method(self):
         with pytest.raises(InputError):
-            _combine(np.zeros((50, 3)), "pca")
-        with pytest.raises(InputError):
-            combine_channels(np.zeros((3, 1, 50)), "pca")
+            PipelineParams(combine="pca")
 
 
 def _chain(row: np.ndarray, fps: float = 30.0) -> np.ndarray:

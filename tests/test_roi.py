@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from facepulse import load_box_track, place_regions
 from facepulse.errors import (EmptyTrackError, InputError, MissingFileError,
                               NonMonotonicIndicesError)
+from facepulse.roi import load_box_track, place_regions
 
 
 def _place(*box):

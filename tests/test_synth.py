@@ -7,11 +7,11 @@ import pytest
 
 from facepulse import (ConstantProfile, RampProfile, StepProfile, SynthConfig,
                        WindowSpec, build_session_signal, estimate_series,
-                       evaluate_sessions, map_frames, open_session,
-                       parse_profile, pulse_phase, render_session,
-                       session_mean)
+                       evaluate_sessions, parse_profile, render_session)
 from facepulse.errors import InputError
-from facepulse.synth import _channel_levels, _quantize, _render_frame
+from facepulse.frameio import map_frames, open_session
+from facepulse.spectral import session_mean
+from facepulse.synth import _channel_levels, _quantize, _render_frame, pulse_phase
 
 
 class TestProfiles:
