@@ -65,6 +65,19 @@ def _resolve_manifest(path_text: str) -> Path:
         return path
 
 
+def _out_dir(text: str) -> Path:
+    """--out as a Path, refused before any work when it, or the nearest
+    part of it that exists, is not a directory."""
+    out = Path(text)
+    try:
+        nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+    except OSError as exc:  # e.g. a name over the length limit
+        raise InputError(f"--out {text}: {exc.strerror}") from exc
+    if nearest is not None and not nearest.is_dir():
+        raise InputError(f"--out {text}: {nearest} exists and is not a directory")
+    return out
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.hr is not None and args.profile is not None:
         raise InputError("give either --hr or --profile, not both")
@@ -91,7 +104,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     series = estimate_series(signal, spec, params.band)
     del signal  # freed before the report lines are built, which set the peak heap
 
-    out = Path(args.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     starts, ends = series.window_start.tolist(), series.window_end.tolist()
     bpm = series.bpm.tolist()
@@ -129,7 +142,7 @@ def _run_report(args: argparse.Namespace, lengths: list[float],
     manifests = [_resolve_manifest(p) for p in args.sessions]
     report = evaluate_sessions(manifests, lengths, channel=args.channel,
                                params=PipelineParams(args.band, args.combine))
-    out = Path(args.out)
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, out / csv_name)
     write_report_json(report, out / json_name)
@@ -211,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate heart rate for one session")
     p.add_argument("session", help="session directory or manifest path")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_out_dir,
+                   help="output directory")
     p.add_argument("--window", default=10.0,
                    type=partial(parse_finite, what="--window"),
                    help="window length in seconds (default %(default)s)")
@@ -225,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="score sessions against their groundtruth")
     p.add_argument("sessions", nargs="+",
                    help="session directories or manifest paths")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_out_dir,
+                   help="output directory")
     p.add_argument("--window", default=10.0,
                    type=partial(parse_finite, what="--window"),
                    help="window length in seconds (default %(default)s)")
@@ -237,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate across window lengths")
     p.add_argument("sessions", nargs="+",
                    help="session directories or manifest paths")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, type=_out_dir,
+                   help="output directory")
     p.add_argument("--protocol", choices=sorted(PROTOCOL_LENGTHS),
                    default="5.2",
                    help="default length set to sweep (default %(default)s)")

@@ -124,15 +124,15 @@ def mae(estimates: np.ndarray, reference: np.ndarray) -> float:
     return float(np.mean(np.abs(estimates - reference)))
 
 
-def sub51_error(series: HrSeries, gt: GroundTruth) -> float:
-    """Session protocol: |mean estimate - mean windowed reference|."""
-    aligned = align_groundtruth(gt, series.window_start, series.window_end)
+def sub51_error(series: HrSeries, aligned: np.ndarray) -> float:
+    """Session protocol: |mean estimate - mean windowed reference|, given
+    the series' aligned reference from align_groundtruth."""
     return abs(session_mean(series) - float(aligned.mean()))
 
 
-def sub52_mae(series: HrSeries, gt: GroundTruth) -> float:
-    """Monitoring protocol: MAE over per-window (estimate, reference) pairs."""
-    aligned = align_groundtruth(gt, series.window_start, series.window_end)
+def sub52_mae(series: HrSeries, aligned: np.ndarray) -> float:
+    """Monitoring protocol: MAE over per-window (estimate, reference)
+    pairs, given the series' aligned reference from align_groundtruth."""
     return mae(series.bpm, aligned)
 
 
@@ -226,10 +226,12 @@ def evaluate_sessions(manifest_paths: list[str | os.PathLike],
             try:
                 series = estimate_series(signal, WindowSpec(length=t),
                                          params.band)
+                aligned = align_groundtruth(gt, series.window_start,
+                                            series.window_end)
                 row = SessionResult(
                     session=sid, window_s=t,
-                    sub51_bpm=sub51_error(series, gt),
-                    sub52_bpm=sub52_mae(series, gt),
+                    sub51_bpm=sub51_error(series, aligned),
+                    sub52_bpm=sub52_mae(series, aligned),
                     n_windows=len(series))
             except FacePulseError as exc:
                 skipped.append(_skip(sid, t, exc))

@@ -56,6 +56,10 @@ class BandLimits:
     def bpm_hi(self) -> float:
         return 60.0 * self.f_hi
 
+    def check_below_nyquist(self, fps: float) -> None:
+        if self.f_hi >= fps / 2:
+            raise InputError(f"band upper edge {self.f_hi} Hz must be below Nyquist {fps / 2} Hz")
+
 
 DEFAULT_BAND = BandLimits()
 
@@ -159,14 +163,22 @@ def detrend(signal: np.ndarray, fps: float) -> np.ndarray:
     return signal - moving
 
 
-def design_bandpass_taps(fps: float, band: BandLimits = DEFAULT_BAND) -> np.ndarray:
-    """Windowed-sinc (Hamming) bandpass taps, round(FILTER_PERIODS * fps
-    / f_lo) long, forced odd so the group delay is an integer; gain
-    normalised to one at the centre of the band.  f_hi must lie below
-    Nyquist, which bandpass checks."""
-    n_taps = int(round(FILTER_PERIODS * fps / band.f_lo))
-    if n_taps % 2 == 0:
-        n_taps += 1
+def design_bandpass_taps(fps: float, n: int,
+                         band: BandLimits = DEFAULT_BAND) -> np.ndarray:
+    """Windowed-sinc (Hamming) bandpass taps for a signal of n samples,
+    round(FILTER_PERIODS * fps / f_lo) long, forced odd so the group delay
+    is an integer; gain normalised to one at the centre of the band.
+    Raises InputError if f_hi is not below Nyquist and SignalTooShortError
+    if the filter is longer than the signal."""
+    band.check_below_nyquist(fps)
+    # the tap count is compared with the signal before the taps are
+    # allocated; an infinite count never reaches round()
+    span = FILTER_PERIODS * fps / band.f_lo
+    if math.isinf(span):
+        raise SignalTooShortError(f"signal of {n} samples shorter than an unbounded filter")
+    n_taps = round(span) | 1
+    if n < n_taps:
+        raise SignalTooShortError(f"signal of {n} samples shorter than the {n_taps}-tap filter")
     m = np.arange(n_taps) - (n_taps - 1) / 2
 
     def ideal_lowpass(fc: float) -> np.ndarray:
@@ -178,21 +190,12 @@ def design_bandpass_taps(fps: float, band: BandLimits = DEFAULT_BAND) -> np.ndar
     return taps / gain
 
 
-def bandpass(signal: np.ndarray, fps: float, band: BandLimits = DEFAULT_BAND) -> np.ndarray:
-    """Zero-phase FIR bandpass: single forward convolution on a
-    reflect-padded copy, trimmed with the integer group delay, residual
-    mean removed so DC is rejected regardless of edge transients."""
-    signal = np.asarray(signal, dtype=np.float64)
+def bandpass(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Zero-phase FIR bandpass with taps from design_bandpass_taps: single
+    forward convolution on a reflect-padded copy, trimmed with the integer
+    group delay, residual mean removed so DC is rejected regardless of
+    edge transients."""
     n = len(signal)
-    if band.f_hi >= fps / 2:
-        raise InputError(f"band upper edge {band.f_hi} Hz must be below Nyquist {fps / 2} Hz")
-    # design_bandpass_taps's odd tap count, compared with the signal before
-    # the taps are allocated; an infinite count never reaches round()
-    span = FILTER_PERIODS * fps / band.f_lo
-    if math.isinf(span) or n < round(span) | 1:
-        count = "an unbounded" if math.isinf(span) else f"the {round(span) | 1}-tap"
-        raise SignalTooShortError(f"signal of {n} samples shorter than {count} filter")
-    taps = design_bandpass_taps(fps, band)
     delay = (len(taps) - 1) // 2
     padded = np.pad(signal, delay, mode="reflect")
     out = np.convolve(padded, taps, mode="same")[delay:delay + n]
@@ -237,8 +240,9 @@ def build_pulse_signal(trace: RawTrace, band: BandLimits = DEFAULT_BAND,
     signals are fused by their mean, which is then made zero-mean.
     """
     rows = trace.values.reshape(-1, len(trace))
+    taps = design_bandpass_taps(trace.fps, len(trace), band)
     conditioned = np.empty_like(rows)
     for row, out in zip(rows, conditioned):
-        out[:] = bandpass(detrend(normalize_segment(row), trace.fps), trace.fps, band)
+        out[:] = bandpass(detrend(normalize_segment(row), trace.fps), taps)
     fused = combine_channels(conditioned.reshape(trace.values.shape), method).mean(axis=0)
     return PulseSignal(fps=trace.fps, samples=fused - fused.mean())

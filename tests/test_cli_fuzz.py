@@ -152,9 +152,10 @@ def test_mutated_sidecars(base, mutations):
         _check_session(session, Path(tmp) / "out")
 
 
-# argv with {s} for the session, {base} for an unmutated one and {long}
-# for LONG, the expected exit code and a mutation of the session; the
-# synth commands must fail before they write anything
+# argv with {s} for the session, {base} for an unmutated one, {long}
+# for LONG and {file} for an existing regular file, the expected exit code
+# and a mutation of the session; argv without its own --out gets one.
+# The synth commands, and a bad --out, must fail before they write anything
 LONG = "n" * 300  # over the 255-byte file-name limit: lookups fail, ENAMETOOLONG
 HUGE_FPS = ("json", "session.json", "fps", 1e308)
 NULL_FRAMES = ("json", "session.json", "frames", None)
@@ -192,6 +193,13 @@ REPRODUCERS = [
     (["estimate", "{s}/{long}"], 1),
     # the bad session is skipped and the good one scored
     (["evaluate", "{s}", "{base}"], 0, LONG_GT),
+    (["estimate", "{s}", "--out", "{file}"], 1),
+    (["estimate", "{s}", "--out", "{file}/sub"], 1),
+    (["estimate", "{s}", "--out", "{s}/{long}"], 1),
+    (["evaluate", "{s}", "--out", "{file}"], 1),
+    (["evaluate", "{s}", "--out", "{file}/sub"], 1),
+    (["sweep", "{s}", "--out", "{file}"], 1),
+    (["sweep", "{s}", "--out", "{file}/sub"], 1),
 ]
 
 
@@ -200,16 +208,22 @@ REPRODUCERS = [
     for c in REPRODUCERS])
 def test_bad_numbers_exit_cleanly(base, tmp_path, case):
     argv, code, *mutations = case
-    session, out = tmp_path / "s", tmp_path / "out"
+    session, out, file = tmp_path / "s", tmp_path / "out", tmp_path / "file"
     shutil.copytree(base, session)
+    file.write_text("kept\n")
     for mutation in mutations:
         _apply(session, mutation)
-    argv = [a.format(s=session, base=base, long=LONG) for a in argv] + ["--out", str(out)]
+    own_out = "--out" in argv
+    argv = [a.format(s=session, base=base, long=LONG, file=file) for a in argv]
+    if not own_out:
+        argv += ["--out", str(out)]
+    before = sorted(tmp_path.rglob("*"))
     rc, err = _run(argv)
     assert rc == code
     assert _error_lines(err) == (rc != 0) and "Traceback" not in err
-    if argv[0] == "synth":
-        assert not out.exists()
+    if argv[0] == "synth" or own_out:
+        assert sorted(tmp_path.rglob("*")) == before
+        assert file.read_text() == "kept\n"
     else:
         _assert_finite_outputs(out)
     if code == 0:

@@ -3,12 +3,13 @@
 An AST pass stands in for a linter: every imported name must be used,
 and the package's public ``__all__`` must resolve without duplicates.
 Every public name is documented in the README's Library section, whose
-code example is run.
+code example is run, and every `module.name` the README quotes exists.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -81,6 +82,17 @@ def test_public_names_documented():
     section = _library_section()
     public = [n for n in facepulse.__all__ if n != "__version__" and not is_error(n)]
     assert [n for n in public if not re.search(rf"\b{n}\b", section)] == []
+
+
+def test_readme_module_names_resolve():
+    """Every backticked `module.name` in the README whose module is a
+    facepulse module names an attribute of that module."""
+    modules = {p.stem for p in (ROOT / "src" / "facepulse").glob("*.py")}
+    refs = re.findall(r"`(\w+)\.(\w+)`", (ROOT / "README.md").read_text())
+    refs = [(m, n) for m, n in refs if m in modules]
+    assert refs
+    assert [f"{m}.{n}" for m, n in refs
+            if not hasattr(importlib.import_module(f"facepulse.{m}"), n)] == []
 
 
 def test_readme_library_example_runs(clean72_session, capsys):

@@ -197,13 +197,13 @@ class TestDetrend:
 
 class TestBandpass:
     def test_tap_count_and_symmetry(self):
-        taps = design_bandpass_taps(30.0)
+        taps = design_bandpass_taps(30.0, 600)
         assert len(taps) == 171
         assert len(taps) % 2 == 1
         assert np.allclose(taps, taps[::-1], atol=1e-15)
 
     def test_frequency_response_bounds(self):
-        taps = design_bandpass_taps(30.0)
+        taps = design_bandpass_taps(30.0, 600)
         assert _response(taps, 0.0, 30.0) <= 10 ** (-40 / 20)
         db_tol = (10 ** (-1 / 20), 10 ** (1 / 20))
         assert db_tol[0] <= _response(taps, 1.2, 30.0) <= db_tol[1]
@@ -212,34 +212,39 @@ class TestBandpass:
         assert _response(taps, 6.0, 30.0) <= 0.1
 
     def test_dc_input_rejected(self):
-        out = bandpass(np.ones(600), 30.0)
+        out = bandpass(np.ones(600), design_bandpass_taps(30.0, 600))
         assert np.max(np.abs(out)) <= 0.01
 
     def test_inband_tone_preserved(self):
         t = np.arange(900) / 30.0
-        out = bandpass(np.sin(2 * np.pi * 1.2 * t), 30.0)
+        out = bandpass(np.sin(2 * np.pi * 1.2 * t), design_bandpass_taps(30.0, 900))
         amp = _fit_amplitude(out[100:-100], 1.2, 30.0)
         assert 0.89 <= amp <= 1.12
 
     def test_out_of_band_tone_suppressed(self):
         t = np.arange(900) / 30.0
-        out = bandpass(np.sin(2 * np.pi * 6.0 * t), 30.0)
+        out = bandpass(np.sin(2 * np.pi * 6.0 * t), design_bandpass_taps(30.0, 900))
         assert _fit_amplitude(out[100:-100], 6.0, 30.0) <= 0.1
 
     def test_output_mean_negligible(self):
         rng = np.random.default_rng(3)
+        taps = design_bandpass_taps(30.0, 500)
         for _ in range(20):
             signal = rng.normal(rng.uniform(-5, 5), 1.0, 500)
-            out = bandpass(signal, 30.0)
+            out = bandpass(signal, taps)
             assert abs(out.mean()) <= 1e-6 * np.max(np.abs(out))
 
     def test_signal_shorter_than_filter(self):
-        with pytest.raises(SignalTooShortError):
-            bandpass(np.ones(100), 30.0)
+        with pytest.raises(SignalTooShortError, match="100 samples shorter than the 171-tap"):
+            design_bandpass_taps(30.0, 100)
+        assert len(design_bandpass_taps(30.0, 171)) == 171
 
     def test_band_above_nyquist(self):
-        with pytest.raises(InputError):
-            bandpass(np.ones(600), 7.0, BandLimits(0.7, 4.0))
+        with pytest.raises(InputError, match="below Nyquist"):
+            design_bandpass_taps(7.0, 600, BandLimits(0.7, 4.0))
+        # the Nyquist check comes before the length check
+        with pytest.raises(InputError, match="below Nyquist"):
+            design_bandpass_taps(7.0, 2, BandLimits(0.7, 4.0))
 
 
 def _combine(window: np.ndarray, method: str) -> np.ndarray:
@@ -298,7 +303,8 @@ class TestCombine:
 
 def _chain(row: np.ndarray, fps: float = 30.0) -> np.ndarray:
     """normalize -> detrend -> bandpass on one series, called directly."""
-    return bandpass(detrend(normalize_segment(row), fps), fps, DEFAULT_BAND)
+    taps = design_bandpass_taps(fps, len(row), DEFAULT_BAND)
+    return bandpass(detrend(normalize_segment(row), fps), taps)
 
 
 def _mono_trace(*regions: np.ndarray) -> RawTrace:

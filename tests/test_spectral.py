@@ -8,9 +8,8 @@ import pytest
 from facepulse import (BandLimits, HrSeries, PulseSignal, WindowSpec,
                        estimate_series)
 from facepulse.errors import EmptyBandError, InputError, SessionTooShortError
-from facepulse.spectral import (WINDOW_BLOCK, ZERO_PAD_FACTOR, Spectrum,
-                                _next_pow2, partition_windows, peak_bpm,
-                                periodogram, session_mean)
+from facepulse.spectral import (WINDOW_BLOCK, ZERO_PAD_FACTOR, _next_pow2,
+                                partition_windows, session_mean)
 
 from _reference import ref_hr_series
 
@@ -18,6 +17,12 @@ from _reference import ref_hr_series
 def _tone(freq: float, duration: float, fps: float = 30.0) -> np.ndarray:
     t = np.arange(int(round(duration * fps))) / fps
     return np.sin(2 * np.pi * freq * t)
+
+
+def _bpm(samples: np.ndarray, length: float, fps: float = 30.0,
+         band: BandLimits = BandLimits()) -> np.ndarray:
+    """estimate_series over non-overlapping windows of `length` seconds."""
+    return estimate_series(PulseSignal(fps, samples), WindowSpec(length), band).bpm
 
 
 class TestWindowSpec:
@@ -96,41 +101,42 @@ class TestPartitionWindows:
 
 
 class TestPeriodogram:
+    """The windowed spectrum, seen through the bpm it yields."""
+
     def test_peak_bin_at_tone_frequency(self):
-        spectrum = periodogram(_tone(1.2, 20.0), 30.0)
-        f_max = spectrum.freqs[np.argmax(spectrum.power)]
-        bin_width = spectrum.freqs[1] - spectrum.freqs[0]
-        assert abs(f_max - 1.2) <= bin_width
+        # bins are fps / padded Hz apart: 300 samples pad to 4096
+        bin_bpm = 60.0 * 30.0 / (ZERO_PAD_FACTOR * _next_pow2(300))
+        assert bin_bpm == 60.0 * 30.0 / 4096
+        assert abs(_bpm(_tone(1.2, 20.0), 20.0)[0] - 72.0) <= bin_bpm
 
     def test_matches_direct_dft(self):
+        # the same peak from a direct DFT sum at every bin k * fps / padded
         rng = np.random.default_rng(12)
-        samples = rng.normal(0, 1, 150)
-        fps = 30.0
-        spectrum = periodogram(samples, fps)
-        padded = ZERO_PAD_FACTOR * _next_pow2(len(samples))
-        assert len(spectrum.freqs) == padded // 2 + 1
-        windowed = (samples - samples.mean()) * np.hanning(len(samples))
-        m = np.arange(len(samples))
-        for k in (0, 3, 17, 101, padded // 2):
-            x_k = np.sum(windowed * np.exp(-2j * np.pi * k * m / padded))
-            assert spectrum.power[k] == pytest.approx(abs(x_k) ** 2,
-                                                      rel=1e-9, abs=1e-12)
-            assert spectrum.freqs[k] == pytest.approx(k * fps / padded)
+        fps, n = 30.0, 150
+        samples = rng.normal(0, 1, n)
+        padded = ZERO_PAD_FACTOR * _next_pow2(n)
+        freqs = np.arange(padded // 2 + 1) * fps / padded
+        windowed = (samples - samples.mean()) * np.hanning(n)
+        m = np.arange(n)
+        power = np.abs(np.exp(-2j * np.pi * np.outer(np.arange(len(freqs)), m)
+                              / padded) @ windowed) ** 2
+        k = np.flatnonzero((freqs >= 0.7) & (freqs <= 4.0))
+        k = k[np.argmax(power[k])]
+        p_lo, p0, p_hi = power[k - 1:k + 2]
+        shift = 0.5 * (p_lo - p_hi) / (p_lo - 2.0 * p0 + p_hi)
+        expected = 60.0 * (freqs[k] + min(max(shift, -0.5), 0.5) * fps / padded)
+        assert _bpm(samples, n / fps)[0] == pytest.approx(expected, rel=1e-9)
 
     def test_constant_input_has_no_power(self):
-        spectrum = periodogram(np.full(300, 7.5), 30.0)
-        assert np.max(spectrum.power) <= 1e-12 * max(np.max(spectrum.power), 1.0)
-        assert spectrum.power[0] <= 1e-20
+        # the mean is removed first, so every bin is zero and the tie rule
+        # picks the first in-band bin, unrefined
+        assert _bpm(np.full(300, 7.5), 10.0)[0] == 60.0 * 96 * 30.0 / 4096
 
     def test_white_noise_peak_spread_report(self):
         # no assertion beyond band membership: the in-band argmax of
         # white noise is a sanity report, printed for the log
-        bpms = []
-        for seed in range(150):
-            rng = np.random.default_rng(seed)
-            spectrum = periodogram(rng.normal(0, 1, 300), 30.0)
-            bpms.append(peak_bpm(spectrum))
-        bpms = np.array(bpms)
+        bpms = _bpm(np.random.default_rng(0).normal(0, 1, 150 * 300), 10.0)
+        assert len(bpms) == 150
         assert np.all((bpms >= 42.0) & (bpms <= 240.0))
         print(f"white-noise peaks: mean {bpms.mean():.1f} bpm, "
               f"std {bpms.std():.1f} bpm")
@@ -138,34 +144,42 @@ class TestPeriodogram:
 
 class TestPeakBpm:
     def test_long_window_tone(self):
-        assert peak_bpm(periodogram(_tone(1.2, 20.0), 30.0)) == pytest.approx(
-            72.0, abs=0.5)
+        assert _bpm(_tone(1.2, 20.0), 20.0)[0] == pytest.approx(72.0, abs=0.5)
 
     def test_short_window_tone(self):
-        assert peak_bpm(periodogram(_tone(1.25, 10.0), 30.0)) == pytest.approx(
-            75.0, abs=1.5)
+        assert _bpm(_tone(1.25, 10.0), 10.0)[0] == pytest.approx(75.0, abs=1.5)
 
     def test_equal_peaks_resolve_to_lower_frequency(self):
-        freqs = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
-        power = np.array([0.0, 0.0, 5.0, 0.0, 5.0, 0.0])
-        assert peak_bpm(Spectrum(freqs=freqs, power=power)) == 60.0
+        # a zero signal ties every bin: the first in-band one, 0.703125 Hz
+        # (bin 96 of 4096 at 30 fps), wins
+        assert _bpm(np.zeros(600), 10.0).tolist() == [60.0 * 96 * 30.0 / 4096] * 2
 
     def test_refinement_clamped_to_band(self):
-        freqs = np.array([0.6, 0.7, 0.8])
-        power = np.array([10.5, 11.0, 10.0])
-        assert peak_bpm(Spectrum(freqs=freqs, power=power)) == 42.0
-        freqs = np.array([3.9, 4.0, 4.1])
-        power = np.array([10.0, 11.0, 10.5])
-        assert peak_bpm(Spectrum(freqs=freqs, power=power)) == 240.0
+        # a tone just outside the band peaks at the edge bin, and the
+        # refinement toward it is clamped back to the band
+        assert _bpm(_tone(0.6, 5.0), 5.0)[0] == 42.0
+        assert _bpm(_tone(4.1, 5.0), 5.0)[0] == 240.0
 
     def test_no_bins_in_band(self):
-        spectrum = Spectrum(freqs=np.array([0.0, 5.0, 10.0]),
-                            power=np.ones(3))
+        # the nearest bins of 10 s windows at 30 fps are 0.6958 and 0.7031 Hz
         with pytest.raises(EmptyBandError):
-            peak_bpm(spectrum)
+            _bpm(_tone(1.2, 20.0), 10.0, band=BandLimits(0.7, 0.70001))
+
+    def test_nyquist_bin_left_out(self):
+        # at this fps rfftfreq puts the top bin a rounding step below
+        # fps / 2, so a band edge can pass the Nyquist check and still
+        # hold it; that bin has no neighbour above for the refinement
+        fps = 51.357993441419865
+        freqs = np.fft.rfftfreq(8 * 64, 1.0 / fps)
+        f_hi = np.nextafter(fps / 2, 0.0)
+        assert freqs[-2] < freqs[-1] <= f_hi < fps / 2
+        band = BandLimits(0.5 * (freqs[-2] + freqs[-1]), f_hi)
         with pytest.raises(EmptyBandError):
-            peak_bpm(Spectrum(freqs=np.array([0.0, 1.0, 2.0]), power=np.ones(3)),
-                     BandLimits(2.1, 2.9))
+            _bpm(np.random.default_rng(13).normal(0, 1, 154), 1.0, fps, band)
+
+    def test_band_above_nyquist(self):
+        with pytest.raises(InputError, match="below Nyquist 3.5 Hz"):
+            _bpm(_tone(1.2, 20.0, fps=7.0), 10.0, fps=7.0)
 
 
 class TestEstimateSeries:
