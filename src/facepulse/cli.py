@@ -102,15 +102,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     params = PipelineParams(args.band, args.combine)
     manifest, signal = build_session_signal(_resolve_manifest(args.session), params)
     series = estimate_series(signal, spec, params.band)
-    del signal  # freed before the report lines are built, which set the peak heap
+    del signal  # freed before the report lines are built
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    starts, ends = series.window_start.tolist(), series.window_end.tolist()
+    bounds = [f"{s:g},{e:g}" for s, e in zip(series.window_start.tolist(),
+                                             series.window_end.tolist())]
     bpm = series.bpm.tolist()
     lines = ["window_start_s,window_end_s,bpm"]
-    lines += [f"{s:g},{e:g},{b:.6f}" for s, e, b in zip(starts, ends, bpm)]
+    lines += [f"{w},{b:.6f}" for w, b in zip(bounds, bpm)]
     (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+    del lines  # freed before the compare rows are built
 
     mean_bpm = session_mean(series)
     summary = {
@@ -128,8 +130,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             print(f"note: skipping compare.csv: {exc}", file=sys.stderr)
         else:
             rows = ["window_start_s,window_end_s,gt_bpm,est_bpm"]
-            rows += [f"{s:g},{e:g},{g:.6f},{b:.6f}"
-                     for s, e, g, b in zip(starts, ends, aligned.tolist(), bpm)]
+            rows += [f"{w},{g:.6f},{b:.6f}"
+                     for w, g, b in zip(bounds, aligned.tolist(), bpm)]
             (out / "compare.csv").write_text("\n".join(rows) + "\n")
 
     print(f"session mean {mean_bpm:.2f} bpm over {len(series)} "

@@ -166,18 +166,21 @@ def open_session(manifest_path: str | os.PathLike) -> SessionManifest:
     return manifest
 
 
-def map_frames(manifest: SessionManifest) -> np.memmap:
+def map_frames(manifest: SessionManifest) -> np.ndarray:
     """Read-only view of every frame, shape (frames, height, width, bpp).
 
-    bpp is 3 (R,G,B) for rgb8 and 1 for gray8.  Pages are read on first
-    touch; the frames file must not shrink while the view is alive.
+    bpp is 3 (R,G,B) for rgb8 and 1 for gray8.  The view is a plain
+    ndarray over a memory map, which its base keeps open, so slicing it
+    runs no np.memmap hooks.  Pages are read on first touch; the frames
+    file must not shrink while the view is alive.
     Raises FrameReadError when the file cannot be mapped, e.g. when it
     holds fewer bytes than the manifest describes.
     """
     m = manifest
     shape = (m.frame_count, m.height, m.width, BYTES_PER_PIXEL[m.pixel_format])
     try:
-        return np.memmap(m.frames_path, dtype=np.uint8, mode="r", shape=shape)
+        return np.memmap(m.frames_path, dtype=np.uint8, mode="r",
+                         shape=shape).view(np.ndarray)
     except (ValueError, OSError) as exc:
         actual = m.frames_path.stat().st_size if m.frames_path.is_file() else 0
         raise FrameReadError(

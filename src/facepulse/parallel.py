@@ -1,0 +1,44 @@
+"""Independent work items split across worker threads.
+
+The ROI reduction and the spectral window blocks spend their time in
+numpy kernels that release the interpreter lock (integer patch sums,
+batched rfft), so threads run them on separate cores.  Each caller's
+work items write disjoint slices of one output array and compute every
+item the same way whatever the split, so results do not depend on the
+number of workers.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
+
+# Worker threads per call.  Capped at 2: each worker holds its own block
+# buffers, so the peak heap grows with the count (see pulse and spectral
+# for the block sizes)
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+
+
+def run_spans(n: int, work: Callable[[int, int], None], split: bool = True) -> None:
+    """Call work(lo, hi) on up to WORKERS contiguous spans covering
+    range(n), each on its own thread; a single span, or split=False,
+    runs work(0, n) inline.
+
+    Callers pass split=False when the work comes in kernel calls too
+    short to run mostly outside the interpreter lock, or too little of
+    it to repay starting the threads (about 0.4 ms for 2 on a 2-core
+    x86-64 VM): threads then only contend for the lock.  The threads
+    belong to this call and are joined before it returns; an exception
+    raised by work is raised here.
+    """
+    k = min(WORKERS, n) if split else 1
+    if k <= 1:
+        work(0, n)
+        return
+    edges = [n * i // k for i in range(k + 1)]
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        futures = [pool.submit(work, lo, hi) for lo, hi in zip(edges, edges[1:])]
+        for future in futures:
+            future.result()

@@ -3,7 +3,8 @@
 The conditioned pulse signal is cut into fixed-length windows; each
 window's dominant in-band frequency (Hann-windowed, zero-padded DFT,
 quadratic peak refinement) becomes one bpm estimate.  Windows are
-estimated WINDOW_BLOCK at a time, along the last (time) axis.
+estimated WINDOW_BLOCK at a time, along the last (time) axis, with
+long runs of long transforms split across parallel.WORKERS threads.
 """
 
 from __future__ import annotations
@@ -19,16 +20,27 @@ from .errors import (
     InputError,
     SessionTooShortError,
 )
+from .parallel import run_spans
 from .pulse import DEFAULT_BAND, BandLimits, PulseSignal
 
 ZERO_PAD_FACTOR = 8
 
-# windows per rfft call: bounds the (WINDOW_BLOCK, padded) spectrum
-# intermediates while amortising the per-call overhead.  Kept at 8 for the
-# heap: on 9000 samples at a 1-frame hop, 64 raises estimate_series' own
-# tracemalloc peak from 0.65 to 3.2 MB and the whole estimate's from 3.25
-# to 3.36 MB
+# windows per rfft call, per worker: bounds each worker's (WINDOW_BLOCK,
+# padded) spectrum intermediates while amortising the per-call overhead.
+# Kept at 8 for the heap: on 9000 samples at a 1-frame hop, one thread at
+# 64 raises estimate_series' own tracemalloc peak from 0.65 to 3.2 MB and
+# the whole estimate's from 3.25 to 3.36 MB; 2 workers at 8 take it to
+# 1.10 MB, still below the peak the rest of the estimate sets
 WINDOW_BLOCK = 8
+
+# the blocks are split across worker threads only for transforms of at
+# least SPLIT_MIN_PADDED points and at least SPLIT_MIN_BLOCKS blocks: at
+# 30 fps and a 1-frame hop (2-core x86-64 VM), 2 workers took 0.62-0.95x
+# the time of one at 4096 and 8192 points (9-20 s windows, 188 blocks
+# and up) and 1.1-1.4x at 2048 (5 and 7 s), and 1.2-1.6x on 6 to 291
+# windows of 10 s (at most 37 blocks)
+SPLIT_MIN_PADDED = 4096
+SPLIT_MIN_BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,9 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec,
     apart.  The in-band power peak (ties resolve to the lower frequency)
     is refined by a quadratic fit through the peak bin and its
     neighbours, shifted by at most half a bin, and clamped to the band.
+    Where the fit has no maximum (a band-edge bin on the flank of a peak
+    outside the band), the shift is half a bin toward the larger
+    neighbour, so such a peak is clamped to the band edge.
     """
     min_len = 2.0 / band.f_lo
     if spec.length < min_len:
@@ -122,17 +137,25 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec,
     taper = np.hanning(n)
     windows = sliding_window_view(samples, n)
     bpm = np.empty(len(bounds))
-    for a in range(0, len(bounds), WINDOW_BLOCK):
-        block = windows[bounds[a:a + WINDOW_BLOCK, 0]]
-        tapered = (block - block.mean(axis=-1, keepdims=True)) * taper
-        power = np.abs(np.fft.rfft(tapered, padded, axis=-1)[:, lo:hi]) ** 2
-        k = np.argmax(power[:, 1:-1], axis=-1)
-        p_lo, p0, p_hi = np.take_along_axis(power, k[:, None] + np.arange(3), -1).T
-        denom = p_lo - 2.0 * p0 + p_hi
-        shift = np.divide(0.5 * (p_lo - p_hi), denom, out=np.zeros_like(denom),
-                          where=denom != 0.0)
-        f_peak = freqs[lo + 1 + k] + np.clip(shift, -0.5, 0.5) * (freqs[1] - freqs[0])
-        bpm[a:a + len(block)] = np.clip(60.0 * f_peak, band.bpm_lo, band.bpm_hi)
+
+    def estimate_blocks(first: int, last: int) -> None:
+        for a in range(first * WINDOW_BLOCK, min(last * WINDOW_BLOCK, len(bounds)),
+                       WINDOW_BLOCK):
+            block = windows[bounds[a:a + WINDOW_BLOCK, 0]]
+            tapered = (block - block.mean(axis=-1, keepdims=True)) * taper
+            power = np.abs(np.fft.rfft(tapered, padded, axis=-1)[:, lo:hi]) ** 2
+            k = np.argmax(power[:, 1:-1], axis=-1)
+            p_lo, p0, p_hi = np.take_along_axis(power, k[:, None] + np.arange(3), -1).T
+            denom = p_lo - 2.0 * p0 + p_hi
+            # denom >= 0: the parabola has no maximum to refine to
+            shift = np.divide(0.5 * (p_lo - p_hi), denom, out=0.5 * np.sign(p_hi - p_lo),
+                              where=denom < 0.0)
+            f_peak = freqs[lo + 1 + k] + np.clip(shift, -0.5, 0.5) * (freqs[1] - freqs[0])
+            bpm[a:a + len(block)] = np.clip(60.0 * f_peak, band.bpm_lo, band.bpm_hi)
+
+    n_blocks = -(-len(bounds) // WINDOW_BLOCK)
+    run_spans(n_blocks, estimate_blocks,
+              split=padded >= SPLIT_MIN_PADDED and n_blocks >= SPLIT_MIN_BLOCKS)
     return HrSeries(window_start=bounds[:, 0] / signal.fps,
                     window_end=bounds[:, 1] / signal.fps,
                     bpm=bpm, window_spec=spec)

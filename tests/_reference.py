@@ -69,7 +69,8 @@ def ref_hr_series(samples: np.ndarray, fps: float, win: int, hop: int,
     """Window starts and ends in seconds and bpm, one window at a time:
     mean removal, Hann window, rfft zero-padded to 8x the next power of
     two, in-band argmax (first of equal peaks), quadratic refinement
-    clamped to half a bin, bpm clamped to the band."""
+    clamped to half a bin (half a bin toward the larger neighbour where
+    the parabola has no maximum), bpm clamped to the band."""
     padded = 8 * (1 << (win - 1).bit_length())
     freqs = np.fft.rfftfreq(padded, 1.0 / fps).tolist()
     in_band = [k for k, f in enumerate(freqs) if f_lo <= f <= f_hi]
@@ -85,9 +86,13 @@ def ref_hr_series(samples: np.ndarray, fps: float, win: int, hop: int,
         f_peak = freqs[k]
         if 0 < k < len(power) - 1:
             denom = power[k - 1] - 2.0 * power[k] + power[k + 1]
-            if denom != 0.0:
+            if denom < 0.0:
                 shift = 0.5 * (power[k - 1] - power[k + 1]) / denom
-                f_peak += min(max(shift, -0.5), 0.5) * (freqs[1] - freqs[0])
+            elif power[k + 1] != power[k - 1]:
+                shift = 0.5 if power[k + 1] > power[k - 1] else -0.5
+            else:
+                shift = 0.0
+            f_peak += min(max(shift, -0.5), 0.5) * (freqs[1] - freqs[0])
         starts.append(start / fps)
         ends.append((start + win) / fps)
         bpms.append(min(max(60.0 * f_peak, 60.0 * f_lo), 60.0 * f_hi))

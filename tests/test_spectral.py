@@ -160,6 +160,16 @@ class TestPeakBpm:
         assert _bpm(_tone(0.6, 5.0), 5.0)[0] == 42.0
         assert _bpm(_tone(4.1, 5.0), 5.0)[0] == 240.0
 
+    @pytest.mark.parametrize("freq, edge", [(0.5, 42.0), (4.2, 240.0)])
+    def test_convex_flank_steps_toward_outer_peak(self, freq, edge):
+        # further out, the edge bin sits on a convex flank of the tone's
+        # peak (p_lo - 2 p0 + p_hi > 0): the vertex is a minimum, so the
+        # step is half a bin outward and the clamp pins the band edge
+        # (the vertex rule gave 42.63 and 239.50 bpm)
+        samples = _tone(freq, 5.0)
+        assert _bpm(samples, 5.0)[0] == edge
+        assert ref_hr_series(samples, 30.0, 150, 150)[2] == [edge]
+
     def test_no_bins_in_band(self):
         # the nearest bins of 10 s windows at 30 fps are 0.6958 and 0.7031 Hz
         with pytest.raises(EmptyBandError):
