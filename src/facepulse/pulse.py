@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AllFramesInvalidError,
@@ -27,12 +28,12 @@ from .roi import place_regions
 
 COMBINE_METHODS = ("green", "intensity", "chrom")
 
-# frames per reduction call, per worker: bounds each worker's uint32
-# row-sum intermediate to REDUCE_BLOCK_FRAMES x region width x bpp values.
-# 16 for the heap: on 900 640x480 rgb8 frames with a static box, one
-# thread at 64 peaks at 0.34 MB (tracemalloc, extract_traces alone); 2
-# workers at 64, 32 and 16 peak at 0.54, 0.39 and 0.31 MB, in about the
-# same time (0.038-0.040 s against 0.054 s on one thread)
+# frames per sliced reduction call, per worker: bounds each worker's
+# uint32 row-sum intermediate to REDUCE_BLOCK_FRAMES x region width x bpp
+# values.  16 for the heap: on 900 640x480 rgb8 frames with a static box,
+# one thread at 64 peaks at 0.34 MB (tracemalloc, extract_traces alone); 2
+# workers at 64, 32 and 16 peak at 0.35-0.53, 0.39 and 0.31 MB, in about
+# the same time (0.038-0.040 s against 0.054 s on one thread)
 REDUCE_BLOCK_FRAMES = 16
 
 # the frames are split across worker threads only when the reduction
@@ -41,6 +42,17 @@ REDUCE_BLOCK_FRAMES = 16
 # call (static boxes, 320x240 and up) and 1.04-2.2x at 0.2-52 kB (a box
 # that moves every frame, or smaller frames)
 SPLIT_MIN_CALL_BYTES = 64 * 1024
+
+# ROI bytes per gather of frames from short runs.  Capped for the heap: on
+# the 8487 gathered frames of a 64x64 rgb8 session whose box moves (9000
+# frames), one gather per region and size raises extract_traces' own
+# tracemalloc peak from 2.59 MB (set by place_regions) to 6.67 MB; at 16,
+# 64 and 256 KiB it stays at 2.59 MB, and 64 KiB takes 0.049-0.055 s
+# against 0.057-0.062 s at 16 KiB (2-core x86-64 VM).  A run whose frames
+# hold GATHER_BYTES or more of regions is sliced instead: gathered one
+# frame at a time, a 1280x720 rgb8 box that moves every frame took
+# 1.05-1.25x the sliced time
+GATHER_BYTES = 64 * 1024
 
 DETREND_WINDOW_S = 1.5
 
@@ -116,10 +128,13 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
 
     frames is a (n, height, width, bpp) uint8 array, as returned by
     frameio.map_frames, and boxes the (n, 4) track that roi.load_box_track
-    fills to one row per frame.  Each run of consecutive frames with
-    identical rects is reduced in blocks of REDUCE_BLOCK_FRAMES, with the
-    frame axis split across parallel.WORKERS threads when the blocks
-    average SPLIT_MIN_CALL_BYTES or more; a gray8 trace has one channel.
+    fills to one row per frame.  A run of consecutive frames with
+    identical rects that holds REDUCE_BLOCK_FRAMES or more frames, or
+    GATHER_BYTES or more of regions per frame, is sliced in blocks of
+    REDUCE_BLOCK_FRAMES, with the frame axis split across
+    parallel.WORKERS threads when the blocks average SPLIT_MIN_CALL_BYTES
+    or more.  The frames of the other runs are gathered, one call per
+    region, rect size and GATHER_BYTES.  A gray8 trace has one channel.
     Degenerate frames are interpolated from their valid neighbours so
     the trace keeps exactly one entry per frame.
     """
@@ -127,14 +142,17 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
     rects, valid = place_regions(boxes, width, height)
     values = np.zeros((3, bpp, n), dtype=np.float64)
     starts = np.flatnonzero(np.r_[True, (rects[1:] != rects[:-1]).any(axis=(1, 2))])
+    lengths = np.diff(np.append(starts, n))
+    frame_bytes = bpp * (rects[starts, :, 2] * rects[starts, :, 3]).sum(axis=1)
+    sliced = valid[starts] & ((lengths >= REDUCE_BLOCK_FRAMES) | (frame_bytes >= GATHER_BYTES))
+    run_lo, run_hi = starts[sliced], starts[sliced] + lengths[sliced]
 
     def reduce_span(lo: int, hi: int) -> None:
         # runs are cut at the span edges; the sums are exact, so the cut
         # does not change a bit
-        edges = np.r_[lo, starts[(starts > lo) & (starts < hi)], hi].tolist()
-        for a, b in zip(edges, edges[1:]):
-            if not valid[a]:
-                continue
+        a_cut, b_cut = np.maximum(run_lo, lo), np.minimum(run_hi, hi)
+        inside = a_cut < b_cut
+        for a, b in zip(a_cut[inside].tolist(), b_cut[inside].tolist()):
             for r, (x, y, w, h) in enumerate(rects[a].tolist()):
                 for f in range(a, b, REDUCE_BLOCK_FRAMES):
                     patch = frames[f:min(f + REDUCE_BLOCK_FRAMES, b), y:y + h, x:x + w]
@@ -142,10 +160,13 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
                     sums = patch.sum(axis=1, dtype=np.uint32).sum(axis=1, dtype=np.uint64)
                     values[r, :, f:f + len(sums)] = (sums / (w * h)).T
 
-    run_lengths = np.diff(np.append(starts, n))[valid[starts]]
-    calls = 3 * (-(-run_lengths // REDUCE_BLOCK_FRAMES)).sum()
-    roi_bytes = bpp * (rects[valid, :, 2] * rects[valid, :, 3]).sum()
-    run_spans(n, reduce_span, split=bool(roi_bytes >= SPLIT_MIN_CALL_BYTES * calls))
+    if run_lo.size:
+        calls = 3 * (-(-lengths[sliced] // REDUCE_BLOCK_FRAMES)).sum()
+        roi_bytes = (frame_bytes[sliced] * lengths[sliced]).sum()
+        run_spans(n, reduce_span, split=bool(roi_bytes >= SPLIT_MIN_CALL_BYTES * calls))
+    gathered = np.flatnonzero(np.repeat(valid[starts] & ~sliced, lengths))
+    if gathered.size:
+        _gather_means(frames, rects, gathered, values)
     if not valid.any():
         raise AllFramesInvalidError("every frame produced a degenerate region set")
     if not valid.all():
@@ -154,6 +175,28 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
         for row in values.reshape(-1, n):
             row[bad] = np.interp(bad, good, row[good])
     return RawTrace(fps=fps, values=values, valid=valid)
+
+
+def _gather_means(frames: np.ndarray, rects: np.ndarray, idx: np.ndarray,
+                  values: np.ndarray) -> None:
+    """Write the region means of frames idx into values[..., idx]: one
+    gather of at most GATHER_BYTES per region and rect size, whose
+    integer sums are exact like the sliced path's."""
+    bpp = frames.shape[-1]
+    for r in range(3):
+        x, y, w, h = rects[idx, r].T
+        order = np.lexsort((h, w))
+        cuts = np.flatnonzero(np.diff(w[order]) | np.diff(h[order])) + 1
+        for group in np.split(order, cuts):
+            gw, gh = int(w[group[0]]), int(h[group[0]])
+            # (n, y, x, h, w, bpp): a gathered patch keeps the frame's layout
+            windows = np.moveaxis(sliding_window_view(frames, (gh, gw), axis=(1, 2)), 3, -1)
+            step = max(1, GATHER_BYTES // (bpp * gw * gh))
+            for s in range(0, len(group), step):
+                g = group[s:s + step]
+                patch = windows[idx[g], y[g], x[g]]
+                sums = patch.sum(axis=1, dtype=np.uint32).sum(axis=1, dtype=np.uint64)
+                values[r][:, idx[g]] = (sums / (gw * gh)).T
 
 
 def normalize_segment(segment: np.ndarray) -> np.ndarray:

@@ -28,9 +28,9 @@ ZERO_PAD_FACTOR = 8
 # windows per rfft call, per worker: bounds each worker's (WINDOW_BLOCK,
 # padded) spectrum intermediates while amortising the per-call overhead.
 # Kept at 8 for the heap: on 9000 samples at a 1-frame hop, one thread at
-# 64 raises estimate_series' own tracemalloc peak from 0.65 to 3.2 MB and
-# the whole estimate's from 3.25 to 3.36 MB; 2 workers at 8 take it to
-# 1.10 MB, still below the peak the rest of the estimate sets
+# 64 raises estimate_series' own tracemalloc peak from 0.94 to 3.3 MB and
+# the whole estimate's from 2.97 to 3.46 MB; 2 workers at 8 take it to
+# 1.27 MB, still below the peak the rest of the estimate sets
 WINDOW_BLOCK = 8
 
 # the blocks are split across worker threads only for transforms of at
@@ -136,26 +136,32 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec,
     lo, hi = in_band[0] - 1, in_band[-1] + 2
     taper = np.hanning(n)
     windows = sliding_window_view(samples, n)
-    bpm = np.empty(len(bounds))
+    # per window, the peak bin and the power there and one bin each side;
+    # the refinement runs once over all windows after the blocks
+    peak_bin = np.empty(len(bounds), dtype=np.intp)
+    peak_power = np.empty((len(bounds), 3))
 
     def estimate_blocks(first: int, last: int) -> None:
         for a in range(first * WINDOW_BLOCK, min(last * WINDOW_BLOCK, len(bounds)),
                        WINDOW_BLOCK):
             block = windows[bounds[a:a + WINDOW_BLOCK, 0]]
-            tapered = (block - block.mean(axis=-1, keepdims=True)) * taper
-            power = np.abs(np.fft.rfft(tapered, padded, axis=-1)[:, lo:hi]) ** 2
+            block -= block.mean(axis=-1, keepdims=True)
+            block *= taper
+            power = np.abs(np.fft.rfft(block, padded, axis=-1)[:, lo:hi]) ** 2
             k = np.argmax(power[:, 1:-1], axis=-1)
-            p_lo, p0, p_hi = np.take_along_axis(power, k[:, None] + np.arange(3), -1).T
-            denom = p_lo - 2.0 * p0 + p_hi
-            # denom >= 0: the parabola has no maximum to refine to
-            shift = np.divide(0.5 * (p_lo - p_hi), denom, out=0.5 * np.sign(p_hi - p_lo),
-                              where=denom < 0.0)
-            f_peak = freqs[lo + 1 + k] + np.clip(shift, -0.5, 0.5) * (freqs[1] - freqs[0])
-            bpm[a:a + len(block)] = np.clip(60.0 * f_peak, band.bpm_lo, band.bpm_hi)
+            peak_bin[a:a + len(k)] = k
+            peak_power[a:a + len(k)] = np.take_along_axis(power, k[:, None] + np.arange(3), -1)
 
     n_blocks = -(-len(bounds) // WINDOW_BLOCK)
     run_spans(n_blocks, estimate_blocks,
               split=padded >= SPLIT_MIN_PADDED and n_blocks >= SPLIT_MIN_BLOCKS)
+    p_lo, p0, p_hi = peak_power.T
+    denom = p_lo - 2.0 * p0 + p_hi
+    # denom >= 0: the parabola has no maximum to refine to
+    shift = np.divide(0.5 * (p_lo - p_hi), denom, out=0.5 * np.sign(p_hi - p_lo),
+                      where=denom < 0.0)
+    f_peak = freqs[lo + 1 + peak_bin] + np.clip(shift, -0.5, 0.5) * (freqs[1] - freqs[0])
+    bpm = np.clip(60.0 * f_peak, band.bpm_lo, band.bpm_hi)
     return HrSeries(window_start=bounds[:, 0] / signal.fps,
                     window_end=bounds[:, 1] / signal.fps,
                     bpm=bpm, window_spec=spec)

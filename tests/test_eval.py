@@ -97,14 +97,23 @@ class TestAlign:
 @pytest.mark.parametrize("hop", [1, 3, 300])
 def test_align_matches_masked_reference(n_windows, hop):
     # windows as estimate_series lays them out: 10 s at 30 fps, hop in
-    # samples; reference samples 0.1 to 1.5 s apart, so a window holds
-    # from 6 to 100 of them
+    # samples.  Reference samples are 0.005-0.0055 s apart for about 10 s,
+    # 0.005-0.05 s for 20 s and 0.045-0.05 s for 20 s, then 0.1-1.5 s, so a
+    # window holds from 6 to about 1900 of them (past numpy's 128-element
+    # pairwise block) and neighbouring windows hold different counts; one
+    # more window holds a single sample
     fps, win = 30.0, 300
     starts = np.arange(n_windows) * hop / fps
     ends = (np.arange(n_windows) * hop + win) / fps
     rng = np.random.default_rng(n_windows * hop)
-    times = np.cumsum(rng.uniform(0.1, 1.5, int(ends[-1] / 0.1) + 2))
+    gaps = np.concatenate([rng.uniform(0.005, 0.0055, 1900), rng.uniform(0.005, 0.05, 730),
+                           rng.uniform(0.045, 0.05, 420),
+                           rng.uniform(0.1, 1.5, int(ends[-1] / 0.1) + 2)])
+    times = np.cumsum(gaps)
     times = times[times < ends[-1] + 1.0]
+    single = len(times) // 2
+    starts = np.append(starts, times[single])
+    ends = np.append(ends, times[single + 1])
     gt = _gt(times, rng.uniform(45, 210, len(times)))
     expected = ref_window_means_masked(gt.times, gt.bpm, starts.tolist(),
                                        ends.tolist())

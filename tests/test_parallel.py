@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,13 @@ class TestExtractTracesSplit:
         self._assert_split_invariant(monkeypatch, frames,
                                      np.tile([2.5, 1.0, 15.0, 17.0], (n, 1)))
 
+    def test_mixed_run_lengths(self, monkeypatch, mixed_runs):
+        # sliced and gathered runs, degenerate frames among the gathered
+        # ones; 2 and 3 workers cut the sliced runs at their span edges
+        frames, boxes, _ = mixed_runs
+        self._assert_split_invariant(monkeypatch, frames, boxes)
+        self._assert_split_invariant(monkeypatch, frames[..., 1:2].copy(), boxes)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_frames_than_workers(self, monkeypatch, n):
         frames = np.random.default_rng(n).integers(0, 256, (n, 20, 20, 3),
@@ -157,16 +165,28 @@ class TestEstimateSeriesSplit:
 class TestSplitChoice:
     @pytest.mark.parametrize("size, shift, split", [
         (192, 0, True),    # 16-frame calls of 90.8 kB on average
-        (192, 1, False),   # the box moves every frame: 1-frame calls of 5.7 kB
+        (192, 1, False),   # the box moves every frame: its frames are gathered
         (128, 0, False),   # 41.1 kB
     ])
-    def test_reduction_split_by_call_bytes(self, split_calls, size, shift, split):
+    def test_reduction_split_by_call_bytes(self, monkeypatch, split_calls, size, shift,
+                                           split):
+        # split: whether the reduction starts worker threads; a box that
+        # moves every frame has no run to slice and so no span to split
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        pools = []
+
+        def recording_pool(**kwargs):
+            pools.append(kwargs)
+            return ThreadPoolExecutor(**kwargs)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", recording_pool)
         n = 2 * REDUCE_BLOCK_FRAMES
         frames = np.zeros((n, size, size, 3), dtype=np.uint8)
         boxes = np.tile([0.0, 0.0, float(size), float(size)], (n, 1))
         boxes[:, 0] += shift * (np.arange(n) % 2)
         extract_traces(frames, boxes, 30.0)
-        assert split_calls == [split]
+        assert split_calls == ([split] if shift == 0 else [])
+        assert len(pools) == split
 
     @pytest.mark.parametrize("length, hop_frames, split", [
         (10.0, 1, True),    # 4096-point transforms, 188 blocks

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from facepulse import BandLimits, DEFAULT_BAND, PipelineParams
-from facepulse import roi
+from facepulse import pulse, roi
 from facepulse.errors import (AllFramesInvalidError, InputError,
                               NonPositiveMeanError, SignalTooShortError,
                               WindowTooShortError)
@@ -134,6 +134,23 @@ class TestExtractTraces:
         rgb = np.random.default_rng(10).integers(0, 256, (n, 20, 20, 3),
                                                  dtype=np.uint8)
         self._assert_matches_reference(rgb, np.tile([2.5, 1.0, 15.0, 17.0], (n, 1)))
+
+    @pytest.mark.parametrize("gather_bytes", [pulse.GATHER_BYTES, 200, 64])
+    def test_reduction_mixes_sliced_and_gathered_runs(self, monkeypatch, mixed_runs,
+                                                      gather_bytes):
+        # runs shorter than REDUCE_BLOCK_FRAMES are gathered in one piece
+        # per region and rect size, or in pieces of 3 to 8 frames (200
+        # bytes); at 64 bytes a frame's rgb8 regions (102 bytes) fill a
+        # gather, so rgb8 is sliced throughout, and gray8 (34 bytes) is
+        # gathered a few frames at a time
+        monkeypatch.setattr(pulse, "GATHER_BYTES", gather_bytes)
+        frames, boxes, run_lengths = mixed_runs
+        rects, valid = place_regions(boxes, 32, 24)
+        starts = np.flatnonzero(np.r_[True, (rects[1:] != rects[:-1]).any(axis=(1, 2))])
+        assert np.diff(np.append(starts, len(boxes))).tolist() == run_lengths
+        assert np.flatnonzero(~valid).tolist() == [56, 57, 58, 60]
+        self._assert_matches_reference(frames, boxes)
+        self._assert_matches_reference(frames[..., 1:2].copy(), boxes)
 
 
 class TestNormalize:
