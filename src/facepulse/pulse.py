@@ -46,8 +46,8 @@ SPLIT_MIN_CALL_BYTES = 64 * 1024
 # ROI bytes per gather of frames from short runs.  Capped for the heap: on
 # the 8487 gathered frames of a 64x64 rgb8 session whose box moves (9000
 # frames), one gather per region and size raises extract_traces' own
-# tracemalloc peak from 2.59 MB (set by place_regions) to 6.67 MB; at 16,
-# 64 and 256 KiB it stays at 2.59 MB, and 64 KiB takes 0.049-0.055 s
+# tracemalloc peak to 6.70 MB; at 16, 64 and 256 KiB it is 2.29, 2.34
+# and 2.60 MB, and 64 KiB takes 0.049-0.055 s
 # against 0.057-0.062 s at 16 KiB (2-core x86-64 VM).  A run whose frames
 # hold GATHER_BYTES or more of regions is sliced instead: gathered one
 # frame at a time, a 1280x720 rgb8 box that moves every frame took

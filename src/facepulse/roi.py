@@ -43,17 +43,25 @@ def place_regions(boxes: np.ndarray, frame_w: int,
     falls below MIN_ROI_AREA pixels.
     """
     frac = np.array(REGION_FRACTIONS)
-    x, y, w, h = (boxes[:, None, k] for k in range(4))
-    # sizes are positive, so coordinates near the float limit can only
-    # overflow to +inf, which the clamp below moves to the frame edge
-    with np.errstate(over="ignore"):
-        x0 = np.rint(x + frac[:, 0] * w)
-        y0 = np.rint(y + frac[:, 1] * h)
-        x1 = x0 + np.rint(frac[:, 2] * w)
-        y1 = y0 + np.rint(frac[:, 3] * h)
-    x0, x1 = np.clip(x0, 0, frame_w), np.clip(x1, 0, frame_w)
-    y0, y1 = np.clip(y0, 0, frame_h), np.clip(y1, 0, frame_h)
-    rects = np.stack((x0, y0, x1 - x0, y1 - y0), axis=-1).astype(np.int64)
+    rects = np.empty((len(boxes), len(frac), 4), dtype=np.int64)
+    # x then y, each through the same two (n, 3) scratch arrays: the
+    # rounded start and end of every region, then clamped to the frame
+    start, end = np.empty((2, *rects.shape[:2]))
+    for axis, limit in ((0, frame_w), (1, frame_h)):
+        pos, size = boxes[:, None, axis], boxes[:, None, axis + 2]
+        # sizes are positive, so coordinates near the float limit can
+        # only overflow to +inf, which the clamp moves to the frame edge
+        with np.errstate(over="ignore"):
+            np.multiply(frac[:, axis], size, out=start)
+            np.add(pos, start, out=start)
+            np.rint(start, out=start)
+            np.multiply(frac[:, axis + 2], size, out=end)
+            np.rint(end, out=end)
+            np.add(start, end, out=end)
+        np.clip(start, 0, limit, out=start)
+        np.clip(end, 0, limit, out=end)
+        rects[..., axis] = start
+        rects[..., axis + 2] = np.subtract(end, start, out=end)
     valid = (rects[..., 2] * rects[..., 3] >= MIN_ROI_AREA).all(axis=1)
     return rects, valid
 

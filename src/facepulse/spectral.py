@@ -3,8 +3,9 @@
 The conditioned pulse signal is cut into fixed-length windows; each
 window's dominant in-band frequency (Hann-windowed, zero-padded DFT,
 quadratic peak refinement) becomes one bpm estimate.  Windows are
-estimated WINDOW_BLOCK at a time, along the last (time) axis, with
-long runs of long transforms split across parallel.WORKERS threads.
+estimated in blocks whose spectra fill SPECTRUM_BLOCK_BYTES, along the
+last (time) axis, each worker reusing one set of block buffers; long
+runs of long transforms are split across parallel.WORKERS threads.
 """
 
 from __future__ import annotations
@@ -25,22 +26,23 @@ from .pulse import DEFAULT_BAND, BandLimits, PulseSignal
 
 ZERO_PAD_FACTOR = 8
 
-# windows per rfft call, per worker: bounds each worker's (WINDOW_BLOCK,
-# padded) spectrum intermediates while amortising the per-call overhead.
-# Kept at 8 for the heap: on 9000 samples at a 1-frame hop, one thread at
-# 64 raises estimate_series' own tracemalloc peak from 0.94 to 3.3 MB and
-# the whole estimate's from 2.97 to 3.46 MB; 2 workers at 8 take it to
-# 1.27 MB, still below the peak the rest of the estimate sets
-WINDOW_BLOCK = 8
+# bytes of the (rows, padded // 2 + 1) complex spectrum block each
+# worker fills per rfft call: rows = this // (16 * bins), at least 1 and
+# at most the window count, so the per-worker heap does not grow with
+# the window length: 15 rows of 10 s windows at 30 fps (4096 points).
+# On 9000 samples at a 1-frame hop, estimate_series' own tracemalloc
+# peak is 1.28 MB on one thread and 1.99 MB on 2 workers (1.07 and 1.40
+# MB with 8-window blocks), below build_session_signal's 2.75 MB
+SPECTRUM_BLOCK_BYTES = 512 * 1024
 
 # the blocks are split across worker threads only for transforms of at
-# least SPLIT_MIN_PADDED points and at least SPLIT_MIN_BLOCKS blocks: at
-# 30 fps and a 1-frame hop (2-core x86-64 VM), 2 workers took 0.62-0.95x
-# the time of one at 4096 and 8192 points (9-20 s windows, 188 blocks
-# and up) and 1.1-1.4x at 2048 (5 and 7 s), and 1.2-1.6x on 6 to 291
-# windows of 10 s (at most 37 blocks)
+# least SPLIT_MIN_PADDED points and at least SPLIT_MIN_WINDOWS windows:
+# at 30 fps and a 1-frame hop (2-core x86-64 VM), 2 workers took
+# 0.62-0.95x the time of one at 4096 and 8192 points (9-20 s windows,
+# 1501 windows and up) and 1.1-1.4x at 2048 (5 and 7 s), and 1.2-1.6x
+# on 6 to 291 windows of 10 s
 SPLIT_MIN_PADDED = 4096
-SPLIT_MIN_BLOCKS = 64
+SPLIT_MIN_WINDOWS = 512
 
 
 @dataclass(frozen=True)
@@ -135,26 +137,38 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec,
             f"no spectrum bins inside {band.f_lo}..{band.f_hi} Hz")
     lo, hi = in_band[0] - 1, in_band[-1] + 2
     taper = np.hanning(n)
+    # window starts are arange * step, so a block of windows is a basic
+    # strided slice of this view
     windows = sliding_window_view(samples, n)
+    n_windows = len(bounds)
+    step = int(bounds[1, 0] - bounds[0, 0]) if n_windows > 1 else 1
+    bins = padded // 2 + 1
+    rows = max(1, min(SPECTRUM_BLOCK_BYTES // (16 * bins), n_windows))
     # per window, the peak bin and the power there and one bin each side;
     # the refinement runs once over all windows after the blocks
-    peak_bin = np.empty(len(bounds), dtype=np.intp)
-    peak_power = np.empty((len(bounds), 3))
+    peak_bin = np.empty(n_windows, dtype=np.intp)
+    peak_power = np.empty((n_windows, 3))
 
     def estimate_blocks(first: int, last: int) -> None:
-        for a in range(first * WINDOW_BLOCK, min(last * WINDOW_BLOCK, len(bounds)),
-                       WINDOW_BLOCK):
-            block = windows[bounds[a:a + WINDOW_BLOCK, 0]]
-            block -= block.mean(axis=-1, keepdims=True)
-            block *= taper
-            power = np.abs(np.fft.rfft(block, padded, axis=-1)[:, lo:hi]) ** 2
-            k = np.argmax(power[:, 1:-1], axis=-1)
-            peak_bin[a:a + len(k)] = k
-            peak_power[a:a + len(k)] = np.take_along_axis(power, k[:, None] + np.arange(3), -1)
+        block = np.empty((rows, n))
+        spectrum = np.empty((rows, bins), dtype=np.complex128)
+        power = np.empty((rows, hi - lo))
+        for a in range(first * rows, min(last * rows, n_windows), rows):
+            m = min(rows, n_windows - a)
+            src = windows[a * step:(a + m - 1) * step + 1:step]
+            b, p = block[:m], power[:m]
+            # each row's mean sums along the contiguous time axis, as a
+            # single window's mean does
+            np.subtract(src, src.mean(axis=-1, keepdims=True), out=b)
+            b *= taper
+            np.abs(np.fft.rfft(b, padded, axis=-1, out=spectrum[:m])[:, lo:hi], out=p)
+            p *= p
+            k = np.argmax(p[:, 1:-1], axis=-1)
+            peak_bin[a:a + m] = k
+            peak_power[a:a + m] = np.take_along_axis(p, k[:, None] + np.arange(3), -1)
 
-    n_blocks = -(-len(bounds) // WINDOW_BLOCK)
-    run_spans(n_blocks, estimate_blocks,
-              split=padded >= SPLIT_MIN_PADDED and n_blocks >= SPLIT_MIN_BLOCKS)
+    run_spans(-(-n_windows // rows), estimate_blocks,
+              split=padded >= SPLIT_MIN_PADDED and n_windows >= SPLIT_MIN_WINDOWS)
     p_lo, p0, p_hi = peak_power.T
     denom = p_lo - 2.0 * p0 + p_hi
     # denom >= 0: the parabola has no maximum to refine to

@@ -99,6 +99,14 @@ def ref_hr_series(samples: np.ndarray, fps: float, win: int, hop: int,
     return starts, ends, bpms
 
 
+def ref_block_rows(win: int, block_bytes: int) -> int:
+    """Windows of `win` samples per spectral block: as many complex128
+    spectra of 8x the next power of two points as fill block_bytes, at
+    least one."""
+    bins = 8 * (1 << (win - 1).bit_length()) // 2 + 1
+    return max(1, block_bytes // (16 * bins))
+
+
 def ref_window_means_masked(times: np.ndarray, bpm: np.ndarray,
                             starts: list[float], ends: list[float]
                             ) -> list[float]:

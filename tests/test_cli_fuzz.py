@@ -48,7 +48,14 @@ def _apply(session: Path, mutation: tuple) -> None:
     path = session / name
     if kind == "json":
         key, value = rest
-        manifest = json.loads(path.read_text())
+        # an earlier text or bytes mutation may have left no JSON object
+        # to edit: the manifest stays as it is, for the program to reject
+        try:
+            manifest = json.loads(path.read_text())
+        except (ValueError, RecursionError):  # undecodable bytes or JSON
+            return
+        if not isinstance(manifest, dict):
+            return
         if value is _DELETE:
             manifest.pop(key, None)
         else:

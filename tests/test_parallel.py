@@ -19,7 +19,9 @@ from facepulse import (PulseSignal, WindowSpec, estimate_series, parallel,
 from facepulse.cli import main
 from facepulse.parallel import run_spans
 from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
-from facepulse.spectral import WINDOW_BLOCK
+from facepulse.spectral import SPECTRUM_BLOCK_BYTES
+
+from _reference import ref_block_rows, ref_hr_series
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -29,7 +31,7 @@ def force_split(monkeypatch):
     """Split any work, however small, so small inputs take the threads."""
     monkeypatch.setattr(pulse, "SPLIT_MIN_CALL_BYTES", 0)
     monkeypatch.setattr(spectral, "SPLIT_MIN_PADDED", 0)
-    monkeypatch.setattr(spectral, "SPLIT_MIN_BLOCKS", 0)
+    monkeypatch.setattr(spectral, "SPLIT_MIN_WINDOWS", 0)
 
 
 @pytest.fixture
@@ -143,10 +145,23 @@ class TestExtractTracesSplit:
                                      np.tile([2.5, 1.0, 15.0, 17.0], (n, 1)))
 
 
+ROWS_5S = ref_block_rows(150, SPECTRUM_BLOCK_BYTES)  # 5 s windows at 30 fps
+
+
 @pytest.mark.usefixtures("force_split")
 class TestEstimateSeriesSplit:
-    @pytest.mark.parametrize("n_windows", [1, 2, WINDOW_BLOCK + 3,
-                                           WINDOW_BLOCK * 6 + 5])
+    def _bpm_per_worker_count(self, monkeypatch, samples, spec):
+        results = _per_worker_count(
+            monkeypatch, lambda: estimate_series(PulseSignal(30.0, samples), spec).bpm)
+        for bpm in results[1:]:
+            assert np.array_equal(bpm, results[0])
+        return results[0]
+
+    # 11 windows fill part of one block, 53 one block and part of a
+    # second; ROWS_5S - 1, ROWS_5S and ROWS_5S + 1 are one below, at and
+    # one above a block
+    @pytest.mark.parametrize("n_windows", sorted({1, 2, 11, 53, ROWS_5S - 1, ROWS_5S,
+                                                  ROWS_5S + 1, ROWS_5S * 6 + 5}))
     def test_bpm_independent_of_workers(self, monkeypatch, n_windows):
         # the largest count is 6 full blocks and a short seventh, which
         # 2 and 3 workers split unevenly
@@ -154,12 +169,22 @@ class TestEstimateSeriesSplit:
         rng = np.random.default_rng(n_windows)
         n = win + n_windows - 1
         samples = np.sin(2 * np.pi * 1.3 * np.arange(n) / fps) + rng.normal(0, 1, n)
-        spec = WindowSpec(5.0, 1 / fps)
-        results = _per_worker_count(
-            monkeypatch, lambda: estimate_series(PulseSignal(fps, samples), spec).bpm)
-        assert len(results[0]) == n_windows
-        for bpm in results[1:]:
-            assert np.array_equal(bpm, results[0])
+        bpm = self._bpm_per_worker_count(monkeypatch, samples, WindowSpec(5.0, 1 / fps))
+        assert len(bpm) == n_windows
+
+    @pytest.mark.parametrize("win, hop, n_windows", [
+        (600, 1, 40),   # 20 s: 8192-point transforms, fewer rows per block
+        (150, 3, 100),  # each block a slice with a 3-sample stride
+    ])
+    def test_long_and_strided_windows_match_reference(self, monkeypatch, win, hop,
+                                                      n_windows):
+        fps = 30.0
+        rng = np.random.default_rng(win + hop)
+        n = win + (n_windows - 1) * hop
+        samples = np.sin(2 * np.pi * 1.3 * np.arange(n) / fps) + rng.normal(0, 1, n)
+        bpm = self._bpm_per_worker_count(monkeypatch, samples,
+                                         WindowSpec(win / fps, hop / fps))
+        assert np.array_equal(bpm, ref_hr_series(samples, fps, win, hop)[2])
 
 
 class TestSplitChoice:
@@ -189,9 +214,9 @@ class TestSplitChoice:
         assert len(pools) == split
 
     @pytest.mark.parametrize("length, hop_frames, split", [
-        (10.0, 1, True),    # 4096-point transforms, 188 blocks
+        (10.0, 1, True),    # 4096-point transforms, 1501 windows
         (5.0, 1, False),    # 2048-point transforms
-        (10.0, 30, False),  # 51 windows: 7 blocks
+        (10.0, 30, False),  # 51 windows
     ])
     def test_spectral_split_by_size_and_count(self, split_calls, length, hop_frames,
                                               split):

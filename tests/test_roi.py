@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from facepulse.errors import (EmptyTrackError, InputError, MissingFileError,
                               NonMonotonicIndicesError)
-from facepulse.roi import load_box_track, place_regions
+from facepulse.roi import MIN_ROI_AREA, REGION_FRACTIONS, load_box_track, place_regions
 
 
 def _place(*box):
@@ -72,6 +74,43 @@ def test_scale_covariance():
     doubled, _ = place_regions(
         np.column_stack((corner, corner, 2 * w, 2 * h)).astype(float), 4000, 4000)
     assert np.array_equal(doubled[..., 2:], 2 * base[..., 2:])
+
+
+def _jittered_boxes(n: int, seed: int) -> np.ndarray:
+    """n face boxes jittering around the middle of a 64x64 frame, some
+    of them partly off it."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack((rng.normal(16, 8, n), rng.normal(16, 8, n),
+                            rng.normal(32, 4, n), rng.normal(32, 4, n)))
+
+
+def test_matches_per_region_reference():
+    # Python's round() is half-to-even, like the placement
+    boxes = _jittered_boxes(500, 9)
+    boxes[::7, :2] = np.round(boxes[::7, :2] * 2) / 2  # ties at .5
+    rects, valid = place_regions(boxes, 64, 48)
+    for (x, y, w, h), box_rects, ok in zip(boxes.tolist(), rects.tolist(), valid):
+        expected = []
+        for fx, fy, fw, fh in REGION_FRACTIONS:
+            x0, y0 = round(x + fx * w), round(y + fy * h)
+            x1, y1 = x0 + round(fw * w), y0 + round(fh * h)
+            x0, x1 = (min(max(v, 0), 64) for v in (x0, x1))
+            y0, y1 = (min(max(v, 0), 48) for v in (y0, y1))
+            expected.append([x0, y0, x1 - x0, y1 - y0])
+        assert box_rects == expected
+        assert ok == all(w * h >= MIN_ROI_AREA for _, _, w, h in expected)
+
+
+def test_peak_heap_within_twice_output():
+    # scratch space is two (n, 3) float arrays reused for x and y
+    boxes = _jittered_boxes(9000, 10)
+    tracemalloc.start()
+    try:
+        rects, valid = place_regions(boxes, 64, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (rects.nbytes + valid.nbytes)
 
 
 def _write_track(tmp_path, text):

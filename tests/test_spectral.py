@@ -8,10 +8,10 @@ import pytest
 from facepulse import (BandLimits, HrSeries, PulseSignal, WindowSpec,
                        estimate_series)
 from facepulse.errors import EmptyBandError, InputError, SessionTooShortError
-from facepulse.spectral import (WINDOW_BLOCK, ZERO_PAD_FACTOR, _next_pow2,
-                                partition_windows, session_mean)
+from facepulse.spectral import (SPECTRUM_BLOCK_BYTES, ZERO_PAD_FACTOR,
+                                _next_pow2, partition_windows, session_mean)
 
-from _reference import ref_hr_series
+from _reference import ref_block_rows, ref_hr_series
 
 
 def _tone(freq: float, duration: float, fps: float = 30.0) -> np.ndarray:
@@ -230,8 +230,13 @@ class TestEstimateSeries:
             assert bpm == pytest.approx(expected, abs=4.0)
 
 
-@pytest.mark.parametrize("n_windows", [1, WINDOW_BLOCK - 1, WINDOW_BLOCK,
-                                       WINDOW_BLOCK + 1, 8701])
+ROWS_10S = ref_block_rows(300, SPECTRUM_BLOCK_BYTES)  # 10 s windows at 30 fps
+
+
+# 7, 8 and 9 windows fill part of one block; ROWS_10S - 1, ROWS_10S and
+# ROWS_10S + 1 are one below, at and one above a block
+@pytest.mark.parametrize("n_windows", sorted({1, 7, 8, 9, ROWS_10S - 1, ROWS_10S,
+                                              ROWS_10S + 1, 8701}))
 @pytest.mark.parametrize("hop", [1, 3, 300])
 def test_blocked_windows_match_per_window_reference(n_windows, hop):
     # 10 s windows at 30 fps are 300 samples; the hop is given in samples
@@ -246,6 +251,30 @@ def test_blocked_windows_match_per_window_reference(n_windows, hop):
     assert np.array_equal(series.window_start, starts)
     assert np.array_equal(series.window_end, ends)
     assert np.array_equal(series.bpm, bpm)
+
+
+@pytest.mark.parametrize("win, n_windows", [(300, 8701), (600, 40), (150, 3), (4500, 2)])
+def test_blocks_sized_in_bytes(monkeypatch, win, n_windows):
+    # every rfft call fills at most SPECTRUM_BLOCK_BYTES of spectrum,
+    # whatever the window length (one window when a single spectrum is
+    # larger), in ref_block_rows windows (fewer for the last block, or
+    # for fewer windows than that)
+    shapes = []
+    rfft = np.fft.rfft
+
+    def recording(a, n=None, axis=-1, norm=None, out=None):
+        shapes.append((a.shape, out.nbytes))
+        return rfft(a, n, axis, norm, out)
+
+    monkeypatch.setattr(np.fft, "rfft", recording)
+    samples = np.random.default_rng(win).normal(0, 1, win + n_windows - 1)
+    estimate_series(PulseSignal(30.0, samples), WindowSpec(win / 30.0, 1 / 30.0))
+    rows = min(ref_block_rows(win, SPECTRUM_BLOCK_BYTES), n_windows)
+    # worker threads may interleave their calls
+    assert sorted((s[0] for s, _ in shapes), reverse=True) == (
+        [rows] * (n_windows // rows) + ([n_windows % rows] if n_windows % rows else []))
+    assert all(s[1] == win for s, _ in shapes)
+    assert all(nbytes <= max(SPECTRUM_BLOCK_BYTES, nbytes // s[0]) for s, nbytes in shapes)
 
 
 class TestSessionMean:
