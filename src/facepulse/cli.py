@@ -181,9 +181,11 @@ def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
                      metavar="LO:HI",
                      help=f"pulse band in Hz (default {DEFAULT_BAND.f_lo:g}:"
                           f"{DEFAULT_BAND.f_hi:g})")
-    sub.add_argument("--combine", choices=COMBINE_METHODS, default=None,
-                     help="channel combination (default: chrom for rgb8, "
-                          "intensity for gray8)")
+    sub.add_argument("--combine", choices=COMBINE_METHODS,
+                     default=PipelineParams.combine,
+                     help="rgb8 channel combination (default %(default)s); green "
+                          "reads G only, and gray8 passes its one channel "
+                          "through under every method")
 
 
 def build_parser() -> argparse.ArgumentParser:

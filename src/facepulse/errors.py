@@ -62,6 +62,10 @@ class SignalTooShortError(ProcessingError):
     pass
 
 
+class FlatSignalError(ProcessingError):
+    """The fused pulse signal is zero throughout: no pulse to estimate."""
+
+
 # windowed spectral estimation
 class SessionTooShortError(ProcessingError):
     pass

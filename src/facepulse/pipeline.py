@@ -21,10 +21,10 @@ from .roi import load_box_track
 @dataclass(frozen=True)
 class PipelineParams:
     band: BandLimits = DEFAULT_BAND
-    combine: str | None = None  # None: chrom for rgb8, intensity for gray8
+    combine: str = "chrom"  # a gray8 session's one channel is read by every method
 
     def __post_init__(self):
-        if self.combine not in (None, *COMBINE_METHODS):
+        if self.combine not in COMBINE_METHODS:
             raise InputError(f"unknown combine method {self.combine!r}; "
                              f"use one of {COMBINE_METHODS}")
 
@@ -41,6 +41,4 @@ def build_session_signal(manifest_path: str | os.PathLike,
             "be placed")
     boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
     trace = extract_traces(map_frames(manifest), boxes, manifest.fps)
-    method = params.combine if params.combine is not None else \
-        "chrom" if manifest.pixel_format == "rgb8" else "intensity"
-    return manifest, build_pulse_signal(trace, params.band, method)
+    return manifest, build_pulse_signal(trace, params.band, params.combine)

@@ -11,13 +11,14 @@ time on the last axis: a trace is (regions, channels, frames).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AllFramesInvalidError,
+    FlatSignalError,
     InputError,
     NonPositiveMeanError,
     SignalTooShortError,
@@ -26,7 +27,9 @@ from .errors import (
 from .parallel import run_spans
 from .roi import place_regions
 
-COMBINE_METHODS = ("green", "intensity", "chrom")
+# the rgb8 channels (R, G, B) each combine method reads; gray8's one is read by all
+COMBINE_CHANNELS = {"green": slice(1, 2), "intensity": slice(0, 3), "chrom": slice(0, 3)}
+COMBINE_METHODS = tuple(COMBINE_CHANNELS)
 
 # frames per sliced reduction call, per worker: bounds each worker's
 # uint32 row-sum intermediate to REDUCE_BLOCK_FRAMES x region width x bpp
@@ -90,23 +93,13 @@ DEFAULT_BAND = BandLimits()
 
 @dataclass
 class RawTrace:
-    """Per-frame spatial means, shape (3 regions, C channels, n_frames);
-    C is 3 for rgb8 and 1 for gray8."""
+    """Per-frame spatial means, float64 (3 regions, C channels, n_frames)
+    with C 3 for rgb8 and 1 for gray8, and the mask of frames whose
+    regions were placed (the others are interpolated)."""
 
     fps: float
     values: np.ndarray
-    valid: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3 or self.values.shape[0] != 3 or \
-                self.values.shape[1] not in (1, 3):
-            raise InputError(
-                f"trace must have shape (3, 1 or 3, n), got {self.values.shape}")
-        if self.valid is None:
-            self.valid = np.ones(len(self), dtype=bool)
-        else:
-            self.valid = np.asarray(self.valid, dtype=bool)
+    valid: np.ndarray
 
     def __len__(self) -> int:
         return self.values.shape[-1]
@@ -202,8 +195,6 @@ def _gather_means(frames: np.ndarray, rects: np.ndarray, idx: np.ndarray,
 def normalize_segment(segment: np.ndarray) -> np.ndarray:
     """Divide by the segment mean and subtract one: zero-mean, scale-free."""
     segment = np.asarray(segment, dtype=np.float64)
-    if len(segment) < 2:
-        raise SignalTooShortError(f"segment of {len(segment)} samples; need at least 2")
     mean = segment.mean()
     if mean <= 0:
         raise NonPositiveMeanError(f"segment mean {mean} is not positive")
@@ -270,21 +261,13 @@ def bandpass(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def combine_channels(x: np.ndarray, method: str = "chrom") -> np.ndarray:
-    """Collapse conditioned (regions, C, n) channel series to (regions, n).
+    """Collapse conditioned (regions, 3, n) R, G, B series to (regions, n).
 
-    method is one of COMBINE_METHODS, which PipelineParams checks.
-    A single channel (C == 1) passes through for every method.  For
-    C == 3 (R, G, B): green picks G, intensity averages the three, chrom
-    projects onto the X - (std X / std Y) * Y chrominance axis with
-    X = 3R - 2G and Y = 1.5R + G - 1.5B.  A region whose Y has zero
-    variance or whose projection collapses (replicated channels) gets
-    intensity instead.
+    intensity averages the three channels; chrom projects onto the
+    X - (std X / std Y) * Y chrominance axis with X = 3R - 2G and
+    Y = 1.5R + G - 1.5B.  A region whose Y has zero variance or whose
+    projection collapses (replicated channels) gets intensity instead.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] == 1:
-        return x[:, 0].copy()
-    if method == "green":
-        return x[:, 1].copy()
     intensity = x.mean(axis=1)
     if method == "intensity":
         return intensity
@@ -302,14 +285,23 @@ def build_pulse_signal(trace: RawTrace, band: BandLimits = DEFAULT_BAND,
                        method: str = "chrom") -> PulseSignal:
     """Full conditioning chain for one session trace.
 
-    Each region/channel row is normalised, detrended and bandpassed on
-    its own, the channels of each region are combined, and the region
-    signals are fused by their mean, which is then made zero-mean.
+    Each region/channel row the method reads (COMBINE_CHANNELS of rgb8,
+    gray8's one channel) is normalised, detrended and bandpassed on its
+    own.  One channel per region is the region signal; three are combined
+    by combine_channels.  The regions are fused by their mean, which is
+    then made zero-mean; a fused signal that is zero throughout, as
+    frames whose read channels never change leave it, raises
+    FlatSignalError.
     """
-    rows = trace.values.reshape(-1, len(trace))
+    values = trace.values
+    if values.shape[1] == 3:
+        values = values[:, COMBINE_CHANNELS[method]]  # a view: no copy
     taps = design_bandpass_taps(trace.fps, len(trace), band)
-    conditioned = np.empty_like(rows)
-    for row, out in zip(rows, conditioned):
-        out[:] = bandpass(detrend(normalize_segment(row), trace.fps), taps)
-    fused = combine_channels(conditioned.reshape(trace.values.shape), method).mean(axis=0)
+    conditioned = np.empty(values.shape)
+    for idx in np.ndindex(values.shape[:2]):
+        conditioned[idx] = bandpass(detrend(normalize_segment(values[idx]), trace.fps), taps)
+    regions = conditioned[:, 0] if values.shape[1] == 1 else combine_channels(conditioned, method)
+    fused = regions.mean(axis=0)
+    if not fused.any():
+        raise FlatSignalError("the fused pulse signal is zero: the channels read never change")
     return PulseSignal(fps=trace.fps, samples=fused - fused.mean())

@@ -70,7 +70,6 @@ class HrSeries:
     window_start: np.ndarray
     window_end: np.ndarray
     bpm: np.ndarray
-    window_spec: WindowSpec
 
     def __len__(self) -> int:
         return len(self.bpm)
@@ -177,8 +176,7 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec,
     f_peak = freqs[lo + 1 + peak_bin] + np.clip(shift, -0.5, 0.5) * (freqs[1] - freqs[0])
     bpm = np.clip(60.0 * f_peak, band.bpm_lo, band.bpm_hi)
     return HrSeries(window_start=bounds[:, 0] / signal.fps,
-                    window_end=bounds[:, 1] / signal.fps,
-                    bpm=bpm, window_spec=spec)
+                    window_end=bounds[:, 1] / signal.fps, bpm=bpm)
 
 
 def session_mean(series: HrSeries) -> float:

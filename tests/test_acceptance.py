@@ -146,7 +146,7 @@ def test_a5_metric_oracle(check):
         est = rng.uniform(45.0, 210.0, n_win)
         starts = np.arange(n_win) * length
         series = HrSeries(window_start=starts, window_end=starts + length,
-                          bpm=est, window_spec=WindowSpec(length))
+                          bpm=est)
         times, bpm = [], []
         for i in range(n_win):
             k = int(rng.integers(1, 4))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from facepulse.cli import main
@@ -218,6 +219,50 @@ class TestEvaluateCommand:
         assert [s["session"] for s in payload["skipped"]] == ["bad", "short"]
         assert all(set(s) == {"session", "window_s", "error"}
                    for s in payload["skipped"])
+
+
+def _short_session(out, *flags):
+    """A 20 s 16x16 session rendered by the synth command."""
+    assert main(["synth", "--out", str(out), "--duration", "20",
+                 "--width", "16", "--height", "16", *flags]) == 0
+    return out
+
+
+class TestPixelContent:
+    def test_zero_blue_channel(self, tmp_path, capsys):
+        # green reads G alone; chrom and intensity read the zero B plane
+        session = _short_session(tmp_path / "s", "--base-color", "170,120,0")
+        pixels = np.fromfile(session / "frames.raw", dtype=np.uint8).reshape(-1, 3)
+        assert not pixels[:, 2].any() and pixels[:, :2].all()
+        out = tmp_path / "green"
+        assert main(["estimate", str(session), "--out", str(out),
+                     "--combine", "green"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["session_mean_bpm"] == pytest.approx(72.0, abs=0.5)
+        capsys.readouterr()
+        for method in ("chrom", "intensity"):
+            rc = main(["estimate", str(session), "--out", str(tmp_path / method),
+                       "--combine", method])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "NonPositiveMeanError" in err
+
+    @pytest.mark.parametrize("level", [128, 255])
+    @pytest.mark.parametrize("mono", [False, True], ids=["rgb8", "gray8"])
+    def test_constant_frames_have_no_pulse(self, tmp_path, capsys, mono, level):
+        session = _short_session(tmp_path / "s", *(["--mono"] if mono else []))
+        raw = session / "frames.raw"
+        raw.write_bytes(bytes([level]) * raw.stat().st_size)
+        out = tmp_path / "est"
+        assert main(["estimate", str(session), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "FlatSignalError" in err
+        assert not out.exists()
+        rep = tmp_path / "rep"
+        assert main(["evaluate", str(session), "--out", str(rep)]) == 2
+        skipped = json.loads((rep / "report.json").read_text())["skipped"]
+        assert [(s["window_s"], s["error"].split(":")[0]) for s in skipped] == [
+            (None, "FlatSignalError")]
 
 
 class TestSweepCommand:

@@ -1,8 +1,9 @@
-"""CLI robustness: mutated sidecar files and out-of-range numbers.
+"""CLI robustness: mutated sidecar files, edited pixels and out-of-range
+numbers.
 
-Whatever the sidecars or the numeric flags hold, `main()` returns 0, 1 or
-2 and prints at most one `error:` line, and no number it writes is NaN or
-infinite.  Skip notes (`#` lines of a report CSV, `error` strings of a
+Whatever the sidecars, the frames or the numeric flags hold, `main()`
+returns 0, 1 or 2 and prints at most one `error:` line, and no number it
+writes is NaN or infinite.  Skip notes (`#` lines of a report CSV, `error` strings of a
 report JSON) quote the offending input on purpose, so only the numbers
 are checked there.
 """
@@ -17,11 +18,13 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facepulse.cli import main
+from facepulse.pulse import COMBINE_METHODS
 
 SIDECARS = ("session.json", "boxes.csv", "groundtruth.csv")
 MANIFEST_KEYS = ("width", "height", "fps", "pixel_format", "frame_count",
@@ -94,10 +97,10 @@ def _error_lines(err: str) -> int:
     return sum(line.startswith("error:") for line in err.splitlines())
 
 
-def _check_session(session: Path, out: Path) -> None:
+def _check_session(session: Path, out: Path, *flags: str) -> None:
     for command in ("estimate", "evaluate"):
         rc, err = _run([command, str(session), "--out", str(out / command),
-                        "--window", "5"])
+                        "--window", "5", *flags])
         assert rc in (0, 1, 2)
         assert _error_lines(err) == (rc != 0)
         _assert_finite_outputs(out / command)
@@ -157,6 +160,67 @@ def test_mutated_sidecars(base, mutations):
         for mutation in mutations:
             _apply(session, mutation)
         _check_session(session, Path(tmp) / "out")
+
+
+@pytest.fixture(scope="module")
+def pixel_bases(tmp_path_factory) -> dict[str, Path]:
+    """16x16 rgb8 and gray8 sessions like `base`, whose frames the pixel
+    fuzz edits."""
+    root = tmp_path_factory.mktemp("pixels")
+    for fmt, flags in (("rgb8", []), ("gray8", ["--mono"])):
+        assert main(["synth", "--out", str(root / fmt), "--duration", "12",
+                     "--fps", "10", "--width", "16", "--height", "16",
+                     *flags]) == 0
+    return {fmt: root / fmt for fmt in ("rgb8", "gray8")}
+
+
+def _edit_pixels(frames: np.ndarray, edit: tuple) -> None:
+    """Apply one pixel edit in place to (n, height, width, channels) frames."""
+    kind, *args = edit
+    if kind == "constant":  # every pixel of every frame at one level
+        frames[...] = args[0]
+    elif kind == "saturate":  # a stretch of frames at full scale
+        start, length = args
+        frames[start:start + length] = 255
+    elif kind == "zero_channel":
+        frames[..., args[0] % frames.shape[-1]] = 0
+    elif kind == "constant_region":  # one rectangle at one level throughout
+        x, y, w, h, level = args
+        frames[:, y:y + h, x:x + w] = level
+    else:  # a frozen stretch: one frame repeated
+        start, length = args
+        frames[start:start + length] = frames[start]
+
+
+_pixel_edit = st.one_of(
+    st.tuples(st.just("constant"), st.integers(0, 255)),
+    st.tuples(st.just("saturate"), st.integers(0, 119), st.integers(1, 120)),
+    st.tuples(st.just("zero_channel"), st.integers(0, 2)),
+    st.tuples(st.just("constant_region"), st.integers(0, 15), st.integers(0, 15),
+              st.integers(1, 16), st.integers(1, 16), st.integers(0, 255)),
+    st.tuples(st.just("frozen"), st.integers(0, 119), st.integers(2, 120)),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(fmt=st.sampled_from(["rgb8", "gray8"]), method=st.sampled_from(COMBINE_METHODS),
+       edits=st.lists(_pixel_edit, min_size=1, max_size=2))
+@example(fmt="rgb8", method="chrom", edits=[("constant", 128)])
+@example(fmt="gray8", method="chrom", edits=[("constant", 255)])
+@example(fmt="rgb8", method="green", edits=[("zero_channel", 2)])
+@example(fmt="rgb8", method="intensity", edits=[("zero_channel", 0)])
+@example(fmt="rgb8", method="chrom", edits=[("constant_region", 0, 0, 16, 8, 90)])
+@example(fmt="gray8", method="intensity", edits=[("frozen", 20, 60)])
+def test_edited_pixels(pixel_bases, fmt, method, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        session = Path(tmp) / "s"
+        shutil.copytree(pixel_bases[fmt], session)
+        raw = session / "frames.raw"
+        frames = np.fromfile(raw, dtype=np.uint8).reshape(120, 16, 16, -1)
+        for edit in edits:
+            _edit_pixels(frames, edit)
+        frames.tofile(raw)
+        _check_session(session, Path(tmp) / "out", "--combine", method)
 
 
 # argv with {s} for the session, {base} for an unmutated one, {long}

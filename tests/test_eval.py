@@ -6,10 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from facepulse import (ConstantProfile, GroundTruth, HrSeries,
-                       SynthConfig, WindowSpec, evaluate_sessions,
-                       load_groundtruth, render_session, write_report_csv,
-                       write_report_json)
+from facepulse import (ConstantProfile, GroundTruth, HrSeries, SynthConfig,
+                       evaluate_sessions, load_groundtruth, render_session,
+                       write_report_csv, write_report_json)
 from facepulse.errors import (EmptyInputError, EmptyWindowGtError, InputError,
                               MissingFileError)
 from facepulse.evaluate import (MONITORING_PROTOCOL_LENGTHS,
@@ -25,8 +24,7 @@ from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
 def _series(bpms, length=10.0):
     starts = np.arange(len(bpms)) * length
     return HrSeries(window_start=starts, window_end=starts + length,
-                    bpm=np.asarray(bpms, dtype=np.float64),
-                    window_spec=WindowSpec(length))
+                    bpm=np.asarray(bpms, dtype=np.float64))
 
 
 def _intervals(series):

@@ -4,6 +4,7 @@ An AST pass stands in for a linter: every imported name must be used,
 and the package's public ``__all__`` must resolve without duplicates.
 Every public name is documented in the README's Library section, whose
 code example is run, and every `module.name` the README quotes exists.
+A CLI default that a library dataclass also holds has one definition.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import facepulse
+from facepulse.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "facepulse").glob("*.py")) + \
@@ -65,6 +67,14 @@ def test_package_all_resolves():
     names = facepulse.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(facepulse, n)] == []
+
+
+@pytest.mark.parametrize("argv", [["estimate", "s"], ["evaluate", "s"], ["sweep", "s"]],
+                         ids=lambda argv: argv[0])
+def test_combine_default_has_one_definition(argv):
+    """--combine falls back to the PipelineParams default, not a copy of it."""
+    args = build_parser().parse_args(argv + ["--out", "out"])
+    assert args.combine == facepulse.PipelineParams().combine
 
 
 def _library_section() -> str:

@@ -7,14 +7,14 @@ import pytest
 
 from facepulse import BandLimits, DEFAULT_BAND, PipelineParams
 from facepulse import pulse, roi
-from facepulse.errors import (AllFramesInvalidError, InputError,
+from facepulse.errors import (AllFramesInvalidError, FlatSignalError, InputError,
                               NonPositiveMeanError, SignalTooShortError,
                               WindowTooShortError)
 from facepulse.frameio import map_frames, open_session
-from facepulse.pulse import (DETREND_WINDOW_S, REDUCE_BLOCK_FRAMES, RawTrace,
-                             bandpass, build_pulse_signal, combine_channels,
-                             design_bandpass_taps, detrend, extract_traces,
-                             normalize_segment)
+from facepulse.pulse import (COMBINE_METHODS, DETREND_WINDOW_S, REDUCE_BLOCK_FRAMES,
+                             RawTrace, bandpass, build_pulse_signal,
+                             combine_channels, design_bandpass_taps, detrend,
+                             extract_traces, normalize_segment)
 from facepulse.roi import load_box_track, place_regions
 
 from _reference import ref_combine_region, ref_roi_means
@@ -72,6 +72,14 @@ class TestSpatialMean:
         # below MIN_ROI_AREA the frame is degenerate, and it is the only one
         with pytest.raises(AllFramesInvalidError):
             _region_mean(pixels, (0, 0, 1, 2))
+
+
+def _raw_trace(values: np.ndarray, fps: float = 30.0) -> RawTrace:
+    """A (3, C, n) trace of float64 means with every frame valid, as
+    extract_traces builds it."""
+    values = np.asarray(values, dtype=np.float64)
+    return RawTrace(fps=fps, values=values,
+                    valid=np.ones(values.shape[-1], dtype=bool))
 
 
 def _session(directory):
@@ -167,8 +175,11 @@ class TestNormalize:
     def test_errors(self):
         with pytest.raises(NonPositiveMeanError):
             normalize_segment(np.zeros(10))
-        with pytest.raises(SignalTooShortError):
-            normalize_segment(np.array([1.0]))
+        # a trace too short to normalise is shorter than the bandpass
+        # filter, which build_pulse_signal designs before any row is read
+        for n in (1, 2, 170):
+            with pytest.raises(SignalTooShortError, match=f"{n} samples shorter"):
+                build_pulse_signal(_raw_trace(np.zeros((3, 3, n))))
 
 
 class TestDetrend:
@@ -271,11 +282,14 @@ def _combine(window: np.ndarray, method: str) -> np.ndarray:
 
 class TestCombine:
     def test_green_and_intensity(self):
-        rng = np.random.default_rng(4)
-        window = rng.normal(0, 1, (50, 3))
-        assert np.array_equal(_combine(window, "green"), window[:, 1])
-        assert np.allclose(_combine(window, "intensity"),
-                           window.mean(axis=1), atol=1e-15)
+        # green is the conditioned G row of each region, intensity the
+        # mean of the three conditioned rows
+        trace = _raw_trace(np.random.default_rng(4).uniform(90, 110, (3, 3, 300)))
+        green = build_pulse_signal(trace, method="green")
+        assert np.array_equal(green.samples, _expected(trace.values, "green"))
+        intensity = build_pulse_signal(trace, method="intensity")
+        assert np.allclose(intensity.samples, _expected(trace.values, "intensity"),
+                           rtol=0, atol=1e-15)
 
     def test_chrom_algebra_oracle(self):
         # with R, G, B modulated at 0.5x, 1x, 0.3x of a common pulse,
@@ -303,15 +317,27 @@ class TestCombine:
         assert np.array_equal(_combine(np.zeros((50, 3)), "chrom"), np.zeros(50))
 
     def test_green_selector_passthrough(self):
-        t = np.arange(200) / 30.0
-        g = 0.05 * np.sin(2 * np.pi * 1.0 * t)
-        window = np.column_stack([np.zeros_like(g), g, np.zeros_like(g)])
-        assert np.array_equal(_combine(window, "green"), g)
+        # green reads G alone, so zero R and B channels are never
+        # normalised; chrom and intensity read them and fail
+        t = np.arange(300) / 30.0
+        g = 100.0 * (1.0 + 0.05 * np.sin(2 * np.pi * 1.0 * t))
+        values = np.zeros((3, 3, 300))
+        values[:, 1] = g
+        trace = _raw_trace(values)
+        direct = np.mean([_chain(g)] * 3, axis=0)
+        assert np.array_equal(build_pulse_signal(trace, method="green").samples,
+                              direct - direct.mean())
+        for method in ("intensity", "chrom"):
+            with pytest.raises(NonPositiveMeanError):
+                build_pulse_signal(trace, method=method)
 
     def test_single_channel_passes_through(self):
-        g = np.random.default_rng(7).normal(0, 1, (3, 1, 40))
+        # each region's one conditioned row is its signal, whatever the method
+        trace = _raw_trace(np.random.default_rng(7).normal(100, 1, (3, 1, 300)))
+        direct = np.mean([_chain(row) for row in trace.values[:, 0]], axis=0)
         for method in ("green", "intensity", "chrom"):
-            assert np.array_equal(combine_channels(g, method), g[:, 0])
+            assert np.array_equal(build_pulse_signal(trace, method=method).samples,
+                                  direct - direct.mean())
 
     def test_unknown_method(self):
         with pytest.raises(InputError):
@@ -324,9 +350,19 @@ def _chain(row: np.ndarray, fps: float = 30.0) -> np.ndarray:
     return bandpass(detrend(normalize_segment(row), fps), taps)
 
 
+def _expected(values: np.ndarray, method: str) -> np.ndarray:
+    """The pulse signal of a (3, 3, n) trace from the reference combine:
+    every row conditioned by _chain, each region combined by
+    ref_combine_region, the regions averaged and made zero-mean."""
+    conditioned = [[_chain(row) for row in region] for region in values]
+    fused = np.mean([ref_combine_region(np.array(c), method) for c in conditioned],
+                    axis=0)
+    return fused - fused.mean()
+
+
 def _mono_trace(*regions: np.ndarray) -> RawTrace:
     """One-channel trace with the given per-region series."""
-    return RawTrace(fps=30.0, values=np.stack(regions)[:, None, :])
+    return _raw_trace(np.stack(regions)[:, None, :])
 
 
 class TestFuse:
@@ -372,7 +408,7 @@ class TestBuildPulseSignal:
             for c in range(3):
                 values[r, c] = bases[c] * roi_gain * (
                     1.0 + 0.02 * depths[c] * pulse)
-        return RawTrace(fps=fps, values=values)
+        return _raw_trace(values, fps)
 
     def test_zero_mean_invariant(self):
         signal = build_pulse_signal(self._trace())
@@ -399,9 +435,12 @@ class TestBuildPulseSignal:
         for r in (0, 2):
             assert not np.allclose(chrom[r], intensity[r])
             assert np.array_equal(chrom[r], ref_combine_region(conditioned[r], "chrom"))
-        for method in ("green", "intensity", "chrom"):
+        for method in ("intensity", "chrom"):
             expected = [ref_combine_region(region, method) for region in conditioned]
             assert np.array_equal(combine_channels(conditioned, method), expected)
+        for method in ("green", "chrom"):
+            assert np.array_equal(build_pulse_signal(trace, method=method).samples,
+                                  _expected(trace.values, method))
 
     def test_mono_replication_equivalence(self):
         # a one-channel (gray8) trace must equal its plane pushed through
@@ -409,8 +448,49 @@ class TestBuildPulseSignal:
         gray = self._trace().values[:, 1:2]
         direct = np.mean([_chain(gray[r, 0]) for r in range(3)], axis=0)
         for method in ("green", "intensity", "chrom"):
-            via_pipeline = build_pulse_signal(RawTrace(30.0, gray), method=method)
+            via_pipeline = build_pulse_signal(_raw_trace(gray), method=method)
             assert np.array_equal(via_pipeline.samples, direct - direct.mean())
+
+    @pytest.mark.parametrize("channels, method, calls", [
+        (3, "green", 3), (3, "intensity", 9), (3, "chrom", 9),
+        (1, "green", 3), (1, "intensity", 3), (1, "chrom", 3)])
+    def test_conditions_only_read_channels(self, monkeypatch, channels, method, calls):
+        # each row is normalised once, read in place from the trace
+        values = self._trace().values
+        trace = _raw_trace(values if channels == 3 else values[:, 1:2])
+        rows = []
+
+        def counting(segment):
+            rows.append(segment)
+            return normalize_segment(segment)
+
+        monkeypatch.setattr(pulse, "normalize_segment", counting)
+        build_pulse_signal(trace, method=method)
+        assert len(rows) == calls
+        assert all(np.shares_memory(row, values) for row in rows)
+        if calls == 3:
+            assert [row.tolist() for row in rows] == values[:, 1].tolist()
+
+
+class TestFlatSignal:
+    @pytest.mark.parametrize("channels", [3, 1])
+    @pytest.mark.parametrize("level", [128.0, 255.0])
+    def test_constant_trace(self, channels, level):
+        # every read row normalises to exactly zero, so the fused signal
+        # is zero and no window has a peak to find
+        trace = _raw_trace(np.full((3, channels, 300), level))
+        for method in COMBINE_METHODS:
+            with pytest.raises(FlatSignalError, match="signal is zero"):
+                build_pulse_signal(trace, method=method)
+
+    def test_only_the_read_channels_count(self):
+        # a flat G channel leaves green without a pulse, not chrom
+        values = np.random.default_rng(11).uniform(90, 110, (3, 3, 300))
+        values[:, 1] = 120.0
+        trace = _raw_trace(values)
+        with pytest.raises(FlatSignalError):
+            build_pulse_signal(trace, method="green")
+        assert build_pulse_signal(trace, method="chrom").samples.any()
 
 
 class TestPixelScaleInvariance:

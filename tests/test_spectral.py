@@ -281,6 +281,5 @@ class TestSessionMean:
     def test_exact_mean(self):
         series = HrSeries(window_start=np.array([0.0, 10.0, 20.0]),
                           window_end=np.array([10.0, 20.0, 30.0]),
-                          bpm=np.array([70.0, 74.0, 75.0]),
-                          window_spec=WindowSpec(10.0))
+                          bpm=np.array([70.0, 74.0, 75.0]))
         assert session_mean(series) == 73.0
