@@ -108,11 +108,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     bounds = [f"{s:g},{e:g}" for s, e in zip(series.window_start.tolist(),
                                              series.window_end.tolist())]
-    bpm = series.bpm.tolist()
-    lines = ["window_start_s,window_end_s,bpm"]
-    lines += [f"{w},{b:.6f}" for w, b in zip(bounds, bpm)]
-    (out / "estimates.csv").write_text("\n".join(lines) + "\n")
-    del lines  # freed before the compare rows are built
+    # each bpm is formatted once for both files, and rows are streamed,
+    # not joined: at a 1-frame hop a row list and a file-sized string
+    # would raise the op's heap peak
+    bpm = [f"{b:.6f}" for b in series.bpm.tolist()]
+    with open(out / "estimates.csv", "w") as fh:
+        fh.write("window_start_s,window_end_s,bpm\n")
+        fh.writelines(f"{w},{b}\n" for w, b in zip(bounds, bpm))
 
     mean_bpm = session_mean(series)
     summary = {
@@ -129,10 +131,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         except FacePulseError as exc:
             print(f"note: skipping compare.csv: {exc}", file=sys.stderr)
         else:
-            rows = ["window_start_s,window_end_s,gt_bpm,est_bpm"]
-            rows += [f"{w},{g:.6f},{b:.6f}"
-                     for w, g, b in zip(bounds, aligned.tolist(), bpm)]
-            (out / "compare.csv").write_text("\n".join(rows) + "\n")
+            with open(out / "compare.csv", "w") as fh:
+                fh.write("window_start_s,window_end_s,gt_bpm,est_bpm\n")
+                fh.writelines(f"{w},{g:.6f},{b}\n"
+                              for w, g, b in zip(bounds, aligned.tolist(), bpm))
 
     print(f"session mean {mean_bpm:.2f} bpm over {len(series)} "
           f"windows of {args.window:g} s")

@@ -32,11 +32,12 @@ COMBINE_CHANNELS = {"green": slice(1, 2), "intensity": slice(0, 3), "chrom": sli
 COMBINE_METHODS = tuple(COMBINE_CHANNELS)
 
 # frames per sliced reduction call, per worker: bounds each worker's
-# uint32 row-sum intermediate to REDUCE_BLOCK_FRAMES x region width x bpp
+# uint16 row-sum intermediate to REDUCE_BLOCK_FRAMES x region width x bpp
 # values.  16 for the heap: on 900 640x480 rgb8 frames with a static box,
-# one thread at 64 peaks at 0.34 MB (tracemalloc, extract_traces alone); 2
-# workers at 64, 32 and 16 peak at 0.35-0.53, 0.39 and 0.31 MB, in about
-# the same time (0.038-0.040 s against 0.054 s on one thread)
+# one thread at 64, 32 and 16 peaks at 0.25, 0.21 and 0.19 MB
+# (tracemalloc, extract_traces alone) and 2 workers at 0.35, 0.28 and
+# 0.24 MB, in about the same time at each size (medians 0.026-0.030 s on
+# 2 workers, 0.044-0.048 s on one thread; 2-core x86-64 VM)
 REDUCE_BLOCK_FRAMES = 16
 
 # the frames are split across worker threads only when the reduction
@@ -49,13 +50,18 @@ SPLIT_MIN_CALL_BYTES = 64 * 1024
 # ROI bytes per gather of frames from short runs.  Capped for the heap: on
 # the 8487 gathered frames of a 64x64 rgb8 session whose box moves (9000
 # frames), one gather per region and size raises extract_traces' own
-# tracemalloc peak to 6.70 MB; at 16, 64 and 256 KiB it is 2.29, 2.34
-# and 2.60 MB, and 64 KiB takes 0.049-0.055 s
-# against 0.057-0.062 s at 16 KiB (2-core x86-64 VM).  A run whose frames
-# hold GATHER_BYTES or more of regions is sliced instead: gathered one
-# frame at a time, a 1280x720 rgb8 box that moves every frame took
-# 1.05-1.25x the sliced time
+# tracemalloc peak to 5.79 MB; at 16, 64 and 256 KiB it is 2.27, 2.27
+# and 2.39 MB, and 16 and 64 KiB take about the same time (0.031-0.052
+# and 0.031-0.042 s; 2-core x86-64 VM).  A run whose frames hold
+# GATHER_BYTES or more of regions is sliced instead: gathered one frame
+# at a time, a 1280x720 rgb8 box that moves every frame took 1.05-1.25x
+# the sliced time
 GATHER_BYTES = 64 * 1024
+
+# rows per uint16 partial sum: 257 rows of 255 fit in 16 bits exactly.
+# Summed through uint16, 16-frame 200x180 rgb8 patches took 0.44x the
+# uint32 time (2-core x86-64 VM)
+_U16_ROWS = np.iinfo(np.uint16).max // 255
 
 DETREND_WINDOW_S = 1.5
 
@@ -148,9 +154,8 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
         for a, b in zip(a_cut[inside].tolist(), b_cut[inside].tolist()):
             for r, (x, y, w, h) in enumerate(rects[a].tolist()):
                 for f in range(a, b, REDUCE_BLOCK_FRAMES):
-                    patch = frames[f:min(f + REDUCE_BLOCK_FRAMES, b), y:y + h, x:x + w]
-                    # exact integer sums: a uint32 column holds 2**24 rows of 255
-                    sums = patch.sum(axis=1, dtype=np.uint32).sum(axis=1, dtype=np.uint64)
+                    sums = _patch_sums(frames[f:min(f + REDUCE_BLOCK_FRAMES, b),
+                                              y:y + h, x:x + w])
                     values[r, :, f:f + len(sums)] = (sums / (w * h)).T
 
     if run_lo.size:
@@ -170,6 +175,14 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
     return RawTrace(fps=fps, values=values, valid=valid)
 
 
+def _patch_sums(patch: np.ndarray) -> np.ndarray:
+    """Exact (k, bpp) uint64 sums of a (k, h, w, bpp) uint8 patch: uint16
+    sums of at most _U16_ROWS rows at a time, then uint64 sums over the
+    width and the row chunks."""
+    return sum(np.add.reduce(patch[:, y:y + _U16_ROWS], axis=1, dtype=np.uint16)
+               .sum(axis=1, dtype=np.uint64) for y in range(0, patch.shape[1], _U16_ROWS))
+
+
 def _gather_means(frames: np.ndarray, rects: np.ndarray, idx: np.ndarray,
                   values: np.ndarray) -> None:
     """Write the region means of frames idx into values[..., idx]: one
@@ -187,8 +200,7 @@ def _gather_means(frames: np.ndarray, rects: np.ndarray, idx: np.ndarray,
             step = max(1, GATHER_BYTES // (bpp * gw * gh))
             for s in range(0, len(group), step):
                 g = group[s:s + step]
-                patch = windows[idx[g], y[g], x[g]]
-                sums = patch.sum(axis=1, dtype=np.uint32).sum(axis=1, dtype=np.uint64)
+                sums = _patch_sums(windows[idx[g], y[g], x[g]])
                 values[r][:, idx[g]] = (sums / (gw * gh)).T
 
 

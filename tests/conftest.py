@@ -55,3 +55,22 @@ def mixed_runs() -> tuple[np.ndarray, np.ndarray, list[int]]:
     frames = np.random.default_rng(23).integers(0, 256, (len(boxes), 24, 32, 3),
                                                 dtype=np.uint8)
     return frames, boxes, [k for k, _ in runs]
+
+
+@pytest.fixture(scope="session")
+def tall_gray() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2 * REDUCE_BLOCK_FRAMES + 3 random 20x1400 gray8 frames of
+    240-255, a static and a moving box track.
+
+    The static box covers the frame, so its cheek regions are 280 rows
+    tall; the moving box shifts down one row a frame with cheeks 276
+    rows tall.  Either way a cheek column sums to over 65535, which a
+    uint16 sum of more than 257 rows would wrap.
+    """
+    n = 2 * REDUCE_BLOCK_FRAMES + 3
+    frames = np.random.default_rng(24).integers(240, 256, (n, 1400, 20, 1),
+                                                dtype=np.uint8)
+    static = np.tile([0.0, 0.0, 20.0, 1400.0], (n, 1))
+    moving = np.tile([0.0, 0.0, 20.0, 1380.0], (n, 1))
+    moving[:, 1] = np.arange(n)
+    return frames, static, moving

@@ -90,7 +90,11 @@ class TestEstimateCommand:
         rc = main(["estimate", str(cli_session), "--out", str(out),
                    "--window", "10", "--hop", "2"])
         assert rc == 0
-        assert len(_lines(out / "estimates.csv")) == 27  # header + 26 windows
+        estimates = [r.split(",") for r in _lines(out / "estimates.csv")[1:]]
+        assert len(estimates) == 26
+        # compare.csv repeats each window's bounds and bpm string
+        compare = [r.split(",") for r in _lines(out / "compare.csv")[1:]]
+        assert [c[:2] + c[3:] for c in compare] == estimates
 
     def test_manifest_path_accepted(self, cli_session, tmp_path):
         rc = main(["estimate", str(cli_session / "session.json"),

@@ -137,6 +137,12 @@ class TestExtractTracesSplit:
         self._assert_split_invariant(monkeypatch, frames, boxes)
         self._assert_split_invariant(monkeypatch, frames[..., 1:2].copy(), boxes)
 
+    def test_tall_regions(self, monkeypatch, tall_gray):
+        # cheek regions over 257 rows are summed in two uint16 chunks
+        # in every span
+        frames, static, _ = tall_gray
+        self._assert_split_invariant(monkeypatch, frames, static)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_frames_than_workers(self, monkeypatch, n):
         frames = np.random.default_rng(n).integers(0, 256, (n, 20, 20, 3),

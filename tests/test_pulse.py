@@ -160,6 +160,43 @@ class TestExtractTraces:
         self._assert_matches_reference(frames, boxes)
         self._assert_matches_reference(frames[..., 1:2].copy(), boxes)
 
+    @pytest.mark.parametrize("track, calls", [(1, 9), (2, 4)], ids=["static", "moving"])
+    def test_tall_regions_match_reference(self, monkeypatch, tall_gray, track, calls):
+        # 35 frames of 240-255 with cheek regions over 257 rows: the
+        # static box is sliced in 3 blocks per region, the moving one
+        # gathered in one call per cheek and two for the forehead (2070
+        # bytes a frame); both paths sum through _patch_sums
+        heights = []
+        patch_sums = pulse._patch_sums
+
+        def counting(patch):
+            heights.append(patch.shape[1])
+            return patch_sums(patch)
+
+        monkeypatch.setattr(pulse, "_patch_sums", counting)
+        self._assert_matches_reference(tall_gray[0], tall_gray[track])
+        assert len(heights) == calls and max(heights) > 257
+
+
+class TestPatchSums:
+    @pytest.mark.parametrize("rows", [256, 257, 258, 515, 600])
+    @pytest.mark.parametrize("bpp", [3, 1])
+    @pytest.mark.parametrize("fill", ["max", "random"])
+    def test_exact_at_chunk_edges(self, rows, bpp, fill):
+        # 257 rows of 255 fill a uint16 exactly: one more row wraps an
+        # unchunked uint16 sum, and the chunked one stays exact
+        shape = (2, rows, 5, bpp)
+        if fill == "max":
+            patch = np.full(shape, 255, dtype=np.uint8)
+        else:
+            patch = np.random.default_rng(rows).integers(0, 256, shape, dtype=np.uint8)
+        exact = patch.sum(axis=(1, 2), dtype=np.int64)
+        sums = pulse._patch_sums(patch)
+        assert sums.dtype == np.uint64 and sums.tolist() == exact.tolist()
+        if fill == "max":
+            unchunked = patch.sum(axis=1, dtype=np.uint16).sum(axis=1, dtype=np.int64)
+            assert np.array_equal(unchunked, exact) == (rows <= 257)
+
 
 class TestNormalize:
     def test_formula(self):
