@@ -18,7 +18,7 @@ from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions,
 from .frameio import MANIFEST_NAME, parse_finite
 from .pipeline import PipelineParams, build_session_signal
 from .pulse import COMBINE_METHODS, DEFAULT_BAND, BandLimits
-from .spectral import WindowSpec, estimate_series, session_mean
+from .spectral import WindowSpec, estimate_series
 from .synth import ConstantProfile, SynthConfig, parse_profile, render_session
 
 # report channel labels
@@ -103,6 +103,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     manifest, signal = build_session_signal(_resolve_manifest(args.session), params)
     series = estimate_series(signal, spec, params.band)
     del signal  # freed before the report lines are built
+    # a malformed groundtruth file is bad input: refused before --out is made
+    gt = (None if manifest.groundtruth_path is None
+          else load_groundtruth(manifest.groundtruth_path))
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -116,7 +119,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         fh.write("window_start_s,window_end_s,bpm\n")
         fh.writelines(f"{w},{b}\n" for w, b in zip(bounds, bpm))
 
-    mean_bpm = session_mean(series)
+    mean_bpm = float(series.bpm.mean())
     summary = {
         "session_mean_bpm": mean_bpm,
         "n_windows": len(series),
@@ -124,8 +127,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
-    if manifest.groundtruth_path is not None:
-        gt = load_groundtruth(manifest.groundtruth_path)
+    if gt is not None:
         try:
             aligned = align_groundtruth(gt, series.window_start, series.window_end)
         except FacePulseError as exc:

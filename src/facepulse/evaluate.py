@@ -27,7 +27,7 @@ from .errors import (EmptyInputError, EmptyWindowGtError, FacePulseError,
                      InputError, MissingFileError)
 from .frameio import MANIFEST_NAME, parse_finite, require_file
 from .pipeline import PipelineParams, build_session_signal
-from .spectral import HrSeries, WindowSpec, estimate_series, session_mean
+from .spectral import HrSeries, WindowSpec, estimate_series
 
 # default analysis window lengths (seconds) for the two protocols
 SESSION_PROTOCOL_LENGTHS = (5.0, 10.0, 15.0, 20.0)
@@ -36,13 +36,6 @@ PROTOCOL_LENGTHS = {
     "5.1": SESSION_PROTOCOL_LENGTHS,
     "5.2": MONITORING_PROTOCOL_LENGTHS,
 }
-
-# reference samples per align_groundtruth gather (64 KiB of float64).
-# Capped for the heap: 10 s windows at a 1-frame hop on 1 Hz groundtruth
-# peak at 0.43 MB for 300 s and 4.5 MB for an hour (tracemalloc,
-# align_groundtruth alone), against 1.13 and 13.9 MB in one gather per
-# sample count
-ALIGN_GATHER_VALUES = 8192
 
 # Dataset-level MAE (bpm) reported for this pipeline family on the edBB
 # desktop student-monitoring benchmark (25 subjects, RGB and NIR cameras),
@@ -130,35 +123,21 @@ def align_groundtruth(gt: GroundTruth, starts: np.ndarray,
     counts = hi - lo
     aligned = np.empty(len(lo))
     for c in np.unique(counts).tolist():
-        rows = sliding_window_view(gt.bpm, c)
         sel = np.flatnonzero(counts == c)
-        step = max(1, ALIGN_GATHER_VALUES // c)
-        for s in range(0, len(sel), step):
-            part = sel[s:s + step]
-            aligned[part] = rows[lo[part]].mean(axis=-1)
+        aligned[sel] = sliding_window_view(gt.bpm, c)[lo[sel]].mean(axis=-1)
     return aligned
-
-
-def mae(estimates: np.ndarray, reference: np.ndarray) -> float:
-    """Mean absolute error between paired, non-empty rate arrays."""
-    return float(np.mean(np.abs(estimates - reference)))
 
 
 def sub51_error(series: HrSeries, aligned: np.ndarray) -> float:
     """Session protocol: |mean estimate - mean windowed reference|, given
     the series' aligned reference from align_groundtruth."""
-    return abs(session_mean(series) - float(aligned.mean()))
+    return abs(float(series.bpm.mean()) - float(aligned.mean()))
 
 
 def sub52_mae(series: HrSeries, aligned: np.ndarray) -> float:
     """Monitoring protocol: MAE over per-window (estimate, reference)
     pairs, given the series' aligned reference from align_groundtruth."""
-    return mae(series.bpm, aligned)
-
-
-def dataset_aggregate(values: list[float]) -> float:
-    """Unweighted mean of a non-empty list of per-session errors."""
-    return float(np.mean(values))
+    return float(np.mean(np.abs(series.bpm - aligned)))
 
 
 def session_id(manifest_path: str | os.PathLike) -> str:
@@ -262,8 +241,8 @@ def evaluate_sessions(manifest_paths: list[str | os.PathLike],
     aggregates = [
         AggregateResult(
             window_s=t,
-            sub51_bpm=dataset_aggregate([r.sub51_bpm for r in results]),
-            sub52_bpm=dataset_aggregate([r.sub52_bpm for r in results]),
+            sub51_bpm=float(np.mean([r.sub51_bpm for r in results])),
+            sub52_bpm=float(np.mean([r.sub52_bpm for r in results])),
             n_sessions=len(results))
         for t, results in per_length.items() if results
     ]

@@ -111,7 +111,7 @@ def _parse_manifest(manifest_path: Path) -> SessionManifest:
     fps = number("fps")
     frame_count = number("frame_count", integral=True)
     pixel_format = raw["pixel_format"]
-    if pixel_format not in BYTES_PER_PIXEL:
+    if not isinstance(pixel_format, str) or pixel_format not in BYTES_PER_PIXEL:
         raise MalformedManifestError(
             f"{manifest_path}: pixel_format must be one of {sorted(BYTES_PER_PIXEL)}, "
             f"got {pixel_format!r}")

@@ -5,7 +5,9 @@ numpy kernels that release the interpreter lock (integer patch sums,
 batched rfft), so threads run them on separate cores.  Each caller's
 work items write disjoint slices of one output array and compute every
 item the same way whatever the split, so results do not depend on the
-number of workers.
+number of workers.  The spectral blocks always take the threads; the
+ROI reduction runs inline when its kernel calls are too small to leave
+the interpreter lock for long (see pulse.SPLIT_MIN_CALL_BYTES).
 """
 
 from __future__ import annotations
@@ -21,19 +23,15 @@ WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity"
               else os.cpu_count() or 1)
 
 
-def run_spans(n: int, work: Callable[[int, int], None], split: bool = True) -> None:
+def run_spans(n: int, work: Callable[[int, int], None]) -> None:
     """Call work(lo, hi) on up to WORKERS contiguous spans covering
-    range(n), each on its own thread; a single span, or split=False,
-    runs work(0, n) inline.
+    range(n), each on its own thread; a single span runs work(0, n)
+    inline.
 
-    Callers pass split=False when the work comes in kernel calls too
-    short to run mostly outside the interpreter lock, or too little of
-    it to repay starting the threads (about 0.4 ms for 2 on a 2-core
-    x86-64 VM): threads then only contend for the lock.  The threads
-    belong to this call and are joined before it returns; an exception
-    raised by work is raised here.
+    The threads belong to this call and are joined before it returns;
+    an exception raised by work is raised here.
     """
-    k = min(WORKERS, n) if split else 1
+    k = min(WORKERS, n)
     if k <= 1:
         work(0, n)
         return

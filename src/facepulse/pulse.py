@@ -52,10 +52,7 @@ SPLIT_MIN_CALL_BYTES = 64 * 1024
 # frames), one gather per region and size raises extract_traces' own
 # tracemalloc peak to 5.79 MB; at 16, 64 and 256 KiB it is 2.27, 2.27
 # and 2.39 MB, and 16 and 64 KiB take about the same time (0.031-0.052
-# and 0.031-0.042 s; 2-core x86-64 VM).  A run whose frames hold
-# GATHER_BYTES or more of regions is sliced instead: gathered one frame
-# at a time, a 1280x720 rgb8 box that moves every frame took 1.05-1.25x
-# the sliced time
+# and 0.031-0.042 s; 2-core x86-64 VM)
 GATHER_BYTES = 64 * 1024
 
 # rows per uint16 partial sum: 257 rows of 255 fit in 16 bits exactly.
@@ -128,12 +125,12 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
     frames is a (n, height, width, bpp) uint8 array, as returned by
     frameio.map_frames, and boxes the (n, 4) track that roi.load_box_track
     fills to one row per frame.  A run of consecutive frames with
-    identical rects that holds REDUCE_BLOCK_FRAMES or more frames, or
-    GATHER_BYTES or more of regions per frame, is sliced in blocks of
-    REDUCE_BLOCK_FRAMES, with the frame axis split across
-    parallel.WORKERS threads when the blocks average SPLIT_MIN_CALL_BYTES
-    or more.  The frames of the other runs are gathered, one call per
-    region, rect size and GATHER_BYTES.  A gray8 trace has one channel.
+    identical rects that holds REDUCE_BLOCK_FRAMES or more frames is
+    sliced in blocks of REDUCE_BLOCK_FRAMES, with the frame axis split
+    across parallel.WORKERS threads when the blocks average
+    SPLIT_MIN_CALL_BYTES or more.  The frames of shorter runs are
+    gathered, one call per region, rect size and GATHER_BYTES of regions
+    (at least one frame).  A gray8 trace has one channel.
     Degenerate frames are interpolated from their valid neighbours so
     the trace keeps exactly one entry per frame.
     """
@@ -142,8 +139,7 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
     values = np.zeros((3, bpp, n), dtype=np.float64)
     starts = np.flatnonzero(np.r_[True, (rects[1:] != rects[:-1]).any(axis=(1, 2))])
     lengths = np.diff(np.append(starts, n))
-    frame_bytes = bpp * (rects[starts, :, 2] * rects[starts, :, 3]).sum(axis=1)
-    sliced = valid[starts] & ((lengths >= REDUCE_BLOCK_FRAMES) | (frame_bytes >= GATHER_BYTES))
+    sliced = valid[starts] & (lengths >= REDUCE_BLOCK_FRAMES)
     run_lo, run_hi = starts[sliced], starts[sliced] + lengths[sliced]
 
     def reduce_span(lo: int, hi: int) -> None:
@@ -160,8 +156,11 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
 
     if run_lo.size:
         calls = 3 * (-(-lengths[sliced] // REDUCE_BLOCK_FRAMES)).sum()
-        roi_bytes = (frame_bytes[sliced] * lengths[sliced]).sum()
-        run_spans(n, reduce_span, split=bool(roi_bytes >= SPLIT_MIN_CALL_BYTES * calls))
+        frame_bytes = bpp * (rects[run_lo, :, 2] * rects[run_lo, :, 3]).sum(axis=1)
+        if (frame_bytes * lengths[sliced]).sum() >= SPLIT_MIN_CALL_BYTES * calls:
+            run_spans(n, reduce_span)
+        else:
+            reduce_span(0, n)
     gathered = np.flatnonzero(np.repeat(valid[starts] & ~sliced, lengths))
     if gathered.size:
         _gather_means(frames, rects, gathered, values)

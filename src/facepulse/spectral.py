@@ -4,8 +4,8 @@ The conditioned pulse signal is cut into fixed-length windows; each
 window's dominant in-band frequency (Hann-windowed, zero-padded DFT,
 quadratic peak refinement) becomes one bpm estimate.  Windows are
 estimated in blocks whose spectra fill SPECTRUM_BLOCK_BYTES, along the
-last (time) axis, each worker reusing one set of block buffers; long
-runs of long transforms are split across parallel.WORKERS threads.
+last (time) axis; the blocks are split across parallel.WORKERS threads,
+each worker reusing one set of block buffers.
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ ZERO_PAD_FACTOR = 8
 # peak is 1.28 MB on one thread and 1.99 MB on 2 workers (1.07 and 1.40
 # MB with 8-window blocks), below build_session_signal's 2.75 MB
 SPECTRUM_BLOCK_BYTES = 512 * 1024
-
-# the blocks are split across worker threads only for transforms of at
-# least SPLIT_MIN_PADDED points and at least SPLIT_MIN_WINDOWS windows:
-# at 30 fps and a 1-frame hop (2-core x86-64 VM), 2 workers took
-# 0.62-0.95x the time of one at 4096 and 8192 points (9-20 s windows,
-# 1501 windows and up) and 1.1-1.4x at 2048 (5 and 7 s), and 1.2-1.6x
-# on 6 to 291 windows of 10 s
-SPLIT_MIN_PADDED = 4096
-SPLIT_MIN_WINDOWS = 512
 
 
 @dataclass(frozen=True)
@@ -166,8 +157,7 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec,
             peak_bin[a:a + m] = k
             peak_power[a:a + m] = np.take_along_axis(p, k[:, None] + np.arange(3), -1)
 
-    run_spans(-(-n_windows // rows), estimate_blocks,
-              split=padded >= SPLIT_MIN_PADDED and n_windows >= SPLIT_MIN_WINDOWS)
+    run_spans(-(-n_windows // rows), estimate_blocks)
     p_lo, p0, p_hi = peak_power.T
     denom = p_lo - 2.0 * p0 + p_hi
     # denom >= 0: the parabola has no maximum to refine to
@@ -177,8 +167,3 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec,
     bpm = np.clip(60.0 * f_peak, band.bpm_lo, band.bpm_hi)
     return HrSeries(window_start=bounds[:, 0] / signal.fps,
                     window_end=bounds[:, 1] / signal.fps, bpm=bpm)
-
-
-def session_mean(series: HrSeries) -> float:
-    """Arithmetic mean of the window estimates; a series has at least one."""
-    return float(series.bpm.mean())

@@ -141,12 +141,15 @@ class SynthConfig:
         if self.width < MIN_FRAME_DIM or self.height < MIN_FRAME_DIM:
             raise InputError(f"frame size must be at least {MIN_FRAME_DIM}x"
                              f"{MIN_FRAME_DIM}, got {self.width}x{self.height}")
-        if self.fps <= 0:
+        if not self.fps > 0:
             raise InputError(f"fps must be positive, got {self.fps}")
-        if self.duration <= 0:
-            raise InputError(f"duration must be positive, got {self.duration}")
+        # the groundtruth holds one sample per whole second
+        if not self.duration >= 1:
+            raise InputError(f"duration must be at least 1 s, got {self.duration}")
         if math.isinf(self.duration * self.fps):
             raise InputError(f"{self.duration} s at {self.fps} fps overflows the frame count")
+        if self.frame_count < 1:
+            raise InputError(f"{self.duration} s at {self.fps} fps holds no frame")
         if not 0.0 < self.pulse_amplitude <= 0.1:
             raise InputError(
                 f"pulse amplitude {self.pulse_amplitude} out of range (0, 0.1]")

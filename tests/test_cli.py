@@ -127,6 +127,19 @@ class TestEstimateCommand:
         rc = main(["estimate", str(session), "--out", str(tmp_path / "est")])
         assert rc == 1
         assert error in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+    def test_window_without_groundtruth_skips_compare(self, cli_session, tmp_path,
+                                                      capsys):
+        # groundtruth ends at 30 s: the later windows hold no sample
+        session = tmp_path / "sess"
+        shutil.copytree(cli_session, session)
+        gt = session / "groundtruth.csv"
+        gt.write_text("\n".join(_lines(gt)[:31]) + "\n")
+        out = tmp_path / "est"
+        assert main(["estimate", str(session), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["estimates.csv", "summary.json"]
+        assert "skipping compare.csv" in capsys.readouterr().err
 
     def test_session_shorter_than_filter(self, tmp_path, capsys):
         out = tmp_path / "blip"

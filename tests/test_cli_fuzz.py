@@ -232,9 +232,13 @@ HUGE_FPS = ("json", "session.json", "fps", 1e308)
 NULL_FRAMES = ("json", "session.json", "frames", None)
 LONG_FRAMES, LONG_BOXES, LONG_GT = (("json", "session.json", key, LONG)
                                     for key in ("frames", "boxes", "groundtruth"))
-MUTATION_IDS = {HUGE_FPS: "fps=1e308", NULL_FRAMES: "frames=null",
-                LONG_FRAMES: "frames=long", LONG_BOXES: "boxes=long",
-                LONG_GT: "groundtruth=long"}
+LIST_FORMAT = ("json", "session.json", "pixel_format", [])
+DICT_FORMAT = ("json", "session.json", "pixel_format", {})
+# (mutation, test id) pairs: a list, as a list or dict value is unhashable
+MUTATION_IDS = [(HUGE_FPS, "fps=1e308"), (NULL_FRAMES, "frames=null"),
+                (LONG_FRAMES, "frames=long"), (LONG_BOXES, "boxes=long"),
+                (LONG_GT, "groundtruth=long"), (LIST_FORMAT, "pixel_format=[]"),
+                (DICT_FORMAT, "pixel_format={}")]
 REPRODUCERS = [
     (["estimate", "{s}", "--window", "inf"], 1),
     (["evaluate", "{s}", "--window", "inf"], 1),
@@ -250,6 +254,7 @@ REPRODUCERS = [
     (["synth", "--base-color", "nan,1,1"], 1),
     (["synth", "--profile", "step:60,70,nan"], 1),
     (["synth", "--seed", "-1", "--noise", "1"], 1),
+    (["synth", "--duration", "0.01"], 1),
     (["estimate", "{s}", "--window", "1e308"], 2),
     (["evaluate", "{s}", "--window", "1e308"], 2),
     (["sweep", "{s}", "--lengths", "1e308"], 2),
@@ -261,6 +266,8 @@ REPRODUCERS = [
     (["estimate", "{s}"], 1, LONG_FRAMES),
     (["estimate", "{s}"], 1, LONG_BOXES),
     (["estimate", "{s}"], 1, LONG_GT),
+    (["estimate", "{s}"], 1, LIST_FORMAT),
+    (["estimate", "{s}"], 1, DICT_FORMAT),
     (["estimate", "{s}/{long}"], 1),
     # the bad session is skipped and the good one scored
     (["evaluate", "{s}", "{base}"], 0, LONG_GT),
@@ -275,7 +282,8 @@ REPRODUCERS = [
 
 
 @pytest.mark.parametrize("case", REPRODUCERS, ids=[
-    " ".join([a for a in c[0] if a != "{s}"] + [MUTATION_IDS[m] for m in c[2:]])
+    " ".join([a for a in c[0] if a != "{s}"]
+             + [name for m in c[2:] for known, name in MUTATION_IDS if known == m])
     for c in REPRODUCERS])
 def test_bad_numbers_exit_cleanly(base, tmp_path, case):
     argv, code, *mutations = case

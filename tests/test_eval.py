@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from facepulse import (ConstantProfile, GroundTruth, HrSeries, SynthConfig,
-                       evaluate_sessions, load_groundtruth, render_session,
-                       write_report_csv, write_report_json)
+                       evaluate, evaluate_sessions, load_groundtruth,
+                       render_session, write_report_csv, write_report_json)
 from facepulse.errors import (EmptyInputError, EmptyWindowGtError, InputError,
                               MissingFileError)
 from facepulse.evaluate import (MONITORING_PROTOCOL_LENGTHS,
                                 REFERENCE_SESSION_MAE, REFERENCE_WINDOW_MAE,
                                 SESSION_PROTOCOL_LENGTHS, align_groundtruth,
-                                dataset_aggregate, mae, session_id, sub51_error,
-                                sub52_mae)
+                                session_id, sub51_error, sub52_mae)
 
 from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
                         ref_window_means, ref_window_means_masked)
@@ -119,15 +118,18 @@ def test_align_matches_masked_reference(n_windows, hop):
 
 
 class TestMae:
+    # the monitoring protocol's MAE, given the aligned reference
     def test_example(self):
-        assert mae(np.array([70.0, 75.0, 80.0]),
-                   np.array([72.0, 75.0, 78.0])) == pytest.approx(4.0 / 3.0)
-        assert mae(np.array([70.0, 75.0]), np.array([70.0, 75.0])) == 0.0
+        assert sub52_mae(_series([70.0, 75.0, 80.0]),
+                         np.array([72.0, 75.0, 78.0])) == pytest.approx(4.0 / 3.0)
+        assert sub52_mae(_series([70.0, 75.0]), np.array([70.0, 75.0])) == 0.0
 
     def test_symmetric(self):
         rng = np.random.default_rng(20)
         a, b = rng.uniform(40, 180, 50), rng.uniform(40, 180, 50)
-        assert mae(a, b) == mae(b, a)
+        assert sub52_mae(_series(a), b) == sub52_mae(_series(b), a)
+        assert sub52_mae(_series(a), b) == pytest.approx(
+            ref_mae(a.tolist(), b.tolist()), rel=1e-12)
 
 
 class TestProtocols:
@@ -175,14 +177,22 @@ class TestProtocols:
 
 
 class TestAggregate:
-    def test_mean(self):
-        assert dataset_aggregate([8.0, 10.0]) == 9.0
+    # evaluate_sessions' dataset rows: unweighted means across sessions
+    def test_mean(self, eval_sessions, monkeypatch):
+        sub51 = iter([8.0, 10.0])
+        sub52 = iter([1.0, 4.0])
+        monkeypatch.setattr(evaluate, "sub51_error", lambda series, aligned: next(sub51))
+        monkeypatch.setattr(evaluate, "sub52_mae", lambda series, aligned: next(sub52))
+        (agg,) = evaluate_sessions(eval_sessions, [10.0]).aggregates
+        assert (agg.sub51_bpm, agg.sub52_bpm, agg.n_sessions) == (9.0, 2.5, 2)
 
-    def test_matches_reference(self):
-        rng = np.random.default_rng(23)
-        values = rng.uniform(0, 20, 17).tolist()
-        assert dataset_aggregate(values) == pytest.approx(
-            ref_aggregate(values), rel=1e-12)
+    def test_matches_reference(self, eval_sessions, monkeypatch):
+        values = iter(np.random.default_rng(23).uniform(0, 20, 4).tolist())
+        monkeypatch.setattr(evaluate, "sub51_error", lambda series, aligned: next(values))
+        report = evaluate_sessions(eval_sessions, [5.0, 10.0])
+        for agg in report.aggregates:
+            rows = [r.sub51_bpm for r in report.rows if r.window_s == agg.window_s]
+            assert agg.sub51_bpm == pytest.approx(ref_aggregate(rows), rel=1e-12)
         assert ref_mae([70.0, 75.0, 80.0],
                        [72.0, 75.0, 78.0]) == pytest.approx(4.0 / 3.0)
 

@@ -3,7 +3,8 @@
 An AST pass stands in for a linter: every imported name must be used,
 and the package's public ``__all__`` must resolve without duplicates.
 Every public name is documented in the README's Library section, whose
-code example is run, and every `module.name` the README quotes exists.
+code example is run, and every `module.name` the README quotes exists,
+with the value the README gives it.
 A CLI default that a library dataclass also holds has one definition.
 """
 
@@ -103,6 +104,18 @@ def test_readme_module_names_resolve():
     assert refs
     assert [f"{m}.{n}" for m, n in refs
             if not hasattr(importlib.import_module(f"facepulse.{m}"), n)] == []
+
+
+def test_readme_constant_values_match():
+    """Each backticked `module.NAME` followed by a value in parentheses,
+    such as (16), (64 KiB) or (512 KiB; ...), has that value."""
+    units = {"": 1, "KiB": 1024, "MiB": 1024 * 1024}
+    refs = re.findall(r"`(\w+)\.(\w+)`\s+\((\d+)(?:\s+(KiB|MiB))?[;)]",
+                      (ROOT / "README.md").read_text())
+    assert refs
+    assert [f"{m}.{n} ({value} {unit})" for m, n, value, unit in refs
+            if getattr(importlib.import_module(f"facepulse.{m}"), n)
+            != int(value) * units[unit]] == []
 
 
 def test_readme_library_example_runs(clean72_session, capsys):

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import facepulse
-from facepulse import (PulseSignal, WindowSpec, estimate_series, parallel,
-                       pulse, spectral)
+from facepulse import PulseSignal, WindowSpec, estimate_series, parallel, pulse
 from facepulse.cli import main
 from facepulse.parallel import run_spans
 from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
@@ -28,24 +27,23 @@ WORKER_COUNTS = (1, 2, 3)
 
 @pytest.fixture
 def force_split(monkeypatch):
-    """Split any work, however small, so small inputs take the threads."""
+    """Split any ROI reduction, however small, so small inputs take the
+    threads; the spectral blocks always do."""
     monkeypatch.setattr(pulse, "SPLIT_MIN_CALL_BYTES", 0)
-    monkeypatch.setattr(spectral, "SPLIT_MIN_PADDED", 0)
-    monkeypatch.setattr(spectral, "SPLIT_MIN_WINDOWS", 0)
 
 
 @pytest.fixture
-def split_calls(monkeypatch):
-    """The split argument of every run_spans call from pulse and spectral."""
-    calls = []
+def thread_pools(monkeypatch):
+    """The worker count of every thread pool run_spans starts, at 2 workers."""
+    monkeypatch.setattr(parallel, "WORKERS", 2)
+    pools = []
 
-    def recording(n, work, split=True):
-        calls.append(split)
-        run_spans(n, work, split)
+    def recording_pool(**kwargs):
+        pools.append(kwargs["max_workers"])
+        return ThreadPoolExecutor(**kwargs)
 
-    monkeypatch.setattr(pulse, "run_spans", recording)
-    monkeypatch.setattr(spectral, "run_spans", recording)
-    return calls
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", recording_pool)
+    return pools
 
 
 def _per_worker_count(monkeypatch, compute):
@@ -74,13 +72,12 @@ class TestRunSpans:
         assert covered == list(range(n))
         assert len(spans) == max(1, min(workers, n))
 
-    @pytest.mark.parametrize("workers, split", [(1, True), (2, False)])
-    def test_single_span_runs_inline(self, monkeypatch, workers, split):
+    @pytest.mark.parametrize("workers, n", [(1, 10), (2, 1)])
+    def test_single_span_runs_inline(self, monkeypatch, workers, n):
         monkeypatch.setattr(parallel, "WORKERS", workers)
         seen = []
-        run_spans(10, lambda lo, hi: seen.append((lo, hi, threading.current_thread())),
-                  split)
-        assert seen == [(0, 10, threading.current_thread())]
+        run_spans(n, lambda lo, hi: seen.append((lo, hi, threading.current_thread())))
+        assert seen == [(0, n, threading.current_thread())]
 
     def test_worker_exception_raised(self, monkeypatch):
         monkeypatch.setattr(parallel, "WORKERS", 2)
@@ -199,36 +196,28 @@ class TestSplitChoice:
         (192, 1, False),   # the box moves every frame: its frames are gathered
         (128, 0, False),   # 41.1 kB
     ])
-    def test_reduction_split_by_call_bytes(self, monkeypatch, split_calls, size, shift,
-                                           split):
+    def test_reduction_split_by_call_bytes(self, thread_pools, size, shift, split):
         # split: whether the reduction starts worker threads; a box that
         # moves every frame has no run to slice and so no span to split
-        monkeypatch.setattr(parallel, "WORKERS", 2)
-        pools = []
-
-        def recording_pool(**kwargs):
-            pools.append(kwargs)
-            return ThreadPoolExecutor(**kwargs)
-
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor", recording_pool)
         n = 2 * REDUCE_BLOCK_FRAMES
         frames = np.zeros((n, size, size, 3), dtype=np.uint8)
         boxes = np.tile([0.0, 0.0, float(size), float(size)], (n, 1))
         boxes[:, 0] += shift * (np.arange(n) % 2)
         extract_traces(frames, boxes, 30.0)
-        assert split_calls == ([split] if shift == 0 else [])
-        assert len(pools) == split
+        assert thread_pools == ([2] if split else [])
 
     @pytest.mark.parametrize("length, hop_frames, split", [
-        (10.0, 1, True),    # 4096-point transforms, 1501 windows
-        (5.0, 1, False),    # 2048-point transforms
-        (10.0, 30, False),  # 51 windows
+        (10.0, 1, True),     # 4096-point transforms, 1501 windows in 101 blocks
+        (5.0, 1, True),      # 2048-point transforms, 1651 windows in 54 blocks
+        (10.0, 30, True),    # 51 windows in 4 blocks
+        (10.0, 300, False),  # 6 windows in one block
     ])
-    def test_spectral_split_by_size_and_count(self, split_calls, length, hop_frames,
-                                              split):
+    def test_spectral_split_by_block_count(self, thread_pools, length, hop_frames,
+                                           split):
+        # every call with two or more blocks of windows starts the threads
         samples = np.random.default_rng(3).normal(0, 1, 1800)
         estimate_series(PulseSignal(30.0, samples), WindowSpec(length, hop_frames / 30))
-        assert split_calls == [split]
+        assert thread_pools == ([2] if split else [])
 
 
 class TestNoThreadLeak:

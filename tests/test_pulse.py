@@ -147,10 +147,9 @@ class TestExtractTraces:
     def test_reduction_mixes_sliced_and_gathered_runs(self, monkeypatch, mixed_runs,
                                                       gather_bytes):
         # runs shorter than REDUCE_BLOCK_FRAMES are gathered in one piece
-        # per region and rect size, or in pieces of 3 to 8 frames (200
-        # bytes); at 64 bytes a frame's rgb8 regions (102 bytes) fill a
-        # gather, so rgb8 is sliced throughout, and gray8 (34 bytes) is
-        # gathered a few frames at a time
+        # per region and rect size, or, with regions of 8 to 20 pixels, in
+        # pieces of 3 to 8 rgb8 frames (200 bytes); at 64 bytes rgb8 is
+        # gathered 1 or 2 frames at a time and gray8 3 to 8
         monkeypatch.setattr(pulse, "GATHER_BYTES", gather_bytes)
         frames, boxes, run_lengths = mixed_runs
         rects, valid = place_regions(boxes, 32, 24)

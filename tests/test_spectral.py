@@ -8,8 +8,9 @@ import pytest
 from facepulse import (BandLimits, HrSeries, PulseSignal, WindowSpec,
                        estimate_series)
 from facepulse.errors import EmptyBandError, InputError, SessionTooShortError
+from facepulse.evaluate import sub51_error
 from facepulse.spectral import (SPECTRUM_BLOCK_BYTES, ZERO_PAD_FACTOR,
-                                _next_pow2, partition_windows, session_mean)
+                                _next_pow2, partition_windows)
 
 from _reference import ref_block_rows, ref_hr_series
 
@@ -282,4 +283,6 @@ class TestSessionMean:
         series = HrSeries(window_start=np.array([0.0, 10.0, 20.0]),
                           window_end=np.array([10.0, 20.0, 30.0]),
                           bpm=np.array([70.0, 74.0, 75.0]))
-        assert session_mean(series) == 73.0
+        # the session protocol compares the exact mean of the estimates
+        assert sub51_error(series, np.full(3, 73.0)) == 0.0
+        assert sub51_error(series, np.full(3, 70.0)) == 3.0

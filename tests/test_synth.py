@@ -10,7 +10,6 @@ from facepulse import (ConstantProfile, RampProfile, StepProfile, SynthConfig,
                        evaluate_sessions, parse_profile, render_session)
 from facepulse.errors import InputError
 from facepulse.frameio import map_frames, open_session
-from facepulse.spectral import session_mean
 from facepulse.synth import _channel_levels, _quantize, _render_frame, pulse_phase
 
 
@@ -89,6 +88,9 @@ class TestConfigValidation:
         {"noise_sigma": -0.1}, {"illum_drift": 1.0}, {"illum_drift": -0.2},
         {"base_color": (170.0, 120.0, 300.0)},
         {"hr_profile": StepProfile(70.0, 100.0, 60.0)},  # switch past the end
+        {"duration": 0.5},  # no whole second: no groundtruth sample
+        {"duration": 2.0, "fps": 0.2},  # no frame
+        {"duration": math.nan}, {"fps": math.nan},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(InputError):
@@ -186,7 +188,7 @@ class TestClosure:
             render_session(SynthConfig(illum_drift=drift, **base), d)
             series = estimate_series(build_session_signal(d / "session.json")[1],
                                      WindowSpec(10.0))
-            means.append(session_mean(series))
+            means.append(float(series.bpm.mean()))
         assert abs(means[0] - means[1]) < 1.0
 
     def test_mono_matches_rgb(self, tmp_path):
@@ -197,7 +199,7 @@ class TestClosure:
             render_session(SynthConfig(mono=mono, **base), d)
             series = estimate_series(build_session_signal(d / "session.json")[1],
                                      WindowSpec(10.0))
-            means.append(session_mean(series))
+            means.append(float(series.bpm.mean()))
         assert abs(means[0] - means[1]) < 1.0
         assert means[0] == pytest.approx(78.0, abs=1.0)
 
@@ -206,4 +208,4 @@ class TestClosure:
                                    hr_profile=ConstantProfile(66.0)), tmp_path)
         series = estimate_series(build_session_signal(tmp_path / "session.json")[1],
                                  WindowSpec(10.0))
-        assert session_mean(series) == pytest.approx(66.0, abs=2.0)
+        assert float(series.bpm.mean()) == pytest.approx(66.0, abs=2.0)
