@@ -12,6 +12,7 @@ interior functions live in their modules and rely on those checks.
 from .errors import FacePulseError, InputError, ProcessingError
 from .evaluate import (EvalReport, GroundTruth, evaluate_sessions,
                        load_groundtruth, write_report_csv, write_report_json)
+from .frameio import open_session
 from .pipeline import PipelineParams, build_session_signal
 from .pulse import DEFAULT_BAND, BandLimits, PulseSignal
 from .spectral import HrSeries, WindowSpec, estimate_series
@@ -22,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FacePulseError", "InputError", "ProcessingError",
-    "PipelineParams", "build_session_signal",
+    "open_session", "PipelineParams", "build_session_signal",
     "BandLimits", "DEFAULT_BAND", "PulseSignal",
     "WindowSpec", "HrSeries", "estimate_series",
     "GroundTruth", "load_groundtruth", "evaluate_sessions",

@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import FacePulseError, InputError, ProcessingError
 from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions,
                        load_groundtruth, write_report_csv, write_report_json)
-from .frameio import MANIFEST_NAME, parse_finite
+from .frameio import MANIFEST_NAME, open_session, parse_finite
 from .pipeline import PipelineParams, build_session_signal
 from .pulse import COMBINE_METHODS, DEFAULT_BAND, BandLimits
 from .spectral import WindowSpec, estimate_series
@@ -100,12 +100,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     spec = WindowSpec(length=args.window, hop=args.hop)
     params = PipelineParams(args.band, args.combine)
-    manifest, signal = build_session_signal(_resolve_manifest(args.session), params)
-    series = estimate_series(signal, spec, params.band)
-    del signal  # freed before the report lines are built
-    # a malformed groundtruth file is bad input: refused before --out is made
+    manifest = open_session(_resolve_manifest(args.session))
+    # a malformed groundtruth file is bad input: refused before any frame is read
     gt = (None if manifest.groundtruth_path is None
           else load_groundtruth(manifest.groundtruth_path))
+    series = estimate_series(build_session_signal(manifest, params), spec, params.band)
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,6 @@ means across sessions.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (EmptyInputError, EmptyWindowGtError, FacePulseError,
                      InputError, MissingFileError)
-from .frameio import MANIFEST_NAME, parse_finite, require_file
+from .frameio import MANIFEST_NAME, open_session, parse_finite, read_csv_rows
 from .pipeline import PipelineParams, build_session_signal
 from .spectral import HrSeries, WindowSpec, estimate_series
 
@@ -71,30 +70,15 @@ class GroundTruth:
 def load_groundtruth(path: str | os.PathLike) -> GroundTruth:
     """Read a t,bpm CSV (optional header) with strictly increasing times."""
     path = Path(path)
-    require_file(path, "groundtruth file")
-    times: list[float] = []
-    bpm: list[float] = []
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    for row_no, row in enumerate(rows, start=1):
-        if not row or (row_no == 1 and row[0].strip().lower() == "t"):
-            continue
-        if len(row) != 2:
-            raise InputError(f"{path}:{row_no}: expected 2 columns, got {len(row)}")
-        times.append(parse_finite(row[0], f"{path}:{row_no}: time"))
-        bpm.append(parse_finite(row[1], f"{path}:{row_no}: bpm"))
-    if not times:
+    rows = [(parse_finite(t, f"{path}:{line}: time"), parse_finite(bpm, f"{path}:{line}: bpm"))
+            for line, (t, bpm) in read_csv_rows(path, "groundtruth file", "t", 2)]
+    if not rows:
         raise InputError(f"groundtruth file {path} has no samples")
-    t = np.asarray(times)
+    t, rates = map(np.array, zip(*rows))
     if np.any(np.diff(t) <= 0):
         raise InputError(f"groundtruth times in {path} must be strictly increasing")
-    rates = np.asarray(bpm)
     if np.any((rates <= 20) | (rates >= 250)):
-        raise InputError(
-            f"groundtruth rates in {path} must lie in (20, 250) bpm")
+        raise InputError(f"groundtruth rates in {path} must lie in (20, 250) bpm")
     return GroundTruth(times=t, bpm=rates)
 
 
@@ -198,10 +182,12 @@ def evaluate_sessions(manifest_paths: list[str | os.PathLike],
                       ) -> EvalReport:
     """Run both protocols over sessions x window lengths.
 
-    The conditioned signal for each session is built once and re-windowed
-    per length.  A session that fails to process is recorded and skipped;
-    a (session, length) pair that fails (too short, missing reference
-    samples) is recorded and left out of that length's aggregate.
+    Each session is opened and its groundtruth loaded before any frame
+    is read; its conditioned signal is then built once and re-windowed
+    per length.  A session that fails to open or process is recorded and
+    skipped; a (session, length) pair that fails (too short, missing
+    reference samples) is recorded and left out of that length's
+    aggregate.
     """
     order = sorted(manifest_paths, key=session_id)
     lengths = sorted(set(float(t) for t in lengths))
@@ -214,10 +200,11 @@ def evaluate_sessions(manifest_paths: list[str | os.PathLike],
     for manifest_path in order:
         sid = session_id(manifest_path)
         try:
-            manifest, signal = build_session_signal(manifest_path, params)
+            manifest = open_session(manifest_path)
             if manifest.groundtruth_path is None:
                 raise MissingFileError(f"session {sid} has no groundtruth file")
             gt = load_groundtruth(manifest.groundtruth_path)
+            signal = build_session_signal(manifest, params)
         except FacePulseError as exc:
             skipped.append(_skip(sid, None, exc))
             continue

@@ -1,4 +1,4 @@
-"""Raw frame ingest.
+"""Session files: the manifest, the raw frames and the CSV sidecars.
 
 Sessions are stored as a headerless concatenation of raw frames plus a
 JSON sidecar manifest.  rgb8 frames are interleaved R,G,B per pixel,
@@ -9,11 +9,13 @@ gray8 stays a single plane.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +34,7 @@ MANIFEST_NAME = "session.json"
 
 _MANIFEST_KEYS = {"width", "height", "fps", "pixel_format", "frame_count",
                   "frames", "boxes", "groundtruth"}
-_REQUIRED_KEYS = {"width", "height", "fps", "pixel_format", "frame_count", "frames"}
+_REQUIRED_KEYS = _MANIFEST_KEYS - {"groundtruth"}
 
 MIN_FRAME_DIM = 16
 
@@ -45,7 +47,7 @@ class SessionManifest:
     pixel_format: str  # "rgb8" | "gray8"
     frame_count: int
     frames_path: Path
-    boxes_path: Path | None = None
+    boxes_path: Path
     groundtruth_path: Path | None = None
 
     @property
@@ -83,6 +85,28 @@ def require_file(path: Path, what: str) -> None:
         raise MissingFileError(f"{what} not found: {path} ({exc.strerror})") from exc
     if not found:
         raise MissingFileError(f"{what} not found: {path}")
+
+
+def read_csv_rows(path: Path, what: str, header: str,
+                  columns: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (file line, cells) of each row of a CSV sidecar, skipping
+    rows whose cells are all blank and a first row whose first cell is
+    `header`.  A file that is not valid text or CSV raises InputError at
+    once; a row without `columns` cells raises it when reached, so with
+    the caller's own row checks the first bad row of the file is named."""
+    require_file(path, what)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    if rows and rows[0][1][0].strip().lower() == header:
+        del rows[0]
+    for line, row in rows:
+        if len(row) != columns:
+            raise InputError(f"{path}:{line}: expected {columns} columns, got {len(row)}")
+        yield line, row
 
 
 def _parse_manifest(manifest_path: Path) -> SessionManifest:

@@ -5,9 +5,7 @@ numpy kernels that release the interpreter lock (integer patch sums,
 batched rfft), so threads run them on separate cores.  Each caller's
 work items write disjoint slices of one output array and compute every
 item the same way whatever the split, so results do not depend on the
-number of workers.  The spectral blocks always take the threads; the
-ROI reduction runs inline when its kernel calls are too small to leave
-the interpreter lock for long (see pulse.SPLIT_MIN_CALL_BYTES).
+number of workers.
 """
 
 from __future__ import annotations

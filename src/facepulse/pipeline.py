@@ -1,4 +1,4 @@
-"""End-to-end session processing: manifest in, pulse signal out.
+"""End-to-end session processing: opened session in, pulse signal out.
 
 Signal conditioning (normalize, detrend, bandpass, combine, fuse) runs
 over the full session once; windowing happens afterwards in the spectral
@@ -8,11 +8,10 @@ fewer samples than the bandpass filter needs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .errors import InputError, MissingFileError
-from .frameio import SessionManifest, map_frames, open_session
+from .errors import InputError
+from .frameio import SessionManifest, map_frames
 from .pulse import (COMBINE_METHODS, DEFAULT_BAND, BandLimits, PulseSignal,
                     build_pulse_signal, extract_traces)
 from .roi import load_box_track
@@ -29,16 +28,11 @@ class PipelineParams:
                              f"use one of {COMBINE_METHODS}")
 
 
-def build_session_signal(manifest_path: str | os.PathLike,
-                         params: PipelineParams = PipelineParams(),
-                         ) -> tuple[SessionManifest, PulseSignal]:
-    """Map every frame, reduce it to per-region channel means and run the
-    full conditioning chain; returns (manifest, PulseSignal)."""
-    manifest = open_session(manifest_path)
-    if manifest.boxes_path is None:
-        raise MissingFileError(
-            f"session {manifest_path} has no box track; regions cannot "
-            "be placed")
+def build_session_signal(manifest: SessionManifest,
+                         params: PipelineParams = PipelineParams()) -> PulseSignal:
+    """Load the box track of a session that frameio.open_session opened,
+    map every frame, reduce it to per-region channel means and run the
+    full conditioning chain."""
     boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
     trace = extract_traces(map_frames(manifest), boxes, manifest.fps)
-    return manifest, build_pulse_signal(trace, params.band, params.combine)
+    return build_pulse_signal(trace, params.band, params.combine)

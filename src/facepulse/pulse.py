@@ -40,13 +40,6 @@ COMBINE_METHODS = tuple(COMBINE_CHANNELS)
 # 2 workers, 0.044-0.048 s on one thread; 2-core x86-64 VM)
 REDUCE_BLOCK_FRAMES = 16
 
-# the frames are split across worker threads only when the reduction
-# calls average at least this many ROI bytes: on 600 rgb8 frames (2-core
-# x86-64 VM), 2 workers took 0.65-0.99x the time of one at 68-423 kB per
-# call (static boxes, 320x240 and up) and 1.04-2.2x at 0.2-52 kB (a box
-# that moves every frame, or smaller frames)
-SPLIT_MIN_CALL_BYTES = 64 * 1024
-
 # ROI bytes per gather of frames from short runs.  Capped for the heap: on
 # the 8487 gathered frames of a 64x64 rgb8 session whose box moves (9000
 # frames), one gather per region and size raises extract_traces' own
@@ -127,8 +120,7 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
     fills to one row per frame.  A run of consecutive frames with
     identical rects that holds REDUCE_BLOCK_FRAMES or more frames is
     sliced in blocks of REDUCE_BLOCK_FRAMES, with the frame axis split
-    across parallel.WORKERS threads when the blocks average
-    SPLIT_MIN_CALL_BYTES or more.  The frames of shorter runs are
+    across parallel.WORKERS threads.  The frames of shorter runs are
     gathered, one call per region, rect size and GATHER_BYTES of regions
     (at least one frame).  A gray8 trace has one channel.
     Degenerate frames are interpolated from their valid neighbours so
@@ -155,12 +147,7 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
                     values[r, :, f:f + len(sums)] = (sums / (w * h)).T
 
     if run_lo.size:
-        calls = 3 * (-(-lengths[sliced] // REDUCE_BLOCK_FRAMES)).sum()
-        frame_bytes = bpp * (rects[run_lo, :, 2] * rects[run_lo, :, 3]).sum(axis=1)
-        if (frame_bytes * lengths[sliced]).sum() >= SPLIT_MIN_CALL_BYTES * calls:
-            run_spans(n, reduce_span)
-        else:
-            reduce_span(0, n)
+        run_spans(n, reduce_span)
     gathered = np.flatnonzero(np.repeat(valid[starts] & ~sliced, lengths))
     if gathered.size:
         _gather_means(frames, rects, gathered, values)

@@ -9,7 +9,6 @@ array of x, y, w, h, and regions are placed for every frame at once.
 
 from __future__ import annotations
 
-import csv
 import os
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .errors import (
     InputError,
     NonMonotonicIndicesError,
 )
-from .frameio import parse_finite, require_file
+from .frameio import parse_finite, read_csv_rows
 
 MIN_ROI_AREA = 4
 
@@ -67,8 +66,6 @@ def place_regions(boxes: np.ndarray, frame_w: int,
 
 
 def _parse_row(row: list[str], path: Path, line_no: int) -> tuple[int | None, list[float]]:
-    if len(row) != 5:
-        raise InputError(f"{path}:{line_no}: expected 5 columns, got {len(row)}")
     idx_field = row[0].strip()
     coords = [parse_finite(v, f"{path}:{line_no}: box coordinate") for v in row[1:]]
     if idx_field == "*":
@@ -88,18 +85,10 @@ def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> np.ndarra
     frame.  Returns a (frame_count, 4) float64 array.
     """
     boxes_path = Path(boxes_path)
-    require_file(boxes_path, "box track")
-    try:
-        with open(boxes_path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"{boxes_path}: {exc}") from exc
-    if rows and rows[0][0].strip().lower() == "frame":
-        rows = rows[1:]
-    if not rows:
+    parsed = [_parse_row(row, boxes_path, line)
+              for line, row in read_csv_rows(boxes_path, "box track", "frame", 5)]
+    if not parsed:
         raise EmptyTrackError(f"{boxes_path}: no box rows")
-
-    parsed = [_parse_row(row, boxes_path, i + 1) for i, row in enumerate(rows)]
     anchors = np.array([coords for _, coords in parsed])
 
     if any(idx is None for idx, _ in parsed):

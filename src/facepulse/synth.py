@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
-from .frameio import (MANIFEST_NAME, MIN_FRAME_DIM, SessionManifest, open_session,
-                      parse_finite)
+from .frameio import (BYTES_PER_PIXEL, MANIFEST_NAME, MIN_FRAME_DIM, SessionManifest,
+                      open_session, parse_finite)
 from .pulse import DEFAULT_BAND
 
 # validity range for configured heart rates: the default pulse band
@@ -213,8 +214,17 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     Rendering is deterministic: the same config (seed included) produces
     bitwise-identical files.  Returns the manifest re-read through the
     ingest path, so the emitted files are validated on the way out.
+    A session whose frames and groundtruth rows (9 bytes or more each)
+    exceed the free disk space is refused before anything is made.
     """
     out_dir = Path(out_dir)
+    pixel_format = "gray8" if config.mono else "rgb8"
+    need = (config.frame_count * config.width * config.height * BYTES_PER_PIXEL[pixel_format]
+            + 9 * math.floor(config.duration))
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    free = shutil.disk_usage(nearest).free
+    if need > free:
+        raise InputError(f"the session needs at least {need} bytes; {nearest} has {free} free")
     out_dir.mkdir(parents=True, exist_ok=True)
     # noise is drawn frame by frame from one PCG64 stream
     rng = np.random.default_rng(config.seed) if config.noise_sigma > 0 else None
@@ -230,17 +240,16 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     bh = int(round(0.6 * config.height))
     (out_dir / BOXES_NAME).write_text(f"frame,x,y,w,h\n*,{bx},{by},{bw},{bh}\n")
 
-    gt_lines = ["t,bpm"]
-    for t in range(int(math.floor(config.duration))):
-        bpm = config.hr_profile.bpm_at(float(t), config.duration)
-        gt_lines.append(f"{float(t)!r},{float(bpm)!r}")
-    (out_dir / GROUNDTRUTH_NAME).write_text("\n".join(gt_lines) + "\n")
+    with open(out_dir / GROUNDTRUTH_NAME, "w") as fh:
+        fh.write("t,bpm\n")
+        for t in map(float, range(math.floor(config.duration))):
+            fh.write(f"{t!r},{float(config.hr_profile.bpm_at(t, config.duration))!r}\n")
 
     manifest = {
         "width": config.width,
         "height": config.height,
         "fps": config.fps,
-        "pixel_format": "gray8" if config.mono else "rgb8",
+        "pixel_format": pixel_format,
         "frame_count": config.frame_count,
         "frames": FRAMES_NAME,
         "boxes": BOXES_NAME,

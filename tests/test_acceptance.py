@@ -86,7 +86,8 @@ def test_a2_step_change(tmp_path, check):
                             hr_profile=StepProfile(70.0, 100.0, 30.0))
     t_switch = 30.0
 
-    series5 = estimate_series(build_session_signal(manifest_path)[1], WindowSpec(5.0))
+    signal = build_session_signal(open_session(manifest_path))
+    series5 = estimate_series(signal, WindowSpec(5.0))
     pre, post, straddle5 = [], [], []
     for s, e, bpm in zip(series5.window_start, series5.window_end, series5.bpm):
         if e <= t_switch:
@@ -98,7 +99,7 @@ def test_a2_step_change(tmp_path, check):
     pre_ok = all(abs(b - 70.0) <= 4.0 for b in pre)
     post_ok = all(abs(b - 100.0) <= 4.0 for b in post)
 
-    series20 = estimate_series(build_session_signal(manifest_path)[1], WindowSpec(20.0))
+    series20 = estimate_series(signal, WindowSpec(20.0))
     straddled = [bpm for s, e, bpm in
                  zip(series20.window_start, series20.window_end, series20.bpm)
                  if s < t_switch < e]
@@ -244,7 +245,8 @@ def test_a7_performance(tmp_path, check):
                             hr_profile=ConstantProfile(72.0))
     try:
         start = time.perf_counter()
-        series = estimate_series(build_session_signal(manifest_path)[1], WindowSpec(10.0))
+        series = estimate_series(build_session_signal(open_session(manifest_path)),
+                                 WindowSpec(10.0))
         elapsed = time.perf_counter() - start
     finally:
         shutil.rmtree(tmp_path / "hd", ignore_errors=True)  # ~5 GB of frames

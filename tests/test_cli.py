@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from facepulse import pipeline
 from facepulse.cli import main
 
 
@@ -236,6 +237,40 @@ class TestEvaluateCommand:
         assert [s["session"] for s in payload["skipped"]] == ["bad", "short"]
         assert all(set(s) == {"session", "window_s", "error"}
                    for s in payload["skipped"])
+
+
+class TestGroundtruthReadFirst:
+    """A session's groundtruth is checked before any frame is reduced."""
+
+    @pytest.fixture
+    def bad_gt_session(self, cli_session, tmp_path, monkeypatch):
+        session = tmp_path / "sess"
+        shutil.copytree(cli_session, session)
+        gt = session / "groundtruth.csv"
+        gt.write_text(gt.read_text().replace("1.0,72.0", "1,abc"))
+
+        def no_frames(*args):
+            raise AssertionError("frames reduced before the groundtruth was read")
+
+        # the name build_session_signal calls
+        monkeypatch.setattr(pipeline, "extract_traces", no_frames)
+        return session
+
+    @pytest.mark.parametrize("command", ["estimate", "evaluate"])
+    def test_malformed_groundtruth_exits_1(self, bad_gt_session, tmp_path, capsys,
+                                           command):
+        rc = main([command, str(bad_gt_session), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "groundtruth.csv:3: bpm" in capsys.readouterr().err
+
+    def test_malformed_groundtruth_beats_long_window(self, bad_gt_session, tmp_path,
+                                                     capsys):
+        # a 100 s window on the 60 s session would be a processing failure
+        rc = main(["estimate", str(bad_gt_session), "--out", str(tmp_path / "out"),
+                   "--window", "100"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "groundtruth.csv:3: bpm" in err and "SessionTooShort" not in err
 
 
 def _short_session(out, *flags):

@@ -255,6 +255,7 @@ REPRODUCERS = [
     (["synth", "--profile", "step:60,70,nan"], 1),
     (["synth", "--seed", "-1", "--noise", "1"], 1),
     (["synth", "--duration", "0.01"], 1),
+    (["synth", "--fps", "1e300", "--duration", "1"], 1),  # more frames than disk
     (["estimate", "{s}", "--window", "1e308"], 2),
     (["evaluate", "{s}", "--window", "1e308"], 2),
     (["sweep", "{s}", "--lengths", "1e308"], 2),

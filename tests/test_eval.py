@@ -54,6 +54,16 @@ class TestLoadGroundtruth:
         with pytest.raises(MissingFileError):
             load_groundtruth(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("body", ["\nt,bpm\n0.0,70\n1.0,72\n",
+                                      "t,bpm\n0.0,70\n  \n1.0,72\n"],
+                             ids=["blank-line-before-header", "whitespace-row"])
+    def test_blank_rows_skipped(self, tmp_path, body):
+        p = tmp_path / "gt.csv"
+        p.write_text(body)
+        gt = load_groundtruth(p)
+        assert gt.times.tolist() == [0.0, 1.0]
+        assert gt.bpm.tolist() == [70.0, 72.0]
+
     @pytest.mark.parametrize("body", [
         "0.0,70,extra\n",            # wrong column count
         "0.0,abc\n",                 # non-numeric

@@ -17,7 +17,7 @@ def _write_session(tmp_path: Path, *, width=16, height=16, fps=10.0,
     manifest = {
         "width": width, "height": height, "fps": fps,
         "pixel_format": pixel_format, "frame_count": frame_count,
-        "frames": "frames.raw",
+        "frames": "frames.raw", "boxes": "boxes.csv",
     }
     manifest.update(extra or {})
     for key in drop or ():
@@ -63,6 +63,7 @@ def test_manifest_fields_and_relative_paths(tiny_session):
     ({"width": 64.9}, None, "width"),
     ({"frame_count": 1.5}, None, "frame_count"),
     ({"height": "sixteen"}, None, "height"),
+    (None, ["boxes"], "missing.*boxes"),
 ])
 def test_manifest_rejected(tmp_path, extra, drop, message):
     path = _write_session(tmp_path, extra=extra, drop=drop)
@@ -143,7 +144,8 @@ def test_short_read_names_frame_index(tmp_path):
     (tmp_path / "frames.raw").write_bytes(bytes(2 * 256))
     manifest = SessionManifest(width=16, height=16, fps=10.0,
                                pixel_format="gray8", frame_count=3,
-                               frames_path=tmp_path / "frames.raw")
+                               frames_path=tmp_path / "frames.raw",
+                               boxes_path=tmp_path / "boxes.csv")
     with pytest.raises(FrameReadError,
                        match=r"frames\.raw: cannot map 768 bytes \(3 frames of "
                              r"256\), file has 512"):

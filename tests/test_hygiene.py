@@ -64,6 +64,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def test_csv_read_only_in_frameio():
+    """Every CSV sidecar is read through frameio.read_csv_rows."""
+    readers = [p.name for p in sorted((ROOT / "src" / "facepulse").glob("*.py"))
+               if re.search(r"\bcsv\.reader\b|\bfrom csv import\b", p.read_text())]
+    assert readers == ["frameio.py"]
+
+
 def test_package_all_resolves():
     names = facepulse.__all__
     assert len(names) == len(set(names))

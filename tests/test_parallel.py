@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import facepulse
-from facepulse import PulseSignal, WindowSpec, estimate_series, parallel, pulse
+from facepulse import PulseSignal, WindowSpec, estimate_series, parallel
 from facepulse.cli import main
 from facepulse.parallel import run_spans
 from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
@@ -23,13 +23,6 @@ from facepulse.spectral import SPECTRUM_BLOCK_BYTES
 from _reference import ref_block_rows, ref_hr_series
 
 WORKER_COUNTS = (1, 2, 3)
-
-
-@pytest.fixture
-def force_split(monkeypatch):
-    """Split any ROI reduction, however small, so small inputs take the
-    threads; the spectral blocks always do."""
-    monkeypatch.setattr(pulse, "SPLIT_MIN_CALL_BYTES", 0)
 
 
 @pytest.fixture
@@ -95,7 +88,6 @@ def _traces(frames, boxes):
     return trace.values, trace.valid
 
 
-@pytest.mark.usefixtures("force_split")
 class TestExtractTracesSplit:
     def _assert_split_invariant(self, monkeypatch, frames, boxes):
         results = _per_worker_count(monkeypatch, lambda: _traces(frames, boxes))
@@ -151,7 +143,6 @@ class TestExtractTracesSplit:
 ROWS_5S = ref_block_rows(150, SPECTRUM_BLOCK_BYTES)  # 5 s windows at 30 fps
 
 
-@pytest.mark.usefixtures("force_split")
 class TestEstimateSeriesSplit:
     def _bpm_per_worker_count(self, monkeypatch, samples, spec):
         results = _per_worker_count(
@@ -194,9 +185,10 @@ class TestSplitChoice:
     @pytest.mark.parametrize("size, shift, split", [
         (192, 0, True),    # 16-frame calls of 90.8 kB on average
         (192, 1, False),   # the box moves every frame: its frames are gathered
-        (128, 0, False),   # 41.1 kB
+        (128, 0, True),    # 41.1 kB: small calls are split as well
     ])
-    def test_reduction_split_by_call_bytes(self, thread_pools, size, shift, split):
+    def test_reduction_split_when_a_run_is_sliced(self, thread_pools, size, shift,
+                                                  split):
         # split: whether the reduction starts worker threads; a box that
         # moves every frame has no run to slice and so no span to split
         n = 2 * REDUCE_BLOCK_FRAMES
@@ -221,7 +213,6 @@ class TestSplitChoice:
 
 
 class TestNoThreadLeak:
-    @pytest.mark.usefixtures("force_split")
     def test_estimate_joins_its_workers(self, monkeypatch, clean72_session, tmp_path):
         monkeypatch.setattr(parallel, "WORKERS", 2)
         before = threading.active_count()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from facepulse import BandLimits, DEFAULT_BAND, PipelineParams
-from facepulse import pulse, roi
+from facepulse import parallel, pulse, roi
 from facepulse.errors import (AllFramesInvalidError, FlatSignalError, InputError,
                               NonPositiveMeanError, SignalTooShortError,
                               WindowTooShortError)
@@ -161,10 +161,11 @@ class TestExtractTraces:
 
     @pytest.mark.parametrize("track, calls", [(1, 9), (2, 4)], ids=["static", "moving"])
     def test_tall_regions_match_reference(self, monkeypatch, tall_gray, track, calls):
-        # 35 frames of 240-255 with cheek regions over 257 rows: the
-        # static box is sliced in 3 blocks per region, the moving one
-        # gathered in one call per cheek and two for the forehead (2070
-        # bytes a frame); both paths sum through _patch_sums
+        # 35 frames of 240-255 with cheek regions over 257 rows: on one
+        # worker the static box is sliced in 3 blocks per region, the
+        # moving one gathered in one call per cheek and two for the
+        # forehead (2070 bytes a frame); both paths sum through _patch_sums
+        monkeypatch.setattr(parallel, "WORKERS", 1)
         heights = []
         patch_sums = pulse._patch_sums
 

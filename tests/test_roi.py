@@ -178,3 +178,13 @@ def test_track_malformed_row(tmp_path):
                  "*,13,13,inf,38\n", "0,1,-inf,5,5\n", "0,nan,1,5,5\n2,1,1,5,5\n"):
         with pytest.raises(InputError):
             load_box_track(_write_track(tmp_path, text), 5)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("frame,x,y,w,h\n0,1,1,40,abc\n", 2),
+    ("\n  ,\nframe,x,y,w,h\n0,1,1,40,40\n\n1,1,1,40\n", 6),
+], ids=["header", "blank-rows"])
+def test_track_error_names_file_line(tmp_path, text, line):
+    # blank rows and the header count as lines of the file
+    with pytest.raises(InputError, match=rf"boxes\.csv:{line}: "):
+        load_box_track(_write_track(tmp_path, text), 5)

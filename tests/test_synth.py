@@ -158,6 +158,22 @@ class TestRendering:
         assert np.all(frame == base)
         assert frame.shape == (16, 16, 1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"fps": 1e300, "duration": 1.0},
+        {"duration": 1e300},
+        {"width": 10**9, "height": 10**9},
+        {"fps": 1e-300, "duration": 1e300},  # one frame, 1e300 groundtruth rows
+    ], ids=["fps", "duration", "frame-size", "groundtruth-rows"])
+    def test_larger_than_free_space_refused(self, tmp_path, kwargs):
+        # out_dir lies under a regular file, so a render that made
+        # anything before the check would fail at mkdir, not write
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        with pytest.raises(InputError, match="needs at least"):
+            render_session(SynthConfig(**kwargs), blocker / "s")
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "kept\n"
+
     def test_channel_depth_ordering(self):
         config = SynthConfig()
         quarter_cycle = 60.0 / 72.0 / 4.0  # wave peak of the default profile
@@ -186,7 +202,7 @@ class TestClosure:
         for name, drift in (("still", 0.0), ("drift", 0.1)):
             d = tmp_path / name
             render_session(SynthConfig(illum_drift=drift, **base), d)
-            series = estimate_series(build_session_signal(d / "session.json")[1],
+            series = estimate_series(build_session_signal(open_session(d / "session.json")),
                                      WindowSpec(10.0))
             means.append(float(series.bpm.mean()))
         assert abs(means[0] - means[1]) < 1.0
@@ -197,7 +213,7 @@ class TestClosure:
         for name, mono in (("rgb", False), ("mono", True)):
             d = tmp_path / name
             render_session(SynthConfig(mono=mono, **base), d)
-            series = estimate_series(build_session_signal(d / "session.json")[1],
+            series = estimate_series(build_session_signal(open_session(d / "session.json")),
                                      WindowSpec(10.0))
             means.append(float(series.bpm.mean()))
         assert abs(means[0] - means[1]) < 1.0
@@ -206,6 +222,6 @@ class TestClosure:
     def test_second_harmonic_keeps_fundamental(self, tmp_path):
         render_session(SynthConfig(duration=30.0, second_harmonic=True,
                                    hr_profile=ConstantProfile(66.0)), tmp_path)
-        series = estimate_series(build_session_signal(tmp_path / "session.json")[1],
+        series = estimate_series(build_session_signal(open_session(tmp_path / "session.json")),
                                  WindowSpec(10.0))
         assert float(series.bpm.mean()) == pytest.approx(66.0, abs=2.0)
