@@ -13,16 +13,16 @@ from functools import partial
 from pathlib import Path
 
 from .errors import FacePulseError, InputError, ProcessingError
-from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions,
+from .evaluate import (CHANNELS, PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions,
                        load_groundtruth, write_report_csv, write_report_json)
-from .frameio import MANIFEST_NAME, open_session, parse_finite
+from .frameio import MANIFEST_NAME, nearest_existing, open_session, parse_finite
 from .pipeline import PipelineParams, build_session_signal
-from .pulse import COMBINE_METHODS, DEFAULT_BAND, BandLimits
+from .pulse import COMBINE_METHODS, BandLimits
 from .spectral import WindowSpec, estimate_series
 from .synth import ConstantProfile, SynthConfig, parse_profile, render_session
 
-# report channel labels
-CHANNELS = ("rgb", "nir")
+# --window of estimate and evaluate, in seconds
+WINDOW_S = 10.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,29 +69,28 @@ def _out_dir(text: str) -> Path:
     """--out as a Path, refused before any work when it, or the nearest
     part of it that exists, is not a directory."""
     out = Path(text)
-    try:
-        nearest = next((p for p in (out, *out.parents) if p.exists()), None)
-    except OSError as exc:  # e.g. a name over the length limit
-        raise InputError(f"--out {text}: {exc.strerror}") from exc
-    if nearest is not None and not nearest.is_dir():
+    nearest = nearest_existing(out, "--out")
+    if not nearest.is_dir():
         raise InputError(f"--out {text}: {nearest} exists and is not a directory")
     return out
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def _synth_config(args: argparse.Namespace) -> SynthConfig:
     if args.hr is not None and args.profile is not None:
         raise InputError("give either --hr or --profile, not both")
-    if args.profile is not None:
-        profile = parse_profile(args.profile)
-    else:
-        profile = ConstantProfile(args.hr if args.hr is not None else 72.0)
-    config = SynthConfig(
+    profile = (ConstantProfile(args.hr) if args.hr is not None
+               else parse_profile(args.profile) if args.profile is not None
+               else SynthConfig.hr_profile)
+    return SynthConfig(
         width=args.width, height=args.height, fps=args.fps,
-        duration=args.duration, base_color=_parse_base_color(args.base_color),
+        duration=args.duration, base_color=args.base_color,
         pulse_amplitude=args.amplitude, hr_profile=profile,
         noise_sigma=args.noise, illum_drift=args.drift, seed=args.seed,
         mono=args.mono, second_harmonic=args.second_harmonic)
-    manifest = render_session(config, args.out)
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    manifest = render_session(_synth_config(args), args.out)
     print(f"wrote {manifest.frame_count} {manifest.pixel_format} frames "
           f"({manifest.duration:g} s) to {args.out}")
     return 0
@@ -104,7 +103,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     # a malformed groundtruth file is bad input: refused before any frame is read
     gt = (None if manifest.groundtruth_path is None
           else load_groundtruth(manifest.groundtruth_path))
-    series = estimate_series(build_session_signal(manifest, params), spec, params.band)
+    series = estimate_series(build_session_signal(manifest, params), spec)
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -180,10 +179,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--band", type=_parse_band, default=DEFAULT_BAND,
-                     metavar="LO:HI",
-                     help=f"pulse band in Hz (default {DEFAULT_BAND.f_lo:g}:"
-                          f"{DEFAULT_BAND.f_hi:g})")
+    band = PipelineParams.band
+    sub.add_argument("--band", type=_parse_band, default=band, metavar="LO:HI",
+                     help=f"pulse band in Hz (default {band.f_lo:g}:{band.f_hi:g})")
     sub.add_argument("--combine", choices=COMBINE_METHODS,
                      default=PipelineParams.combine,
                      help="rgb8 channel combination (default %(default)s); green "
@@ -191,38 +189,52 @@ def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
                           "through under every method")
 
 
+def _add_report_flags(sub: argparse.ArgumentParser) -> None:
+    """The sessions, --out, --channel and signal flags of evaluate and sweep."""
+    sub.add_argument("sessions", nargs="+",
+                     help="session directories or manifest paths")
+    sub.add_argument("--out", required=True, type=_out_dir,
+                     help="output directory")
+    sub.add_argument("--channel", choices=CHANNELS, default=CHANNELS[0],
+                     help="channel label for the report (default %(default)s)")
+    _add_signal_flags(sub)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="facepulse",
                      description="Heart-rate estimation from face video.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # SynthConfig's defaults; argparse passes non-string defaults through untyped
     p = sub.add_parser("synth", parents=[], help="render a synthetic session")
-    p.add_argument("--out", required=True, help="output session directory")
+    p.add_argument("--out", required=True, type=_out_dir,
+                   help="output session directory")
     p.add_argument("--hr", default=None,
                    type=partial(parse_finite, what="--hr"),
-                   help="constant heart rate in bpm (default 72)")
+                   help=f"constant heart rate in bpm (default {SynthConfig.hr_profile.bpm:g})")
     p.add_argument("--profile", default=None,
                    help="constant:BPM, step:A,B,T or ramp:A,B")
-    p.add_argument("--duration", default=60.0,
+    p.add_argument("--duration", default=SynthConfig.duration,
                    type=partial(parse_finite, what="--duration"),
                    help="seconds (default %(default)s)")
-    p.add_argument("--fps", default=30.0,
+    p.add_argument("--fps", default=SynthConfig.fps,
                    type=partial(parse_finite, what="--fps"),
                    help="frames per second (default %(default)s)")
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--base-color", default="170,120,100", metavar="R,G,B",
-                   help="skin base colour (default %(default)s)")
-    p.add_argument("--amplitude", default=0.02,
+    p.add_argument("--width", type=int, default=SynthConfig.width)
+    p.add_argument("--height", type=int, default=SynthConfig.height)
+    p.add_argument("--base-color", type=_parse_base_color, default=SynthConfig.base_color,
+                   metavar="R,G,B", help="skin base colour (default "
+                   + ",".join(f"{c:g}" for c in SynthConfig.base_color) + ")")
+    p.add_argument("--amplitude", default=SynthConfig.pulse_amplitude,
                    type=partial(parse_finite, what="--amplitude"),
                    help="fractional pulse amplitude (default %(default)s)")
-    p.add_argument("--noise", default=0.0, metavar="SIGMA",
+    p.add_argument("--noise", default=SynthConfig.noise_sigma, metavar="SIGMA",
                    type=partial(parse_finite, what="--noise"),
                    help="gaussian pixel noise (default %(default)s)")
-    p.add_argument("--drift", default=0.0,
+    p.add_argument("--drift", default=SynthConfig.illum_drift,
                    type=partial(parse_finite, what="--drift"),
                    help="illumination drift depth (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--mono", action="store_true",
                    help="render single-channel gray8 frames")
     p.add_argument("--second-harmonic", action="store_true",
@@ -233,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("session", help="session directory or manifest path")
     p.add_argument("--out", required=True, type=_out_dir,
                    help="output directory")
-    p.add_argument("--window", default=10.0,
+    p.add_argument("--window", default=WINDOW_S,
                    type=partial(parse_finite, what="--window"),
                    help="window length in seconds (default %(default)s)")
     p.add_argument("--hop", default=None,
@@ -244,32 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate",
                        help="score sessions against their groundtruth")
-    p.add_argument("sessions", nargs="+",
-                   help="session directories or manifest paths")
-    p.add_argument("--out", required=True, type=_out_dir,
-                   help="output directory")
-    p.add_argument("--window", default=10.0,
+    _add_report_flags(p)
+    p.add_argument("--window", default=WINDOW_S,
                    type=partial(parse_finite, what="--window"),
                    help="window length in seconds (default %(default)s)")
-    p.add_argument("--channel", choices=CHANNELS, default="rgb",
-                   help="channel label for the report (default %(default)s)")
-    _add_signal_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="evaluate across window lengths")
-    p.add_argument("sessions", nargs="+",
-                   help="session directories or manifest paths")
-    p.add_argument("--out", required=True, type=_out_dir,
-                   help="output directory")
+    _add_report_flags(p)
     p.add_argument("--protocol", choices=sorted(PROTOCOL_LENGTHS),
                    default="5.2",
                    help="default length set to sweep (default %(default)s)")
     p.add_argument("--lengths", default=None, metavar="T1,T2,...",
                    help="explicit window lengths in seconds, overriding "
                         "--protocol")
-    p.add_argument("--channel", choices=CHANNELS, default="rgb",
-                   help="channel label for the report (default %(default)s)")
-    _add_signal_flags(p)
     p.set_defaults(func=cmd_sweep)
     return parser
 

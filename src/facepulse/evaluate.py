@@ -36,6 +36,9 @@ PROTOCOL_LENGTHS = {
     "5.2": MONITORING_PROTOCOL_LENGTHS,
 }
 
+# report channel labels, the keys of the reference tables below
+CHANNELS = ("rgb", "nir")
+
 # Dataset-level MAE (bpm) reported for this pipeline family on the edBB
 # desktop student-monitoring benchmark (25 subjects, RGB and NIR cameras),
 # keyed by (channel label, window seconds).  Informational context for
@@ -177,19 +180,25 @@ class EvalReport:
 
 def evaluate_sessions(manifest_paths: list[str | os.PathLike],
                       lengths: list[float],
-                      channel: str = "rgb",
+                      channel: str = CHANNELS[0],
                       params: PipelineParams = PipelineParams(),
                       ) -> EvalReport:
     """Run both protocols over sessions x window lengths.
 
-    Each session is opened and its groundtruth loaded before any frame
-    is read; its conditioned signal is then built once and re-windowed
-    per length.  A session that fails to open or process is recorded and
-    skipped; a (session, length) pair that fails (too short, missing
-    reference samples) is recorded and left out of that length's
-    aggregate.
+    A channel outside CHANNELS, or two paths that share a session_id,
+    raise InputError before any session is opened.  Each session is
+    opened and its groundtruth loaded before any frame is read; its
+    conditioned signal is then built once and re-windowed per length.
+    A session that fails to open or process is recorded and skipped; a
+    (session, length) pair that fails (too short, missing reference
+    samples) is recorded and left out of that length's aggregate.
     """
+    if channel not in CHANNELS:
+        raise InputError(f"unknown channel {channel!r}; use one of {CHANNELS}")
     order = sorted(manifest_paths, key=session_id)
+    for a, b in zip(order, order[1:]):
+        if session_id(a) == session_id(b):
+            raise InputError(f"session {session_id(a)} is named twice: {a} and {b}")
     lengths = sorted(set(float(t) for t in lengths))
     if not lengths:
         raise EmptyInputError("no window lengths given")
@@ -210,8 +219,7 @@ def evaluate_sessions(manifest_paths: list[str | os.PathLike],
             continue
         for t in lengths:
             try:
-                series = estimate_series(signal, WindowSpec(length=t),
-                                         params.band)
+                series = estimate_series(signal, WindowSpec(length=t))
                 aligned = align_groundtruth(gt, series.window_start,
                                             series.window_end)
                 row = SessionResult(

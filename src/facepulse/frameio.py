@@ -87,6 +87,15 @@ def require_file(path: Path, what: str) -> None:
         raise MissingFileError(f"{what} not found: {path}")
 
 
+def nearest_existing(path: Path, what: str) -> Path:
+    """The nearest existing part of path, itself or a parent; a lookup that
+    fails with OSError (e.g. ENAMETOOLONG) raises InputError naming what."""
+    try:
+        return next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:
+        raise InputError(f"{what} {path}: {exc.strerror}") from exc
+
+
 def read_csv_rows(path: Path, what: str, header: str,
                   columns: int) -> Iterator[tuple[int, list[str]]]:
     """Yield (file line, cells) of each row of a CSV sidecar, skipping

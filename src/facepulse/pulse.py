@@ -103,10 +103,11 @@ class RawTrace:
 
 @dataclass(frozen=True)
 class PulseSignal:
-    """Filtered, zero-mean pulse waveform."""
+    """Filtered, zero-mean pulse waveform and the band it was filtered to."""
 
     fps: float
     samples: np.ndarray
+    band: BandLimits
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -219,8 +220,7 @@ def detrend(signal: np.ndarray, fps: float) -> np.ndarray:
     return signal - moving
 
 
-def design_bandpass_taps(fps: float, n: int,
-                         band: BandLimits = DEFAULT_BAND) -> np.ndarray:
+def design_bandpass_taps(fps: float, n: int, band: BandLimits) -> np.ndarray:
     """Windowed-sinc (Hamming) bandpass taps for a signal of n samples,
     round(FILTER_PERIODS * fps / f_lo) long, forced odd so the group delay
     is an integer; gain normalised to one at the centre of the band.
@@ -258,7 +258,7 @@ def bandpass(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out - out.mean()
 
 
-def combine_channels(x: np.ndarray, method: str = "chrom") -> np.ndarray:
+def combine_channels(x: np.ndarray, method: str) -> np.ndarray:
     """Collapse conditioned (regions, 3, n) R, G, B series to (regions, n).
 
     intensity averages the three channels; chrom projects onto the
@@ -279,8 +279,7 @@ def combine_channels(x: np.ndarray, method: str = "chrom") -> np.ndarray:
     return np.where(collapsed[:, None], intensity, chrom)
 
 
-def build_pulse_signal(trace: RawTrace, band: BandLimits = DEFAULT_BAND,
-                       method: str = "chrom") -> PulseSignal:
+def build_pulse_signal(trace: RawTrace, band: BandLimits, method: str) -> PulseSignal:
     """Full conditioning chain for one session trace.
 
     Each region/channel row the method reads (COMBINE_CHANNELS of rgb8,
@@ -302,4 +301,4 @@ def build_pulse_signal(trace: RawTrace, band: BandLimits = DEFAULT_BAND,
     fused = regions.mean(axis=0)
     if not fused.any():
         raise FlatSignalError("the fused pulse signal is zero: the channels read never change")
-    return PulseSignal(fps=trace.fps, samples=fused - fused.mean())
+    return PulseSignal(fps=trace.fps, samples=fused - fused.mean(), band=band)

@@ -81,8 +81,8 @@ def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> np.ndarra
 
     Frames without an annotation get a box linearly interpolated between
     the nearest annotated neighbours (copied from the nearest one at the
-    track's ends).  A single row with frame index "*" applies to every
-    frame.  Returns a (frame_count, 4) float64 array.
+    track's ends).  A lone row with frame index "*" is the one anchor, at
+    frame 0, which every frame copies.  Returns a (frame_count, 4) float64 array.
     """
     boxes_path = Path(boxes_path)
     parsed = [_parse_row(row, boxes_path, line)
@@ -91,33 +91,30 @@ def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> np.ndarra
         raise EmptyTrackError(f"{boxes_path}: no box rows")
     anchors = np.array([coords for _, coords in parsed])
 
-    if any(idx is None for idx, _ in parsed):
-        if len(parsed) != 1:
-            raise InputError(
-                f"{boxes_path}: a '*' row must be the only row, got {len(parsed)} rows")
-        track = np.tile(anchors[0], (frame_count, 1))
-    else:
-        keys = np.array([idx for idx, _ in parsed])
-        back = np.flatnonzero(np.diff(keys) <= 0)
-        if back.size:
-            raise NonMonotonicIndicesError(
-                f"{boxes_path}: frame indices must be strictly increasing "
-                f"({keys[back[0]]} then {keys[back[0] + 1]})")
-        if keys[0] < 0 or keys[-1] >= frame_count:
-            raise InputError(
-                f"{boxes_path}: frame indices must lie in [0, {frame_count}), "
-                f"got range [{keys[0]}, {keys[-1]}]")
-        # k is the first anchor at or past each frame; frames on an anchor
-        # or outside the annotated span copy the nearest anchor, k1, and
-        # frames between two anchors interpolate
-        frames = np.arange(frame_count)
-        k = np.searchsorted(keys, frames)
-        k1 = np.minimum(k, len(keys) - 1)
-        track = anchors[k1]
-        inner = np.flatnonzero((k > 0) & (keys[k1] > frames))
-        i, i0, i1 = frames[inner], keys[k1[inner] - 1], keys[k1[inner]]
-        a, b = anchors[k1[inner] - 1], anchors[k1[inner]]
-        track[inner] = a + (b - a) * ((i - i0) / (i1 - i0))[:, None]
+    if any(idx is None for idx, _ in parsed) and len(parsed) != 1:
+        raise InputError(
+            f"{boxes_path}: a '*' row must be the only row, got {len(parsed)} rows")
+    keys = np.array([0 if idx is None else idx for idx, _ in parsed])
+    back = np.flatnonzero(np.diff(keys) <= 0)
+    if back.size:
+        raise NonMonotonicIndicesError(
+            f"{boxes_path}: frame indices must be strictly increasing "
+            f"({keys[back[0]]} then {keys[back[0] + 1]})")
+    if keys[0] < 0 or keys[-1] >= frame_count:
+        raise InputError(
+            f"{boxes_path}: frame indices must lie in [0, {frame_count}), "
+            f"got range [{keys[0]}, {keys[-1]}]")
+    # k is the first anchor at or past each frame; frames on an anchor
+    # or outside the annotated span copy the nearest anchor, k1, and
+    # frames between two anchors interpolate
+    frames = np.arange(frame_count)
+    k = np.searchsorted(keys, frames)
+    k1 = np.minimum(k, len(keys) - 1)
+    track = anchors[k1]
+    inner = np.flatnonzero((k > 0) & (keys[k1] > frames))
+    i, i0, i1 = frames[inner], keys[k1[inner] - 1], keys[k1[inner]]
+    a, b = anchors[k1[inner] - 1], anchors[k1[inner]]
+    track[inner] = a + (b - a) * ((i - i0) / (i1 - i0))[:, None]
 
     bad = np.flatnonzero((track[:, 2] <= 0) | (track[:, 3] <= 0))
     if bad.size:

@@ -22,7 +22,7 @@ from .errors import (
     SessionTooShortError,
 )
 from .parallel import run_spans
-from .pulse import DEFAULT_BAND, BandLimits, PulseSignal
+from .pulse import PulseSignal
 
 ZERO_PAD_FACTOR = 8
 
@@ -94,9 +94,8 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def estimate_series(signal: PulseSignal, spec: WindowSpec,
-                    band: BandLimits = DEFAULT_BAND) -> HrSeries:
-    """One bpm estimate per window of an already-conditioned pulse signal.
+def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
+    """One bpm estimate per window of a conditioned signal, within signal.band.
 
     Each window has its mean removed and a Hann taper applied, and is
     zero-padded to 8x the next power of two, so bins are fps / padded Hz
@@ -107,6 +106,7 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec,
     outside the band), the shift is half a bin toward the larger
     neighbour, so such a peak is clamped to the band edge.
     """
+    band = signal.band
     min_len = 2.0 / band.f_lo
     if spec.length < min_len:
         raise InputError(

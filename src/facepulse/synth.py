@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .frameio import (BYTES_PER_PIXEL, MANIFEST_NAME, MIN_FRAME_DIM, SessionManifest,
-                      open_session, parse_finite)
+                      nearest_existing, open_session, parse_finite)
 from .pulse import DEFAULT_BAND
 
 # validity range for configured heart rates: the default pulse band
@@ -215,16 +215,19 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     bitwise-identical files.  Returns the manifest re-read through the
     ingest path, so the emitted files are validated on the way out.
     A session whose frames and groundtruth rows (9 bytes or more each)
-    exceed the free disk space is refused before anything is made.
+    exceed the free disk space, or an out_dir whose nearest existing
+    part is not a directory, is refused before anything is made.
     """
     out_dir = Path(out_dir)
     pixel_format = "gray8" if config.mono else "rgb8"
     need = (config.frame_count * config.width * config.height * BYTES_PER_PIXEL[pixel_format]
             + 9 * math.floor(config.duration))
-    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    nearest = nearest_existing(out_dir, "out_dir")
     free = shutil.disk_usage(nearest).free
     if need > free:
         raise InputError(f"the session needs at least {need} bytes; {nearest} has {free} free")
+    if not nearest.is_dir():
+        raise InputError(f"out_dir {out_dir}: {nearest} exists and is not a directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     # noise is drawn frame by frame from one PCG64 stream
     rng = np.random.default_rng(config.seed) if config.noise_sigma > 0 else None

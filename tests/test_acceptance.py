@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from facepulse import (ConstantProfile, GroundTruth, HrSeries, StepProfile,
+from facepulse import (DEFAULT_BAND, ConstantProfile, GroundTruth, HrSeries, StepProfile,
                        SynthConfig, WindowSpec, build_session_signal,
                        estimate_series, evaluate_sessions, render_session)
 from facepulse.cli import main
@@ -180,7 +180,7 @@ def test_a5_metric_oracle(check):
 
 def test_a6_dsp_invariants(clean72_session, tmp_path, check):
     # bandpass response at the tap level
-    taps = design_bandpass_taps(30.0, 1800)
+    taps = design_bandpass_taps(30.0, 1800, DEFAULT_BAND)
     k = np.arange(len(taps))
 
     def gain(f):
@@ -194,12 +194,14 @@ def test_a6_dsp_invariants(clean72_session, tmp_path, check):
     manifest = open_session(clean72_session / "session.json")
     boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
     trace = extract_traces(map_frames(manifest), boxes, manifest.fps)
-    reference = estimate_series(build_pulse_signal(trace), WindowSpec(10.0))
+    reference = estimate_series(build_pulse_signal(trace, DEFAULT_BAND, "chrom"),
+                                WindowSpec(10.0))
     scale_gap = 0.0
     for c in (0.5, 1.5):
         scaled = trace.__class__(fps=trace.fps, values=c * trace.values,
                                  valid=trace.valid)
-        series = estimate_series(build_pulse_signal(scaled), WindowSpec(10.0))
+        series = estimate_series(build_pulse_signal(scaled, DEFAULT_BAND, "chrom"),
+                                 WindowSpec(10.0))
         scale_gap = max(scale_gap, float(np.max(np.abs(
             series.bpm - reference.bpm))))
     scale_ok = scale_gap <= 1e-9

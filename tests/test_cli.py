@@ -186,6 +186,18 @@ class TestEvaluateCommand:
         assert payload["channel"] == "nir"
         assert "10" in payload["reference_mae_bpm"]["session"]
 
+    @pytest.mark.parametrize("twice", ["{s}", "{s}/session.json"])
+    def test_session_named_twice_exits_1(self, short_pair, tmp_path, capsys, twice):
+        # one session scored twice would count twice in the dataset means
+        s01, s02 = short_pair
+        out = tmp_path / "rep"
+        rc = main(["evaluate", s01, twice.format(s=s01), s02, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InputError: session s01 is named twice" in err
+        assert err.count(f"{s01}/session.json") == 2
+        assert not out.exists()
+
     def test_all_windows_unscored_exits_2(self, tmp_path, capsys):
         out = tmp_path / "sess"
         main(["synth", "--out", str(out), "--duration", "20",

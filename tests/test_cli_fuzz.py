@@ -256,6 +256,9 @@ REPRODUCERS = [
     (["synth", "--seed", "-1", "--noise", "1"], 1),
     (["synth", "--duration", "0.01"], 1),
     (["synth", "--fps", "1e300", "--duration", "1"], 1),  # more frames than disk
+    (["synth", "--out", "{file}"], 1),
+    (["synth", "--out", "{file}/sub"], 1),
+    (["synth", "--out", "{s}/{long}"], 1),
     (["estimate", "{s}", "--window", "1e308"], 2),
     (["evaluate", "{s}", "--window", "1e308"], 2),
     (["sweep", "{s}", "--lengths", "1e308"], 2),
@@ -288,7 +291,8 @@ REPRODUCERS = [
     for c in REPRODUCERS])
 def test_bad_numbers_exit_cleanly(base, tmp_path, case):
     argv, code, *mutations = case
-    session, out, file = tmp_path / "s", tmp_path / "out", tmp_path / "file"
+    # the copy's name differs from base's: two sessions may not share an id
+    session, out, file = tmp_path / "mutated", tmp_path / "out", tmp_path / "file"
     shutil.copytree(base, session)
     file.write_text("kept\n")
     for mutation in mutations:

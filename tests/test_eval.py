@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,19 @@ class TestEvaluateSessions:
     def test_no_lengths(self, eval_sessions):
         with pytest.raises(EmptyInputError):
             evaluate_sessions(eval_sessions, [])
+
+    def test_unknown_channel_refused(self, eval_sessions):
+        # a label outside CHANNELS would add a column to every report.csv row
+        with pytest.raises(InputError, match="unknown channel 'a,b'"):
+            evaluate_sessions(eval_sessions, [10.0], channel="a,b")
+
+    @pytest.mark.parametrize("second", ["s1", "s1/session.json"])
+    def test_session_named_twice_refused_before_opening(self, tmp_path, second):
+        # none of these paths exists, so the refusal comes before any is opened
+        first, other = tmp_path / "a" / "s1", tmp_path / "b" / "s2"
+        message = f"session s1 is named twice: {first} and {tmp_path / 'a' / second}"
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
+            evaluate_sessions([first, other, tmp_path / "a" / second], [10.0])
 
     def test_overlong_window_skipped_per_length(self, eval_sessions):
         report = evaluate_sessions(eval_sessions, [5.0, 30.0])

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import facepulse
-from facepulse.cli import build_parser
+from facepulse.cli import _synth_config, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "facepulse").glob("*.py")) + \
@@ -80,9 +81,21 @@ def test_package_all_resolves():
 @pytest.mark.parametrize("argv", [["estimate", "s"], ["evaluate", "s"], ["sweep", "s"]],
                          ids=lambda argv: argv[0])
 def test_combine_default_has_one_definition(argv):
-    """--combine falls back to the PipelineParams default, not a copy of it."""
+    """--band and --combine fall back to the PipelineParams defaults, and
+    --channel to evaluate_sessions', not to copies of them."""
     args = build_parser().parse_args(argv + ["--out", "out"])
     assert args.combine == facepulse.PipelineParams().combine
+    params = facepulse.PipelineParams(args.band, args.combine)
+    assert params == facepulse.PipelineParams()
+    if argv[0] != "estimate":
+        channel = inspect.signature(facepulse.evaluate_sessions).parameters["channel"]
+        assert args.channel == channel.default
+
+
+def test_synth_defaults_are_synth_configs():
+    """synth without flags renders the SynthConfig defaults."""
+    args = build_parser().parse_args(["synth", "--out", "x"])
+    assert _synth_config(args) == facepulse.SynthConfig()
 
 
 def _library_section() -> str:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import facepulse
-from facepulse import PulseSignal, WindowSpec, estimate_series, parallel
+from facepulse import DEFAULT_BAND, PulseSignal, WindowSpec, estimate_series, parallel
 from facepulse.cli import main
 from facepulse.parallel import run_spans
 from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
@@ -146,7 +146,8 @@ ROWS_5S = ref_block_rows(150, SPECTRUM_BLOCK_BYTES)  # 5 s windows at 30 fps
 class TestEstimateSeriesSplit:
     def _bpm_per_worker_count(self, monkeypatch, samples, spec):
         results = _per_worker_count(
-            monkeypatch, lambda: estimate_series(PulseSignal(30.0, samples), spec).bpm)
+            monkeypatch,
+            lambda: estimate_series(PulseSignal(30.0, samples, DEFAULT_BAND), spec).bpm)
         for bpm in results[1:]:
             assert np.array_equal(bpm, results[0])
         return results[0]
@@ -208,7 +209,8 @@ class TestSplitChoice:
                                            split):
         # every call with two or more blocks of windows starts the threads
         samples = np.random.default_rng(3).normal(0, 1, 1800)
-        estimate_series(PulseSignal(30.0, samples), WindowSpec(length, hop_frames / 30))
+        estimate_series(PulseSignal(30.0, samples, DEFAULT_BAND),
+                        WindowSpec(length, hop_frames / 30))
         assert thread_pools == ([2] if split else [])
 
 

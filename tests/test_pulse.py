@@ -216,7 +216,7 @@ class TestNormalize:
         # filter, which build_pulse_signal designs before any row is read
         for n in (1, 2, 170):
             with pytest.raises(SignalTooShortError, match=f"{n} samples shorter"):
-                build_pulse_signal(_raw_trace(np.zeros((3, 3, n))))
+                build_pulse_signal(_raw_trace(np.zeros((3, 3, n))), DEFAULT_BAND, "chrom")
 
 
 class TestDetrend:
@@ -262,13 +262,13 @@ class TestDetrend:
 
 class TestBandpass:
     def test_tap_count_and_symmetry(self):
-        taps = design_bandpass_taps(30.0, 600)
+        taps = design_bandpass_taps(30.0, 600, DEFAULT_BAND)
         assert len(taps) == 171
         assert len(taps) % 2 == 1
         assert np.allclose(taps, taps[::-1], atol=1e-15)
 
     def test_frequency_response_bounds(self):
-        taps = design_bandpass_taps(30.0, 600)
+        taps = design_bandpass_taps(30.0, 600, DEFAULT_BAND)
         assert _response(taps, 0.0, 30.0) <= 10 ** (-40 / 20)
         db_tol = (10 ** (-1 / 20), 10 ** (1 / 20))
         assert db_tol[0] <= _response(taps, 1.2, 30.0) <= db_tol[1]
@@ -277,23 +277,25 @@ class TestBandpass:
         assert _response(taps, 6.0, 30.0) <= 0.1
 
     def test_dc_input_rejected(self):
-        out = bandpass(np.ones(600), design_bandpass_taps(30.0, 600))
+        out = bandpass(np.ones(600), design_bandpass_taps(30.0, 600, DEFAULT_BAND))
         assert np.max(np.abs(out)) <= 0.01
 
     def test_inband_tone_preserved(self):
         t = np.arange(900) / 30.0
-        out = bandpass(np.sin(2 * np.pi * 1.2 * t), design_bandpass_taps(30.0, 900))
+        out = bandpass(np.sin(2 * np.pi * 1.2 * t),
+                       design_bandpass_taps(30.0, 900, DEFAULT_BAND))
         amp = _fit_amplitude(out[100:-100], 1.2, 30.0)
         assert 0.89 <= amp <= 1.12
 
     def test_out_of_band_tone_suppressed(self):
         t = np.arange(900) / 30.0
-        out = bandpass(np.sin(2 * np.pi * 6.0 * t), design_bandpass_taps(30.0, 900))
+        out = bandpass(np.sin(2 * np.pi * 6.0 * t),
+                       design_bandpass_taps(30.0, 900, DEFAULT_BAND))
         assert _fit_amplitude(out[100:-100], 6.0, 30.0) <= 0.1
 
     def test_output_mean_negligible(self):
         rng = np.random.default_rng(3)
-        taps = design_bandpass_taps(30.0, 500)
+        taps = design_bandpass_taps(30.0, 500, DEFAULT_BAND)
         for _ in range(20):
             signal = rng.normal(rng.uniform(-5, 5), 1.0, 500)
             out = bandpass(signal, taps)
@@ -301,8 +303,8 @@ class TestBandpass:
 
     def test_signal_shorter_than_filter(self):
         with pytest.raises(SignalTooShortError, match="100 samples shorter than the 171-tap"):
-            design_bandpass_taps(30.0, 100)
-        assert len(design_bandpass_taps(30.0, 171)) == 171
+            design_bandpass_taps(30.0, 100, DEFAULT_BAND)
+        assert len(design_bandpass_taps(30.0, 171, DEFAULT_BAND)) == 171
 
     def test_band_above_nyquist(self):
         with pytest.raises(InputError, match="below Nyquist"):
@@ -322,9 +324,9 @@ class TestCombine:
         # green is the conditioned G row of each region, intensity the
         # mean of the three conditioned rows
         trace = _raw_trace(np.random.default_rng(4).uniform(90, 110, (3, 3, 300)))
-        green = build_pulse_signal(trace, method="green")
+        green = build_pulse_signal(trace, DEFAULT_BAND, "green")
         assert np.array_equal(green.samples, _expected(trace.values, "green"))
-        intensity = build_pulse_signal(trace, method="intensity")
+        intensity = build_pulse_signal(trace, DEFAULT_BAND, "intensity")
         assert np.allclose(intensity.samples, _expected(trace.values, "intensity"),
                            rtol=0, atol=1e-15)
 
@@ -362,18 +364,18 @@ class TestCombine:
         values[:, 1] = g
         trace = _raw_trace(values)
         direct = np.mean([_chain(g)] * 3, axis=0)
-        assert np.array_equal(build_pulse_signal(trace, method="green").samples,
+        assert np.array_equal(build_pulse_signal(trace, DEFAULT_BAND, "green").samples,
                               direct - direct.mean())
         for method in ("intensity", "chrom"):
             with pytest.raises(NonPositiveMeanError):
-                build_pulse_signal(trace, method=method)
+                build_pulse_signal(trace, DEFAULT_BAND, method)
 
     def test_single_channel_passes_through(self):
         # each region's one conditioned row is its signal, whatever the method
         trace = _raw_trace(np.random.default_rng(7).normal(100, 1, (3, 1, 300)))
         direct = np.mean([_chain(row) for row in trace.values[:, 0]], axis=0)
         for method in ("green", "intensity", "chrom"):
-            assert np.array_equal(build_pulse_signal(trace, method=method).samples,
+            assert np.array_equal(build_pulse_signal(trace, DEFAULT_BAND, method).samples,
                                   direct - direct.mean())
 
     def test_unknown_method(self):
@@ -405,14 +407,14 @@ def _mono_trace(*regions: np.ndarray) -> RawTrace:
 class TestFuse:
     def test_identical_signals(self):
         s = 100.0 + np.sin(np.linspace(0, 20, 300)) + 0.3
-        fused = build_pulse_signal(_mono_trace(s, s, s))
+        fused = build_pulse_signal(_mono_trace(s, s, s), DEFAULT_BAND, "chrom")
         direct = _chain(s)
         assert np.allclose(fused.samples, direct - direct.mean(), atol=1e-12)
 
     def test_cancellation(self):
         s = np.sin(2 * np.pi * 1.2 * np.arange(300) / 30.0)
         fused = build_pulse_signal(_mono_trace(100.0 + s, 100.0 - s,
-                                               np.full(300, 100.0)))
+                                               np.full(300, 100.0)), DEFAULT_BAND, "chrom")
         assert np.allclose(fused.samples, 0.0, atol=1e-12)
 
     def test_fusion_improves_snr(self):
@@ -428,8 +430,8 @@ class TestFuse:
             total = np.sum(x ** 2) * n
             return proj / (total - proj)
 
-        fused = build_pulse_signal(_mono_trace(s, s, noisy))
-        alone = build_pulse_signal(_mono_trace(noisy, noisy, noisy))
+        fused = build_pulse_signal(_mono_trace(s, s, noisy), DEFAULT_BAND, "chrom")
+        alone = build_pulse_signal(_mono_trace(noisy, noisy, noisy), DEFAULT_BAND, "chrom")
         assert snr(fused.samples) > snr(alone.samples)
 
 
@@ -448,15 +450,15 @@ class TestBuildPulseSignal:
         return _raw_trace(values, fps)
 
     def test_zero_mean_invariant(self):
-        signal = build_pulse_signal(self._trace())
+        signal = build_pulse_signal(self._trace(), DEFAULT_BAND, "chrom")
         assert abs(signal.samples.mean()) <= 1e-9 * np.max(np.abs(signal.samples))
 
     def test_chrom_falls_back_on_replicated_channels(self):
         trace = self._trace()
         trace.values[:, 0] = trace.values[:, 1]
         trace.values[:, 2] = trace.values[:, 1]
-        chrom = build_pulse_signal(trace, method="chrom")
-        intensity = build_pulse_signal(trace, method="intensity")
+        chrom = build_pulse_signal(trace, DEFAULT_BAND, "chrom")
+        intensity = build_pulse_signal(trace, DEFAULT_BAND, "intensity")
         assert np.allclose(chrom.samples, intensity.samples, atol=1e-12)
 
     def test_chrom_fallback_is_per_region(self):
@@ -476,7 +478,7 @@ class TestBuildPulseSignal:
             expected = [ref_combine_region(region, method) for region in conditioned]
             assert np.array_equal(combine_channels(conditioned, method), expected)
         for method in ("green", "chrom"):
-            assert np.array_equal(build_pulse_signal(trace, method=method).samples,
+            assert np.array_equal(build_pulse_signal(trace, DEFAULT_BAND, method).samples,
                                   _expected(trace.values, method))
 
     def test_mono_replication_equivalence(self):
@@ -485,7 +487,7 @@ class TestBuildPulseSignal:
         gray = self._trace().values[:, 1:2]
         direct = np.mean([_chain(gray[r, 0]) for r in range(3)], axis=0)
         for method in ("green", "intensity", "chrom"):
-            via_pipeline = build_pulse_signal(_raw_trace(gray), method=method)
+            via_pipeline = build_pulse_signal(_raw_trace(gray), DEFAULT_BAND, method)
             assert np.array_equal(via_pipeline.samples, direct - direct.mean())
 
     @pytest.mark.parametrize("channels, method, calls", [
@@ -502,7 +504,7 @@ class TestBuildPulseSignal:
             return normalize_segment(segment)
 
         monkeypatch.setattr(pulse, "normalize_segment", counting)
-        build_pulse_signal(trace, method=method)
+        build_pulse_signal(trace, DEFAULT_BAND, method)
         assert len(rows) == calls
         assert all(np.shares_memory(row, values) for row in rows)
         if calls == 3:
@@ -518,7 +520,7 @@ class TestFlatSignal:
         trace = _raw_trace(np.full((3, channels, 300), level))
         for method in COMBINE_METHODS:
             with pytest.raises(FlatSignalError, match="signal is zero"):
-                build_pulse_signal(trace, method=method)
+                build_pulse_signal(trace, DEFAULT_BAND, method)
 
     def test_only_the_read_channels_count(self):
         # a flat G channel leaves green without a pulse, not chrom
@@ -526,8 +528,8 @@ class TestFlatSignal:
         values[:, 1] = 120.0
         trace = _raw_trace(values)
         with pytest.raises(FlatSignalError):
-            build_pulse_signal(trace, method="green")
-        assert build_pulse_signal(trace, method="chrom").samples.any()
+            build_pulse_signal(trace, DEFAULT_BAND, "green")
+        assert build_pulse_signal(trace, DEFAULT_BAND, "chrom").samples.any()
 
 
 class TestPixelScaleInvariance:
@@ -544,7 +546,7 @@ class TestPixelScaleInvariance:
 
     def _signal(self, session_dir, method):
         trace = extract_traces(*_session(session_dir))
-        return build_pulse_signal(trace, method=method)
+        return build_pulse_signal(trace, DEFAULT_BAND, method)
 
     @pytest.mark.parametrize("method", ["green", "intensity", "chrom"])
     def test_scaling_pixels_leaves_signal_unchanged(self, tmp_path, method):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from facepulse import (BandLimits, HrSeries, PulseSignal, WindowSpec,
+from facepulse import (DEFAULT_BAND, BandLimits, HrSeries, PulseSignal, WindowSpec,
                        estimate_series)
 from facepulse.errors import EmptyBandError, InputError, SessionTooShortError
 from facepulse.evaluate import sub51_error
@@ -21,9 +21,9 @@ def _tone(freq: float, duration: float, fps: float = 30.0) -> np.ndarray:
 
 
 def _bpm(samples: np.ndarray, length: float, fps: float = 30.0,
-         band: BandLimits = BandLimits()) -> np.ndarray:
+         band: BandLimits = DEFAULT_BAND) -> np.ndarray:
     """estimate_series over non-overlapping windows of `length` seconds."""
-    return estimate_series(PulseSignal(fps, samples), WindowSpec(length), band).bpm
+    return estimate_series(PulseSignal(fps, samples, band), WindowSpec(length)).bpm
 
 
 class TestWindowSpec:
@@ -195,7 +195,7 @@ class TestPeakBpm:
 
 class TestEstimateSeries:
     def test_tone_recovered_per_window(self):
-        signal = PulseSignal(fps=30.0, samples=_tone(1.2, 60.0))
+        signal = PulseSignal(fps=30.0, samples=_tone(1.2, 60.0), band=DEFAULT_BAND)
         series = estimate_series(signal, WindowSpec(10.0))
         assert len(series) == 6
         assert (series.window_start[0], series.window_end[0]) == (0.0, 10.0)
@@ -204,17 +204,25 @@ class TestEstimateSeries:
 
     def test_amplitude_invariant_bitwise(self):
         samples = _tone(1.1, 40.0)
-        a = estimate_series(PulseSignal(30.0, samples), WindowSpec(5.0))
-        b = estimate_series(PulseSignal(30.0, 2.0 * samples), WindowSpec(5.0))
+        a = estimate_series(PulseSignal(30.0, samples, DEFAULT_BAND), WindowSpec(5.0))
+        b = estimate_series(PulseSignal(30.0, 2.0 * samples, DEFAULT_BAND), WindowSpec(5.0))
         assert a.bpm.tolist() == b.bpm.tolist()
 
     def test_window_must_hold_two_cycles(self):
-        signal = PulseSignal(fps=30.0, samples=_tone(1.2, 60.0))
+        signal = PulseSignal(fps=30.0, samples=_tone(1.2, 60.0), band=DEFAULT_BAND)
         with pytest.raises(InputError):
             estimate_series(signal, WindowSpec(2.0))
 
+    def test_search_band_is_the_signals(self):
+        # a 1.5 Hz tone is outside 0.7-1.2 Hz: its peak is looked for, and
+        # clamped, in the band the signal carries
+        samples = _tone(1.5, 30.0)
+        narrow = _bpm(samples, 10.0, band=BandLimits(0.7, 1.2))
+        assert len(narrow) == 3 and np.all((narrow >= 42.0) & (narrow <= 72.0))
+        assert _bpm(samples, 10.0) == pytest.approx([90.0] * 3, abs=1e-3)
+
     def test_signal_shorter_than_window(self):
-        signal = PulseSignal(fps=30.0, samples=_tone(1.2, 3.0))
+        signal = PulseSignal(fps=30.0, samples=_tone(1.2, 3.0), band=DEFAULT_BAND)
         with pytest.raises(SessionTooShortError):
             estimate_series(signal, WindowSpec(5.0))
 
@@ -224,7 +232,7 @@ class TestEstimateSeries:
         t = np.arange(1800) / fps
         f1, f2 = 70.0 / 60.0, 100.0 / 60.0
         phase = np.where(t < t_switch, f1 * t, f1 * t_switch + f2 * (t - t_switch))
-        series = estimate_series(PulseSignal(fps, np.sin(2 * np.pi * phase)),
+        series = estimate_series(PulseSignal(fps, np.sin(2 * np.pi * phase), DEFAULT_BAND),
                                  WindowSpec(5.0))
         for start, bpm in zip(series.window_start, series.bpm):
             expected = 70.0 if start < t_switch else 100.0
@@ -246,7 +254,7 @@ def test_blocked_windows_match_per_window_reference(n_windows, hop):
     n = win + (n_windows - 1) * hop + int(rng.integers(0, hop))
     samples = _tone(1.3, n / fps) + rng.normal(0.0, 1.0, n)
     spec = WindowSpec(10.0, None if hop == win else hop / fps)
-    series = estimate_series(PulseSignal(fps, samples), spec)
+    series = estimate_series(PulseSignal(fps, samples, DEFAULT_BAND), spec)
     starts, ends, bpm = ref_hr_series(samples, fps, win, hop)
     assert len(series) == n_windows
     assert np.array_equal(series.window_start, starts)
@@ -269,7 +277,7 @@ def test_blocks_sized_in_bytes(monkeypatch, win, n_windows):
 
     monkeypatch.setattr(np.fft, "rfft", recording)
     samples = np.random.default_rng(win).normal(0, 1, win + n_windows - 1)
-    estimate_series(PulseSignal(30.0, samples), WindowSpec(win / 30.0, 1 / 30.0))
+    estimate_series(PulseSignal(30.0, samples, DEFAULT_BAND), WindowSpec(win / 30.0, 1 / 30.0))
     rows = min(ref_block_rows(win, SPECTRUM_BLOCK_BYTES), n_windows)
     # worker threads may interleave their calls
     assert sorted((s[0] for s, _ in shapes), reverse=True) == (

@@ -174,6 +174,16 @@ class TestRendering:
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("out", ["file", "file/sub", "n" * 300],
+                             ids=["file", "under-file", "long-name"])
+    def test_out_dir_not_a_directory_refused(self, tmp_path, out):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        with pytest.raises(InputError, match="not a directory|name too long"):
+            render_session(SynthConfig(width=16, height=16, duration=2.0), tmp_path / out)
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "kept\n"
+
     def test_channel_depth_ordering(self):
         config = SynthConfig()
         quarter_cycle = 60.0 / 72.0 / 4.0  # wave peak of the default profile
