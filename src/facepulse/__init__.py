@@ -10,8 +10,9 @@ interior functions live in their modules and rely on those checks.
 """
 
 from .errors import FacePulseError, InputError, ProcessingError
-from .evaluate import (EvalReport, GroundTruth, evaluate_sessions,
-                       load_groundtruth, write_report_csv, write_report_json)
+from .evaluate import (EvalReport, GroundTruth, Session, evaluate_sessions,
+                       load_groundtruth, load_session, write_report_csv,
+                       write_report_json)
 from .frameio import open_session
 from .pipeline import PipelineParams, build_session_signal
 from .pulse import DEFAULT_BAND, BandLimits, PulseSignal
@@ -24,6 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FacePulseError", "InputError", "ProcessingError",
     "open_session", "PipelineParams", "build_session_signal",
+    "load_session", "Session",
     "BandLimits", "DEFAULT_BAND", "PulseSignal",
     "WindowSpec", "HrSeries", "estimate_series",
     "GroundTruth", "load_groundtruth", "evaluate_sessions",

@@ -14,9 +14,9 @@ from pathlib import Path
 
 from .errors import FacePulseError, InputError, ProcessingError
 from .evaluate import (CHANNELS, PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions,
-                       load_groundtruth, write_report_csv, write_report_json)
-from .frameio import MANIFEST_NAME, nearest_existing, open_session, parse_finite
-from .pipeline import PipelineParams, build_session_signal
+                       load_session, write_report_csv, write_report_json)
+from .frameio import nearest_existing, parse_finite
+from .pipeline import PipelineParams
 from .pulse import COMBINE_METHODS, BandLimits
 from .spectral import WindowSpec, estimate_series
 from .synth import ConstantProfile, SynthConfig, parse_profile, render_session
@@ -57,14 +57,6 @@ def _parse_base_color(text: str) -> tuple[float, float, float]:
     return (parts[0], parts[1], parts[2])
 
 
-def _resolve_manifest(path_text: str) -> Path:
-    path = Path(path_text)
-    try:
-        return path / MANIFEST_NAME if path.is_dir() else path
-    except OSError:  # e.g. a name over the length limit; open_session reports it
-        return path
-
-
 def _out_dir(text: str) -> Path:
     """--out as a Path, refused before any work when it, or the nearest
     part of it that exists, is not a directory."""
@@ -99,11 +91,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     spec = WindowSpec(length=args.window, hop=args.hop)
     params = PipelineParams(args.band, args.combine)
-    manifest = open_session(_resolve_manifest(args.session))
     # a malformed groundtruth file is bad input: refused before any frame is read
-    gt = (None if manifest.groundtruth_path is None
-          else load_groundtruth(manifest.groundtruth_path))
-    series = estimate_series(build_session_signal(manifest, params), spec)
+    session = load_session(args.session, params, require_groundtruth=False)
+    series = estimate_series(session.signal, spec)
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -125,9 +115,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
-    if gt is not None:
+    if session.groundtruth is not None:
         try:
-            aligned = align_groundtruth(gt, series.window_start, series.window_end)
+            aligned = align_groundtruth(session.groundtruth, series.window_start,
+                                        series.window_end)
         except FacePulseError as exc:
             print(f"note: skipping compare.csv: {exc}", file=sys.stderr)
         else:
@@ -143,8 +134,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _run_report(args: argparse.Namespace, lengths: list[float],
                 csv_name: str, json_name: str) -> int:
-    manifests = [_resolve_manifest(p) for p in args.sessions]
-    report = evaluate_sessions(manifests, lengths, channel=args.channel,
+    report = evaluate_sessions(args.sessions, lengths, channel=args.channel,
                                params=PipelineParams(args.band, args.combine))
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -78,7 +78,3 @@ class EmptyBandError(ProcessingError):
 # evaluation
 class EmptyWindowGtError(ProcessingError):
     pass
-
-
-class EmptyInputError(ProcessingError):
-    pass

@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (EmptyInputError, EmptyWindowGtError, FacePulseError,
-                     InputError, MissingFileError)
-from .frameio import MANIFEST_NAME, open_session, parse_finite, read_csv_rows
+from .errors import EmptyWindowGtError, FacePulseError, InputError, MissingFileError
+from .frameio import open_session, parse_finite, read_csv_rows, session_id
 from .pipeline import PipelineParams, build_session_signal
+from .pulse import PulseSignal
 from .spectral import HrSeries, WindowSpec, estimate_series
 
 # default analysis window lengths (seconds) for the two protocols
@@ -127,9 +127,26 @@ def sub52_mae(series: HrSeries, aligned: np.ndarray) -> float:
     return float(np.mean(np.abs(series.bpm - aligned)))
 
 
-def session_id(manifest_path: str | os.PathLike) -> str:
-    path = Path(manifest_path)
-    return path.parent.name if path.name == MANIFEST_NAME else path.stem
+@dataclass(frozen=True)
+class Session:
+    """What estimate and evaluate read of one session: its reference
+    samples (None when the manifest names none) and its pulse signal."""
+
+    groundtruth: GroundTruth | None
+    signal: PulseSignal
+
+
+def load_session(source: str | os.PathLike, params: PipelineParams = PipelineParams(),
+                 *, require_groundtruth: bool) -> Session:
+    """Open a session directory or manifest, load its groundtruth and build
+    its pulse signal, in that order: a bad manifest, a missing groundtruth
+    (when required) or a malformed one is refused before any frame is read."""
+    manifest = open_session(source)
+    gt_path = manifest.groundtruth_path
+    if gt_path is None and require_groundtruth:
+        raise MissingFileError(f"session {session_id(source)} has no groundtruth file")
+    gt = None if gt_path is None else load_groundtruth(gt_path)
+    return Session(gt, build_session_signal(manifest, params))
 
 
 @dataclass(frozen=True)
@@ -178,49 +195,45 @@ class EvalReport:
         return {k: v for k, v in out.items() if v}
 
 
-def evaluate_sessions(manifest_paths: list[str | os.PathLike],
+def evaluate_sessions(sessions: list[str | os.PathLike],
                       lengths: list[float],
                       channel: str = CHANNELS[0],
                       params: PipelineParams = PipelineParams(),
                       ) -> EvalReport:
     """Run both protocols over sessions x window lengths.
 
-    A channel outside CHANNELS, or two paths that share a session_id,
-    raise InputError before any session is opened.  Each session is
-    opened and its groundtruth loaded before any frame is read; its
-    conditioned signal is then built once and re-windowed per length.
+    Sessions are directories or manifest paths.  A channel outside
+    CHANNELS, two paths that share a session_id, or no lengths raise
+    InputError before any session is opened.  Each session is loaded by
+    load_session, which requires its groundtruth; its conditioned signal
+    is built once and re-windowed per length.
     A session that fails to open or process is recorded and skipped; a
     (session, length) pair that fails (too short, missing reference
     samples) is recorded and left out of that length's aggregate.
     """
     if channel not in CHANNELS:
         raise InputError(f"unknown channel {channel!r}; use one of {CHANNELS}")
-    order = sorted(manifest_paths, key=session_id)
-    for a, b in zip(order, order[1:]):
-        if session_id(a) == session_id(b):
-            raise InputError(f"session {session_id(a)} is named twice: {a} and {b}")
+    order = sorted(((session_id(p), p) for p in sessions), key=lambda named: named[0])
+    for (sid, a), (other, b) in zip(order, order[1:]):
+        if sid == other:
+            raise InputError(f"session {sid} is named twice: {a} and {b}")
     lengths = sorted(set(float(t) for t in lengths))
     if not lengths:
-        raise EmptyInputError("no window lengths given")
+        raise InputError("no window lengths given")
     rows: list[SessionResult] = []
     skipped: list[SkippedSession] = []
     per_length: dict[float, list[SessionResult]] = {t: [] for t in lengths}
 
-    for manifest_path in order:
-        sid = session_id(manifest_path)
+    for sid, source in order:
         try:
-            manifest = open_session(manifest_path)
-            if manifest.groundtruth_path is None:
-                raise MissingFileError(f"session {sid} has no groundtruth file")
-            gt = load_groundtruth(manifest.groundtruth_path)
-            signal = build_session_signal(manifest, params)
+            session = load_session(source, params, require_groundtruth=True)
         except FacePulseError as exc:
             skipped.append(_skip(sid, None, exc))
             continue
         for t in lengths:
             try:
-                series = estimate_series(signal, WindowSpec(length=t))
-                aligned = align_groundtruth(gt, series.window_start,
+                series = estimate_series(session.signal, WindowSpec(length=t))
+                aligned = align_groundtruth(session.groundtruth, series.window_start,
                                             series.window_end)
                 row = SessionResult(
                     session=sid, window_s=t,

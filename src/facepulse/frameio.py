@@ -180,13 +180,33 @@ def _parse_manifest(manifest_path: Path) -> SessionManifest:
     )
 
 
-def open_session(manifest_path: str | os.PathLike) -> SessionManifest:
+def _manifest_path(source: str | os.PathLike) -> Path:
+    """The manifest of a session given as its directory or as the manifest
+    itself.  A lookup that fails with OSError (e.g. ENAMETOOLONG) is taken
+    as "not a directory", so require_file reports the path as missing."""
+    path = Path(source)
+    try:
+        return path / MANIFEST_NAME if path.is_dir() else path
+    except OSError:
+        return path
+
+
+def session_id(source: str | os.PathLike) -> str:
+    """A session's name: its directory's name when given as the directory
+    or as the MANIFEST_NAME inside it, otherwise the manifest's stem.
+    The path is made absolute first, so "." is named like its directory."""
+    path = Path(os.path.abspath(_manifest_path(source)))
+    return path.parent.name if path.name == MANIFEST_NAME else path.stem
+
+
+def open_session(source: str | os.PathLike) -> SessionManifest:
     """Validate a session's manifest and the size of its frames file.
 
-    Raises MissingFileError, MalformedManifestError, or SizeMismatchError
+    source is the session directory or its manifest path.  Raises
+    MissingFileError, MalformedManifestError, or SizeMismatchError
     before any frame is read.
     """
-    manifest_path = Path(manifest_path)
+    manifest_path = _manifest_path(source)
     require_file(manifest_path, "manifest")
     manifest = _parse_manifest(manifest_path)
     require_file(manifest.frames_path, "frames file")

@@ -261,4 +261,4 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     (out_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    return open_session(out_dir / MANIFEST_NAME)
+    return open_session(out_dir)

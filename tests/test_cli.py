@@ -194,8 +194,8 @@ class TestEvaluateCommand:
         rc = main(["evaluate", s01, twice.format(s=s01), s02, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "InputError: session s01 is named twice" in err
-        assert err.count(f"{s01}/session.json") == 2
+        # the message quotes both paths as given, not as resolved
+        assert f"InputError: session s01 is named twice: {s01} and {twice.format(s=s01)}\n" in err
         assert not out.exists()
 
     def test_all_windows_unscored_exits_2(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from facepulse import (ConstantProfile, GroundTruth, HrSeries, SynthConfig,
                        evaluate, evaluate_sessions, load_groundtruth,
                        render_session, write_report_csv, write_report_json)
-from facepulse.errors import (EmptyInputError, EmptyWindowGtError, InputError,
-                              MissingFileError)
+from facepulse.cli import main
+from facepulse.errors import EmptyWindowGtError, InputError, MissingFileError
 from facepulse.evaluate import (MONITORING_PROTOCOL_LENGTHS,
                                 REFERENCE_SESSION_MAE, REFERENCE_WINDOW_MAE,
                                 SESSION_PROTOCOL_LENGTHS, align_groundtruth,
@@ -19,6 +20,7 @@ from facepulse.evaluate import (MONITORING_PROTOCOL_LENGTHS,
 
 from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
                         ref_window_means, ref_window_means_masked)
+from test_cli_fuzz import LONG
 
 
 def _series(bpms, length=10.0):
@@ -208,9 +210,16 @@ class TestAggregate:
                        [72.0, 75.0, 78.0]) == pytest.approx(4.0 / 3.0)
 
 
-def test_session_id():
+def test_session_id(tmp_path, monkeypatch):
     assert session_id("/data/subj03/session.json") == "subj03"
     assert session_id("/data/recording7.json") == "recording7"
+    # a directory is named by its whole name, dots and all, as its manifest
+    # is, and so is the current directory
+    (tmp_path / "s.1").mkdir()
+    assert session_id(tmp_path / "s.1") == "s.1"
+    assert session_id(str(tmp_path / "s.1" / "session.json")) == "s.1"
+    monkeypatch.chdir(tmp_path / "s.1")
+    assert [session_id(p) for p in (".", "session.json", "../s.1")] == ["s.1"] * 3
 
 
 def test_reference_tables_complete():
@@ -257,7 +266,7 @@ class TestEvaluateSessions:
                 np.mean([r.sub52_bpm for r in rows]), rel=1e-12, abs=1e-15)
 
     def test_no_lengths(self, eval_sessions):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InputError, match="no window lengths given"):
             evaluate_sessions(eval_sessions, [])
 
     def test_unknown_channel_refused(self, eval_sessions):
@@ -272,6 +281,29 @@ class TestEvaluateSessions:
         message = f"session s1 is named twice: {first} and {tmp_path / 'a' / second}"
         with pytest.raises(InputError, match=re.escape(message) + "$"):
             evaluate_sessions([first, other, tmp_path / "a" / second], [10.0])
+
+    def test_dotted_directories_named_whole(self, eval_sessions, tmp_path):
+        # a directory's id is its whole name, as its manifest's is: two
+        # dotted directories both score, and a directory given with its
+        # manifest is refused, quoting both arguments as given
+        dirs = [tmp_path / "s.1", tmp_path / "s.2"]
+        for path, d in zip(eval_sessions, dirs):
+            shutil.copytree(path.parent, d)
+        report = evaluate_sessions(dirs, [10.0])
+        assert [r.session for r in report.rows] == ["s.1", "s.2"]
+        assert report.skipped == ()
+        twice = [str(dirs[0]), f"{dirs[0]}/session.json"]
+        message = f"session s.1 is named twice: {twice[0]} and {twice[1]}"
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
+            evaluate_sessions(twice, [10.0])
+
+    def test_over_long_name_skipped_as_missing(self, eval_sessions, tmp_path):
+        # a name over the file-name limit fails its lookups with OSError
+        report = evaluate_sessions([eval_sessions[0], tmp_path / LONG], [10.0])
+        assert [r.session for r in report.rows] == ["hr84"]
+        (skip,) = report.skipped
+        assert (skip.session, skip.window_s, skip.exit_code) == (LONG, None, 1)
+        assert skip.error.startswith("MissingFileError: manifest not found: ")
 
     def test_overlong_window_skipped_per_length(self, eval_sessions):
         report = evaluate_sessions(eval_sessions, [5.0, 30.0])
@@ -302,6 +334,21 @@ class TestEvaluateSessions:
 
 
 class TestReportFiles:
+    def test_library_and_cli_reports_identical(self, eval_sessions, tmp_path, capsys):
+        """A session directory, its manifest and the CLI give one report."""
+        directory = eval_sessions[0].parent
+        outs = [tmp_path / name for name in ("dir", "manifest", "cli")]
+        for source, out in zip((str(directory), eval_sessions[0]), outs):
+            report = evaluate_sessions([source], [10.0])
+            assert (len(report.rows), report.skipped) == (1, ())
+            out.mkdir()
+            write_report_csv(report, out / "report.csv")
+            write_report_json(report, out / "report.json")
+        assert main(["evaluate", str(directory), "--out", str(outs[2])]) == 0
+        for name in ("report.csv", "report.json"):
+            first, *rest = [(out / name).read_bytes() for out in outs]
+            assert rest == [first, first]
+
     def test_csv_roundtrip(self, eval_sessions, tmp_path):
         report = evaluate_sessions(eval_sessions, [5.0, 10.0])
         out = tmp_path / "report.csv"

@@ -72,6 +72,14 @@ def test_csv_read_only_in_frameio():
     assert readers == ["frameio.py"]
 
 
+def test_manifest_name_only_in_frameio_and_synth():
+    """Only frameio, which resolves a session to its manifest, and synth,
+    which writes one, know the session layout."""
+    users = [p.name for p in sorted((ROOT / "src" / "facepulse").glob("*.py"))
+             if re.search(r"\bMANIFEST_NAME\b", p.read_text())]
+    assert users == ["frameio.py", "synth.py"]
+
+
 def test_package_all_resolves():
     names = facepulse.__all__
     assert len(names) == len(set(names))

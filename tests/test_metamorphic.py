@@ -1,0 +1,101 @@
+"""Metamorphic relations over the session chain.
+
+ROI sums are exact integers, so some input transformations have an
+exact expected output: the pulse signal of the transformed session is
+byte-identical to the original's.  Each relation writes both sessions to
+disk and loads them through `load_session`, so the manifest, box-track
+and frame readers are part of the chain under test.
+
+Region starts are rounded half-to-even, so a box shift moves its regions
+by exactly that shift only when the shift is even (README stage 2).
+"""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from facepulse import PipelineParams, load_session
+from facepulse.pulse import COMBINE_METHODS
+
+FPS = 10.0
+FRAMES = 60  # 6 s at 10 fps: longer than the 57-tap bandpass filter
+
+
+def _write_session(root: Path, frames: np.ndarray, boxes: np.ndarray) -> Path:
+    """A session directory holding (n, h, w, bpp) uint8 frames and one
+    integer x, y, w, h box row per frame."""
+    root.mkdir()
+    n, height, width, bpp = frames.shape
+    frames.tofile(root / "frames.raw")
+    rows = "".join(f"{i},{x},{y},{w},{h}\n" for i, (x, y, w, h) in enumerate(boxes.tolist()))
+    (root / "boxes.csv").write_text("frame,x,y,w,h\n" + rows)
+    (root / "session.json").write_text(json.dumps({
+        "width": width, "height": height, "fps": FPS,
+        "pixel_format": "rgb8" if bpp == 3 else "gray8", "frame_count": n,
+        "frames": "frames.raw", "boxes": "boxes.csv"}))
+    return root
+
+
+def _signal_bytes(session: Path, combine: str) -> bytes:
+    signal = load_session(session, PipelineParams(combine=combine),
+                          require_groundtruth=False).signal
+    return signal.samples.tobytes()
+
+
+@st.composite
+def scenes(draw) -> tuple[int, int, np.ndarray]:
+    """Frame width, height and an integer box track of FRAMES rows: up to
+    four boxes inside the frame, each held for a run of frames, so both
+    the sliced (long runs) and the gathered (short runs) reduction run.
+    Boxes of at least 8x8 keep every region inside the box and at least
+    MIN_ROI_AREA pixels large."""
+    width, height = draw(st.integers(16, 40)), draw(st.integers(16, 40))
+
+    def box() -> tuple[int, int, int, int]:
+        w, h = draw(st.integers(8, width)), draw(st.integers(8, height))
+        return draw(st.integers(0, width - w)), draw(st.integers(0, height - h)), w, h
+
+    choices = [box() for _ in range(draw(st.integers(1, 4)))]
+    cuts = draw(st.lists(st.integers(1, FRAMES - 1), max_size=6, unique=True))
+    run = np.searchsorted(sorted(cuts), np.arange(FRAMES), side="right")
+    return width, height, np.array([choices[r % len(choices)] for r in run])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(scene=scenes(), seed=st.integers(0, 2**32 - 1))
+def test_gray8_equals_replicated_rgb8_under_green(scene, seed):
+    width, height, boxes = scene
+    gray = np.random.default_rng(seed).integers(0, 256, (FRAMES, height, width, 1),
+                                                dtype=np.uint8)
+    with tempfile.TemporaryDirectory() as tmp:
+        mono = _write_session(Path(tmp) / "gray", gray, boxes)
+        rgb = _write_session(Path(tmp) / "rgb", np.repeat(gray, 3, axis=-1), boxes)
+        assert _signal_bytes(mono, "green") == _signal_bytes(rgb, "green")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(scene=scenes(), seed=st.integers(0, 2**32 - 1),
+       bpp=st.sampled_from([1, 3]), combine=st.sampled_from(COMBINE_METHODS),
+       shift=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+       margin=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+def test_even_shift_into_larger_canvas(scene, seed, bpp, combine, shift, margin):
+    """Frames pasted at an even (dx, dy) into a larger canvas, with the
+    box track moved by the same offset, give the same signal."""
+    width, height, boxes = scene
+    dx, dy = 2 * shift[0], 2 * shift[1]
+    rng = np.random.default_rng(seed)
+    frames = rng.integers(0, 256, (FRAMES, height, width, bpp), dtype=np.uint8)
+    # the canvas around the pasted frames is noise too, which no region reads
+    canvas = rng.integers(0, 256, (FRAMES, height + dy + margin[1],
+                                   width + dx + margin[0], bpp), dtype=np.uint8)
+    canvas[:, dy:dy + height, dx:dx + width] = frames
+    with tempfile.TemporaryDirectory() as tmp:
+        small = _write_session(Path(tmp) / "small", frames, boxes)
+        large = _write_session(Path(tmp) / "large", canvas, boxes + [dx, dy, 0, 0])
+        assert _signal_bytes(small, combine) == _signal_bytes(large, combine)
