@@ -14,8 +14,7 @@ from .evaluate import (EvalReport, GroundTruth, Session, evaluate_sessions,
                        load_groundtruth, load_session, write_report_csv,
                        write_report_json)
 from .frameio import open_session
-from .pipeline import PipelineParams, build_session_signal
-from .pulse import DEFAULT_BAND, BandLimits, PulseSignal
+from .pulse import DEFAULT_BAND, BandLimits, PipelineParams, PulseSignal
 from .spectral import HrSeries, WindowSpec, estimate_series
 from .synth import (ConstantProfile, RampProfile, StepProfile, SynthConfig,
                     parse_profile, render_session)
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FacePulseError", "InputError", "ProcessingError",
-    "open_session", "PipelineParams", "build_session_signal",
+    "open_session", "PipelineParams",
     "load_session", "Session",
     "BandLimits", "DEFAULT_BAND", "PulseSignal",
     "WindowSpec", "HrSeries", "estimate_series",

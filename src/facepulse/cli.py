@@ -16,8 +16,7 @@ from .errors import FacePulseError, InputError, ProcessingError
 from .evaluate import (CHANNELS, PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions,
                        load_session, write_report_csv, write_report_json)
 from .frameio import nearest_existing, parse_finite
-from .pipeline import PipelineParams
-from .pulse import COMBINE_METHODS, BandLimits
+from .pulse import COMBINE_METHODS, BandLimits, PipelineParams
 from .spectral import WindowSpec, estimate_series
 from .synth import ConstantProfile, SynthConfig, parse_profile, render_session
 

@@ -1,6 +1,10 @@
-"""Accuracy metrics against reference heart-rate measurements.
+"""Session loading and accuracy metrics against reference heart-rate
+measurements.
 
-Two complementary error protocols over the same windowed estimates:
+load_session is the one path from a session to its pulse signal: it
+opens the session, loads its groundtruth and maps, reduces and
+conditions its frames.  Two complementary error protocols then score
+the same windowed estimates:
 
 * session error: one number per session, the absolute gap between the
   mean estimated rate and the mean reference rate,
@@ -14,6 +18,7 @@ means across sessions.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass
@@ -23,9 +28,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyWindowGtError, FacePulseError, InputError, MissingFileError
-from .frameio import open_session, parse_finite, read_csv_rows, session_id
-from .pipeline import PipelineParams, build_session_signal
-from .pulse import PulseSignal
+from .frameio import map_frames, open_session, parse_finite, read_csv_rows, session_id
+from .pulse import PipelineParams, PulseSignal, build_pulse_signal, extract_traces
+from .roi import load_box_track
 from .spectral import HrSeries, WindowSpec, estimate_series
 
 # default analysis window lengths (seconds) for the two protocols
@@ -140,13 +145,22 @@ def load_session(source: str | os.PathLike, params: PipelineParams = PipelinePar
                  *, require_groundtruth: bool) -> Session:
     """Open a session directory or manifest, load its groundtruth and build
     its pulse signal, in that order: a bad manifest, a missing groundtruth
-    (when required) or a malformed one is refused before any frame is read."""
+    (when required) or a malformed one is refused before any frame is read.
+
+    The signal is built by loading the box track, mapping every frame,
+    reducing it to per-region channel means and running the conditioning
+    chain over the whole session.  Windowing comes afterwards, in the
+    spectral stage, so windows shorter than the bandpass filter stay
+    usable.
+    """
     manifest = open_session(source)
     gt_path = manifest.groundtruth_path
     if gt_path is None and require_groundtruth:
         raise MissingFileError(f"session {session_id(source)} has no groundtruth file")
     gt = None if gt_path is None else load_groundtruth(gt_path)
-    return Session(gt, build_session_signal(manifest, params))
+    boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
+    trace = extract_traces(map_frames(manifest), boxes, manifest.fps)
+    return Session(gt, build_pulse_signal(trace, params.band, params.combine))
 
 
 @dataclass(frozen=True)
@@ -202,15 +216,18 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
                       ) -> EvalReport:
     """Run both protocols over sessions x window lengths.
 
-    Sessions are directories or manifest paths.  A channel outside
-    CHANNELS, two paths that share a session_id, or no lengths raise
-    InputError before any session is opened.  Each session is loaded by
-    load_session, which requires its groundtruth; its conditioned signal
-    is built once and re-windowed per length.
+    Sessions are a list of directories or manifest paths.  A single path
+    in place of the list, a channel outside CHANNELS, two paths that share
+    a session_id, or no lengths raise InputError before any session is
+    opened.  Each session is loaded by load_session, which requires its
+    groundtruth; its conditioned signal is built once and re-windowed per
+    length.
     A session that fails to open or process is recorded and skipped; a
     (session, length) pair that fails (too short, missing reference
     samples) is recorded and left out of that length's aggregate.
     """
+    if isinstance(sessions, (str, os.PathLike)):
+        raise InputError(f"sessions must be a list of paths, not the one path {sessions!r}")
     if channel not in CHANNELS:
         raise InputError(f"unknown channel {channel!r}; use one of {CHANNELS}")
     order = sorted(((session_id(p), p) for p in sessions), key=lambda named: named[0])
@@ -264,18 +281,20 @@ def _skip(sid: str, window_s: float | None, exc: FacePulseError) -> SkippedSessi
 
 
 def write_report_csv(report: EvalReport, path: str | os.PathLike) -> None:
-    """Per-session rows, then dataset rows, then skip notes as comments."""
-    lines = ["session,channel,window_s,sub51_bpm,sub52_bpm,n_windows"]
-    for r in report.rows:
-        lines.append(f"{r.session},{report.channel},{r.window_s:g},"
-                     f"{r.sub51_bpm:.6f},{r.sub52_bpm:.6f},{r.n_windows}")
-    for a in report.aggregates:
-        lines.append(f"dataset,{report.channel},{a.window_s:g},"
-                     f"{a.sub51_bpm:.6f},{a.sub52_bpm:.6f},{a.n_sessions}")
-    for s in report.skipped:
-        where = "all" if s.window_s is None else f"{s.window_s:g}"
-        lines.append(f"# skipped,{s.session},{where},{s.error}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Per-session rows, then dataset rows, then skip notes as comments.
+    Cells holding a comma, a quote or a newline are quoted."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["session", "channel", "window_s", "sub51_bpm", "sub52_bpm", "n_windows"])
+        for r in report.rows:
+            out.writerow([r.session, report.channel, f"{r.window_s:g}",
+                          f"{r.sub51_bpm:.6f}", f"{r.sub52_bpm:.6f}", r.n_windows])
+        for a in report.aggregates:
+            out.writerow(["dataset", report.channel, f"{a.window_s:g}",
+                          f"{a.sub51_bpm:.6f}", f"{a.sub52_bpm:.6f}", a.n_sessions])
+        for s in report.skipped:
+            where = "all" if s.window_s is None else f"{s.window_s:g}"
+            out.writerow(["# skipped", s.session, where, s.error])
 
 
 def write_report_json(report: EvalReport, path: str | os.PathLike) -> None:

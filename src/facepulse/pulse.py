@@ -87,6 +87,17 @@ class BandLimits:
 DEFAULT_BAND = BandLimits()
 
 
+@dataclass(frozen=True)
+class PipelineParams:
+    band: BandLimits = DEFAULT_BAND
+    combine: str = "chrom"  # a gray8 session's one channel is read by every method
+
+    def __post_init__(self):
+        if self.combine not in COMBINE_METHODS:
+            raise InputError(f"unknown combine method {self.combine!r}; "
+                             f"use one of {COMBINE_METHODS}")
+
+
 @dataclass
 class RawTrace:
     """Per-frame spatial means, float64 (3 regions, C channels, n_frames)

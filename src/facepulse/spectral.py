@@ -32,7 +32,7 @@ ZERO_PAD_FACTOR = 8
 # the window length: 15 rows of 10 s windows at 30 fps (4096 points).
 # On 9000 samples at a 1-frame hop, estimate_series' own tracemalloc
 # peak is 1.28 MB on one thread and 1.99 MB on 2 workers (1.07 and 1.40
-# MB with 8-window blocks), below build_session_signal's 2.75 MB
+# MB with 8-window blocks), below load_session's signal build at 2.75 MB
 SPECTRUM_BLOCK_BYTES = 512 * 1024
 
 

@@ -139,6 +139,9 @@ class SynthConfig:
     second_harmonic: bool = False
 
     def __post_init__(self):
+        for name in ("width", "height", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.width < MIN_FRAME_DIM or self.height < MIN_FRAME_DIM:
             raise InputError(f"frame size must be at least {MIN_FRAME_DIM}x"
                              f"{MIN_FRAME_DIM}, got {self.width}x{self.height}")
@@ -154,8 +157,8 @@ class SynthConfig:
         if not 0.0 < self.pulse_amplitude <= 0.1:
             raise InputError(
                 f"pulse amplitude {self.pulse_amplitude} out of range (0, 0.1]")
-        if self.noise_sigma < 0:
-            raise InputError(f"noise sigma must be non-negative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise InputError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.illum_drift < 1.0:

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from facepulse import (DEFAULT_BAND, ConstantProfile, GroundTruth, HrSeries, StepProfile,
-                       SynthConfig, WindowSpec, build_session_signal,
-                       estimate_series, evaluate_sessions, render_session)
+                       SynthConfig, WindowSpec, estimate_series, evaluate_sessions,
+                       load_session, render_session)
 from facepulse.cli import main
 from facepulse.evaluate import (REFERENCE_SESSION_MAE, REFERENCE_WINDOW_MAE,
                                 align_groundtruth, sub51_error, sub52_mae)
@@ -86,7 +86,7 @@ def test_a2_step_change(tmp_path, check):
                             hr_profile=StepProfile(70.0, 100.0, 30.0))
     t_switch = 30.0
 
-    signal = build_session_signal(open_session(manifest_path))
+    signal = load_session(manifest_path, require_groundtruth=False).signal
     series5 = estimate_series(signal, WindowSpec(5.0))
     pre, post, straddle5 = [], [], []
     for s, e, bpm in zip(series5.window_start, series5.window_end, series5.bpm):
@@ -247,7 +247,7 @@ def test_a7_performance(tmp_path, check):
                             hr_profile=ConstantProfile(72.0))
     try:
         start = time.perf_counter()
-        series = estimate_series(build_session_signal(open_session(manifest_path)),
+        series = estimate_series(load_session(manifest_path, require_groundtruth=False).signal,
                                  WindowSpec(10.0))
         elapsed = time.perf_counter() - start
     finally:

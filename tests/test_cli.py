@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from facepulse import pipeline
+from facepulse import evaluate
 from facepulse.cli import main
 
 
@@ -264,8 +264,8 @@ class TestGroundtruthReadFirst:
         def no_frames(*args):
             raise AssertionError("frames reduced before the groundtruth was read")
 
-        # the name build_session_signal calls
-        monkeypatch.setattr(pipeline, "extract_traces", no_frames)
+        # the name load_session calls
+        monkeypatch.setattr(evaluate, "extract_traces", no_frames)
         return session
 
     @pytest.mark.parametrize("command", ["estimate", "evaluate"])

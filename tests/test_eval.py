@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +283,12 @@ class TestEvaluateSessions:
         with pytest.raises(InputError, match=re.escape(message) + "$"):
             evaluate_sessions([first, other, tmp_path / "a" / second], [10.0])
 
+    @pytest.mark.parametrize("path", ["plain", Path("plain")], ids=["str", "Path"])
+    def test_single_path_refused(self, path):
+        # not looped over as the characters of a name
+        with pytest.raises(InputError, match="list of paths"):
+            evaluate_sessions(path, [10.0])
+
     def test_dotted_directories_named_whole(self, eval_sessions, tmp_path):
         # a directory's id is its whole name, as its manifest's is: two
         # dotted directories both score, and a directory given with its
@@ -364,6 +371,19 @@ class TestReportFiles:
         assert first[1] == "rgb" and first[2] == "5"
         assert float(first[3]) == pytest.approx(report.rows[0].sub51_bpm,
                                                 abs=1e-6)
+
+    def test_csv_quotes_ids(self, eval_sessions, tmp_path):
+        # a comma or line break in a session id stays inside its cell
+        names = ["s,1", "n\nx"]
+        for path, name in zip(eval_sessions, names):
+            shutil.copytree(path.parent, tmp_path / name)
+        report = evaluate_sessions([tmp_path / name for name in names], [10.0])
+        out = tmp_path / "report.csv"
+        write_report_csv(report, out)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [6] * 4
+        assert [r[0] for r in rows[1:]] == ["n\nx", "s,1", "dataset"]
 
     def test_csv_skip_comment(self, eval_sessions, tmp_path):
         report = evaluate_sessions(eval_sessions, [5.0, 30.0])

@@ -72,6 +72,21 @@ def test_csv_read_only_in_frameio():
     assert readers == ["frameio.py"]
 
 
+def test_session_stages_used_only_in_evaluate():
+    """load_session is the one path from a session to its signal: outside
+    the modules that define them, only evaluate uses the stages."""
+    stages = {"map_frames": "frameio.py", "load_box_track": "roi.py",
+              "extract_traces": "pulse.py", "build_pulse_signal": "pulse.py"}
+    users: dict[str, set[str]] = {name: set() for name in stages}
+    for path in (ROOT / "src" / "facepulse").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # the name a Name reads, or the attribute an Attribute reads
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in stages and path.name != stages[name]:
+                users[name].add(path.name)
+    assert users == {name: {"evaluate.py"} for name in stages}
+
+
 def test_manifest_name_only_in_frameio_and_synth():
     """Only frameio, which resolves a session to its manifest, and synth,
     which writes one, know the session layout."""

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from facepulse import (ConstantProfile, RampProfile, StepProfile, SynthConfig,
-                       WindowSpec, build_session_signal, estimate_series,
-                       evaluate_sessions, parse_profile, render_session)
+                       WindowSpec, estimate_series, evaluate_sessions, load_session,
+                       parse_profile, render_session)
 from facepulse.errors import InputError
 from facepulse.frameio import map_frames, open_session
 from facepulse.synth import _channel_levels, _quantize, _render_frame, pulse_phase
@@ -91,6 +91,9 @@ class TestConfigValidation:
         {"duration": 0.5},  # no whole second: no groundtruth sample
         {"duration": 2.0, "fps": 0.2},  # no frame
         {"duration": math.nan}, {"fps": math.nan},
+        # values render_session would render wrongly or fail on
+        {"noise_sigma": math.nan}, {"noise_sigma": math.inf},
+        {"width": 64.5}, {"height": 64.0}, {"seed": 1.5, "noise_sigma": 1.0},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(InputError):
@@ -212,7 +215,7 @@ class TestClosure:
         for name, drift in (("still", 0.0), ("drift", 0.1)):
             d = tmp_path / name
             render_session(SynthConfig(illum_drift=drift, **base), d)
-            series = estimate_series(build_session_signal(open_session(d / "session.json")),
+            series = estimate_series(load_session(d, require_groundtruth=False).signal,
                                      WindowSpec(10.0))
             means.append(float(series.bpm.mean()))
         assert abs(means[0] - means[1]) < 1.0
@@ -223,7 +226,7 @@ class TestClosure:
         for name, mono in (("rgb", False), ("mono", True)):
             d = tmp_path / name
             render_session(SynthConfig(mono=mono, **base), d)
-            series = estimate_series(build_session_signal(open_session(d / "session.json")),
+            series = estimate_series(load_session(d, require_groundtruth=False).signal,
                                      WindowSpec(10.0))
             means.append(float(series.bpm.mean()))
         assert abs(means[0] - means[1]) < 1.0
@@ -232,6 +235,6 @@ class TestClosure:
     def test_second_harmonic_keeps_fundamental(self, tmp_path):
         render_session(SynthConfig(duration=30.0, second_harmonic=True,
                                    hr_profile=ConstantProfile(66.0)), tmp_path)
-        series = estimate_series(build_session_signal(open_session(tmp_path / "session.json")),
+        series = estimate_series(load_session(tmp_path, require_groundtruth=False).signal,
                                  WindowSpec(10.0))
         assert float(series.bpm.mean()) == pytest.approx(66.0, abs=2.0)
