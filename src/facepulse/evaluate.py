@@ -23,6 +23,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,35 +34,27 @@ from .pulse import PipelineParams, PulseSignal, build_pulse_signal, extract_trac
 from .roi import load_box_track
 from .spectral import HrSeries, WindowSpec, estimate_series
 
-# default analysis window lengths (seconds) for the two protocols
-SESSION_PROTOCOL_LENGTHS = (5.0, 10.0, 15.0, 20.0)
-MONITORING_PROTOCOL_LENGTHS = (5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0, 19.0, 20.0)
-PROTOCOL_LENGTHS = {
-    "5.1": SESSION_PROTOCOL_LENGTHS,
-    "5.2": MONITORING_PROTOCOL_LENGTHS,
-}
-
-# report channel labels, the keys of the reference tables below
-CHANNELS = ("rgb", "nir")
-
-# Dataset-level MAE (bpm) reported for this pipeline family on the edBB
+# Dataset-level MAE (bpm) published for this pipeline family on the edBB
 # desktop student-monitoring benchmark (25 subjects, RGB and NIR cameras),
-# keyed by (channel label, window seconds).  Informational context for
-# report readers; not reproducible without that dataset.
-REFERENCE_SESSION_MAE = {
-    ("rgb", 5.0): 10.15, ("rgb", 10.0): 5.99,
-    ("rgb", 15.0): 6.26, ("rgb", 20.0): 6.41,
-    ("nir", 5.0): 7.62, ("nir", 10.0): 7.13,
-    ("nir", 15.0): 7.08, ("nir", 20.0): 7.40,
+# per protocol, with its report.json key, then per channel label and
+# window seconds.  Informational context for report readers; not
+# reproducible without that dataset.  The protocols' window lengths and
+# the report channel labels are this table's keys.
+PUBLISHED_MAE = {
+    "5.1": ("session", {
+        "rgb": {5.0: 10.15, 10.0: 5.99, 15.0: 6.26, 20.0: 6.41},
+        "nir": {5.0: 7.62, 10.0: 7.13, 15.0: 7.08, 20.0: 7.40},
+    }),
+    "5.2": ("monitoring", {
+        "rgb": {5.0: 13.45, 7.0: 9.07, 9.0: 8.16, 11.0: 8.08, 13.0: 8.09,
+                15.0: 8.15, 17.0: 8.10, 19.0: 8.19, 20.0: 8.15},
+        "nir": {5.0: 10.90, 7.0: 10.66, 9.0: 10.15, 11.0: 10.05, 13.0: 9.70,
+                15.0: 9.67, 17.0: 9.53, 19.0: 9.63, 20.0: 9.55},
+    }),
 }
-REFERENCE_WINDOW_MAE = {
-    ("rgb", 5.0): 13.45, ("rgb", 7.0): 9.07, ("rgb", 9.0): 8.16,
-    ("rgb", 11.0): 8.08, ("rgb", 13.0): 8.09, ("rgb", 15.0): 8.15,
-    ("rgb", 17.0): 8.10, ("rgb", 19.0): 8.19, ("rgb", 20.0): 8.15,
-    ("nir", 5.0): 10.90, ("nir", 7.0): 10.66, ("nir", 9.0): 10.15,
-    ("nir", 11.0): 10.05, ("nir", 13.0): 9.70, ("nir", 15.0): 9.67,
-    ("nir", 17.0): 9.53, ("nir", 19.0): 9.63, ("nir", 20.0): 9.55,
-}
+CHANNELS = tuple(PUBLISHED_MAE["5.1"][1])
+PROTOCOL_LENGTHS = {protocol: tuple(by_channel[CHANNELS[0]])
+                    for protocol, (_, by_channel) in PUBLISHED_MAE.items()}
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,9 @@ def load_session(source: str | os.PathLike, params: PipelineParams = PipelinePar
                  *, require_groundtruth: bool) -> Session:
     """Open a session directory or manifest, load its groundtruth and build
     its pulse signal, in that order: a bad manifest, a missing groundtruth
-    (when required) or a malformed one is refused before any frame is read.
+    (when required) or a malformed one, a bad box track or a band whose
+    upper edge is not below the session's Nyquist frequency is refused
+    before any frame is read.
 
     The signal is built by loading the box track, mapping every frame,
     reducing it to per-region channel means and running the conditioning
@@ -159,6 +154,7 @@ def load_session(source: str | os.PathLike, params: PipelineParams = PipelinePar
         raise MissingFileError(f"session {session_id(source)} has no groundtruth file")
     gt = None if gt_path is None else load_groundtruth(gt_path)
     boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
+    params.band.check_below_nyquist(manifest.fps)
     trace = extract_traces(map_frames(manifest), boxes, manifest.fps)
     return Session(gt, build_pulse_signal(trace, params.band, params.combine))
 
@@ -195,19 +191,6 @@ class EvalReport:
     aggregates: tuple[AggregateResult, ...]
     skipped: tuple[SkippedSession, ...]
 
-    def reference_mae(self) -> dict[str, dict[str, float]]:
-        """Published benchmark figures matching this channel and lengths."""
-        lengths = sorted({r.window_s for r in self.rows} |
-                         {a.window_s for a in self.aggregates})
-        out: dict[str, dict[str, float]] = {"session": {}, "monitoring": {}}
-        for t in lengths:
-            key = (self.channel, t)
-            if key in REFERENCE_SESSION_MAE:
-                out["session"][f"{t:g}"] = REFERENCE_SESSION_MAE[key]
-            if key in REFERENCE_WINDOW_MAE:
-                out["monitoring"][f"{t:g}"] = REFERENCE_WINDOW_MAE[key]
-        return {k: v for k, v in out.items() if v}
-
 
 def evaluate_sessions(sessions: list[str | os.PathLike],
                       lengths: list[float],
@@ -218,10 +201,10 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
 
     Sessions are a list of directories or manifest paths.  A single path
     in place of the list, a channel outside CHANNELS, two paths that share
-    a session_id, or no lengths raise InputError before any session is
-    opened.  Each session is loaded by load_session, which requires its
-    groundtruth; its conditioned signal is built once and re-windowed per
-    length.
+    a session_id, no lengths or a length that is not positive and finite
+    raise InputError before any session is opened.  Each session is
+    loaded by load_session, which requires its groundtruth; its
+    conditioned signal is built once and re-windowed per length.
     A session that fails to open or process is recorded and skipped; a
     (session, length) pair that fails (too short, missing reference
     samples) is recorded and left out of that length's aggregate.
@@ -234,12 +217,11 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     for (sid, a), (other, b) in zip(order, order[1:]):
         if sid == other:
             raise InputError(f"session {sid} is named twice: {a} and {b}")
-    lengths = sorted(set(float(t) for t in lengths))
-    if not lengths:
+    specs = [WindowSpec(length=t) for t in sorted({float(t) for t in lengths})]
+    if not specs:
         raise InputError("no window lengths given")
     rows: list[SessionResult] = []
     skipped: list[SkippedSession] = []
-    per_length: dict[float, list[SessionResult]] = {t: [] for t in lengths}
 
     for sid, source in order:
         try:
@@ -247,29 +229,27 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
         except FacePulseError as exc:
             skipped.append(_skip(sid, None, exc))
             continue
-        for t in lengths:
+        for spec in specs:
             try:
-                series = estimate_series(session.signal, WindowSpec(length=t))
+                series = estimate_series(session.signal, spec)
                 aligned = align_groundtruth(session.groundtruth, series.window_start,
                                             series.window_end)
-                row = SessionResult(
-                    session=sid, window_s=t,
+                rows.append(SessionResult(
+                    session=sid, window_s=spec.length,
                     sub51_bpm=sub51_error(series, aligned),
                     sub52_bpm=sub52_mae(series, aligned),
-                    n_windows=len(series))
+                    n_windows=len(series)))
             except FacePulseError as exc:
-                skipped.append(_skip(sid, t, exc))
-                continue
-            rows.append(row)
-            per_length[t].append(row)
+                skipped.append(_skip(sid, spec.length, exc))
 
+    by_length = ([r for r in rows if r.window_s == spec.length] for spec in specs)
     aggregates = [
         AggregateResult(
-            window_s=t,
+            window_s=results[0].window_s,
             sub51_bpm=float(np.mean([r.sub51_bpm for r in results])),
             sub52_bpm=float(np.mean([r.sub52_bpm for r in results])),
             n_sessions=len(results))
-        for t, results in per_length.items() if results
+        for results in by_length if results
     ]
     return EvalReport(channel=channel, rows=tuple(rows),
                       aggregates=tuple(aggregates), skipped=tuple(skipped))
@@ -282,9 +262,13 @@ def _skip(sid: str, window_s: float | None, exc: FacePulseError) -> SkippedSessi
 
 def write_report_csv(report: EvalReport, path: str | os.PathLike) -> None:
     """Per-session rows, then dataset rows, then skip notes as comments.
-    Cells holding a comma, a quote or a newline are quoted."""
+    Cells holding a comma, a quote, a newline or a carriage return are
+    quoted."""
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
+        # csv quotes a cell holding a character of its line terminator:
+        # rows formed with "\r\n" quote a bare "\r" too, and end in "\n"
+        out = csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
+                         lineterminator="\r\n")
         out.writerow(["session", "channel", "window_s", "sub51_bpm", "sub52_bpm", "n_windows"])
         for r in report.rows:
             out.writerow([r.session, report.channel, f"{r.window_s:g}",
@@ -317,7 +301,14 @@ def write_report_json(report: EvalReport, path: str | os.PathLike) -> None:
             for s in report.skipped
         ],
     }
-    reference = report.reference_mae()
+    # the published figures for this channel at the lengths scored
+    scored = {a.window_s for a in report.aggregates}
+    reference = {}
+    for key, by_channel in PUBLISHED_MAE.values():
+        figures = {f"{t:g}": mae for t, mae in by_channel[report.channel].items()
+                   if t in scored}
+        if figures:
+            reference[key] = figures
     if reference:
         payload["reference_mae_bpm"] = reference
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -67,9 +67,9 @@ class BandLimits:
     f_hi: float = 4.0
 
     def __post_init__(self):
-        if not 0 < self.f_lo < self.f_hi:
-            raise InputError(
-                f"band limits must satisfy 0 < f_lo < f_hi, got {self.f_lo}..{self.f_hi}")
+        if not 0 < self.f_lo < self.f_hi < math.inf:
+            raise InputError(f"band limits must satisfy 0 < f_lo < f_hi < inf, "
+                             f"got {self.f_lo}..{self.f_hi}")
 
     @property
     def bpm_lo(self) -> float:
@@ -234,10 +234,9 @@ def detrend(signal: np.ndarray, fps: float) -> np.ndarray:
 def design_bandpass_taps(fps: float, n: int, band: BandLimits) -> np.ndarray:
     """Windowed-sinc (Hamming) bandpass taps for a signal of n samples,
     round(FILTER_PERIODS * fps / f_lo) long, forced odd so the group delay
-    is an integer; gain normalised to one at the centre of the band.
-    Raises InputError if f_hi is not below Nyquist and SignalTooShortError
-    if the filter is longer than the signal."""
-    band.check_below_nyquist(fps)
+    is an integer; gain normalised to one at the centre of the band, whose
+    upper edge load_session has checked to lie below Nyquist.  Raises
+    SignalTooShortError if the filter is longer than the signal."""
     # the tap count is compared with the signal before the taps are
     # allocated; an infinite count never reaches round()
     span = FILTER_PERIODS * fps / band.f_lo

@@ -47,8 +47,8 @@ class WindowSpec:
     def __post_init__(self):
         hop = self.length if self.hop is None else self.hop
         object.__setattr__(self, "hop", hop)
-        if self.length <= 0:
-            raise InputError(f"window length must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise InputError(f"window length must be positive and finite, got {self.length}")
         if not 0 < hop <= self.length:
             raise InputError(f"hop must satisfy 0 < hop <= length, got {hop}")
 

@@ -72,8 +72,8 @@ class StepProfile:
     def __post_init__(self):
         _check_bpm(self.bpm_a, "step profile first bpm")
         _check_bpm(self.bpm_b, "step profile second bpm")
-        if self.t_switch <= 0:
-            raise InputError(f"step switch time must be positive, got {self.t_switch}")
+        if not 0 < self.t_switch < math.inf:
+            raise InputError(f"step switch time must be positive and finite, got {self.t_switch}")
 
     def bpm_at(self, t: float, duration: float) -> float:
         return self.bpm_a if t < self.t_switch else self.bpm_b

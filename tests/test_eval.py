@@ -14,10 +14,9 @@ from facepulse import (ConstantProfile, GroundTruth, HrSeries, SynthConfig,
                        render_session, write_report_csv, write_report_json)
 from facepulse.cli import main
 from facepulse.errors import EmptyWindowGtError, InputError, MissingFileError
-from facepulse.evaluate import (MONITORING_PROTOCOL_LENGTHS,
-                                REFERENCE_SESSION_MAE, REFERENCE_WINDOW_MAE,
-                                SESSION_PROTOCOL_LENGTHS, align_groundtruth,
-                                session_id, sub51_error, sub52_mae)
+from facepulse.evaluate import (CHANNELS, PROTOCOL_LENGTHS, PUBLISHED_MAE,
+                                align_groundtruth, session_id, sub51_error,
+                                sub52_mae)
 
 from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
                         ref_window_means, ref_window_means_masked)
@@ -225,15 +224,20 @@ def test_session_id(tmp_path, monkeypatch):
 
 def test_reference_tables_complete():
     # 4 session lengths and 9 monitoring lengths, for each of 2 channels
-    assert len(REFERENCE_SESSION_MAE) == 8
-    assert len(REFERENCE_WINDOW_MAE) == 18
-    assert set(SESSION_PROTOCOL_LENGTHS) == {5.0, 10.0, 15.0, 20.0}
-    assert set(MONITORING_PROTOCOL_LENGTHS) == {5.0, 7.0, 9.0, 11.0, 13.0,
-                                                15.0, 17.0, 19.0, 20.0}
-    assert REFERENCE_SESSION_MAE[("rgb", 10.0)] == 5.99
-    assert REFERENCE_SESSION_MAE[("nir", 15.0)] == 7.08
-    assert REFERENCE_WINDOW_MAE[("rgb", 5.0)] == 13.45
-    assert REFERENCE_WINDOW_MAE[("nir", 13.0)] == 9.70
+    assert CHANNELS == ("rgb", "nir")
+    assert PROTOCOL_LENGTHS == {
+        "5.1": (5.0, 10.0, 15.0, 20.0),
+        "5.2": (5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0, 19.0, 20.0)}
+    assert [key for key, _ in PUBLISHED_MAE.values()] == ["session", "monitoring"]
+    for protocol, (_, by_channel) in PUBLISHED_MAE.items():
+        assert tuple(by_channel) == CHANNELS
+        for figures in by_channel.values():
+            assert tuple(figures) == PROTOCOL_LENGTHS[protocol]
+    session, monitoring = PUBLISHED_MAE["5.1"][1], PUBLISHED_MAE["5.2"][1]
+    assert session["rgb"][10.0] == 5.99
+    assert session["nir"][15.0] == 7.08
+    assert monitoring["rgb"][5.0] == 13.45
+    assert monitoring["nir"][13.0] == 9.70
 
 
 @pytest.fixture(scope="module")
@@ -373,17 +377,19 @@ class TestReportFiles:
                                                 abs=1e-6)
 
     def test_csv_quotes_ids(self, eval_sessions, tmp_path):
-        # a comma or line break in a session id stays inside its cell
-        names = ["s,1", "n\nx"]
-        for path, name in zip(eval_sessions, names):
+        # a comma, line break or carriage return in a session id stays
+        # inside its cell
+        names = ["s,1", "n\nx", "a\rb"]
+        for path, name in zip(eval_sessions * 2, names):
             shutil.copytree(path.parent, tmp_path / name)
         report = evaluate_sessions([tmp_path / name for name in names], [10.0])
         out = tmp_path / "report.csv"
         write_report_csv(report, out)
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert [len(r) for r in rows] == [6] * 4
-        assert [r[0] for r in rows[1:]] == ["n\nx", "s,1", "dataset"]
+        assert [len(r) for r in rows] == [6] * 5
+        assert b"\r\n" not in out.read_bytes()  # rows still end in "\n"
+        assert [r[0] for r in rows[1:]] == ["a\rb", "n\nx", "s,1", "dataset"]
 
     def test_csv_skip_comment(self, eval_sessions, tmp_path):
         report = evaluate_sessions(eval_sessions, [5.0, 30.0])

@@ -5,21 +5,27 @@ and the package's public ``__all__`` must resolve without duplicates.
 Every public name is documented in the README's Library section, whose
 code example is run, and every `module.name` the README quotes exists,
 with the value the README gives it.
-A CLI default that a library dataclass also holds has one definition.
+A CLI default or choice that the library also holds has one definition,
+and every float setting of a public dataclass refuses NaN and infinity.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
+import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 import facepulse
-from facepulse.cli import _synth_config, build_parser
+from facepulse.cli import _synth_config, build_parser, main
+from facepulse.evaluate import CHANNELS, PROTOCOL_LENGTHS
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "facepulse").glob("*.py")) + \
@@ -113,6 +119,48 @@ def test_combine_default_has_one_definition(argv):
     if argv[0] != "estimate":
         channel = inspect.signature(facepulse.evaluate_sessions).parameters["channel"]
         assert args.channel == channel.default
+
+
+def _subcommand_option(command: str, dest: str) -> argparse.Action:
+    """The action behind one option of one subcommand."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_protocol_and_channel_choices_have_one_definition():
+    """--protocol offers the protocols of evaluate's table, and --channel
+    its channel labels."""
+    assert _subcommand_option("sweep", "protocol").choices == sorted(PROTOCOL_LENGTHS)
+    for command in ("evaluate", "sweep"):
+        assert _subcommand_option(command, "channel").choices == CHANNELS
+
+
+def test_sweep_defaults_to_monitoring_lengths(clean72_session, tmp_path, capsys):
+    """sweep without --protocol or --lengths sweeps the 5.2 lengths, and
+    reports the published figure at each of them."""
+    out = tmp_path / "out"
+    assert main(["sweep", str(clean72_session), "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads((out / "report_rgb.json").read_text())
+    lengths = PROTOCOL_LENGTHS["5.2"]
+    assert [a["window_s"] for a in payload["dataset"]] == list(lengths)
+    assert list(payload["reference_mae_bpm"]["monitoring"]) == [f"{t:g}" for t in lengths]
+
+
+_VALID_SETTINGS = [facepulse.BandLimits(), facepulse.WindowSpec(10.0), facepulse.SynthConfig(),
+                   facepulse.ConstantProfile(72.0), facepulse.StepProfile(70.0, 100.0, 30.0),
+                   facepulse.RampProfile(70.0, 100.0)]
+_FLOAT_FIELDS = [(valid, f.name) for valid in _VALID_SETTINGS
+                 for f in dataclasses.fields(valid) if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("valid, name", _FLOAT_FIELDS,
+                         ids=[f"{type(v).__name__}.{n}" for v, n in _FLOAT_FIELDS])
+def test_float_settings_refuse_non_finite(valid, name, value):
+    with pytest.raises(facepulse.InputError):
+        dataclasses.replace(valid, **{name: value})
 
 
 def test_synth_defaults_are_synth_configs():

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from facepulse import BandLimits, DEFAULT_BAND, PipelineParams
-from facepulse import parallel, pulse, roi
+from facepulse import BandLimits, DEFAULT_BAND, PipelineParams, load_session
+from facepulse import evaluate, parallel, pulse, roi
 from facepulse.errors import (AllFramesInvalidError, FlatSignalError, InputError,
                               NonPositiveMeanError, SignalTooShortError,
                               WindowTooShortError)
@@ -306,12 +306,16 @@ class TestBandpass:
             design_bandpass_taps(30.0, 100, DEFAULT_BAND)
         assert len(design_bandpass_taps(30.0, 171, DEFAULT_BAND)) == 171
 
-    def test_band_above_nyquist(self):
-        with pytest.raises(InputError, match="below Nyquist"):
-            design_bandpass_taps(7.0, 600, BandLimits(0.7, 4.0))
-        # the Nyquist check comes before the length check
-        with pytest.raises(InputError, match="below Nyquist"):
-            design_bandpass_taps(7.0, 2, BandLimits(0.7, 4.0))
+    def test_band_above_nyquist(self, tiny_session, monkeypatch):
+        # load_session refuses the band before any frame is mapped or reduced
+        def no_frames(*args):
+            raise AssertionError("frames read before the band was checked")
+
+        monkeypatch.setattr(evaluate, "map_frames", no_frames)
+        monkeypatch.setattr(evaluate, "extract_traces", no_frames)
+        with pytest.raises(InputError, match="upper edge 5.0 Hz must be below Nyquist 5.0 Hz"):
+            load_session(tiny_session, PipelineParams(BandLimits(0.7, 5.0)),
+                         require_groundtruth=False)
 
 
 def _combine(window: np.ndarray, method: str) -> np.ndarray:
