@@ -90,6 +90,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     spec = WindowSpec(length=args.window, hop=args.hop)
     params = PipelineParams(args.band, args.combine)
+    params.band.check_two_cycles(spec.length)
     # a malformed groundtruth file is bad input: refused before any frame is read
     session = load_session(args.session, params, require_groundtruth=False)
     series = estimate_series(session.signal, spec)

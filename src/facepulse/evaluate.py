@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,9 +64,6 @@ class GroundTruth:
 
     times: np.ndarray
     bpm: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def load_groundtruth(path: str | os.PathLike) -> GroundTruth:
@@ -155,8 +153,9 @@ def load_session(source: str | os.PathLike, params: PipelineParams = PipelinePar
     gt = None if gt_path is None else load_groundtruth(gt_path)
     boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
     params.band.check_below_nyquist(manifest.fps)
-    trace = extract_traces(map_frames(manifest), boxes, manifest.fps)
-    return Session(gt, build_pulse_signal(trace, params.band, params.combine))
+    values, _ = extract_traces(map_frames(manifest), boxes)
+    return Session(gt, build_pulse_signal(values, manifest.fps, params.band,
+                                          params.combine))
 
 
 @dataclass(frozen=True)
@@ -199,12 +198,14 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
                       ) -> EvalReport:
     """Run both protocols over sessions x window lengths.
 
-    Sessions are a list of directories or manifest paths.  A single path
-    in place of the list, a channel outside CHANNELS, two paths that share
-    a session_id, no lengths or a length that is not positive and finite
-    raise InputError before any session is opened.  Each session is
-    loaded by load_session, which requires its groundtruth; its
-    conditioned signal is built once and re-windowed per length.
+    Sessions are a list of directories or manifest paths, and lengths a
+    list of seconds.  A single path or string in place of either list, a
+    channel outside CHANNELS, two paths that share a session_id, no
+    lengths, a length that is not a number, not positive and finite, or
+    shorter than two cycles of the band's lower edge raise InputError
+    before any session is opened.  Each session is loaded by
+    load_session, which requires its groundtruth; its conditioned signal
+    is built once and re-windowed per length.
     A session that fails to open or process is recorded and skipped; a
     (session, length) pair that fails (too short, missing reference
     samples) is recorded and left out of that length's aggregate.
@@ -217,9 +218,16 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     for (sid, a), (other, b) in zip(order, order[1:]):
         if sid == other:
             raise InputError(f"session {sid} is named twice: {a} and {b}")
+    if isinstance(lengths, (str, bytes)) or not np.iterable(lengths):
+        raise InputError(f"lengths must be a list of seconds, not {lengths!r}")
+    lengths = list(lengths)
+    for t in lengths:
+        if not isinstance(t, numbers.Real):
+            raise InputError(f"window length {t!r} is not a number")
     specs = [WindowSpec(length=t) for t in sorted({float(t) for t in lengths})]
     if not specs:
         raise InputError("no window lengths given")
+    params.band.check_two_cycles(specs[0].length)  # the shortest
     rows: list[SessionResult] = []
     skipped: list[SkippedSession] = []
 

@@ -83,6 +83,13 @@ class BandLimits:
         if self.f_hi >= fps / 2:
             raise InputError(f"band upper edge {self.f_hi} Hz must be below Nyquist {fps / 2} Hz")
 
+    def check_two_cycles(self, length: float) -> None:
+        min_len = 2.0 / self.f_lo
+        if length < min_len:
+            raise InputError(
+                f"window of {length} s holds fewer than two cycles at "
+                f"{self.f_lo} Hz; need at least {min_len:.2f} s")
+
 
 DEFAULT_BAND = BandLimits()
 
@@ -98,20 +105,6 @@ class PipelineParams:
                              f"use one of {COMBINE_METHODS}")
 
 
-@dataclass
-class RawTrace:
-    """Per-frame spatial means, float64 (3 regions, C channels, n_frames)
-    with C 3 for rgb8 and 1 for gray8, and the mask of frames whose
-    regions were placed (the others are interpolated)."""
-
-    fps: float
-    values: np.ndarray
-    valid: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.shape[-1]
-
-
 @dataclass(frozen=True)
 class PulseSignal:
     """Filtered, zero-mean pulse waveform and the band it was filtered to."""
@@ -120,23 +113,22 @@ class PulseSignal:
     samples: np.ndarray
     band: BandLimits
 
-    def __len__(self) -> int:
-        return len(self.samples)
 
-
-def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrace:
+def extract_traces(frames: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spatial-mean trace of every region and channel for every frame.
 
     frames is a (n, height, width, bpp) uint8 array, as returned by
     frameio.map_frames, and boxes the (n, 4) track that roi.load_box_track
-    fills to one row per frame.  A run of consecutive frames with
-    identical rects that holds REDUCE_BLOCK_FRAMES or more frames is
+    fills to one row per frame.  Returns the float64 (3 regions, bpp
+    channels, n) means and the (n,) mask of frames whose regions were
+    placed, as roi.place_regions returns it.  A run of consecutive frames
+    with identical rects that holds REDUCE_BLOCK_FRAMES or more frames is
     sliced in blocks of REDUCE_BLOCK_FRAMES, with the frame axis split
     across parallel.WORKERS threads.  The frames of shorter runs are
     gathered, one call per region, rect size and GATHER_BYTES of regions
-    (at least one frame).  A gray8 trace has one channel.
-    Degenerate frames are interpolated from their valid neighbours so
-    the trace keeps exactly one entry per frame.
+    (at least one frame).  Degenerate frames, False in the mask, are
+    interpolated from their valid neighbours so the trace keeps exactly
+    one entry per frame.
     """
     n, height, width, bpp = frames.shape
     rects, valid = place_regions(boxes, width, height)
@@ -170,7 +162,7 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray, fps: float) -> RawTrac
         bad = np.flatnonzero(~valid)
         for row in values.reshape(-1, n):
             row[bad] = np.interp(bad, good, row[good])
-    return RawTrace(fps=fps, values=values, valid=valid)
+    return values, valid
 
 
 def _patch_sums(patch: np.ndarray) -> np.ndarray:
@@ -204,7 +196,6 @@ def _gather_means(frames: np.ndarray, rects: np.ndarray, idx: np.ndarray,
 
 def normalize_segment(segment: np.ndarray) -> np.ndarray:
     """Divide by the segment mean and subtract one: zero-mean, scale-free."""
-    segment = np.asarray(segment, dtype=np.float64)
     mean = segment.mean()
     if mean <= 0:
         raise NonPositiveMeanError(f"segment mean {mean} is not positive")
@@ -214,7 +205,6 @@ def normalize_segment(segment: np.ndarray) -> np.ndarray:
 def detrend(signal: np.ndarray, fps: float) -> np.ndarray:
     """Subtract a centred moving average of round(DETREND_WINDOW_S * fps)
     samples; edges average over the shorter window that fits."""
-    signal = np.asarray(signal, dtype=np.float64)
     n = len(signal)
     # any window of 2n + 1 or more samples averages the whole signal at
     # every index, so a longer one is cut (to 2n + 3, at least 3) before
@@ -289,8 +279,9 @@ def combine_channels(x: np.ndarray, method: str) -> np.ndarray:
     return np.where(collapsed[:, None], intensity, chrom)
 
 
-def build_pulse_signal(trace: RawTrace, band: BandLimits, method: str) -> PulseSignal:
-    """Full conditioning chain for one session trace.
+def build_pulse_signal(values: np.ndarray, fps: float, band: BandLimits,
+                       method: str) -> PulseSignal:
+    """Full conditioning chain for the (3, C, n) means extract_traces returns.
 
     Each region/channel row the method reads (COMBINE_CHANNELS of rgb8,
     gray8's one channel) is normalised, detrended and bandpassed on its
@@ -300,15 +291,14 @@ def build_pulse_signal(trace: RawTrace, band: BandLimits, method: str) -> PulseS
     frames whose read channels never change leave it, raises
     FlatSignalError.
     """
-    values = trace.values
     if values.shape[1] == 3:
         values = values[:, COMBINE_CHANNELS[method]]  # a view: no copy
-    taps = design_bandpass_taps(trace.fps, len(trace), band)
+    taps = design_bandpass_taps(fps, values.shape[-1], band)
     conditioned = np.empty(values.shape)
     for idx in np.ndindex(values.shape[:2]):
-        conditioned[idx] = bandpass(detrend(normalize_segment(values[idx]), trace.fps), taps)
+        conditioned[idx] = bandpass(detrend(normalize_segment(values[idx]), fps), taps)
     regions = conditioned[:, 0] if values.shape[1] == 1 else combine_channels(conditioned, method)
     fused = regions.mean(axis=0)
     if not fused.any():
         raise FlatSignalError("the fused pulse signal is zero: the channels read never change")
-    return PulseSignal(fps=trace.fps, samples=fused - fused.mean(), band=band)
+    return PulseSignal(fps=fps, samples=fused - fused.mean(), band=band)

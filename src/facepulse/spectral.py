@@ -68,8 +68,9 @@ class HrSeries:
 
 def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> np.ndarray:
     """(n_windows, 2) start/end sample indices of every full window;
-    trailing partial samples are discarded.  Raises SessionTooShortError
-    if no window fits."""
+    trailing partial samples are discarded.  The window holds at least
+    four samples, as estimate_series' band checks leave it.  Raises
+    SessionTooShortError if no window fits."""
     span = spec.length * fps
     # an infinite product fits no signal and would overflow int(); a
     # finite one is compared with n_samples below, before any allocation
@@ -79,8 +80,6 @@ def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> np.ndarra
             f"at {fps:g} fps")
     win = int(round(span))
     hop = int(round(spec.hop * fps))
-    if win < 2:
-        raise InputError(f"window of {win} samples ({spec.length} s at {fps} fps) too short")
     if hop < 1:
         raise InputError(f"hop of {spec.hop} s is below one sample at {fps} fps")
     if n_samples < win:
@@ -107,11 +106,7 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
     neighbour, so such a peak is clamped to the band edge.
     """
     band = signal.band
-    min_len = 2.0 / band.f_lo
-    if spec.length < min_len:
-        raise InputError(
-            f"window of {spec.length} s holds fewer than two cycles at "
-            f"{band.f_lo} Hz; need at least {min_len:.2f} s")
+    band.check_two_cycles(spec.length)
     band.check_below_nyquist(signal.fps)
     samples = np.asarray(signal.samples, dtype=np.float64)
     bounds = partition_windows(len(samples), signal.fps, spec)

@@ -192,15 +192,13 @@ def test_a6_dsp_invariants(clean72_session, tmp_path, check):
     # pixel-scale invariance of the final bpm series
     manifest = open_session(clean72_session / "session.json")
     boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
-    trace = extract_traces(map_frames(manifest), boxes, manifest.fps)
-    reference = estimate_series(build_pulse_signal(trace, DEFAULT_BAND, "chrom"),
+    values, _ = extract_traces(map_frames(manifest), boxes)
+    reference = estimate_series(build_pulse_signal(values, manifest.fps, DEFAULT_BAND, "chrom"),
                                 WindowSpec(10.0))
     scale_gap = 0.0
     for c in (0.5, 1.5):
-        scaled = trace.__class__(fps=trace.fps, values=c * trace.values,
-                                 valid=trace.valid)
-        series = estimate_series(build_pulse_signal(scaled, DEFAULT_BAND, "chrom"),
-                                 WindowSpec(10.0))
+        series = estimate_series(build_pulse_signal(c * values, manifest.fps, DEFAULT_BAND,
+                                                    "chrom"), WindowSpec(10.0))
         scale_gap = max(scale_gap, float(np.max(np.abs(
             series.bpm - reference.bpm))))
     scale_ok = scale_gap <= 1e-9

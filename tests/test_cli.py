@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from facepulse import evaluate
+from facepulse import cli, evaluate
 from facepulse.cli import main
 
 
@@ -285,6 +285,29 @@ class TestGroundtruthReadFirst:
         assert "groundtruth.csv:3: bpm" in err and "SessionTooShort" not in err
 
 
+class TestShortWindowRefusedFirst:
+    """A window shorter than two cycles of the band's lower edge is
+    refused before any session is opened."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{s1}", "--window", "2"],
+        ["sweep", "{s1}", "{s2}", "--lengths", "2,10"],
+    ], ids=["estimate", "sweep"])
+    def test_exits_1_before_frames(self, short_pair, tmp_path, monkeypatch, capsys,
+                                   argv):
+        def no_frames(*args):
+            raise AssertionError("frames reduced before the window was checked")
+
+        monkeypatch.setattr(evaluate, "extract_traces", no_frames)
+        out = tmp_path / "out"
+        s1, s2 = short_pair
+        rc = main([a.format(s1=s1, s2=s2) for a in argv] + ["--out", str(out)])
+        assert rc == 1
+        assert ("InputError: window of 2.0 s holds fewer than two cycles at 0.7 Hz"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 def _short_session(out, *flags):
     """A 20 s 16x16 session rendered by the synth command."""
     assert main(["synth", "--out", str(out), "--duration", "20",
@@ -370,3 +393,14 @@ class TestSweepCommand:
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage:" in capsys.readouterr().err
+
+
+def test_os_error_exits_2(tmp_path, monkeypatch, capsys):
+    # an OSError that no reader turned into a FacePulseError, such as a
+    # full disk while writing, is a processing failure
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "render_session", full_disk)
+    assert main(["synth", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"

@@ -244,6 +244,8 @@ REPRODUCERS = [
     (["evaluate", "{s}", "--window", "inf"], 1),
     (["estimate", "{s}", "--hop", "nan"], 1),
     (["sweep", "{s}", "--lengths", "5,inf"], 1),
+    (["sweep", "{s}", "--lengths", "0,10"], 1),
+    (["estimate", "{s}", "--hop", "0.001"], 1),  # below one sample at 10 fps
     (["estimate", "{s}", "--band", "0.7:nan"], 1),
     (["synth", "--fps", "nan"], 1),
     (["synth", "--fps", "1e308"], 1),
@@ -252,6 +254,7 @@ REPRODUCERS = [
     (["synth", "--noise", "nan"], 1),
     (["synth", "--noise", "inf"], 1),
     (["synth", "--base-color", "nan,1,1"], 1),
+    (["synth", "--base-color", "1,2"], 1),
     (["synth", "--profile", "step:60,70,nan"], 1),
     (["synth", "--seed", "-1", "--noise", "1"], 1),
     (["synth", "--duration", "0.01"], 1),
@@ -262,8 +265,9 @@ REPRODUCERS = [
     (["estimate", "{s}", "--window", "1e308"], 2),
     (["evaluate", "{s}", "--window", "1e308"], 2),
     (["sweep", "{s}", "--lengths", "1e308"], 2),
-    (["estimate", "{s}", "--band", "1e-300:4"], 2),
-    (["estimate", "{s}", "--band", "1e-7:4"], 2),
+    # the 10 s window holds fewer than two cycles of the band's lower edge
+    (["estimate", "{s}", "--band", "1e-300:4"], 1),
+    (["estimate", "{s}", "--band", "1e-7:4"], 1),
     (["estimate", "{s}"], 2, HUGE_FPS),
     (["evaluate", "{s}"], 2, HUGE_FPS),
     (["estimate", "{s}"], 1, NULL_FRAMES),

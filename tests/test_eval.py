@@ -293,6 +293,17 @@ class TestEvaluateSessions:
         with pytest.raises(InputError, match="list of paths"):
             evaluate_sessions(path, [10.0])
 
+    @pytest.mark.parametrize("lengths, message", [
+        (10.0, "lengths must be a list of seconds, not 10.0"),
+        ("10", "lengths must be a list of seconds, not '10'"),
+        (["x"], "window length 'x' is not a number"),
+        ([2.0, 10.0], "window of 2.0 s holds fewer than two cycles at 0.7 Hz"),
+    ], ids=["number", "str", "str-length", "short"])
+    def test_bad_lengths_refused_before_opening(self, tmp_path, lengths, message):
+        # the session does not exist, so the refusal comes before it is opened
+        with pytest.raises(InputError, match=re.escape(message)):
+            evaluate_sessions([tmp_path / "s1"], lengths)
+
     def test_dotted_directories_named_whole(self, eval_sessions, tmp_path):
         # a directory's id is its whole name, as its manifest's is: two
         # dotted directories both score, and a directory given with its

@@ -78,6 +78,13 @@ def test_manifest_invalid_json(tmp_path):
         open_session(path)
 
 
+def test_manifest_not_an_object(tmp_path):
+    path = tmp_path / "session.json"
+    path.write_text("[]")
+    with pytest.raises(MalformedManifestError, match="manifest must be a JSON object"):
+        open_session(path)
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(MissingFileError):
         open_session(tmp_path / "session.json")

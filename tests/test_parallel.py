@@ -83,14 +83,9 @@ class TestRunSpans:
             run_spans(10, work)
 
 
-def _traces(frames, boxes):
-    trace = extract_traces(frames, boxes, 30.0)
-    return trace.values, trace.valid
-
-
 class TestExtractTracesSplit:
     def _assert_split_invariant(self, monkeypatch, frames, boxes):
-        results = _per_worker_count(monkeypatch, lambda: _traces(frames, boxes))
+        results = _per_worker_count(monkeypatch, lambda: extract_traces(frames, boxes))
         for values, valid in results[1:]:
             assert np.array_equal(values, results[0][0])
             assert np.array_equal(valid, results[0][1])
@@ -196,7 +191,7 @@ class TestSplitChoice:
         frames = np.zeros((n, size, size, 3), dtype=np.uint8)
         boxes = np.tile([0.0, 0.0, float(size), float(size)], (n, 1))
         boxes[:, 0] += shift * (np.arange(n) % 2)
-        extract_traces(frames, boxes, 30.0)
+        extract_traces(frames, boxes)
         assert thread_pools == ([2] if split else [])
 
     @pytest.mark.parametrize("length, hop_frames, split", [

@@ -12,7 +12,7 @@ from facepulse.errors import (AllFramesInvalidError, FlatSignalError, InputError
                               WindowTooShortError)
 from facepulse.frameio import map_frames, open_session
 from facepulse.pulse import (COMBINE_METHODS, DETREND_WINDOW_S, REDUCE_BLOCK_FRAMES,
-                             RawTrace, bandpass, build_pulse_signal,
+                             bandpass, build_pulse_signal,
                              combine_channels, design_bandpass_taps, detrend,
                              extract_traces, normalize_segment)
 from facepulse.roi import load_box_track, place_regions
@@ -26,10 +26,9 @@ def _region_mean(pixels: np.ndarray, rect) -> tuple[float, ...]:
     frac = tuple(v / 16 for v in rect)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roi, "REGION_FRACTIONS", (frac, frac, frac))
-        trace = extract_traces(pixels[None], np.array([[0.0, 0.0, 16.0, 16.0]]),
-                               10.0)
-    assert np.array_equal(trace.values[1:], trace.values[:2])
-    return tuple(trace.values[0, :, 0].tolist())
+        values, _ = extract_traces(pixels[None], np.array([[0.0, 0.0, 16.0, 16.0]]))
+    assert np.array_equal(values[1:], values[:2])
+    return tuple(values[0, :, 0].tolist())
 
 
 def _response(taps: np.ndarray, freq: float, fps: float) -> float:
@@ -74,51 +73,47 @@ class TestSpatialMean:
             _region_mean(pixels, (0, 0, 1, 2))
 
 
-def _raw_trace(values: np.ndarray, fps: float = 30.0) -> RawTrace:
-    """A (3, C, n) trace of float64 means with every frame valid, as
-    extract_traces builds it."""
-    values = np.asarray(values, dtype=np.float64)
-    return RawTrace(fps=fps, values=values,
-                    valid=np.ones(values.shape[-1], dtype=bool))
+def _raw_trace(values: np.ndarray) -> np.ndarray:
+    """A (3, C, n) trace of float64 means, as extract_traces builds it."""
+    return np.asarray(values, dtype=np.float64)
 
 
 def _session(directory):
     manifest = open_session(directory / "session.json")
     boxes = load_box_track(directory / "boxes.csv", manifest.frame_count)
-    return map_frames(manifest), boxes, manifest.fps
+    return map_frames(manifest), boxes
 
 
 class TestExtractTraces:
     def test_static_box_all_valid(self, tiny_session):
-        trace = extract_traces(*_session(tiny_session))
-        assert len(trace) == 20
-        assert trace.valid.all()
-        assert trace.values.shape == (3, 3, 20)
-        assert np.all((trace.values >= 0) & (trace.values <= 255))
+        values, valid = extract_traces(*_session(tiny_session))
+        assert valid.shape == (20,) and valid.all()
+        assert values.shape == (3, 3, 20) and values.dtype == np.float64
+        assert np.all((values >= 0) & (values <= 255))
 
     def test_degenerate_frame_interpolated(self, tiny_session):
-        frames, boxes, fps = _session(tiny_session)
+        frames, boxes = _session(tiny_session)
         boxes[10] = (-300.0, -300.0, 30.0, 30.0)
-        trace = extract_traces(frames, boxes, fps)
-        assert not trace.valid[10] and trace.valid[9] and trace.valid[11]
-        expected = 0.5 * (trace.values[..., 9] + trace.values[..., 11])
-        assert np.allclose(trace.values[..., 10], expected, rtol=0, atol=1e-12)
+        values, valid = extract_traces(frames, boxes)
+        assert not valid[10] and valid[9] and valid[11]
+        expected = 0.5 * (values[..., 9] + values[..., 11])
+        assert np.allclose(values[..., 10], expected, rtol=0, atol=1e-12)
 
     def test_all_frames_degenerate(self, tiny_session):
-        frames, boxes, fps = _session(tiny_session)
+        frames, boxes = _session(tiny_session)
         boxes[:] = (-300.0, -300.0, 30.0, 30.0)
         with pytest.raises(AllFramesInvalidError):
-            extract_traces(frames, boxes, fps)
+            extract_traces(frames, boxes)
 
     @staticmethod
     def _assert_matches_reference(frames, boxes):
-        trace = extract_traces(frames, boxes, 30.0)
-        rects, valid = place_regions(boxes, frames.shape[2], frames.shape[1])
+        values, valid = extract_traces(frames, boxes)
+        rects, placed = place_regions(boxes, frames.shape[2], frames.shape[1])
         expected = ref_roi_means(frames.tolist(), rects.tolist())
-        assert np.array_equal(trace.valid, valid)
+        assert np.array_equal(valid, placed)
         for i in np.flatnonzero(valid):
             for r in range(3):
-                assert trace.values[r, :, i].tolist() == expected[i][r]
+                assert values[r, :, i].tolist() == expected[i][r]
 
     def test_reduction_matches_reference(self):
         # every frame has its own rects: in the first half only y and h
@@ -216,7 +211,8 @@ class TestNormalize:
         # filter, which build_pulse_signal designs before any row is read
         for n in (1, 2, 170):
             with pytest.raises(SignalTooShortError, match=f"{n} samples shorter"):
-                build_pulse_signal(_raw_trace(np.zeros((3, 3, n))), DEFAULT_BAND, "chrom")
+                build_pulse_signal(_raw_trace(np.zeros((3, 3, n))), 30.0, DEFAULT_BAND,
+                                   "chrom")
 
 
 class TestDetrend:
@@ -306,6 +302,11 @@ class TestBandpass:
             design_bandpass_taps(30.0, 100, DEFAULT_BAND)
         assert len(design_bandpass_taps(30.0, 171, DEFAULT_BAND)) == 171
 
+    def test_huge_filter_refused_before_its_taps(self):
+        # 1.2e302 taps are compared with the signal, never allocated
+        with pytest.raises(SignalTooShortError, match="100 samples shorter than the 12"):
+            design_bandpass_taps(30.0, 100, BandLimits(1e-300, 4.0))
+
     def test_band_above_nyquist(self, tiny_session, monkeypatch):
         # load_session refuses the band before any frame is mapped or reduced
         def no_frames(*args):
@@ -328,10 +329,10 @@ class TestCombine:
         # green is the conditioned G row of each region, intensity the
         # mean of the three conditioned rows
         trace = _raw_trace(np.random.default_rng(4).uniform(90, 110, (3, 3, 300)))
-        green = build_pulse_signal(trace, DEFAULT_BAND, "green")
-        assert np.array_equal(green.samples, _expected(trace.values, "green"))
-        intensity = build_pulse_signal(trace, DEFAULT_BAND, "intensity")
-        assert np.allclose(intensity.samples, _expected(trace.values, "intensity"),
+        green = build_pulse_signal(trace, 30.0, DEFAULT_BAND, "green")
+        assert np.array_equal(green.samples, _expected(trace, "green"))
+        intensity = build_pulse_signal(trace, 30.0, DEFAULT_BAND, "intensity")
+        assert np.allclose(intensity.samples, _expected(trace, "intensity"),
                            rtol=0, atol=1e-15)
 
     def test_chrom_algebra_oracle(self):
@@ -368,18 +369,18 @@ class TestCombine:
         values[:, 1] = g
         trace = _raw_trace(values)
         direct = np.mean([_chain(g)] * 3, axis=0)
-        assert np.array_equal(build_pulse_signal(trace, DEFAULT_BAND, "green").samples,
+        assert np.array_equal(build_pulse_signal(trace, 30.0, DEFAULT_BAND, "green").samples,
                               direct - direct.mean())
         for method in ("intensity", "chrom"):
             with pytest.raises(NonPositiveMeanError):
-                build_pulse_signal(trace, DEFAULT_BAND, method)
+                build_pulse_signal(trace, 30.0, DEFAULT_BAND, method)
 
     def test_single_channel_passes_through(self):
         # each region's one conditioned row is its signal, whatever the method
         trace = _raw_trace(np.random.default_rng(7).normal(100, 1, (3, 1, 300)))
-        direct = np.mean([_chain(row) for row in trace.values[:, 0]], axis=0)
+        direct = np.mean([_chain(row) for row in trace[:, 0]], axis=0)
         for method in ("green", "intensity", "chrom"):
-            assert np.array_equal(build_pulse_signal(trace, DEFAULT_BAND, method).samples,
+            assert np.array_equal(build_pulse_signal(trace, 30.0, DEFAULT_BAND, method).samples,
                                   direct - direct.mean())
 
     def test_unknown_method(self):
@@ -403,7 +404,7 @@ def _expected(values: np.ndarray, method: str) -> np.ndarray:
     return fused - fused.mean()
 
 
-def _mono_trace(*regions: np.ndarray) -> RawTrace:
+def _mono_trace(*regions: np.ndarray) -> np.ndarray:
     """One-channel trace with the given per-region series."""
     return _raw_trace(np.stack(regions)[:, None, :])
 
@@ -411,14 +412,14 @@ def _mono_trace(*regions: np.ndarray) -> RawTrace:
 class TestFuse:
     def test_identical_signals(self):
         s = 100.0 + np.sin(np.linspace(0, 20, 300)) + 0.3
-        fused = build_pulse_signal(_mono_trace(s, s, s), DEFAULT_BAND, "chrom")
+        fused = build_pulse_signal(_mono_trace(s, s, s), 30.0, DEFAULT_BAND, "chrom")
         direct = _chain(s)
         assert np.allclose(fused.samples, direct - direct.mean(), atol=1e-12)
 
     def test_cancellation(self):
         s = np.sin(2 * np.pi * 1.2 * np.arange(300) / 30.0)
-        fused = build_pulse_signal(_mono_trace(100.0 + s, 100.0 - s,
-                                               np.full(300, 100.0)), DEFAULT_BAND, "chrom")
+        fused = build_pulse_signal(_mono_trace(100.0 + s, 100.0 - s, np.full(300, 100.0)),
+                                   30.0, DEFAULT_BAND, "chrom")
         assert np.allclose(fused.samples, 0.0, atol=1e-12)
 
     def test_fusion_improves_snr(self):
@@ -434,13 +435,13 @@ class TestFuse:
             total = np.sum(x ** 2) * n
             return proj / (total - proj)
 
-        fused = build_pulse_signal(_mono_trace(s, s, noisy), DEFAULT_BAND, "chrom")
-        alone = build_pulse_signal(_mono_trace(noisy, noisy, noisy), DEFAULT_BAND, "chrom")
+        fused = build_pulse_signal(_mono_trace(s, s, noisy), 30.0, DEFAULT_BAND, "chrom")
+        alone = build_pulse_signal(_mono_trace(noisy, noisy, noisy), 30.0, DEFAULT_BAND, "chrom")
         assert snr(fused.samples) > snr(alone.samples)
 
 
 class TestBuildPulseSignal:
-    def _trace(self, n=600, fps=30.0) -> RawTrace:
+    def _trace(self, n=600, fps=30.0) -> np.ndarray:
         t = np.arange(n) / fps
         values = np.zeros((3, 3, n))
         depths = (0.5, 1.0, 0.3)
@@ -451,27 +452,27 @@ class TestBuildPulseSignal:
             for c in range(3):
                 values[r, c] = bases[c] * roi_gain * (
                     1.0 + 0.02 * depths[c] * pulse)
-        return _raw_trace(values, fps)
+        return _raw_trace(values)
 
     def test_zero_mean_invariant(self):
-        signal = build_pulse_signal(self._trace(), DEFAULT_BAND, "chrom")
+        signal = build_pulse_signal(self._trace(), 30.0, DEFAULT_BAND, "chrom")
         assert abs(signal.samples.mean()) <= 1e-9 * np.max(np.abs(signal.samples))
 
     def test_chrom_falls_back_on_replicated_channels(self):
         trace = self._trace()
-        trace.values[:, 0] = trace.values[:, 1]
-        trace.values[:, 2] = trace.values[:, 1]
-        chrom = build_pulse_signal(trace, DEFAULT_BAND, "chrom")
-        intensity = build_pulse_signal(trace, DEFAULT_BAND, "intensity")
+        trace[:, 0] = trace[:, 1]
+        trace[:, 2] = trace[:, 1]
+        chrom = build_pulse_signal(trace, 30.0, DEFAULT_BAND, "chrom")
+        intensity = build_pulse_signal(trace, 30.0, DEFAULT_BAND, "intensity")
         assert np.allclose(chrom.samples, intensity.samples, atol=1e-12)
 
     def test_chrom_fallback_is_per_region(self):
         # only region 1 has replicated channels: it alone falls back
         trace = self._trace()
-        trace.values += np.random.default_rng(8).normal(0.0, 0.5, trace.values.shape)
-        trace.values[1, 0] = trace.values[1, 2] = trace.values[1, 1]
+        trace += np.random.default_rng(8).normal(0.0, 0.5, trace.shape)
+        trace[1, 0] = trace[1, 2] = trace[1, 1]
         conditioned = np.array([[_chain(row) for row in region]
-                                for region in trace.values])
+                                for region in trace])
         chrom = combine_channels(conditioned, "chrom")
         intensity = combine_channels(conditioned, "intensity")
         assert np.array_equal(chrom[1], intensity[1])
@@ -482,16 +483,16 @@ class TestBuildPulseSignal:
             expected = [ref_combine_region(region, method) for region in conditioned]
             assert np.array_equal(combine_channels(conditioned, method), expected)
         for method in ("green", "chrom"):
-            assert np.array_equal(build_pulse_signal(trace, DEFAULT_BAND, method).samples,
-                                  _expected(trace.values, method))
+            assert np.array_equal(build_pulse_signal(trace, 30.0, DEFAULT_BAND, method).samples,
+                                  _expected(trace, method))
 
     def test_mono_replication_equivalence(self):
         # a one-channel (gray8) trace must equal its plane pushed through
         # the same chain directly, for every combine method
-        gray = self._trace().values[:, 1:2]
+        gray = self._trace()[:, 1:2]
         direct = np.mean([_chain(gray[r, 0]) for r in range(3)], axis=0)
         for method in ("green", "intensity", "chrom"):
-            via_pipeline = build_pulse_signal(_raw_trace(gray), DEFAULT_BAND, method)
+            via_pipeline = build_pulse_signal(_raw_trace(gray), 30.0, DEFAULT_BAND, method)
             assert np.array_equal(via_pipeline.samples, direct - direct.mean())
 
     @pytest.mark.parametrize("channels, method, calls", [
@@ -499,7 +500,7 @@ class TestBuildPulseSignal:
         (1, "green", 3), (1, "intensity", 3), (1, "chrom", 3)])
     def test_conditions_only_read_channels(self, monkeypatch, channels, method, calls):
         # each row is normalised once, read in place from the trace
-        values = self._trace().values
+        values = self._trace()
         trace = _raw_trace(values if channels == 3 else values[:, 1:2])
         rows = []
 
@@ -508,7 +509,7 @@ class TestBuildPulseSignal:
             return normalize_segment(segment)
 
         monkeypatch.setattr(pulse, "normalize_segment", counting)
-        build_pulse_signal(trace, DEFAULT_BAND, method)
+        build_pulse_signal(trace, 30.0, DEFAULT_BAND, method)
         assert len(rows) == calls
         assert all(np.shares_memory(row, values) for row in rows)
         if calls == 3:
@@ -524,7 +525,7 @@ class TestFlatSignal:
         trace = _raw_trace(np.full((3, channels, 300), level))
         for method in COMBINE_METHODS:
             with pytest.raises(FlatSignalError, match="signal is zero"):
-                build_pulse_signal(trace, DEFAULT_BAND, method)
+                build_pulse_signal(trace, 30.0, DEFAULT_BAND, method)
 
     def test_only_the_read_channels_count(self):
         # a flat G channel leaves green without a pulse, not chrom
@@ -532,8 +533,8 @@ class TestFlatSignal:
         values[:, 1] = 120.0
         trace = _raw_trace(values)
         with pytest.raises(FlatSignalError):
-            build_pulse_signal(trace, DEFAULT_BAND, "green")
-        assert build_pulse_signal(trace, DEFAULT_BAND, "chrom").samples.any()
+            build_pulse_signal(trace, 30.0, DEFAULT_BAND, "green")
+        assert build_pulse_signal(trace, 30.0, DEFAULT_BAND, "chrom").samples.any()
 
 
 class TestPixelScaleInvariance:
@@ -549,8 +550,8 @@ class TestPixelScaleInvariance:
         return d
 
     def _signal(self, session_dir, method):
-        trace = extract_traces(*_session(session_dir))
-        return build_pulse_signal(trace, DEFAULT_BAND, method)
+        values, _ = extract_traces(*_session(session_dir))
+        return build_pulse_signal(values, 10.0, DEFAULT_BAND, method)
 
     @pytest.mark.parametrize("method", ["green", "intensity", "chrom"])
     def test_scaling_pixels_leaves_signal_unchanged(self, tmp_path, method):

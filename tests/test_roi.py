@@ -183,7 +183,8 @@ def test_track_malformed_row(tmp_path):
 @pytest.mark.parametrize("text, line", [
     ("frame,x,y,w,h\n0,1,1,40,abc\n", 2),
     ("\n  ,\nframe,x,y,w,h\n0,1,1,40,40\n\n1,1,1,40\n", 6),
-], ids=["header", "blank-rows"])
+    ("frame,x,y,w,h\n0,1,1,40,40\nx1,1,1,40,40\n", 3),
+], ids=["header", "blank-rows", "frame-index"])
 def test_track_error_names_file_line(tmp_path, text, line):
     # blank rows and the header count as lines of the file
     with pytest.raises(InputError, match=rf"boxes\.csv:{line}: "):
