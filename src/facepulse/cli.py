@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from .errors import FacePulseError, InputError, ProcessingError
@@ -41,19 +40,13 @@ def _parse_band(text: str) -> BandLimits:
 
 
 def _parse_lengths(text: str) -> list[float]:
-    lengths = [parse_finite(p, f"bad lengths {text!r}: length")
-               for p in text.split(",") if p.strip()]
-    if not lengths or any(t <= 0 for t in lengths):
-        raise InputError(f"bad lengths {text!r}; need positive seconds")
-    return lengths
+    return [parse_finite(p, f"bad lengths {text!r}: length")
+            for p in text.split(",") if p.strip()]
 
 
-def _parse_base_color(text: str) -> tuple[float, float, float]:
-    parts = [parse_finite(p, f"bad base color {text!r}: component")
-             for p in text.split(",")]
-    if len(parts) != 3:
-        raise InputError(f"bad base color {text!r}; expected R,G,B")
-    return (parts[0], parts[1], parts[2])
+def _parse_base_color(text: str) -> tuple[float, ...]:
+    return tuple(parse_finite(p, f"bad base color {text!r}: component")
+                 for p in text.split(","))
 
 
 def _out_dir(text: str) -> Path:
@@ -197,32 +190,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     # SynthConfig's defaults; argparse passes non-string defaults through untyped
     p = sub.add_parser("synth", parents=[], help="render a synthetic session")
-    p.add_argument("--out", required=True, type=_out_dir,
+    p.add_argument("--out", required=True, type=Path,
                    help="output session directory")
-    p.add_argument("--hr", default=None,
-                   type=partial(parse_finite, what="--hr"),
+    p.add_argument("--hr", default=None, type=float,
                    help=f"constant heart rate in bpm (default {SynthConfig.hr_profile.bpm:g})")
     p.add_argument("--profile", default=None,
                    help="constant:BPM, step:A,B,T or ramp:A,B")
-    p.add_argument("--duration", default=SynthConfig.duration,
-                   type=partial(parse_finite, what="--duration"),
+    p.add_argument("--duration", default=SynthConfig.duration, type=float,
                    help="seconds (default %(default)s)")
-    p.add_argument("--fps", default=SynthConfig.fps,
-                   type=partial(parse_finite, what="--fps"),
+    p.add_argument("--fps", default=SynthConfig.fps, type=float,
                    help="frames per second (default %(default)s)")
     p.add_argument("--width", type=int, default=SynthConfig.width)
     p.add_argument("--height", type=int, default=SynthConfig.height)
     p.add_argument("--base-color", type=_parse_base_color, default=SynthConfig.base_color,
                    metavar="R,G,B", help="skin base colour (default "
                    + ",".join(f"{c:g}" for c in SynthConfig.base_color) + ")")
-    p.add_argument("--amplitude", default=SynthConfig.pulse_amplitude,
-                   type=partial(parse_finite, what="--amplitude"),
+    p.add_argument("--amplitude", default=SynthConfig.pulse_amplitude, type=float,
                    help="fractional pulse amplitude (default %(default)s)")
-    p.add_argument("--noise", default=SynthConfig.noise_sigma, metavar="SIGMA",
-                   type=partial(parse_finite, what="--noise"),
+    p.add_argument("--noise", default=SynthConfig.noise_sigma, metavar="SIGMA", type=float,
                    help="gaussian pixel noise (default %(default)s)")
-    p.add_argument("--drift", default=SynthConfig.illum_drift,
-                   type=partial(parse_finite, what="--drift"),
+    p.add_argument("--drift", default=SynthConfig.illum_drift, type=float,
                    help="illumination drift depth (default %(default)s)")
     p.add_argument("--seed", type=int, default=SynthConfig.seed)
     p.add_argument("--mono", action="store_true",
@@ -235,11 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("session", help="session directory or manifest path")
     p.add_argument("--out", required=True, type=_out_dir,
                    help="output directory")
-    p.add_argument("--window", default=WINDOW_S,
-                   type=partial(parse_finite, what="--window"),
+    p.add_argument("--window", default=WINDOW_S, type=float,
                    help="window length in seconds (default %(default)s)")
-    p.add_argument("--hop", default=None,
-                   type=partial(parse_finite, what="--hop"),
+    p.add_argument("--hop", default=None, type=float,
                    help="window hop in seconds (default: window length)")
     _add_signal_flags(p)
     p.set_defaults(func=cmd_estimate)
@@ -247,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate",
                        help="score sessions against their groundtruth")
     _add_report_flags(p)
-    p.add_argument("--window", default=WINDOW_S,
-                   type=partial(parse_finite, what="--window"),
+    p.add_argument("--window", default=WINDOW_S, type=float,
                    help="window length in seconds (default %(default)s)")
     p.set_defaults(func=cmd_evaluate)
 

@@ -88,7 +88,7 @@ class BandLimits:
         if length < min_len:
             raise InputError(
                 f"window of {length} s holds fewer than two cycles at "
-                f"{self.f_lo} Hz; need at least {min_len:.2f} s")
+                f"{self.f_lo} Hz; need at least {min_len:.3g} s")
 
 
 DEFAULT_BAND = BandLimits()
@@ -248,13 +248,11 @@ def design_bandpass_taps(fps: float, n: int, band: BandLimits) -> np.ndarray:
 
 def bandpass(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Zero-phase FIR bandpass with taps from design_bandpass_taps: single
-    forward convolution on a reflect-padded copy, trimmed with the integer
-    group delay, residual mean removed so DC is rejected regardless of
-    edge transients."""
-    n = len(signal)
+    forward convolution, "valid" outputs only, on a copy reflect-padded by
+    the integer group delay, residual mean removed so DC is rejected
+    regardless of edge transients."""
     delay = (len(taps) - 1) // 2
-    padded = np.pad(signal, delay, mode="reflect")
-    out = np.convolve(padded, taps, mode="same")[delay:delay + n]
+    out = np.convolve(np.pad(signal, delay, mode="reflect"), taps, mode="valid")
     return out - out.mean()
 
 

@@ -14,6 +14,7 @@ import math
 import os
 import shutil
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -163,8 +164,14 @@ class SynthConfig:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.illum_drift < 1.0:
             raise InputError(f"illumination drift {self.illum_drift} out of range [0, 1)")
-        if any(not 0 <= c <= 255 for c in self.base_color):
-            raise InputError(f"base color {self.base_color} outside [0, 255]")
+        color = self.base_color
+        if not (isinstance(color, tuple) and len(color) == 3
+                and all(isinstance(c, Real) and 0 <= c <= 255 for c in color)):
+            raise InputError(f"base color must be three numbers R,G,B in [0, 255], "
+                             f"got {color!r}")
+        if not isinstance(self.hr_profile, HrProfile):
+            raise InputError(f"hr_profile must be a ConstantProfile, StepProfile or "
+                             f"RampProfile, got {self.hr_profile!r}")
         if isinstance(self.hr_profile, StepProfile) and \
                 self.hr_profile.t_switch >= self.duration:
             raise InputError(

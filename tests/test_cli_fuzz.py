@@ -255,6 +255,12 @@ REPRODUCERS = [
     (["synth", "--noise", "inf"], 1),
     (["synth", "--base-color", "nan,1,1"], 1),
     (["synth", "--base-color", "1,2"], 1),
+    (["synth", "--base-color", "1,2,3,4"], 1),
+    (["synth", "--hr", "nan"], 1),
+    (["synth", "--amplitude", "inf"], 1),
+    (["synth", "--drift", "nan"], 1),
+    (["evaluate", "{s}", "--window", "nan"], 1),
+    (["sweep", "{s}", "--lengths", ","], 1),
     (["synth", "--profile", "step:60,70,nan"], 1),
     (["synth", "--seed", "-1", "--noise", "1"], 1),
     (["synth", "--duration", "0.01"], 1),
@@ -320,3 +326,12 @@ def test_bad_numbers_exit_cleanly(base, tmp_path, case):
         assert [(s["window_s"], s["error"].split(":")[0])
                 for s in report["skipped"]] == [(None, "MissingFileError")]
 
+
+def test_two_cycle_refusal_is_short(base, tmp_path):
+    """The `--band 1e-300:4` reproducer's refusal prints the needed window
+    length to 3 significant digits, not as a 301-digit number."""
+    rc, err = _run(["estimate", str(base), "--band", "1e-300:4",
+                    "--out", str(tmp_path / "out")])
+    assert rc == 1
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(line.encode()) < 200 and "need at least 2e+300 s" in line

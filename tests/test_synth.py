@@ -94,6 +94,7 @@ class TestConfigValidation:
         # values render_session would render wrongly or fail on
         {"noise_sigma": math.nan}, {"noise_sigma": math.inf},
         {"width": 64.5}, {"height": 64.0}, {"seed": 1.5, "noise_sigma": 1.0},
+        {"base_color": (170.0, 120.0)}, {"base_color": "abc"}, {"hr_profile": 72.0},
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(InputError):
