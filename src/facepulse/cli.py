@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from .errors import FacePulseError, InputError, ProcessingError
-from .evaluate import (CHANNELS, PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions,
-                       load_session, write_report_csv, write_report_json)
+from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions, load_session,
+                       write_report_csv, write_report_json)
 from .frameio import nearest_existing, parse_finite
 from .pulse import COMBINE_METHODS, BandLimits, PipelineParams
 from .spectral import WindowSpec, estimate_series
@@ -125,21 +125,22 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_report(args: argparse.Namespace, lengths: list[float],
-                csv_name: str, json_name: str) -> int:
-    report = evaluate_sessions(args.sessions, lengths, channel=args.channel,
+def _run_report(args: argparse.Namespace, lengths: list[float], stem: str) -> int:
+    """Evaluate the sessions and write stem.csv and stem.json, where
+    stem may name the report's {channel}."""
+    report = evaluate_sessions(args.sessions, lengths,
                                params=PipelineParams(args.band, args.combine))
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_csv(report, out / csv_name)
-    write_report_json(report, out / json_name)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / stem.format(channel=report.channel)
+    write_report_csv(report, path.with_suffix(".csv"))
+    write_report_json(report, path.with_suffix(".json"))
     for s in report.skipped:
         where = "all lengths" if s.window_s is None else f"T={s.window_s:g}s"
         print(f"note: skipped {s.session} ({where}): {s.error}", file=sys.stderr)
     for a in report.aggregates:
         print(f"T={a.window_s:g}s sub51={a.sub51_bpm:.2f} bpm "
               f"sub52={a.sub52_bpm:.2f} bpm (n={a.n_sessions})")
-    print(f"report written to {out / csv_name}")
+    print(f"report written to {path.with_suffix('.csv')}")
     if not report.rows:
         # bad input alone exits 1; any processing failure makes it 2
         bad_input = all(s.exit_code == InputError.exit_code for s in report.skipped)
@@ -149,7 +150,7 @@ def _run_report(args: argparse.Namespace, lengths: list[float],
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    return _run_report(args, [args.window], "report.csv", "report.json")
+    return _run_report(args, [args.window], "report")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -157,8 +158,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lengths = _parse_lengths(args.lengths)
     else:
         lengths = list(PROTOCOL_LENGTHS[args.protocol])
-    return _run_report(args, lengths, f"report_{args.channel}.csv",
-                       f"report_{args.channel}.json")
+    return _run_report(args, lengths, "report_{channel}")
 
 
 def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
@@ -173,13 +173,11 @@ def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_report_flags(sub: argparse.ArgumentParser) -> None:
-    """The sessions, --out, --channel and signal flags of evaluate and sweep."""
+    """The sessions, --out and signal flags of evaluate and sweep."""
     sub.add_argument("sessions", nargs="+",
                      help="session directories or manifest paths")
     sub.add_argument("--out", required=True, type=_out_dir,
                      help="output directory")
-    sub.add_argument("--channel", choices=CHANNELS, default=CHANNELS[0],
-                     help="channel label for the report (default %(default)s)")
     _add_signal_flags(sub)
 
 

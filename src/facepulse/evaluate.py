@@ -54,6 +54,9 @@ PUBLISHED_MAE = {
     }),
 }
 CHANNELS = tuple(PUBLISHED_MAE["5.1"][1])
+# The channel label of each pixel format, which picks a report's
+# published figures: gray8 stands in for the near-infrared camera.
+CHANNEL_OF_FORMAT = {"rgb8": "rgb", "gray8": "nir"}
 PROTOCOL_LENGTHS = {protocol: tuple(by_channel[CHANNELS[0]])
                     for protocol, (_, by_channel) in PUBLISHED_MAE.items()}
 
@@ -192,32 +195,35 @@ class EvalReport:
 
 
 def evaluate_sessions(sessions: list[str | os.PathLike],
-                      lengths: list[float],
-                      channel: str = CHANNELS[0],
+                      lengths: list[float], *,
                       params: PipelineParams = PipelineParams(),
                       ) -> EvalReport:
     """Run both protocols over sessions x window lengths.
 
     Sessions are a list of directories or manifest paths, and lengths a
-    list of seconds.  A single path or string in place of either list, a
-    channel outside CHANNELS, two paths that share a session_id, no
-    lengths, a length that is not a number, not positive and finite, or
-    shorter than two cycles of the band's lower edge raise InputError
-    before any session is opened.  Each session is loaded by
-    load_session, which requires its groundtruth; its conditioned signal
-    is built once and re-windowed per length.
+    list of seconds.  A single path or string in place of either list,
+    no sessions, two paths that share a session_id, no lengths, a length
+    that is not a number, not positive and finite, or shorter than two
+    cycles of the band's lower edge raise InputError before any session
+    is opened.  Every session is then opened, which reads no frame: the
+    report's channel is CHANNEL_OF_FORMAT of the pixel format of those
+    that open, and InputError is raised when none opens, quoting the
+    first one's error, or when they mix formats, naming one of each.
+    Each session is loaded by load_session, which requires its
+    groundtruth; its conditioned signal is built once and re-windowed
+    per length.
     A session that fails to open or process is recorded and skipped; a
     (session, length) pair that fails (too short, missing reference
     samples) is recorded and left out of that length's aggregate.
     """
     if isinstance(sessions, (str, os.PathLike)):
         raise InputError(f"sessions must be a list of paths, not the one path {sessions!r}")
-    if channel not in CHANNELS:
-        raise InputError(f"unknown channel {channel!r}; use one of {CHANNELS}")
     order = sorted(((session_id(p), p) for p in sessions), key=lambda named: named[0])
     for (sid, a), (other, b) in zip(order, order[1:]):
         if sid == other:
             raise InputError(f"session {sid} is named twice: {a} and {b}")
+    if not order:
+        raise InputError("no sessions given")
     if isinstance(lengths, (str, bytes)) or not np.iterable(lengths):
         raise InputError(f"lengths must be a list of seconds, not {lengths!r}")
     lengths = list(lengths)
@@ -228,10 +234,30 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     if not specs:
         raise InputError("no window lengths given")
     params.band.check_two_cycles(specs[0].length)  # the shortest
+    opened = []  # each session's manifest, or the error opening it gave
+    first = {}  # pixel format -> the id of its first session
+    for sid, source in order:
+        try:
+            manifest = open_session(source)
+        except FacePulseError as exc:
+            manifest = exc
+        else:
+            first.setdefault(manifest.pixel_format, sid)
+        opened.append(manifest)
+    if not first:
+        raise InputError(f"no session could be opened; {order[0][0]} gave "
+                         f"{type(opened[0]).__name__}: {opened[0]}")
+    if len(first) > 1:
+        raise InputError("sessions mix pixel formats: " + ", ".join(
+            f"{sid} is {fmt}" for fmt, sid in first.items()))
+    channel = CHANNEL_OF_FORMAT[next(iter(first))]
     rows: list[SessionResult] = []
     skipped: list[SkippedSession] = []
 
-    for sid, source in order:
+    for (sid, source), manifest in zip(order, opened):
+        if isinstance(manifest, FacePulseError):
+            skipped.append(_skip(sid, None, manifest))
+            continue
         try:
             session = load_session(source, params, require_groundtruth=True)
         except FacePulseError as exc:

@@ -83,8 +83,10 @@ def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> np.ndarra
     if hop < 1:
         raise InputError(f"hop of {spec.hop} s is below one sample at {fps} fps")
     if n_samples < win:
+        # 15 significant digits quote every count below 1e15 in full,
+        # and a 300-digit one as 1e+300
         raise SessionTooShortError(
-            f"{n_samples} samples cannot fit one {win}-sample window")
+            f"{n_samples} samples cannot fit one {win:.15g}-sample window")
     starts = np.arange((n_samples - win) // hop + 1) * hop
     return np.column_stack((starts, starts + win))
 

@@ -235,7 +235,7 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     nearest = nearest_existing(out_dir, "out_dir")
     free = shutil.disk_usage(nearest).free
     if need > free:
-        raise InputError(f"the session needs at least {need} bytes; {nearest} has {free} free")
+        raise InputError(f"the session needs at least {need:.3g} bytes; {nearest} has {free} free")
     if not nearest.is_dir():
         raise InputError(f"out_dir {out_dir}: {nearest} exists and is not a directory")
     out_dir.mkdir(parents=True, exist_ok=True)

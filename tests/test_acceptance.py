@@ -127,7 +127,8 @@ def test_a4_nir_parity(noisy_pairs, check):
     rgb, nir = noisy_pairs
     means = {}
     for label, paths in (("rgb", rgb), ("nir", nir)):
-        report = evaluate_sessions(paths, [10.0], channel=label)
+        report = evaluate_sessions(paths, [10.0])
+        assert report.channel == label  # from the renders' pixel format
         means[label] = report.aggregates[0].sub52_bpm
     gap = abs(means["rgb"] - means["nir"])
     check("A4 NIR replication parity", gap <= 1.5,

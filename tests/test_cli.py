@@ -23,15 +23,24 @@ def cli_session(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def short_pair(tmp_path_factory):
+def _pair(root, *flags):
     """Two quick 20 s sessions for the report commands."""
-    root = tmp_path_factory.mktemp("pair")
     for name, hr in (("s01", "66"), ("s02", "84")):
         rc = main(["synth", "--out", str(root / name), "--duration", "20",
-                   "--width", "16", "--height", "16", "--hr", hr])
+                   "--width", "16", "--height", "16", "--hr", hr, *flags])
         assert rc == 0
     return [str(root / "s01"), str(root / "s02")]
+
+
+@pytest.fixture(scope="module")
+def short_pair(tmp_path_factory):
+    return _pair(tmp_path_factory.mktemp("pair"))
+
+
+@pytest.fixture(scope="module")
+def mono_pair(tmp_path_factory):
+    """short_pair rendered as gray8, the near-infrared stand-in."""
+    return _pair(tmp_path_factory.mktemp("mono"), "--mono")
 
 
 class TestSynthCommand:
@@ -177,14 +186,58 @@ class TestEvaluateCommand:
         stdout = capsys.readouterr().out
         assert "T=10s sub51=" in stdout
 
-    def test_channel_label(self, short_pair, tmp_path):
+    def test_channel_label(self, mono_pair, tmp_path, capsys):
+        # gray8 sessions are labelled nir, and quote the NIR figures
         out = tmp_path / "rep"
-        rc = main(["evaluate", *short_pair, "--out", str(out),
-                   "--channel", "nir"])
-        assert rc == 0
+        assert main(["evaluate", *mono_pair, "--out", str(out), "--window", "15"]) == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["channel"] == "nir"
-        assert "10" in payload["reference_mae_bpm"]["session"]
+        assert payload["reference_mae_bpm"] == {"session": {"15": 7.08},
+                                                "monitoring": {"15": 9.67}}
+        assert {line.split(",")[1] for line in _lines(out / "report.csv")[1:]} == {"nir"}
+        assert main(["sweep", *mono_pair, "--out", str(out), "--lengths", "15"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "report.csv", "report.json", "report_nir.csv", "report_nir.json"]
+        capsys.readouterr()
+
+    def test_channel_flag_is_a_usage_error(self, short_pair, tmp_path, capsys):
+        out = tmp_path / "rep"
+        rc = main(["evaluate", *short_pair, "--out", str(out), "--channel", "rgb"])
+        assert rc == 1
+        assert "unrecognized arguments: --channel rgb" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_mixed_pixel_formats_exit_1(self, short_pair, mono_pair, tmp_path,
+                                        monkeypatch, capsys, command):
+        # refused before any frame is read: one session of each format is named
+        def no_frames(manifest):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(evaluate, "map_frames", no_frames)
+        rgb = tmp_path / "rgb"
+        shutil.copytree(short_pair[1], rgb)
+        out = tmp_path / "rep"
+        rc = main([command, *mono_pair, str(rgb), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: InputError: sessions mix pixel formats: rgb is rgb8, s01 is gray8\n")
+        assert not out.exists()
+
+    def test_no_session_opens_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "session.json").write_text("{}")
+        out = tmp_path / "rep"
+        rc = main(["evaluate", str(tmp_path / "missing"), str(bad), "--out", str(out)])
+        assert rc == 1
+        # the first session in id order is quoted
+        assert capsys.readouterr().err == (
+            "error: InputError: no session could be opened; bad gave "
+            f"MalformedManifestError: {bad / 'session.json'}: missing manifest keys "
+            "['boxes', 'fps', 'frame_count', 'frames', 'height', 'pixel_format', "
+            "'width']\n")
+        assert sorted(tmp_path.rglob("*")) == [bad, bad / "session.json"]
 
     @pytest.mark.parametrize("twice", ["{s}", "{s}/session.json"])
     def test_session_named_twice_exits_1(self, short_pair, tmp_path, capsys, twice):

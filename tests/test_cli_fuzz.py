@@ -335,3 +335,25 @@ def test_two_cycle_refusal_is_short(base, tmp_path):
     assert rc == 1
     [line] = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(line.encode()) < 200 and "need at least 2e+300 s" in line
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (["estimate", "{s}", "--window", "1e290"], "cannot fit one 1e+291-sample window"),
+    (["evaluate", "{s}", "--window", "1e290"], "cannot fit one 1e+291-sample window"),
+    (["synth", "--fps", "1e300", "--duration", "1"], "needs at least 1.23e+304 bytes"),
+], ids=["estimate", "evaluate", "synth"])
+def test_huge_count_refusal_is_short(base, tmp_path, argv, quoted):
+    """A sample or byte count worked out from a huge flag is quoted in
+    short form: the error line, the evaluate skip note and its report.csv
+    row stay under 200 bytes."""
+    out = tmp_path / "out"
+    rc, err = _run([a.format(s=base) for a in argv] + ["--out", str(out)])
+    assert rc == (1 if argv[0] == "synth" else 2)
+    lines = [line for line in err.splitlines() if line.startswith(("error:", "note:"))]
+    if argv[0] == "evaluate":
+        lines += [line for line in (out / "report.csv").read_text().splitlines()
+                  if line.startswith("# skipped,")]
+    assert len(lines) == (3 if argv[0] == "evaluate" else 1)
+    assert all(len(line.encode()) < 200 for line in lines)
+    # the skip note and row quote the count; evaluate's error line does not
+    assert sum(quoted in line for line in lines) == (2 if argv[0] == "evaluate" else 1)

@@ -275,9 +275,39 @@ class TestEvaluateSessions:
             evaluate_sessions(eval_sessions, [])
 
     def test_unknown_channel_refused(self, eval_sessions):
-        # a label outside CHANNELS would add a column to every report.csv row
-        with pytest.raises(InputError, match="unknown channel 'a,b'"):
-            evaluate_sessions(eval_sessions, [10.0], channel="a,b")
+        # the channel comes from the sessions' pixel format: a label given
+        # by position or by name is refused
+        with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
+            evaluate_sessions(eval_sessions, [10.0], "nir")
+        with pytest.raises(TypeError, match="unexpected keyword argument 'channel'"):
+            evaluate_sessions(eval_sessions, [10.0], channel="nir")
+
+    def test_channel_from_pixel_format(self, eval_sessions, tmp_path, monkeypatch):
+        mono = tmp_path / "mono"
+        render_session(SynthConfig(width=16, height=16, duration=20.0, mono=True), mono)
+        assert evaluate_sessions(eval_sessions, [10.0]).channel == "rgb"
+        # a session that fails to open is skipped, and does not count
+        report = evaluate_sessions([mono, tmp_path / "missing"], [10.0])
+        assert report.channel == "nir"
+        assert [(s.session, s.window_s) for s in report.skipped] == [("missing", None)]
+        # a mixed set is refused before any frame is read
+
+        def no_frames(manifest):
+            raise AssertionError("a frame was read")
+
+        monkeypatch.setattr(evaluate, "map_frames", no_frames)
+        with pytest.raises(InputError, match=re.escape(
+                "sessions mix pixel formats: hr66 is rgb8, mono is gray8") + "$"):
+            evaluate_sessions([mono, *eval_sessions], [10.0])
+
+    def test_no_session_opens(self, tmp_path):
+        # the first session in id order is quoted
+        message = (f"no session could be opened; a gave MissingFileError: "
+                   f"manifest not found: {tmp_path / 'a'}")
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
+            evaluate_sessions([tmp_path / "b", tmp_path / "a"], [10.0])
+        with pytest.raises(InputError, match="^no sessions given$"):
+            evaluate_sessions([], [10.0])
 
     @pytest.mark.parametrize("second", ["s1", "s1/session.json"])
     def test_session_named_twice_refused_before_opening(self, tmp_path, second):

@@ -3,8 +3,9 @@
 An AST pass stands in for a linter: every imported name must be used,
 and the package's public ``__all__`` must resolve without duplicates.
 Every public name is documented in the README's Library section, whose
-code example is run, and every `module.name` the README quotes exists,
-with the value the README gives it.
+code example is run, every `module.name` the README quotes exists,
+with the value the README gives it, and every `facepulse` command line
+it shows parses.
 A CLI default or choice that the library also holds has one definition,
 and every float setting of a public dataclass refuses NaN and infinity.
 """
@@ -15,17 +16,18 @@ import argparse
 import ast
 import dataclasses
 import importlib
-import inspect
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import facepulse
 from facepulse.cli import _synth_config, build_parser, main
-from facepulse.evaluate import CHANNELS, PROTOCOL_LENGTHS
+from facepulse.evaluate import CHANNEL_OF_FORMAT, CHANNELS, PROTOCOL_LENGTHS
+from facepulse.frameio import BYTES_PER_PIXEL
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "facepulse").glob("*.py")) + \
@@ -110,15 +112,12 @@ def test_package_all_resolves():
 @pytest.mark.parametrize("argv", [["estimate", "s"], ["evaluate", "s"], ["sweep", "s"]],
                          ids=lambda argv: argv[0])
 def test_combine_default_has_one_definition(argv):
-    """--band and --combine fall back to the PipelineParams defaults, and
-    --channel to evaluate_sessions', not to copies of them."""
+    """--band and --combine fall back to the PipelineParams defaults, not
+    to copies of them."""
     args = build_parser().parse_args(argv + ["--out", "out"])
     assert args.combine == facepulse.PipelineParams().combine
     params = facepulse.PipelineParams(args.band, args.combine)
     assert params == facepulse.PipelineParams()
-    if argv[0] != "estimate":
-        channel = inspect.signature(facepulse.evaluate_sessions).parameters["channel"]
-        assert args.channel == channel.default
 
 
 def _subcommand_option(command: str, dest: str) -> argparse.Action:
@@ -129,11 +128,25 @@ def _subcommand_option(command: str, dest: str) -> argparse.Action:
 
 
 def test_protocol_and_channel_choices_have_one_definition():
-    """--protocol offers the protocols of evaluate's table, and --channel
-    its channel labels."""
+    """--protocol offers the protocols of evaluate's table, and each pixel
+    format maps to one of its channel labels, which no option repeats."""
     assert _subcommand_option("sweep", "protocol").choices == sorted(PROTOCOL_LENGTHS)
+    assert list(CHANNEL_OF_FORMAT) == list(BYTES_PER_PIXEL)
+    assert tuple(CHANNEL_OF_FORMAT.values()) == CHANNELS
     for command in ("evaluate", "sweep"):
-        assert _subcommand_option(command, "channel").choices == CHANNELS
+        with pytest.raises(StopIteration):
+            _subcommand_option(command, "channel")
+
+
+def _readme_commands() -> list[str]:
+    return [line.strip() for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("    facepulse ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_parse(line):
+    """Every facepulse command line the README shows is one the CLI takes."""
+    build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_sweep_defaults_to_monitoring_lengths(clean72_session, tmp_path, capsys):
