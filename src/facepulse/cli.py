@@ -106,7 +106,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "n_windows": len(series),
         "window_s": args.window,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
 
     if session.groundtruth is not None:
         try:

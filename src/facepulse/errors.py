@@ -63,7 +63,7 @@ class SignalTooShortError(ProcessingError):
 
 
 class FlatSignalError(ProcessingError):
-    """The fused pulse signal is zero throughout: no pulse to estimate."""
+    """A pulse signal is constant throughout: no pulse to estimate."""
 
 
 # windowed spectral estimation

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,11 +225,7 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
         raise InputError("no sessions given")
     if isinstance(lengths, (str, bytes)) or not np.iterable(lengths):
         raise InputError(f"lengths must be a list of seconds, not {lengths!r}")
-    lengths = list(lengths)
-    for t in lengths:
-        if not isinstance(t, numbers.Real):
-            raise InputError(f"window length {t!r} is not a number")
-    specs = [WindowSpec(length=t) for t in sorted({float(t) for t in lengths})]
+    specs = sorted({WindowSpec(length=t) for t in lengths}, key=lambda spec: spec.length)
     if not specs:
         raise InputError("no window lengths given")
     params.band.check_two_cycles(specs[0].length)  # the shortest
@@ -345,4 +340,4 @@ def write_report_json(report: EvalReport, path: str | os.PathLike) -> None:
             reference[key] = figures
     if reference:
         payload["reference_mae_bpm"] = reference
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")

@@ -11,6 +11,7 @@ time on the last axis: a trace is (regions, channels, frames).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     FlatSignalError,
     InputError,
     NonPositiveMeanError,
+    SessionTooShortError,
     SignalTooShortError,
     WindowTooShortError,
 )
@@ -107,11 +109,30 @@ class PipelineParams:
 
 @dataclass(frozen=True)
 class PulseSignal:
-    """Filtered, zero-mean pulse waveform and the band it was filtered to."""
+    """Zero-mean pulse waveform and the band it was filtered to, checked when made."""
 
     fps: float
     samples: np.ndarray
     band: BandLimits
+
+    def __post_init__(self):
+        if not (isinstance(self.fps, numbers.Real) and 0 < self.fps < math.inf):
+            raise InputError(f"fps must be positive and finite, got {self.fps!r}")
+        if not isinstance(self.band, BandLimits):
+            raise InputError(f"band must be a BandLimits, not {self.band!r}")
+        self.band.check_below_nyquist(self.fps)
+        try:  # a float64 array is kept, not copied
+            object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"samples are not numbers: {exc}") from None
+        if self.samples.ndim != 1:
+            raise InputError(f"samples must be one-dimensional, got shape {self.samples.shape}")
+        if not np.isfinite(self.samples).all():
+            raise InputError("samples must be finite, not NaN or infinite")
+        if self.samples.size == 0:
+            raise SessionTooShortError("a pulse signal needs at least one sample")
+        if self.samples.min() == self.samples.max():
+            raise FlatSignalError(f"the pulse signal is constant at {self.samples[0]:g}: no pulse")
 
 
 def extract_traces(frames: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,9 +306,8 @@ def build_pulse_signal(values: np.ndarray, fps: float, band: BandLimits,
     gray8's one channel) is normalised, detrended and bandpassed on its
     own.  One channel per region is the region signal; three are combined
     by combine_channels.  The regions are fused by their mean, which is
-    then made zero-mean; a fused signal that is zero throughout, as
-    frames whose read channels never change leave it, raises
-    FlatSignalError.
+    then made zero-mean; PulseSignal refuses a flat one, as read channels
+    that never change leave it.
     """
     if values.shape[1] == 3:
         values = values[:, COMBINE_CHANNELS[method]]  # a view: no copy
@@ -297,6 +317,4 @@ def build_pulse_signal(values: np.ndarray, fps: float, band: BandLimits,
         conditioned[idx] = bandpass(detrend(normalize_segment(values[idx]), fps), taps)
     regions = conditioned[:, 0] if values.shape[1] == 1 else combine_channels(conditioned, method)
     fused = regions.mean(axis=0)
-    if not fused.any():
-        raise FlatSignalError("the fused pulse signal is zero: the channels read never change")
     return PulseSignal(fps=fps, samples=fused - fused.mean(), band=band)

@@ -11,6 +11,7 @@ each worker reusing one set of block buffers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,19 +39,22 @@ SPECTRUM_BLOCK_BYTES = 512 * 1024
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window length and hop in seconds; hop defaults to the length
-    (non-overlapping windows)."""
+    """Window length and hop in seconds, stored as floats; hop defaults
+    to the length (non-overlapping windows)."""
 
     length: float
     hop: float | None = None
 
     def __post_init__(self):
         hop = self.length if self.hop is None else self.hop
-        object.__setattr__(self, "hop", hop)
+        for name, value in (("length", self.length), ("hop", hop)):
+            if not isinstance(value, numbers.Real):
+                raise InputError(f"window {name} {value!r} is not a number")
+            object.__setattr__(self, name, float(value))
         if not 0 < self.length < math.inf:
             raise InputError(f"window length must be positive and finite, got {self.length}")
-        if not 0 < hop <= self.length:
-            raise InputError(f"hop must satisfy 0 < hop <= length, got {hop}")
+        if not 0 < self.hop <= self.length:
+            raise InputError(f"hop must satisfy 0 < hop <= length, got {self.hop}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +73,8 @@ class HrSeries:
 def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> np.ndarray:
     """(n_windows, 2) start/end sample indices of every full window;
     trailing partial samples are discarded.  The window holds at least
-    four samples, as estimate_series' band checks leave it.  Raises
-    SessionTooShortError if no window fits."""
+    four samples, as the two-cycle and PulseSignal's Nyquist checks
+    leave it.  Raises SessionTooShortError if no window fits."""
     span = spec.length * fps
     # an infinite product fits no signal and would overflow int(); a
     # finite one is compared with n_samples below, before any allocation
@@ -109,9 +113,7 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
     """
     band = signal.band
     band.check_two_cycles(spec.length)
-    band.check_below_nyquist(signal.fps)
-    samples = np.asarray(signal.samples, dtype=np.float64)
-    bounds = partition_windows(len(samples), signal.fps, spec)
+    bounds = partition_windows(len(signal.samples), signal.fps, spec)
     n = int(bounds[0, 1] - bounds[0, 0])
     padded = ZERO_PAD_FACTOR * _next_pow2(n)
     freqs = np.fft.rfftfreq(padded, 1.0 / signal.fps)
@@ -126,7 +128,7 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
     taper = np.hanning(n)
     # window starts are arange * step, so a block of windows is a basic
     # strided slice of this view
-    windows = sliding_window_view(samples, n)
+    windows = sliding_window_view(signal.samples, n)
     n_windows = len(bounds)
     step = int(bounds[1, 0] - bounds[0, 0]) if n_windows > 1 else 1
     bins = padded // 2 + 1

@@ -269,6 +269,6 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
         "groundtruth": GROUNDTRUTH_NAME,
     }
     (out_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     return open_session(out_dir)

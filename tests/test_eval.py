@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -9,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facepulse import (ConstantProfile, GroundTruth, HrSeries, SynthConfig,
+from facepulse import (ConstantProfile, EvalReport, GroundTruth, HrSeries, SynthConfig,
                        evaluate, evaluate_sessions, load_groundtruth,
                        render_session, write_report_csv, write_report_json)
 from facepulse.cli import main
 from facepulse.errors import EmptyWindowGtError, InputError, MissingFileError
 from facepulse.evaluate import (CHANNELS, PROTOCOL_LENGTHS, PUBLISHED_MAE,
-                                align_groundtruth, session_id, sub51_error,
+                                AggregateResult, align_groundtruth, session_id, sub51_error,
                                 sub52_mae)
 
 from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
@@ -454,6 +455,20 @@ class TestReportFiles:
         ref = payload["reference_mae_bpm"]
         assert ref["session"] == {"5": 10.15, "10": 5.99}
         assert ref["monitoring"] == {"5": 13.45}
+
+    def test_int_lengths_reported_as_floats(self, eval_sessions, tmp_path):
+        # 10 and 10.0 are one length, written as 10.0
+        report = evaluate_sessions(eval_sessions[:1], [10, 5.0, 10.0])
+        assert [type(r.window_s) for r in report.rows] == [float, float]
+        write_report_json(report, tmp_path / "report.json")
+        assert '"window_s": 10.0,' in (tmp_path / "report.json").read_text()
+
+    def test_json_refuses_nan(self, tmp_path):
+        # a non-finite figure fails before the file is opened
+        report = EvalReport("rgb", (), (AggregateResult(10.0, math.nan, 1.0, 1),), ())
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report_json(report, tmp_path / "report.json")
+        assert not (tmp_path / "report.json").exists()
 
     def test_write_deterministic(self, eval_sessions, tmp_path):
         report = evaluate_sessions(eval_sessions, [5.0])

@@ -95,6 +95,37 @@ def test_session_stages_used_only_in_evaluate():
     assert users == {name: {"evaluate.py"} for name in stages}
 
 
+def _callers(name: str) -> set[str]:
+    """module.qualname of every function in the package that calls `name`,
+    as a plain or an attribute call."""
+    callers = set()
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                callers.add(".".join(scope))
+            visit(child, scope)
+
+    for path in (ROOT / "src" / "facepulse").glob("*.py"):
+        visit(ast.parse(path.read_text()), [path.stem])
+    return callers
+
+
+def test_signal_checks_have_fixed_sites():
+    """PulseSignal checks its band against Nyquist and converts its
+    samples; load_session checks the band early, before any frame is
+    read; only the stages that know the window check its two cycles."""
+    assert _callers("check_below_nyquist") == {"evaluate.load_session",
+                                               "pulse.PulseSignal.__post_init__"}
+    assert _callers("check_two_cycles") == {"cli.cmd_estimate", "evaluate.evaluate_sessions",
+                                            "spectral.estimate_series"}
+    assert [c for c in _callers("asarray") if c.startswith("spectral.")] == []
+
+
 def test_manifest_name_only_in_frameio_and_synth():
     """Only frameio, which resolves a session to its manifest, and synth,
     which writes one, know the session layout."""
@@ -163,7 +194,8 @@ def test_sweep_defaults_to_monitoring_lengths(clean72_session, tmp_path, capsys)
 
 _VALID_SETTINGS = [facepulse.BandLimits(), facepulse.WindowSpec(10.0), facepulse.SynthConfig(),
                    facepulse.ConstantProfile(72.0), facepulse.StepProfile(70.0, 100.0, 30.0),
-                   facepulse.RampProfile(70.0, 100.0)]
+                   facepulse.RampProfile(70.0, 100.0),
+                   facepulse.PulseSignal(30.0, [0.0, 1.0], facepulse.DEFAULT_BAND)]
 _FLOAT_FIELDS = [(valid, f.name) for valid in _VALID_SETTINGS
                  for f in dataclasses.fields(valid) if f.type.startswith("float")]
 

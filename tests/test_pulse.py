@@ -524,7 +524,7 @@ class TestFlatSignal:
         # is zero and no window has a peak to find
         trace = _raw_trace(np.full((3, channels, 300), level))
         for method in COMBINE_METHODS:
-            with pytest.raises(FlatSignalError, match="signal is zero"):
+            with pytest.raises(FlatSignalError, match="signal is constant at 0:"):
                 build_pulse_signal(trace, 30.0, DEFAULT_BAND, method)
 
     def test_only_the_read_channels_count(self):

@@ -7,7 +7,8 @@ import pytest
 
 from facepulse import (DEFAULT_BAND, BandLimits, HrSeries, PulseSignal, WindowSpec,
                        estimate_series)
-from facepulse.errors import EmptyBandError, InputError, SessionTooShortError
+from facepulse.errors import (EmptyBandError, FlatSignalError, InputError,
+                              SessionTooShortError)
 from facepulse.evaluate import sub51_error
 from facepulse.spectral import (SPECTRUM_BLOCK_BYTES, ZERO_PAD_FACTOR,
                                 _next_pow2, partition_windows)
@@ -41,6 +42,54 @@ class TestWindowSpec:
     def test_rejects_bad_geometry(self, length, hop):
         with pytest.raises(InputError):
             WindowSpec(length, hop)
+
+    @pytest.mark.parametrize("length, hop, name", [("10", None, "length"), (10.0, "1", "hop"),
+                                                   (None, None, "length")])
+    def test_rejects_non_numbers(self, length, hop, name):
+        with pytest.raises(InputError, match=f"^window {name} .* is not a number$"):
+            WindowSpec(length, hop)
+
+    def test_stores_floats(self):
+        spec = WindowSpec(10, 2)
+        assert (type(spec.length), type(spec.hop)) == (float, float)
+        assert spec == WindowSpec(10.0, 2.0)
+
+
+class TestPulseSignal:
+    """A pulse signal is checked once, when it is constructed."""
+
+    @pytest.mark.parametrize("fps, samples, band, error", [
+        (30.0, np.full(900, np.nan), DEFAULT_BAND, InputError),
+        (30.0, np.r_[_tone(1.2, 30.0)[:-1], np.inf], DEFAULT_BAND, InputError),
+        (30.0, np.zeros(900), DEFAULT_BAND, FlatSignalError),
+        (30.0, np.full(900, 7.5), DEFAULT_BAND, FlatSignalError),
+        (30.0, np.stack([_tone(1.2, 30.0)] * 2), DEFAULT_BAND, InputError),
+        (-30.0, _tone(1.2, 30.0), DEFAULT_BAND, InputError),
+        (30.0, _tone(1.2, 30.0), (0.7, 4.0), InputError),
+        (30.0, np.array([]), DEFAULT_BAND, SessionTooShortError),
+        (30.0, ["x", "y"], DEFAULT_BAND, InputError),
+    ], ids=["all-nan", "one-inf", "zero", "constant", "2-d", "negative-fps",
+            "band-tuple", "empty", "text"])
+    def test_refused_on_construction(self, fps, samples, band, error):
+        with pytest.raises(error) as caught:
+            PulseSignal(fps, samples, band)
+        assert caught.type is error
+
+    @pytest.mark.parametrize("convert", [list, lambda a: np.rint(100.0 * a).astype(np.int64)],
+                             ids=["list", "int"])
+    def test_samples_stored_as_float64(self, convert):
+        # converted once: the bpm bits are those of the float64 array
+        given = convert(_tone(1.2, 30.0))
+        signal = PulseSignal(30.0, given, DEFAULT_BAND)
+        assert signal.samples.dtype == np.float64
+        expected = np.asarray(given, dtype=np.float64)
+        assert np.array_equal(signal.samples, expected)
+        assert (estimate_series(signal, WindowSpec(10.0)).bpm.tolist()
+                == _bpm(expected, 10.0).tolist())
+
+    def test_float64_samples_not_copied(self):
+        samples = _tone(1.2, 30.0)
+        assert PulseSignal(30.0, samples, DEFAULT_BAND).samples is samples
 
 
 class TestPartitionWindows:
@@ -129,9 +178,11 @@ class TestPeriodogram:
         assert _bpm(samples, n / fps)[0] == pytest.approx(expected, rel=1e-9)
 
     def test_constant_input_has_no_power(self):
-        # the mean is removed first, so every bin is zero and the tie rule
-        # picks the first in-band bin, unrefined
-        assert _bpm(np.full(300, 7.5), 10.0)[0] == 60.0 * 96 * 30.0 / 4096
+        # the mean is removed first, so every bin of the one constant
+        # window is zero and the tie rule picks the first in-band bin,
+        # unrefined; the trailing sample, which fills no window, keeps
+        # the signal from being flat
+        assert _bpm(np.append(np.full(300, 7.5), 8.5), 10.0)[0] == 60.0 * 96 * 30.0 / 4096
 
     def test_white_noise_peak_spread_report(self):
         # no assertion beyond band membership: the in-band argmax of
@@ -151,9 +202,9 @@ class TestPeakBpm:
         assert _bpm(_tone(1.25, 10.0), 10.0)[0] == pytest.approx(75.0, abs=1.5)
 
     def test_equal_peaks_resolve_to_lower_frequency(self):
-        # a zero signal ties every bin: the first in-band one, 0.703125 Hz
-        # (bin 96 of 4096 at 30 fps), wins
-        assert _bpm(np.zeros(600), 10.0).tolist() == [60.0 * 96 * 30.0 / 4096] * 2
+        # a constant window ties every bin: the first in-band one,
+        # 0.703125 Hz (bin 96 of 4096 at 30 fps), wins in each of the two
+        assert _bpm(np.repeat([7.5, 8.5], 300), 10.0).tolist() == [60.0 * 96 * 30.0 / 4096] * 2
 
     def test_refinement_clamped_to_band(self):
         # a tone just outside the band peaks at the edge bin, and the
