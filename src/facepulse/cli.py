@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import repeat
 from pathlib import Path
 
 from .errors import FacePulseError, InputError, ProcessingError
@@ -88,17 +90,31 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     session = load_session(args.session, params, require_groundtruth=False)
     series = estimate_series(session.signal, spec)
 
+    aligned = None
+    if session.groundtruth is not None:
+        try:
+            aligned = align_groundtruth(session.groundtruth, series.window_start,
+                                        series.window_end)
+        except FacePulseError as exc:
+            print(f"note: skipping compare.csv: {exc}", file=sys.stderr)
+
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    bounds = [f"{s:g},{e:g}" for s, e in zip(series.window_start.tolist(),
-                                             series.window_end.tolist())]
-    # each bpm is formatted once for both files, and rows are streamed,
-    # not joined: at a 1-frame hop a row list and a file-sized string
-    # would raise the op's heap peak
-    bpm = [f"{b:.6f}" for b in series.bpm.tolist()]
-    with open(out / "estimates.csv", "w") as fh:
-        fh.write("window_start_s,window_end_s,bpm\n")
-        fh.writelines(f"{w},{b}\n" for w, b in zip(bounds, bpm))
+    # one loop writes both files, formatting each bound and bpm once; rows
+    # are streamed, not joined: at a 1-frame hop a per-window string list
+    # or a file-sized string would raise the op's heap peak
+    with open(out / "estimates.csv", "w") as est, \
+            (open(out / "compare.csv", "w") if aligned is not None else nullcontext()) as cmp:
+        est.write("window_start_s,window_end_s,bpm\n")
+        if cmp:
+            cmp.write("window_start_s,window_end_s,gt_bpm,est_bpm\n")
+        for start, end, bpm, gt in zip(series.window_start.tolist(),
+                                       series.window_end.tolist(), series.bpm.tolist(),
+                                       repeat(None) if aligned is None else aligned.tolist()):
+            bounds, bpm = f"{start:g},{end:g}", f"{bpm:.6f}"
+            est.write(f"{bounds},{bpm}\n")
+            if cmp:
+                cmp.write(f"{bounds},{gt:.6f},{bpm}\n")
 
     mean_bpm = float(series.bpm.mean())
     summary = {
@@ -107,18 +123,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "window_s": args.window,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
-
-    if session.groundtruth is not None:
-        try:
-            aligned = align_groundtruth(session.groundtruth, series.window_start,
-                                        series.window_end)
-        except FacePulseError as exc:
-            print(f"note: skipping compare.csv: {exc}", file=sys.stderr)
-        else:
-            with open(out / "compare.csv", "w") as fh:
-                fh.write("window_start_s,window_end_s,gt_bpm,est_bpm\n")
-                fh.writelines(f"{w},{g:.6f},{b}\n"
-                              for w, g, b in zip(bounds, aligned.tolist(), bpm))
 
     print(f"session mean {mean_bpm:.2f} bpm over {len(series)} "
           f"windows of {args.window:g} s")

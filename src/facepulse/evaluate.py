@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import EmptyWindowGtError, FacePulseError, InputError, MissingFileError
 from .frameio import map_frames, open_session, parse_finite, read_csv_rows, session_id
 from .pulse import PipelineParams, PulseSignal, build_pulse_signal, extract_traces
-from .roi import load_box_track
+from .roi import load_box_track, place_regions
 from .spectral import HrSeries, WindowSpec, estimate_series
 
 # Dataset-level MAE (bpm) published for this pipeline family on the edBB
@@ -60,7 +60,7 @@ PROTOCOL_LENGTHS = {protocol: tuple(by_channel[CHANNELS[0]])
                     for protocol, (_, by_channel) in PUBLISHED_MAE.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Reference rate samples: times in seconds, rates in bpm."""
 
@@ -125,7 +125,7 @@ def sub52_mae(series: HrSeries, aligned: np.ndarray) -> float:
     return float(np.mean(np.abs(series.bpm - aligned)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Session:
     """What estimate and evaluate read of one session: its reference
     samples (None when the manifest names none) and its pulse signal."""
@@ -142,20 +142,24 @@ def load_session(source: str | os.PathLike, params: PipelineParams = PipelinePar
     upper edge is not below the session's Nyquist frequency is refused
     before any frame is read.
 
-    The signal is built by loading the box track, mapping every frame,
-    reducing it to per-region channel means and running the conditioning
-    chain over the whole session.  Windowing comes afterwards, in the
-    spectral stage, so windows shorter than the bandpass filter stay
-    usable.
+    The signal is built by loading the box track, placing the regions in
+    every frame, mapping the frames, reducing them to per-region channel
+    means and running the conditioning chain over the whole session.
+    Windowing comes afterwards, in the spectral stage, so windows shorter
+    than the bandpass filter stay usable.
     """
     manifest = open_session(source)
     gt_path = manifest.groundtruth_path
     if gt_path is None and require_groundtruth:
         raise MissingFileError(f"session {session_id(source)} has no groundtruth file")
     gt = None if gt_path is None else load_groundtruth(gt_path)
-    boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
+    # the float track is dropped once the regions are placed, and the
+    # rects once the frames are reduced: conditioning holds only the means
+    rects, valid = place_regions(load_box_track(manifest.boxes_path, manifest.frame_count),
+                                 manifest.width, manifest.height)
     params.band.check_below_nyquist(manifest.fps)
-    values, _ = extract_traces(map_frames(manifest), boxes)
+    values = extract_traces(map_frames(manifest), rects, valid)
+    del rects
     return Session(gt, build_pulse_signal(values, manifest.fps, params.band,
                                           params.combine))
 

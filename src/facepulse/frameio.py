@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,12 +69,24 @@ def parse_finite(value, what: str, error: type[InputError] = InputError,
     """
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge JSON int
         raise error(f"{what}: {exc}") from exc
     if not math.isfinite(number) or (integral and not number.is_integer()):
         kind = "a whole number" if integral else "a finite number"
         raise error(f"{what} must be {kind}, got {value!r}")
     return int(number) if integral else number
+
+
+def as_float(value, what: str) -> float:
+    """A real-number setting as a float, for its range check; InputError
+    naming `what` for anything else, an int beyond the float range too:
+    it passes `< math.inf` and its text can run to thousands of digits."""
+    if not isinstance(value, numbers.Real):
+        raise InputError(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{what} is beyond the float range") from None
 
 
 def require_file(path: Path, what: str) -> None:

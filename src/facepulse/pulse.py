@@ -11,7 +11,6 @@ time on the last axis: a trace is (regions, channels, frames).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,8 @@ from .errors import (
     SignalTooShortError,
     WindowTooShortError,
 )
+from .frameio import as_float
 from .parallel import run_spans
-from .roi import place_regions
 
 # the rgb8 channels (R, G, B) each combine method reads; gray8's one is read by all
 COMBINE_CHANNELS = {"green": slice(1, 2), "intensity": slice(0, 3), "chrom": slice(0, 3)}
@@ -36,17 +35,18 @@ COMBINE_METHODS = tuple(COMBINE_CHANNELS)
 # frames per sliced reduction call, per worker: bounds each worker's
 # uint16 row-sum intermediate to REDUCE_BLOCK_FRAMES x region width x bpp
 # values.  16 for the heap: on 900 640x480 rgb8 frames with a static box,
-# one thread at 64, 32 and 16 peaks at 0.25, 0.21 and 0.19 MB
-# (tracemalloc, extract_traces alone) and 2 workers at 0.35, 0.28 and
-# 0.24 MB, in about the same time at each size (medians 0.026-0.030 s on
-# 2 workers, 0.044-0.048 s on one thread; 2-core x86-64 VM)
+# one thread at 64, 32 and 16 peaks at 0.16, 0.12 and 0.10 MB
+# (tracemalloc, extract_traces alone, given placed rects) and 2 workers
+# at 0.26, 0.19 and 0.15 MB, in about the same time at each size
+# (medians 0.026-0.030 s on 2 workers, 0.044-0.048 s on one thread;
+# 2-core x86-64 VM)
 REDUCE_BLOCK_FRAMES = 16
 
 # ROI bytes per gather of frames from short runs.  Capped for the heap: on
 # the 8487 gathered frames of a 64x64 rgb8 session whose box moves (9000
 # frames), one gather per region and size raises extract_traces' own
-# tracemalloc peak to 5.79 MB; at 16, 64 and 256 KiB it is 2.27, 2.27
-# and 2.39 MB, and 16 and 64 KiB take about the same time (0.031-0.052
+# tracemalloc peak to 4.83 MB; at 16, 64 and 256 KiB it is 1.11, 1.11
+# and 1.37 MB, and 16 and 64 KiB take about the same time (0.031-0.052
 # and 0.031-0.042 s; 2-core x86-64 VM)
 GATHER_BYTES = 64 * 1024
 
@@ -69,9 +69,9 @@ class BandLimits:
     f_hi: float = 4.0
 
     def __post_init__(self):
-        if not 0 < self.f_lo < self.f_hi < math.inf:
-            raise InputError(f"band limits must satisfy 0 < f_lo < f_hi < inf, "
-                             f"got {self.f_lo}..{self.f_hi}")
+        lo, hi = as_float(self.f_lo, "band lower edge"), as_float(self.f_hi, "band upper edge")
+        if not 0 < lo < hi < math.inf:
+            raise InputError(f"band limits must satisfy 0 < f_lo < f_hi < inf, got {lo}..{hi}")
 
     @property
     def bpm_lo(self) -> float:
@@ -107,7 +107,7 @@ class PipelineParams:
                              f"use one of {COMBINE_METHODS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSignal:
     """Zero-mean pulse waveform and the band it was filtered to, checked when made."""
 
@@ -116,8 +116,9 @@ class PulseSignal:
     band: BandLimits
 
     def __post_init__(self):
-        if not (isinstance(self.fps, numbers.Real) and 0 < self.fps < math.inf):
-            raise InputError(f"fps must be positive and finite, got {self.fps!r}")
+        fps = as_float(self.fps, "fps")
+        if not 0 < fps < math.inf:
+            raise InputError(f"fps must be positive and finite, got {fps!r}")
         if not isinstance(self.band, BandLimits):
             raise InputError(f"band must be a BandLimits, not {self.band!r}")
         self.band.check_below_nyquist(self.fps)
@@ -125,6 +126,8 @@ class PulseSignal:
             object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         except (TypeError, ValueError) as exc:
             raise InputError(f"samples are not numbers: {exc}") from None
+        except OverflowError:  # an int beyond the float range
+            raise InputError("samples must be finite, not NaN or infinite") from None
         if self.samples.ndim != 1:
             raise InputError(f"samples must be one-dimensional, got shape {self.samples.shape}")
         if not np.isfinite(self.samples).all():
@@ -135,24 +138,22 @@ class PulseSignal:
             raise FlatSignalError(f"the pulse signal is constant at {self.samples[0]:g}: no pulse")
 
 
-def extract_traces(frames: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def extract_traces(frames: np.ndarray, rects: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Spatial-mean trace of every region and channel for every frame.
 
     frames is a (n, height, width, bpp) uint8 array, as returned by
-    frameio.map_frames, and boxes the (n, 4) track that roi.load_box_track
-    fills to one row per frame.  Returns the float64 (3 regions, bpp
-    channels, n) means and the (n,) mask of frames whose regions were
-    placed, as roi.place_regions returns it.  A run of consecutive frames
-    with identical rects that holds REDUCE_BLOCK_FRAMES or more frames is
-    sliced in blocks of REDUCE_BLOCK_FRAMES, with the frame axis split
-    across parallel.WORKERS threads.  The frames of shorter runs are
+    frameio.map_frames, and rects and valid the (n, 3, 4) regions and
+    (n,) mask that roi.place_regions places in those frames.  Returns the
+    float64 (3 regions, bpp channels, n) means.  A run of consecutive
+    frames with identical rects that holds REDUCE_BLOCK_FRAMES or more
+    frames is sliced in blocks of REDUCE_BLOCK_FRAMES, with the frame axis
+    split across parallel.WORKERS threads.  The frames of shorter runs are
     gathered, one call per region, rect size and GATHER_BYTES of regions
     (at least one frame).  Degenerate frames, False in the mask, are
     interpolated from their valid neighbours so the trace keeps exactly
     one entry per frame.
     """
-    n, height, width, bpp = frames.shape
-    rects, valid = place_regions(boxes, width, height)
+    n, bpp = len(frames), frames.shape[-1]
     values = np.zeros((3, bpp, n), dtype=np.float64)
     starts = np.flatnonzero(np.r_[True, (rects[1:] != rects[:-1]).any(axis=(1, 2))])
     lengths = np.diff(np.append(starts, n))
@@ -183,7 +184,7 @@ def extract_traces(frames: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, n
         bad = np.flatnonzero(~valid)
         for row in values.reshape(-1, n):
             row[bad] = np.interp(bad, good, row[good])
-    return values, valid
+    return values
 
 
 def _patch_sums(patch: np.ndarray) -> np.ndarray:
@@ -201,18 +202,22 @@ def _gather_means(frames: np.ndarray, rects: np.ndarray, idx: np.ndarray,
     integer sums are exact like the sliced path's."""
     bpp = frames.shape[-1]
     for r in range(3):
-        x, y, w, h = rects[idx, r].T
+        # sorted on the size columns; x and y are read per chunk, so no
+        # (k, 4) copy of the rects is made
+        w, h = rects[idx, r, 2], rects[idx, r, 3]
         order = np.lexsort((h, w))
-        cuts = np.flatnonzero(np.diff(w[order]) | np.diff(h[order])) + 1
-        for group in np.split(order, cuts):
-            gw, gh = int(w[group[0]]), int(h[group[0]])
+        w = w[order]
+        h = h[order]
+        cuts = np.flatnonzero((w[1:] != w[:-1]) | (h[1:] != h[:-1])) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(order)]):
+            gw, gh = int(w[lo]), int(h[lo])
             # (n, y, x, h, w, bpp): a gathered patch keeps the frame's layout
             windows = np.moveaxis(sliding_window_view(frames, (gh, gw), axis=(1, 2)), 3, -1)
             step = max(1, GATHER_BYTES // (bpp * gw * gh))
-            for s in range(0, len(group), step):
-                g = group[s:s + step]
-                sums = _patch_sums(windows[idx[g], y[g], x[g]])
-                values[r][:, idx[g]] = (sums / (gw * gh)).T
+            for s in range(lo, hi, step):
+                f = idx[order[s:min(s + step, hi)]]
+                sums = _patch_sums(windows[f, rects[f, r, 1], rects[f, r, 0]])
+                values[r][:, f] = (sums / (gw * gh)).T
 
 
 def normalize_segment(segment: np.ndarray) -> np.ndarray:
@@ -289,32 +294,44 @@ def combine_channels(x: np.ndarray, method: str) -> np.ndarray:
     if method == "intensity":
         return intensity
     r, g, b = x[:, 0], x[:, 1], x[:, 2]
-    cx = 3.0 * r - 2.0 * g
-    cy = 1.5 * r + g - 1.5 * b
+    # cx = 3R - 2G and cy = 1.5R + G - 1.5B, through one scratch array
+    scratch = np.multiply(g, 2.0)
+    cx = np.multiply(r, 3.0)
+    cx -= scratch
+    cy = np.multiply(r, 1.5)
+    cy += g
+    cy -= np.multiply(b, 1.5, out=scratch)
     sx, sy = cx.std(axis=-1), cy.std(axis=-1)
     ratio = np.divide(sx, sy, out=np.zeros_like(sx), where=sy != 0.0)
-    chrom = cx - ratio[:, None] * cy
+    chrom = cx
+    chrom -= np.multiply(ratio[:, None], cy, out=scratch)
     collapsed = (sy == 0.0) | (chrom.std(axis=-1) <= 1e-9 * (sx + sy))
-    return np.where(collapsed[:, None], intensity, chrom)
+    chrom[collapsed] = intensity[collapsed]
+    return chrom
 
 
 def build_pulse_signal(values: np.ndarray, fps: float, band: BandLimits,
                        method: str) -> PulseSignal:
     """Full conditioning chain for the (3, C, n) means extract_traces returns.
 
-    Each region/channel row the method reads (COMBINE_CHANNELS of rgb8,
-    gray8's one channel) is normalised, detrended and bandpassed on its
-    own.  One channel per region is the region signal; three are combined
-    by combine_channels.  The regions are fused by their mean, which is
-    then made zero-mean; PulseSignal refuses a flat one, as read channels
-    that never change leave it.
+    One region at a time, each channel row the method reads
+    (COMBINE_CHANNELS of rgb8, gray8's one channel) is normalised,
+    detrended and bandpassed on its own.  One channel is the region
+    signal; three are combined by combine_channels.  The regions are
+    fused by their mean, which is then made zero-mean; PulseSignal
+    refuses a flat one, as read channels that never change leave it.
     """
     if values.shape[1] == 3:
         values = values[:, COMBINE_CHANNELS[method]]  # a view: no copy
     taps = design_bandpass_taps(fps, values.shape[-1], band)
-    conditioned = np.empty(values.shape)
-    for idx in np.ndindex(values.shape[:2]):
-        conditioned[idx] = bandpass(detrend(normalize_segment(values[idx]), fps), taps)
-    regions = conditioned[:, 0] if values.shape[1] == 1 else combine_channels(conditioned, method)
+    regions = np.empty((len(values), values.shape[-1]))
+    conditioned = np.empty(values.shape[1:])  # one region's channels, reused
+    for region, out in zip(values, regions):
+        for row, cond in zip(region, conditioned):
+            cond[:] = bandpass(detrend(normalize_segment(row), fps), taps)
+        if len(conditioned) == 1:
+            out[:] = conditioned[0]
+        else:
+            out[:] = combine_channels(conditioned[None], method)[0]
     fused = regions.mean(axis=0)
     return PulseSignal(fps=fps, samples=fused - fused.mean(), band=band)

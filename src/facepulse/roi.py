@@ -112,9 +112,16 @@ def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> np.ndarra
     k1 = np.minimum(k, len(keys) - 1)
     track = anchors[k1]
     inner = np.flatnonzero((k > 0) & (keys[k1] > frames))
-    i, i0, i1 = frames[inner], keys[k1[inner] - 1], keys[k1[inner]]
-    a, b = anchors[k1[inner] - 1], anchors[k1[inner]]
-    track[inner] = a + (b - a) * ((i - i0) / (i1 - i0))[:, None]
+    prev = k1[inner] - 1
+    frac = (inner - keys[prev]) / (keys[prev + 1] - keys[prev])
+    # a frame between anchors a and b gets (b - a) * frac + a, built in
+    # one (k, 4) buffer with a added a column at a time; a + x and x + a
+    # round alike, so the track keeps every bit of a + (b - a) * frac
+    step = np.diff(anchors, axis=0)[prev]
+    step *= frac[:, None]
+    for col, a in zip(step.T, anchors.T):
+        col += a[prev]
+    track[inner] = step
 
     bad = np.flatnonzero((track[:, 2] <= 0) | (track[:, 3] <= 0))
     if bad.size:

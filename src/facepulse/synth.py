@@ -13,6 +13,7 @@ import json
 import math
 import os
 import shutil
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .frameio import (BYTES_PER_PIXEL, MANIFEST_NAME, MIN_FRAME_DIM, SessionManifest,
-                      nearest_existing, open_session, parse_finite)
+                      as_float, nearest_existing, open_session, parse_finite)
 from .pulse import DEFAULT_BAND
 
 # validity range for configured heart rates: the default pulse band
@@ -43,11 +44,12 @@ GROUNDTRUTH_NAME = "groundtruth.csv"
 
 
 def _check_bpm(value: float, what: str) -> float:
-    if not BPM_MIN < value < BPM_MAX:
+    bpm = as_float(value, what)
+    if not BPM_MIN < bpm < BPM_MAX:
         raise InputError(
-            f"{what} {value} out of range; heart rate must lie in "
+            f"{what} {bpm} out of range; heart rate must lie in "
             f"({BPM_MIN:g}, {BPM_MAX:g}) bpm")
-    return float(value)
+    return bpm
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,9 @@ class StepProfile:
     def __post_init__(self):
         _check_bpm(self.bpm_a, "step profile first bpm")
         _check_bpm(self.bpm_b, "step profile second bpm")
-        if not 0 < self.t_switch < math.inf:
-            raise InputError(f"step switch time must be positive and finite, got {self.t_switch}")
+        t_switch = as_float(self.t_switch, "step switch time")
+        if not 0 < t_switch < math.inf:
+            raise InputError(f"step switch time must be positive and finite, got {t_switch}")
 
     def bpm_at(self, t: float, duration: float) -> float:
         return self.bpm_a if t < self.t_switch else self.bpm_b
@@ -146,24 +149,27 @@ class SynthConfig:
         if self.width < MIN_FRAME_DIM or self.height < MIN_FRAME_DIM:
             raise InputError(f"frame size must be at least {MIN_FRAME_DIM}x"
                              f"{MIN_FRAME_DIM}, got {self.width}x{self.height}")
-        if not self.fps > 0:
-            raise InputError(f"fps must be positive, got {self.fps}")
+        fps, duration = as_float(self.fps, "fps"), as_float(self.duration, "duration")
+        if not fps > 0:
+            raise InputError(f"fps must be positive, got {fps}")
         # the groundtruth holds one sample per whole second
-        if not self.duration >= 1:
-            raise InputError(f"duration must be at least 1 s, got {self.duration}")
-        if math.isinf(self.duration * self.fps):
-            raise InputError(f"{self.duration} s at {self.fps} fps overflows the frame count")
+        if not duration >= 1:
+            raise InputError(f"duration must be at least 1 s, got {duration}")
+        if math.isinf(duration * fps):
+            raise InputError(f"{duration} s at {fps} fps overflows the frame count")
         if self.frame_count < 1:
-            raise InputError(f"{self.duration} s at {self.fps} fps holds no frame")
-        if not 0.0 < self.pulse_amplitude <= 0.1:
-            raise InputError(
-                f"pulse amplitude {self.pulse_amplitude} out of range (0, 0.1]")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise InputError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
+            raise InputError(f"{duration} s at {fps} fps holds no frame")
+        amplitude = as_float(self.pulse_amplitude, "pulse amplitude")
+        if not 0.0 < amplitude <= 0.1:
+            raise InputError(f"pulse amplitude {amplitude} out of range (0, 0.1]")
+        noise_sigma = as_float(self.noise_sigma, "noise sigma")
+        if not 0 <= noise_sigma < math.inf:
+            raise InputError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 <= self.illum_drift < 1.0:
-            raise InputError(f"illumination drift {self.illum_drift} out of range [0, 1)")
+        drift = as_float(self.illum_drift, "illumination drift")
+        if not 0.0 <= drift < 1.0:
+            raise InputError(f"illumination drift {drift} out of range [0, 1)")
         color = self.base_color
         if not (isinstance(color, tuple) and len(color) == 3
                 and all(isinstance(c, Real) and 0 <= c <= 255 for c in color)):
@@ -235,7 +241,9 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     nearest = nearest_existing(out_dir, "out_dir")
     free = shutil.disk_usage(nearest).free
     if need > free:
-        raise InputError(f"the session needs at least {need:.3g} bytes; {nearest} has {free} free")
+        # a count beyond the float range is quoted as the float maximum
+        raise InputError(f"the session needs at least {min(need, sys.float_info.max):.3g} "
+                         f"bytes; {nearest} has {free} free")
     if not nearest.is_dir():
         raise InputError(f"out_dir {out_dir}: {nearest} exists and is not a directory")
     out_dir.mkdir(parents=True, exist_ok=True)

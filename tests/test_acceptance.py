@@ -21,7 +21,7 @@ from facepulse.cli import main
 from facepulse.evaluate import PUBLISHED_MAE, align_groundtruth, sub51_error, sub52_mae
 from facepulse.frameio import map_frames, open_session
 from facepulse.pulse import build_pulse_signal, design_bandpass_taps, extract_traces
-from facepulse.roi import load_box_track
+from facepulse.roi import load_box_track, place_regions
 from facepulse.spectral import partition_windows
 
 from _reference import (ref_aggregate, ref_mae, ref_sub51, ref_sub52,
@@ -193,7 +193,8 @@ def test_a6_dsp_invariants(clean72_session, tmp_path, check):
     # pixel-scale invariance of the final bpm series
     manifest = open_session(clean72_session / "session.json")
     boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
-    values, _ = extract_traces(map_frames(manifest), boxes)
+    values = extract_traces(map_frames(manifest),
+                            *place_regions(boxes, manifest.width, manifest.height))
     reference = estimate_series(build_pulse_signal(values, manifest.fps, DEFAULT_BAND, "chrom"),
                                 WindowSpec(10.0))
     scale_gap = 0.0

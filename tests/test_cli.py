@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from facepulse import cli, evaluate
+from facepulse import SynthConfig, cli, evaluate, parallel, pulse, render_session, spectral
 from facepulse.cli import main
 
 
@@ -74,6 +75,48 @@ class TestSynthCommand:
         assert rc == 0
         manifest = json.loads((out / "session.json").read_text())
         assert manifest["pixel_format"] == "gray8"
+
+
+# peak heap of a 1-frame-hop estimate, in (3, 3, n) trace bytes, once the
+# scratch sized by design is shrunk (test_dense_hop_heap_per_frame):
+# 3.40-3.54 when each per-frame and per-window array is held once,
+# 4.78-4.94 when conditioning held a second trace while the box track and
+# the rects lived on; the bound leaves over 10 % to each
+DENSE_HOP_HEAP_TRACES = 4.1
+
+
+def test_dense_hop_heap_per_frame(tmp_path, monkeypatch, capsys):
+    """estimate at a 1-frame hop on a box that moves and leaves the frame
+    peaks within DENSE_HOP_HEAP_TRACES times its trace's bytes.  One
+    worker, 16 KiB spectrum blocks and 4 KiB gathers shrink the scratch
+    whose size is fixed, so the peak is what grows with frames and
+    windows."""
+    monkeypatch.setattr(parallel, "WORKERS", 1)
+    monkeypatch.setattr(spectral, "SPECTRUM_BLOCK_BYTES", 16 * 1024)
+    monkeypatch.setattr(pulse, "GATHER_BYTES", 4 * 1024)
+    session = tmp_path / "moving"
+    config = SynthConfig(width=32, height=32, duration=60.0, noise_sigma=0.5, seed=3)
+    render_session(config, session)
+    n = config.frame_count
+    rng = np.random.default_rng(5)
+    anchors = np.append(np.arange(0, n - 1, 15), n - 1)
+    x = 6 + 2 * np.sin(anchors / 40) + rng.normal(0, 0.5, len(anchors))
+    y = 6 + 2 * np.cos(anchors / 40) + rng.normal(0, 0.5, len(anchors))
+    x[len(x) // 2:len(x) // 2 + 4] = 50.0  # off the frame: degenerate regions
+    w, h = 20 + rng.normal(0, 0.5, (2, len(anchors)))
+    (session / "boxes.csv").write_text("frame,x,y,w,h\n" + "".join(
+        f"{f},{a:.2f},{b:.2f},{c:.2f},{d:.2f}\n" for f, a, b, c, d in zip(anchors, x, y, w, h)))
+    argv = ["estimate", str(session), "--out", str(tmp_path / "out"),
+            "--hop", repr(1 / config.fps)]
+    assert main(argv) == 0  # warm-up: first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "over 1501 windows" in capsys.readouterr().out
+    assert peak <= DENSE_HOP_HEAP_TRACES * 3 * 3 * n * 8
 
 
 class TestEstimateCommand:

@@ -228,7 +228,10 @@ def test_edited_pixels(pixel_bases, fmt, method, edits):
 # and a mutation of the session; argv without its own --out gets one.
 # The synth commands, and a bad --out, must fail before they write anything
 LONG = "n" * 300  # over the 255-byte file-name limit: lookups fail, ENAMETOOLONG
+HUGE_INT = 10**400  # beyond the float range: float() raises OverflowError
 HUGE_FPS = ("json", "session.json", "fps", 1e308)
+HUGE_INTS = [("json", "session.json", key, HUGE_INT)
+             for key in ("fps", "width", "height", "frame_count")]
 NULL_FRAMES = ("json", "session.json", "frames", None)
 LONG_FRAMES, LONG_BOXES, LONG_GT = (("json", "session.json", key, LONG)
                                     for key in ("frames", "boxes", "groundtruth"))
@@ -238,7 +241,8 @@ DICT_FORMAT = ("json", "session.json", "pixel_format", {})
 MUTATION_IDS = [(HUGE_FPS, "fps=1e308"), (NULL_FRAMES, "frames=null"),
                 (LONG_FRAMES, "frames=long"), (LONG_BOXES, "boxes=long"),
                 (LONG_GT, "groundtruth=long"), (LIST_FORMAT, "pixel_format=[]"),
-                (DICT_FORMAT, "pixel_format={}")]
+                (DICT_FORMAT, "pixel_format={}")] + [
+                (m, f"{m[2]}=10**400") for m in HUGE_INTS]
 REPRODUCERS = [
     (["estimate", "{s}", "--window", "inf"], 1),
     (["evaluate", "{s}", "--window", "inf"], 1),
@@ -265,6 +269,7 @@ REPRODUCERS = [
     (["synth", "--seed", "-1", "--noise", "1"], 1),
     (["synth", "--duration", "0.01"], 1),
     (["synth", "--fps", "1e300", "--duration", "1"], 1),  # more frames than disk
+    (["synth", "--width", "{huge}"], 1),  # more bytes than disk, beyond the float range
     (["synth", "--out", "{file}"], 1),
     (["synth", "--out", "{file}/sub"], 1),
     (["synth", "--out", "{s}/{long}"], 1),
@@ -276,6 +281,8 @@ REPRODUCERS = [
     (["estimate", "{s}", "--band", "1e-7:4"], 1),
     (["estimate", "{s}"], 2, HUGE_FPS),
     (["evaluate", "{s}"], 2, HUGE_FPS),
+    *((["estimate", "{s}"], 1, m) for m in HUGE_INTS),
+    *((["evaluate", "{s}"], 1, m) for m in HUGE_INTS),
     (["estimate", "{s}"], 1, NULL_FRAMES),
     (["estimate", "{s}"], 1, LONG_FRAMES),
     (["estimate", "{s}"], 1, LONG_BOXES),
@@ -308,7 +315,8 @@ def test_bad_numbers_exit_cleanly(base, tmp_path, case):
     for mutation in mutations:
         _apply(session, mutation)
     own_out = "--out" in argv
-    argv = [a.format(s=session, base=base, long=LONG, file=file) for a in argv]
+    argv = [a.format(s=session, base=base, long=LONG, file=file, huge=HUGE_INT)
+            for a in argv]
     if not own_out:
         argv += ["--out", str(out)]
     before = sorted(tmp_path.rglob("*"))

@@ -7,13 +7,16 @@ code example is run, every `module.name` the README quotes exists,
 with the value the README gives it, and every `facepulse` command line
 it shows parses.
 A CLI default or choice that the library also holds has one definition,
-and every float setting of a public dataclass refuses NaN and infinity.
+every float setting of a public dataclass refuses NaN, infinity and an
+int beyond the float range, and a record that holds arrays compares by
+identity.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import copy
 import dataclasses
 import importlib
 import json
@@ -22,6 +25,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import facepulse
@@ -84,7 +88,8 @@ def test_session_stages_used_only_in_evaluate():
     """load_session is the one path from a session to its signal: outside
     the modules that define them, only evaluate uses the stages."""
     stages = {"map_frames": "frameio.py", "load_box_track": "roi.py",
-              "extract_traces": "pulse.py", "build_pulse_signal": "pulse.py"}
+              "place_regions": "roi.py", "extract_traces": "pulse.py",
+              "build_pulse_signal": "pulse.py"}
     users: dict[str, set[str]] = {name: set() for name in stages}
     for path in (ROOT / "src" / "facepulse").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -200,12 +205,29 @@ _FLOAT_FIELDS = [(valid, f.name) for valid in _VALID_SETTINGS
                  for f in dataclasses.fields(valid) if f.type.startswith("float")]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
 @pytest.mark.parametrize("valid, name", _FLOAT_FIELDS,
                          ids=[f"{type(v).__name__}.{n}" for v, n in _FLOAT_FIELDS])
 def test_float_settings_refuse_non_finite(valid, name, value):
     with pytest.raises(facepulse.InputError):
         dataclasses.replace(valid, **{name: value})
+
+
+_GROUNDTRUTH = facepulse.GroundTruth(np.array([0.0, 1.0]), np.array([70.0, 71.0]))
+_SIGNAL = facepulse.PulseSignal(30.0, [0.0, 1.0], facepulse.DEFAULT_BAND)
+
+
+@pytest.mark.parametrize("record", [
+    _GROUNDTRUTH, _SIGNAL, facepulse.Session(_GROUNDTRUTH, _SIGNAL),
+    facepulse.HrSeries(np.array([0.0]), np.array([10.0]), np.array([72.0]))],
+    ids=lambda record: type(record).__name__)
+def test_array_records_compare_by_identity(record):
+    """A frozen record that holds arrays compares and hashes by identity:
+    generated field equality would compare arrays and raise."""
+    assert record == record
+    assert record != copy.copy(record)
+    assert hash(record) == hash(record)
 
 
 def test_synth_defaults_are_synth_configs():

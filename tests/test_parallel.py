@@ -18,9 +18,18 @@ from facepulse import DEFAULT_BAND, PulseSignal, WindowSpec, estimate_series, pa
 from facepulse.cli import main
 from facepulse.parallel import run_spans
 from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
+from facepulse.roi import place_regions
 from facepulse.spectral import SPECTRUM_BLOCK_BYTES
 
 from _reference import ref_block_rows, ref_hr_series
+
+
+def _traces(frames: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """extract_traces over the regions roi.place_regions places for a box
+    track in those frames, and the mask: (values, valid)."""
+    rects, valid = place_regions(boxes, frames.shape[2], frames.shape[1])
+    return extract_traces(frames, rects, valid), valid
+
 
 WORKER_COUNTS = (1, 2, 3)
 
@@ -85,7 +94,7 @@ class TestRunSpans:
 
 class TestExtractTracesSplit:
     def _assert_split_invariant(self, monkeypatch, frames, boxes):
-        results = _per_worker_count(monkeypatch, lambda: extract_traces(frames, boxes))
+        results = _per_worker_count(monkeypatch, lambda: _traces(frames, boxes))
         for values, valid in results[1:]:
             assert np.array_equal(values, results[0][0])
             assert np.array_equal(valid, results[0][1])
@@ -191,7 +200,7 @@ class TestSplitChoice:
         frames = np.zeros((n, size, size, 3), dtype=np.uint8)
         boxes = np.tile([0.0, 0.0, float(size), float(size)], (n, 1))
         boxes[:, 0] += shift * (np.arange(n) % 2)
-        extract_traces(frames, boxes)
+        _traces(frames, boxes)
         assert thread_pools == ([2] if split else [])
 
     @pytest.mark.parametrize("length, hop_frames, split", [

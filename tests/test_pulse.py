@@ -20,13 +20,20 @@ from facepulse.roi import load_box_track, place_regions
 from _reference import ref_combine_region, ref_roi_means
 
 
+def _traces(frames: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """extract_traces over the regions roi.place_regions places for a box
+    track in those frames, and the mask: (values, valid)."""
+    rects, valid = place_regions(boxes, frames.shape[2], frames.shape[1])
+    return extract_traces(frames, rects, valid), valid
+
+
 def _region_mean(pixels: np.ndarray, rect) -> tuple[float, ...]:
     """Trace channels of one 16x16 frame whose three regions are all `rect`,
     placed on a full-frame box by region fractions of sixteenths."""
     frac = tuple(v / 16 for v in rect)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roi, "REGION_FRACTIONS", (frac, frac, frac))
-        values, _ = extract_traces(pixels[None], np.array([[0.0, 0.0, 16.0, 16.0]]))
+        values, _ = _traces(pixels[None], np.array([[0.0, 0.0, 16.0, 16.0]]))
     assert np.array_equal(values[1:], values[:2])
     return tuple(values[0, :, 0].tolist())
 
@@ -86,7 +93,7 @@ def _session(directory):
 
 class TestExtractTraces:
     def test_static_box_all_valid(self, tiny_session):
-        values, valid = extract_traces(*_session(tiny_session))
+        values, valid = _traces(*_session(tiny_session))
         assert valid.shape == (20,) and valid.all()
         assert values.shape == (3, 3, 20) and values.dtype == np.float64
         assert np.all((values >= 0) & (values <= 255))
@@ -94,7 +101,7 @@ class TestExtractTraces:
     def test_degenerate_frame_interpolated(self, tiny_session):
         frames, boxes = _session(tiny_session)
         boxes[10] = (-300.0, -300.0, 30.0, 30.0)
-        values, valid = extract_traces(frames, boxes)
+        values, valid = _traces(frames, boxes)
         assert not valid[10] and valid[9] and valid[11]
         expected = 0.5 * (values[..., 9] + values[..., 11])
         assert np.allclose(values[..., 10], expected, rtol=0, atol=1e-12)
@@ -103,11 +110,11 @@ class TestExtractTraces:
         frames, boxes = _session(tiny_session)
         boxes[:] = (-300.0, -300.0, 30.0, 30.0)
         with pytest.raises(AllFramesInvalidError):
-            extract_traces(frames, boxes)
+            _traces(frames, boxes)
 
     @staticmethod
     def _assert_matches_reference(frames, boxes):
-        values, valid = extract_traces(frames, boxes)
+        values, valid = _traces(frames, boxes)
         rects, placed = place_regions(boxes, frames.shape[2], frames.shape[1])
         expected = ref_roi_means(frames.tolist(), rects.tolist())
         assert np.array_equal(valid, placed)
@@ -550,7 +557,7 @@ class TestPixelScaleInvariance:
         return d
 
     def _signal(self, session_dir, method):
-        values, _ = extract_traces(*_session(session_dir))
+        values, _ = _traces(*_session(session_dir))
         return build_pulse_signal(values, 10.0, DEFAULT_BAND, method)
 
     @pytest.mark.parametrize("method", ["green", "intensity", "chrom"])
