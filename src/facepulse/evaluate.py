@@ -148,6 +148,8 @@ def load_session(source: str | os.PathLike, params: PipelineParams = PipelinePar
     Windowing comes afterwards, in the spectral stage, so windows shorter
     than the bandpass filter stay usable.
     """
+    if not isinstance(params, PipelineParams):
+        raise InputError(f"params must be a PipelineParams, not {type(params).__name__}")
     manifest = open_session(source)
     gt_path = manifest.groundtruth_path
     if gt_path is None and require_groundtruth:
@@ -219,6 +221,8 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     (session, length) pair that fails (too short, missing reference
     samples) is recorded and left out of that length's aggregate.
     """
+    if not isinstance(params, PipelineParams):
+        raise InputError(f"params must be a PipelineParams, not {type(params).__name__}")
     if isinstance(sessions, (str, os.PathLike)):
         raise InputError(f"sessions must be a list of paths, not the one path {sessions!r}")
     order = sorted(((session_id(p), p) for p in sessions), key=lambda named: named[0])
@@ -233,19 +237,16 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     if not specs:
         raise InputError("no window lengths given")
     params.band.check_two_cycles(specs[0].length)  # the shortest
-    opened = []  # each session's manifest, or the error opening it gave
     first = {}  # pixel format -> the id of its first session
+    error = None  # the first error opening a session gave
     for sid, source in order:
         try:
-            manifest = open_session(source)
+            first.setdefault(open_session(source).pixel_format, sid)
         except FacePulseError as exc:
-            manifest = exc
-        else:
-            first.setdefault(manifest.pixel_format, sid)
-        opened.append(manifest)
+            error = error or exc
     if not first:
         raise InputError(f"no session could be opened; {order[0][0]} gave "
-                         f"{type(opened[0]).__name__}: {opened[0]}")
+                         f"{type(error).__name__}: {error}")
     if len(first) > 1:
         raise InputError("sessions mix pixel formats: " + ", ".join(
             f"{sid} is {fmt}" for fmt, sid in first.items()))
@@ -253,10 +254,7 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     rows: list[SessionResult] = []
     skipped: list[SkippedSession] = []
 
-    for (sid, source), manifest in zip(order, opened):
-        if isinstance(manifest, FacePulseError):
-            skipped.append(_skip(sid, None, manifest))
-            continue
+    for sid, source in order:
         try:
             session = load_session(source, params, require_groundtruth=True)
         except FacePulseError as exc:

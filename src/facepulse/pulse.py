@@ -102,6 +102,8 @@ class PipelineParams:
     combine: str = "chrom"  # a gray8 session's one channel is read by every method
 
     def __post_init__(self):
+        if not isinstance(self.band, BandLimits):
+            raise InputError(f"band must be a BandLimits, not {self.band!r}")
         if self.combine not in COMBINE_METHODS:
             raise InputError(f"unknown combine method {self.combine!r}; "
                              f"use one of {COMBINE_METHODS}")
@@ -282,32 +284,28 @@ def bandpass(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out - out.mean()
 
 
-def combine_channels(x: np.ndarray, method: str) -> np.ndarray:
-    """Collapse conditioned (regions, 3, n) R, G, B series to (regions, n).
+def combine_channels(rows: np.ndarray, method: str) -> np.ndarray:
+    """Collapse one region's conditioned (k, n) channel rows, the ones the
+    method reads, to that region's (n,) series.
 
-    intensity averages the three channels; chrom projects onto the
+    One row (gray8, or G under green) is the series as it is.  Of three
+    R, G, B rows, intensity is their mean; chrom projects onto the
     X - (std X / std Y) * Y chrominance axis with X = 3R - 2G and
-    Y = 1.5R + G - 1.5B.  A region whose Y has zero variance or whose
-    projection collapses (replicated channels) gets intensity instead.
+    Y = 1.5R + G - 1.5B, and falls back to intensity when Y has zero
+    variance or the projection collapses (replicated channels).
     """
-    intensity = x.mean(axis=1)
+    if len(rows) == 1:
+        return rows[0]
+    intensity = rows.mean(axis=0)
     if method == "intensity":
         return intensity
-    r, g, b = x[:, 0], x[:, 1], x[:, 2]
-    # cx = 3R - 2G and cy = 1.5R + G - 1.5B, through one scratch array
-    scratch = np.multiply(g, 2.0)
-    cx = np.multiply(r, 3.0)
-    cx -= scratch
-    cy = np.multiply(r, 1.5)
-    cy += g
-    cy -= np.multiply(b, 1.5, out=scratch)
-    sx, sy = cx.std(axis=-1), cy.std(axis=-1)
-    ratio = np.divide(sx, sy, out=np.zeros_like(sx), where=sy != 0.0)
-    chrom = cx
-    chrom -= np.multiply(ratio[:, None], cy, out=scratch)
-    collapsed = (sy == 0.0) | (chrom.std(axis=-1) <= 1e-9 * (sx + sy))
-    chrom[collapsed] = intensity[collapsed]
-    return chrom
+    r, g, b = rows
+    cx, cy = 3.0 * r - 2.0 * g, 1.5 * r + g - 1.5 * b
+    sx, sy = cx.std(), cy.std()
+    if sy == 0.0:
+        return intensity
+    chrom = cx - sx / sy * cy
+    return intensity if chrom.std() <= 1e-9 * (sx + sy) else chrom
 
 
 def build_pulse_signal(values: np.ndarray, fps: float, band: BandLimits,
@@ -316,10 +314,10 @@ def build_pulse_signal(values: np.ndarray, fps: float, band: BandLimits,
 
     One region at a time, each channel row the method reads
     (COMBINE_CHANNELS of rgb8, gray8's one channel) is normalised,
-    detrended and bandpassed on its own.  One channel is the region
-    signal; three are combined by combine_channels.  The regions are
-    fused by their mean, which is then made zero-mean; PulseSignal
-    refuses a flat one, as read channels that never change leave it.
+    detrended and bandpassed on its own into one reused buffer, which
+    combine_channels collapses to the region's series.  The regions are
+    fused by their mean, then made zero-mean; PulseSignal refuses a flat
+    one, as read channels that never change leave it.
     """
     if values.shape[1] == 3:
         values = values[:, COMBINE_CHANNELS[method]]  # a view: no copy
@@ -329,9 +327,6 @@ def build_pulse_signal(values: np.ndarray, fps: float, band: BandLimits,
     for region, out in zip(values, regions):
         for row, cond in zip(region, conditioned):
             cond[:] = bandpass(detrend(normalize_segment(row), fps), taps)
-        if len(conditioned) == 1:
-            out[:] = conditioned[0]
-        else:
-            out[:] = combine_channels(conditioned[None], method)[0]
+        out[:] = combine_channels(conditioned, method)
     fused = regions.mean(axis=0)
     return PulseSignal(fps=fps, samples=fused - fused.mean(), band=band)

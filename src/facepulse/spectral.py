@@ -32,10 +32,10 @@ ZERO_PAD_FACTOR = 8
 # at most the window count, so the per-worker heap does not grow with
 # the window length: 15 rows of 10 s windows at 30 fps (4096 points).
 # On 9000 samples at a 1-frame hop, estimate_series' own tracemalloc
-# peak is 1.28 MB on one thread and 1.99 MB on 2 workers (1.07 and 1.40
-# MB with 8-window blocks).  Within a whole 9000-frame 64x64 estimate op
-# on 2 workers the stage peaks at 2.05 MB, below the ROI reduction's
-# 2.11 MB, where the placed rects and the trace are both held
+# peak is 1.28 MB on one thread and 1.99 MB on 2 workers.  Within a
+# whole 9000-frame 64x64 estimate op on 2 workers the stage peaks at
+# 2.05 MB, below the ROI reduction's 2.11 MB, where the placed rects and
+# the trace are both held
 SPECTRUM_BLOCK_BYTES = 512 * 1024
 
 
@@ -111,6 +111,10 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
     outside the band), the shift is half a bin toward the larger
     neighbour, so such a peak is clamped to the band edge.
     """
+    if not isinstance(signal, PulseSignal):
+        raise InputError(f"signal must be a PulseSignal, not {type(signal).__name__}")
+    if not isinstance(spec, WindowSpec):
+        raise InputError(f"spec must be a WindowSpec, not {type(spec).__name__}")
     band = signal.band
     band.check_two_cycles(spec.length)
     bounds = partition_windows(len(signal.samples), signal.fps, spec)

@@ -8,8 +8,8 @@ with the value the README gives it, and every `facepulse` command line
 it shows parses.
 A CLI default or choice that the library also holds has one definition,
 every float setting of a public dataclass refuses NaN, infinity and an
-int beyond the float range, and a record that holds arrays compares by
-identity.
+int beyond the float range, a record that holds arrays compares by
+identity, and a record of the wrong type is refused where it is taken.
 """
 
 from __future__ import annotations
@@ -228,6 +228,25 @@ def test_array_records_compare_by_identity(record):
     assert record == record
     assert record != copy.copy(record)
     assert hash(record) == hash(record)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: facepulse.PipelineParams(band=(0.7, 4.0)),
+     r"band must be a BandLimits, not \(0.7, 4.0\)"),
+    (lambda: facepulse.estimate_series(_SIGNAL, 10.0), "spec must be a WindowSpec, not float"),
+    (lambda: facepulse.estimate_series(np.arange(600.0), facepulse.WindowSpec(10.0)),
+     "signal must be a PulseSignal, not ndarray"),
+    (lambda: facepulse.load_session("s", None, require_groundtruth=False),
+     "params must be a PipelineParams, not NoneType"),
+    (lambda: facepulse.evaluate_sessions(["s"], [10.0], params=None),
+     "params must be a PipelineParams, not NoneType"),
+], ids=["PipelineParams.band", "estimate_series.spec", "estimate_series.signal",
+        "load_session.params", "evaluate_sessions.params"])
+def test_wrong_typed_records_refused(call, message):
+    """A record of the wrong type is refused where it is taken, not left
+    to fail on a missing attribute later."""
+    with pytest.raises(facepulse.InputError, match=message):
+        call()
 
 
 def test_synth_defaults_are_synth_configs():

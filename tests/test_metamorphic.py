@@ -18,17 +18,20 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facepulse import PipelineParams, load_session
+from facepulse import (PipelineParams, RampProfile, SynthConfig, WindowSpec, estimate_series,
+                       load_session, render_session)
 from facepulse.pulse import COMBINE_METHODS
 
 FPS = 10.0
 FRAMES = 60  # 6 s at 10 fps: longer than the 57-tap bandpass filter
 
 
-def _write_session(root: Path, frames: np.ndarray, boxes: np.ndarray) -> Path:
+def _write_session(root: Path, frames: np.ndarray, boxes: np.ndarray,
+                   fps: float = FPS) -> Path:
     """A session directory holding (n, h, w, bpp) uint8 frames and one
     integer x, y, w, h box row per frame."""
     root.mkdir()
@@ -37,7 +40,7 @@ def _write_session(root: Path, frames: np.ndarray, boxes: np.ndarray) -> Path:
     rows = "".join(f"{i},{x},{y},{w},{h}\n" for i, (x, y, w, h) in enumerate(boxes.tolist()))
     (root / "boxes.csv").write_text("frame,x,y,w,h\n" + rows)
     (root / "session.json").write_text(json.dumps({
-        "width": width, "height": height, "fps": FPS,
+        "width": width, "height": height, "fps": fps,
         "pixel_format": "rgb8" if bpp == 3 else "gray8", "frame_count": n,
         "frames": "frames.raw", "boxes": "boxes.csv"}))
     return root
@@ -116,3 +119,30 @@ def test_even_shift_into_larger_canvas(scene, seed, bpp, combine, shift, margin)
         small = _write_session(Path(tmp) / "small", frames, boxes)
         large = _write_session(Path(tmp) / "large", canvas, boxes + [dx, dy, 0, 0])
         assert _signal(small, combine).tobytes() == _signal(large, combine).tobytes()
+
+
+@pytest.mark.parametrize("mono", [False, True], ids=["rgb8", "gray8"])
+def test_time_reversal(tmp_path, mono):
+    """Frames and box track played backwards give the signal and the
+    window estimates backwards, to rounding.  It holds only when the box
+    is given at every frame (interpolated anchors round differently once
+    reversed), the detrend window is odd (45 samples at 30 fps) and
+    (n - window) is a multiple of the hop (1800 - 300 samples, 30 apart)."""
+    config = SynthConfig(width=48, height=40, hr_profile=RampProfile(60.0, 110.0),
+                         noise_sigma=2.0, mono=mono)
+    render_session(config, tmp_path / "synth")
+    frames = np.fromfile(tmp_path / "synth" / "frames.raw", dtype=np.uint8).reshape(
+        config.frame_count, config.height, config.width, -1)
+    i = np.arange(config.frame_count)
+    boxes = np.column_stack([9 + i // 7 % 3, 7 + i // 11 % 3, np.full_like(i, 29),
+                             np.full_like(i, 24)])
+    forward = _write_session(tmp_path / "forward", frames, boxes, config.fps)
+    backward = _write_session(tmp_path / "backward", frames[::-1], boxes[::-1], config.fps)
+    spec = WindowSpec(10.0, 1.0)
+    for combine in COMBINE_METHODS:
+        a, b = (load_session(s, PipelineParams(combine=combine), require_groundtruth=False).signal
+                for s in (forward, backward))
+        assert np.max(np.abs(a.samples - b.samples[::-1])) <= 1e-12 * np.max(np.abs(a.samples))
+        bpm_a, bpm_b = estimate_series(a, spec).bpm, estimate_series(b, spec).bpm
+        assert len(bpm_a) == 51
+        assert np.max(np.abs(bpm_a - bpm_b[::-1])) <= 1e-9

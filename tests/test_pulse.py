@@ -328,7 +328,7 @@ class TestBandpass:
 
 def _combine(window: np.ndarray, method: str) -> np.ndarray:
     """combine_channels on one region given as an (n, 3) R,G,B window."""
-    return combine_channels(window.T[None], method)[0]
+    return combine_channels(window.T, method)
 
 
 class TestCombine:
@@ -389,6 +389,12 @@ class TestCombine:
         for method in ("green", "intensity", "chrom"):
             assert np.array_equal(build_pulse_signal(trace, 30.0, DEFAULT_BAND, method).samples,
                                   direct - direct.mean())
+
+    @pytest.mark.parametrize("method", ["green", "intensity", "chrom"])
+    def test_one_row_returned_as_is(self, method):
+        # a gray8 region, or the G row under green, is its own series
+        row = np.random.default_rng(9).normal(0.0, 1.0, 300)
+        assert combine_channels(row[None], method).tobytes() == row.tobytes()
 
     def test_unknown_method(self):
         with pytest.raises(InputError):
@@ -480,15 +486,16 @@ class TestBuildPulseSignal:
         trace[1, 0] = trace[1, 2] = trace[1, 1]
         conditioned = np.array([[_chain(row) for row in region]
                                 for region in trace])
-        chrom = combine_channels(conditioned, "chrom")
-        intensity = combine_channels(conditioned, "intensity")
+        chrom = [combine_channels(region, "chrom") for region in conditioned]
+        intensity = [combine_channels(region, "intensity") for region in conditioned]
         assert np.array_equal(chrom[1], intensity[1])
         for r in (0, 2):
             assert not np.allclose(chrom[r], intensity[r])
             assert np.array_equal(chrom[r], ref_combine_region(conditioned[r], "chrom"))
         for method in ("intensity", "chrom"):
             expected = [ref_combine_region(region, method) for region in conditioned]
-            assert np.array_equal(combine_channels(conditioned, method), expected)
+            assert np.array_equal([combine_channels(region, method) for region in conditioned],
+                                  expected)
         for method in ("green", "chrom"):
             assert np.array_equal(build_pulse_signal(trace, 30.0, DEFAULT_BAND, method).samples,
                                   _expected(trace, method))
