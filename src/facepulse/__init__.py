@@ -5,8 +5,11 @@ into a pulse signal, and windowed into heart-rate estimates; evaluation
 scores the estimates against reference measurements session by session
 and window by window.
 
-The names below are the entry points, each checking what it is given;
-interior functions live in their modules and rely on those checks.
+The names below are the entry points, each checking what it is given
+through two helpers, frameio.require_type for a record, a path or a
+count and frameio.require_real for a ranged number, so every refusal is
+an InputError worded one way; interior functions live in their modules
+and rely on those checks.
 """
 
 from .errors import FacePulseError, InputError, ProcessingError

@@ -22,14 +22,14 @@ import csv
 import json
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyWindowGtError, FacePulseError, InputError, MissingFileError
-from .frameio import map_frames, open_session, parse_finite, read_csv_rows, session_id
+from .frameio import (as_path, map_frames, open_session, parse_finite, read_csv_rows,
+                      require_type, session_id)
 from .pulse import PipelineParams, PulseSignal, build_pulse_signal, extract_traces
 from .roi import load_box_track, place_regions
 from .spectral import HrSeries, WindowSpec, estimate_series
@@ -70,7 +70,7 @@ class GroundTruth:
 
 def load_groundtruth(path: str | os.PathLike) -> GroundTruth:
     """Read a t,bpm CSV (optional header) with strictly increasing times."""
-    path = Path(path)
+    path = as_path(path, "groundtruth path")
     rows = [(parse_finite(t, f"{path}:{line}: time"), parse_finite(bpm, f"{path}:{line}: bpm"))
             for line, (t, bpm) in read_csv_rows(path, "groundtruth file", "t", 2)]
     if not rows:
@@ -148,8 +148,7 @@ def load_session(source: str | os.PathLike, params: PipelineParams = PipelinePar
     Windowing comes afterwards, in the spectral stage, so windows shorter
     than the bandpass filter stay usable.
     """
-    if not isinstance(params, PipelineParams):
-        raise InputError(f"params must be a PipelineParams, not {type(params).__name__}")
+    require_type(params, PipelineParams, "params")
     manifest = open_session(source)
     gt_path = manifest.groundtruth_path
     if gt_path is None and require_groundtruth:
@@ -221,8 +220,7 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     (session, length) pair that fails (too short, missing reference
     samples) is recorded and left out of that length's aggregate.
     """
-    if not isinstance(params, PipelineParams):
-        raise InputError(f"params must be a PipelineParams, not {type(params).__name__}")
+    require_type(params, PipelineParams, "params")
     if isinstance(sessions, (str, os.PathLike)):
         raise InputError(f"sessions must be a list of paths, not the one path {sessions!r}")
     order = sorted(((session_id(p), p) for p in sessions), key=lambda named: named[0])
@@ -295,7 +293,8 @@ def write_report_csv(report: EvalReport, path: str | os.PathLike) -> None:
     """Per-session rows, then dataset rows, then skip notes as comments.
     Cells holding a comma, a quote, a newline or a carriage return are
     quoted."""
-    with open(path, "w", newline="") as fh:
+    require_type(report, EvalReport, "report")
+    with open(as_path(path, "report path"), "w", newline="") as fh:
         # csv quotes a cell holding a character of its line terminator:
         # rows formed with "\r\n" quote a bare "\r" too, and end in "\n"
         out = csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")),
@@ -313,6 +312,8 @@ def write_report_csv(report: EvalReport, path: str | os.PathLike) -> None:
 
 
 def write_report_json(report: EvalReport, path: str | os.PathLike) -> None:
+    require_type(report, EvalReport, "report")
+    path = as_path(path, "report path")
     payload = {
         "channel": report.channel,
         "aggregation": "unweighted mean across sessions",
@@ -342,4 +343,4 @@ def write_report_json(report: EvalReport, path: str | os.PathLike) -> None:
             reference[key] = figures
     if reference:
         payload["reference_mae_bpm"] = reference
-    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")

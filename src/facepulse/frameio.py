@@ -16,7 +16,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_args
 
 import numpy as np
 
@@ -77,16 +77,45 @@ def parse_finite(value, what: str, error: type[InputError] = InputError,
     return int(number) if integral else number
 
 
-def as_float(value, what: str) -> float:
-    """A real-number setting as a float, for its range check; InputError
-    naming `what` for anything else, an int beyond the float range too:
-    it passes `< math.inf` and its text can run to thousands of digits."""
-    if not isinstance(value, numbers.Real):
-        raise InputError(f"{what} {value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InputError(f"{what} is beyond the float range") from None
+def require_type(value, kind, what: str):
+    """value, when it is an instance of kind (a class or a union of
+    classes); otherwise InputError "{what} must be a {kind}, not {type}".
+    A bool is refused as well: isinstance takes it for an int."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    names = [k.__name__ for k in get_args(kind) or (kind,)]
+    name = ", ".join(names[:-1]) + " or " * (len(names) > 1) + names[-1]
+    article = "an" if name[0].lower() in "aeiou" else "a"
+    raise InputError(f"{what} must be {article} {name}, not {type(value).__name__}")
+
+
+def require_real(value, what: str, lower: float, upper: float, bounds: str = "()") -> float:
+    """A real-number setting as a float, inside the interval from lower to
+    upper, each end open or closed as bounds reads: "()", "[)", "(]" or
+    "[]".  Anything else, a bool, NaN and an int beyond the float range
+    included, raises InputError "{what} must be a real number in
+    {interval}, ..." ending in the float it got or the type it was not.
+    An open end at math.inf refuses infinity."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # its text could run to thousands of digits
+            got = "not an int beyond the float range"
+        else:
+            if ((lower < number or bounds[0] == "[" and number == lower)
+                    and (number < upper or bounds[1] == "]" and number == upper)):
+                return number
+            got = f"got {number!r}"
+    else:
+        got = f"not {type(value).__name__}"
+    raise InputError(f"{what} must be a real number in "
+                     f"{bounds[0]}{lower!r}, {upper!r}{bounds[1]}, {got}")
+
+
+def as_path(value, what: str) -> Path:
+    """value as a Path, when it is a str or os.PathLike; refused with
+    InputError before Path() could raise a bare TypeError."""
+    return Path(require_type(value, str | os.PathLike, what))
 
 
 def require_file(path: Path, what: str) -> None:
@@ -197,7 +226,7 @@ def _manifest_path(source: str | os.PathLike) -> Path:
     """The manifest of a session given as its directory or as the manifest
     itself.  A lookup that fails with OSError (e.g. ENAMETOOLONG) is taken
     as "not a directory", so require_file reports the path as missing."""
-    path = Path(source)
+    path = as_path(source, "session path")
     try:
         return path / MANIFEST_NAME if path.is_dir() else path
     except OSError:

@@ -25,7 +25,7 @@ from .errors import (
     SignalTooShortError,
     WindowTooShortError,
 )
-from .frameio import as_float
+from .frameio import require_real, require_type
 from .parallel import run_spans
 
 # the rgb8 channels (R, G, B) each combine method reads; gray8's one is read by all
@@ -69,9 +69,9 @@ class BandLimits:
     f_hi: float = 4.0
 
     def __post_init__(self):
-        lo, hi = as_float(self.f_lo, "band lower edge"), as_float(self.f_hi, "band upper edge")
-        if not 0 < lo < hi < math.inf:
-            raise InputError(f"band limits must satisfy 0 < f_lo < f_hi < inf, got {lo}..{hi}")
+        lo = require_real(self.f_lo, "band lower edge", 0, math.inf)
+        object.__setattr__(self, "f_lo", lo)
+        object.__setattr__(self, "f_hi", require_real(self.f_hi, "band upper edge", lo, math.inf))
 
     @property
     def bpm_lo(self) -> float:
@@ -102,8 +102,7 @@ class PipelineParams:
     combine: str = "chrom"  # a gray8 session's one channel is read by every method
 
     def __post_init__(self):
-        if not isinstance(self.band, BandLimits):
-            raise InputError(f"band must be a BandLimits, not {self.band!r}")
+        require_type(self.band, BandLimits, "band")
         if self.combine not in COMBINE_METHODS:
             raise InputError(f"unknown combine method {self.combine!r}; "
                              f"use one of {COMBINE_METHODS}")
@@ -118,12 +117,8 @@ class PulseSignal:
     band: BandLimits
 
     def __post_init__(self):
-        fps = as_float(self.fps, "fps")
-        if not 0 < fps < math.inf:
-            raise InputError(f"fps must be positive and finite, got {fps!r}")
-        if not isinstance(self.band, BandLimits):
-            raise InputError(f"band must be a BandLimits, not {self.band!r}")
-        self.band.check_below_nyquist(self.fps)
+        object.__setattr__(self, "fps", require_real(self.fps, "fps", 0, math.inf))
+        require_type(self.band, BandLimits, "band").check_below_nyquist(self.fps)
         try:  # a float64 array is kept, not copied
             object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
         except (TypeError, ValueError) as exc:

@@ -21,7 +21,7 @@ from .errors import (
     InputError,
     SessionTooShortError,
 )
-from .frameio import as_float
+from .frameio import require_real, require_type
 from .parallel import run_spans
 from .pulse import PulseSignal
 
@@ -48,13 +48,10 @@ class WindowSpec:
     hop: float | None = None
 
     def __post_init__(self):
-        hop = self.length if self.hop is None else self.hop
-        for name, value in (("length", self.length), ("hop", hop)):
-            object.__setattr__(self, name, as_float(value, f"window {name}"))
-        if not 0 < self.length < math.inf:
-            raise InputError(f"window length must be positive and finite, got {self.length}")
-        if not 0 < self.hop <= self.length:
-            raise InputError(f"hop must satisfy 0 < hop <= length, got {self.hop}")
+        length = require_real(self.length, "window length", 0, math.inf)
+        hop = length if self.hop is None else require_real(self.hop, "window hop", 0, length, "(]")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "hop", hop)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +108,8 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
     outside the band), the shift is half a bin toward the larger
     neighbour, so such a peak is clamped to the band edge.
     """
-    if not isinstance(signal, PulseSignal):
-        raise InputError(f"signal must be a PulseSignal, not {type(signal).__name__}")
-    if not isinstance(spec, WindowSpec):
-        raise InputError(f"spec must be a WindowSpec, not {type(spec).__name__}")
+    require_type(signal, PulseSignal, "signal")
+    require_type(spec, WindowSpec, "spec")
     band = signal.band
     band.check_two_cycles(spec.length)
     bounds = partition_windows(len(signal.samples), signal.fps, spec)

@@ -15,14 +15,13 @@ import os
 import shutil
 import sys
 from dataclasses import dataclass
-from numbers import Real
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
-from .frameio import (BYTES_PER_PIXEL, MANIFEST_NAME, MIN_FRAME_DIM, SessionManifest,
-                      as_float, nearest_existing, open_session, parse_finite)
+from .frameio import (BYTES_PER_PIXEL, MANIFEST_NAME, MIN_FRAME_DIM, SessionManifest, as_path,
+                      nearest_existing, open_session, parse_finite, require_real,
+                      require_type)
 from .pulse import DEFAULT_BAND
 
 # validity range for configured heart rates: the default pulse band
@@ -43,21 +42,13 @@ BOXES_NAME = "boxes.csv"
 GROUNDTRUTH_NAME = "groundtruth.csv"
 
 
-def _check_bpm(value: float, what: str) -> float:
-    bpm = as_float(value, what)
-    if not BPM_MIN < bpm < BPM_MAX:
-        raise InputError(
-            f"{what} {bpm} out of range; heart rate must lie in "
-            f"({BPM_MIN:g}, {BPM_MAX:g}) bpm")
-    return bpm
-
-
 @dataclass(frozen=True)
 class ConstantProfile:
     bpm: float
 
     def __post_init__(self):
-        _check_bpm(self.bpm, "constant profile bpm")
+        bpm = require_real(self.bpm, "constant profile bpm", BPM_MIN, BPM_MAX)
+        object.__setattr__(self, "bpm", bpm)
 
     def bpm_at(self, t: float, duration: float) -> float:
         return self.bpm
@@ -73,11 +64,11 @@ class StepProfile:
     t_switch: float
 
     def __post_init__(self):
-        _check_bpm(self.bpm_a, "step profile first bpm")
-        _check_bpm(self.bpm_b, "step profile second bpm")
-        t_switch = as_float(self.t_switch, "step switch time")
-        if not 0 < t_switch < math.inf:
-            raise InputError(f"step switch time must be positive and finite, got {t_switch}")
+        for name in ("bpm_a", "bpm_b"):
+            bpm = require_real(getattr(self, name), f"step profile {name}", BPM_MIN, BPM_MAX)
+            object.__setattr__(self, name, bpm)
+        t_switch = require_real(self.t_switch, "step profile t_switch", 0, math.inf)
+        object.__setattr__(self, "t_switch", t_switch)
 
     def bpm_at(self, t: float, duration: float) -> float:
         return self.bpm_a if t < self.t_switch else self.bpm_b
@@ -94,8 +85,9 @@ class RampProfile:
     bpm_b: float
 
     def __post_init__(self):
-        _check_bpm(self.bpm_a, "ramp profile start bpm")
-        _check_bpm(self.bpm_b, "ramp profile end bpm")
+        for name in ("bpm_a", "bpm_b"):
+            bpm = require_real(getattr(self, name), f"ramp profile {name}", BPM_MIN, BPM_MAX)
+            object.__setattr__(self, name, bpm)
 
     def bpm_at(self, t: float, duration: float) -> float:
         return self.bpm_a + (self.bpm_b - self.bpm_a) * t / duration
@@ -143,46 +135,28 @@ class SynthConfig:
     second_harmonic: bool = False
 
     def __post_init__(self):
-        for name in ("width", "height", "seed"):
-            if not isinstance(getattr(self, name), int):
-                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.width < MIN_FRAME_DIM or self.height < MIN_FRAME_DIM:
-            raise InputError(f"frame size must be at least {MIN_FRAME_DIM}x"
-                             f"{MIN_FRAME_DIM}, got {self.width}x{self.height}")
-        fps, duration = as_float(self.fps, "fps"), as_float(self.duration, "duration")
-        if not fps > 0:
-            raise InputError(f"fps must be positive, got {fps}")
-        # the groundtruth holds one sample per whole second
-        if not duration >= 1:
-            raise InputError(f"duration must be at least 1 s, got {duration}")
-        if math.isinf(duration * fps):
-            raise InputError(f"{duration} s at {fps} fps overflows the frame count")
+        for name, lower in (("width", MIN_FRAME_DIM), ("height", MIN_FRAME_DIM), ("seed", 0)):
+            require_real(require_type(getattr(self, name), int, name), name, lower, math.inf, "[)")
+        for name, lower, upper, bounds in (
+                ("fps", 0, math.inf, "()"),
+                # the groundtruth holds one sample per whole second
+                ("duration", 1, math.inf, "[)"),
+                ("pulse_amplitude", 0, 0.1, "(]"),
+                ("noise_sigma", 0, math.inf, "[)"),
+                ("illum_drift", 0, 1, "[)")):
+            value = require_real(getattr(self, name), name, lower, upper, bounds)
+            object.__setattr__(self, name, value)
+        if math.isinf(self.duration * self.fps):
+            raise InputError(f"{self.duration} s at {self.fps} fps overflows the frame count")
         if self.frame_count < 1:
-            raise InputError(f"{duration} s at {fps} fps holds no frame")
-        amplitude = as_float(self.pulse_amplitude, "pulse amplitude")
-        if not 0.0 < amplitude <= 0.1:
-            raise InputError(f"pulse amplitude {amplitude} out of range (0, 0.1]")
-        noise_sigma = as_float(self.noise_sigma, "noise sigma")
-        if not 0 <= noise_sigma < math.inf:
-            raise InputError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
-        drift = as_float(self.illum_drift, "illumination drift")
-        if not 0.0 <= drift < 1.0:
-            raise InputError(f"illumination drift {drift} out of range [0, 1)")
-        color = self.base_color
-        if not (isinstance(color, tuple) and len(color) == 3
-                and all(isinstance(c, Real) and 0 <= c <= 255 for c in color)):
-            raise InputError(f"base color must be three numbers R,G,B in [0, 255], "
-                             f"got {color!r}")
-        if not isinstance(self.hr_profile, HrProfile):
-            raise InputError(f"hr_profile must be a ConstantProfile, StepProfile or "
-                             f"RampProfile, got {self.hr_profile!r}")
-        if isinstance(self.hr_profile, StepProfile) and \
-                self.hr_profile.t_switch >= self.duration:
-            raise InputError(
-                f"step switch at {self.hr_profile.t_switch} s is past the "
-                f"{self.duration} s session")
+            raise InputError(f"{self.duration} s at {self.fps} fps holds no frame")
+        color = require_type(self.base_color, tuple, "base_color")
+        if len(color) != 3:
+            raise InputError(f"base_color must hold three numbers R,G,B, not {len(color)}")
+        object.__setattr__(self, "base_color", tuple(
+            require_real(c, "base_color component", 0, 255, "[]") for c in color))
+        if isinstance(require_type(self.hr_profile, HrProfile, "hr_profile"), StepProfile):
+            require_real(self.hr_profile.t_switch, "step profile t_switch", 0, self.duration)
 
     @property
     def frame_count(self) -> int:
@@ -234,7 +208,8 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     exceed the free disk space, or an out_dir whose nearest existing
     part is not a directory, is refused before anything is made.
     """
-    out_dir = Path(out_dir)
+    require_type(config, SynthConfig, "config")
+    out_dir = as_path(out_dir, "out_dir")
     pixel_format = "gray8" if config.mono else "rgb8"
     need = (config.frame_count * config.width * config.height * BYTES_PER_PIXEL[pixel_format]
             + 9 * math.floor(config.duration))

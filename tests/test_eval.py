@@ -327,7 +327,7 @@ class TestEvaluateSessions:
     @pytest.mark.parametrize("lengths, message", [
         (10.0, "lengths must be a list of seconds, not 10.0"),
         ("10", "lengths must be a list of seconds, not '10'"),
-        (["x"], "window length 'x' is not a number"),
+        (["x"], "window length must be a real number in (0, inf), not str"),
         ([2.0, 10.0], "window of 2.0 s holds fewer than two cycles at 0.7 Hz"),
     ], ids=["number", "str", "str-length", "short"])
     def test_bad_lengths_refused_before_opening(self, tmp_path, lengths, message):

@@ -7,9 +7,11 @@ code example is run, every `module.name` the README quotes exists,
 with the value the README gives it, and every `facepulse` command line
 it shows parses.
 A CLI default or choice that the library also holds has one definition,
-every float setting of a public dataclass refuses NaN, infinity and an
-int beyond the float range, a record that holds arrays compares by
+every float setting of a public dataclass refuses NaN, infinity, an
+int beyond the float range and a bool, every ranged setting is refused
+just outside its interval, a record that holds arrays compares by
 identity, and a record of the wrong type is refused where it is taken.
+No module but frameio refuses a setting's type or range itself.
 """
 
 from __future__ import annotations
@@ -205,8 +207,8 @@ _FLOAT_FIELDS = [(valid, f.name) for valid in _VALID_SETTINGS
                  for f in dataclasses.fields(valid) if f.type.startswith("float")]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
-                         ids=["nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True],
+                         ids=["nan", "inf", "-inf", "10**400", "True"])
 @pytest.mark.parametrize("valid, name", _FLOAT_FIELDS,
                          ids=[f"{type(v).__name__}.{n}" for v, n in _FLOAT_FIELDS])
 def test_float_settings_refuse_non_finite(valid, name, value):
@@ -230,23 +232,179 @@ def test_array_records_compare_by_identity(record):
     assert hash(record) == hash(record)
 
 
+_BAND, _SPEC, _SYNTH, _CONSTANT, _STEP, _RAMP, _VALID_SIGNAL = _VALID_SETTINGS
+
+
+def _field(valid, name):
+    return lambda value: dataclasses.replace(valid, **{name: value})
+
+
+# every ranged setting: how to make a record holding a value, and the
+# interval it must lie in, each end open "(" ")" or closed "[" "]"
+_RANGED = [
+    ("BandLimits.f_lo", _field(_BAND, "f_lo"), 0.0, math.inf, "()"),
+    ("BandLimits.f_hi", _field(_BAND, "f_hi"), _BAND.f_lo, math.inf, "()"),
+    ("WindowSpec.length", _field(_SPEC, "length"), 0.0, math.inf, "()"),
+    ("WindowSpec.hop", _field(_SPEC, "hop"), 0.0, _SPEC.length, "(]"),
+    ("PulseSignal.fps", _field(_VALID_SIGNAL, "fps"), 0.0, math.inf, "()"),
+    ("ConstantProfile.bpm", _field(_CONSTANT, "bpm"), 42.0, 240.0, "()"),
+    ("StepProfile.bpm_a", _field(_STEP, "bpm_a"), 42.0, 240.0, "()"),
+    ("StepProfile.bpm_b", _field(_STEP, "bpm_b"), 42.0, 240.0, "()"),
+    ("StepProfile.t_switch", _field(_STEP, "t_switch"), 0.0, math.inf, "()"),
+    ("RampProfile.bpm_a", _field(_RAMP, "bpm_a"), 42.0, 240.0, "()"),
+    ("RampProfile.bpm_b", _field(_RAMP, "bpm_b"), 42.0, 240.0, "()"),
+    ("SynthConfig.width", _field(_SYNTH, "width"), 16, math.inf, "[)"),
+    ("SynthConfig.height", _field(_SYNTH, "height"), 16, math.inf, "[)"),
+    ("SynthConfig.seed", _field(_SYNTH, "seed"), 0, math.inf, "[)"),
+    ("SynthConfig.fps", _field(_SYNTH, "fps"), 0.0, math.inf, "()"),
+    ("SynthConfig.duration", _field(_SYNTH, "duration"), 1.0, math.inf, "[)"),
+    ("SynthConfig.pulse_amplitude", _field(_SYNTH, "pulse_amplitude"), 0.0, 0.1, "(]"),
+    ("SynthConfig.noise_sigma", _field(_SYNTH, "noise_sigma"), 0.0, math.inf, "[)"),
+    ("SynthConfig.illum_drift", _field(_SYNTH, "illum_drift"), 0.0, 1.0, "[)"),
+    ("SynthConfig.base_color", lambda c: dataclasses.replace(_SYNTH, base_color=(c, 120.0, 100.0)),
+     0.0, 255.0, "[]"),
+    ("SynthConfig.hr_profile.t_switch", lambda t: dataclasses.replace(
+        _SYNTH, hr_profile=dataclasses.replace(_STEP, t_switch=t)), 0.0, _SYNTH.duration, "()"),
+]
+# each finite end: the bound, whether it is closed, and the way out of the interval
+_ENDS = [(f"{name}-{'upper' if way > 0 else 'lower'}", make, bound, closed, way)
+         for name, make, lower, upper, (left, right) in _RANGED
+         for bound, closed, way in ((lower, left == "[", -1), (upper, right == "]", 1))
+         if math.isfinite(bound)]
+
+
+@pytest.mark.parametrize("make, bound, closed, way", [end[1:] for end in _ENDS],
+                         ids=[end[0] for end in _ENDS])
+def test_ranged_settings_bounds(make, bound, closed, way):
+    """A ranged setting is accepted at a closed end and refused at an open
+    one, and one step outside, with the wording that prints its interval."""
+    beyond = bound + way if isinstance(bound, int) else math.nextafter(bound, way * math.inf)
+    refused = [beyond] if closed else [bound, beyond]
+    if closed:
+        make(bound)
+    for value in refused:
+        with pytest.raises(facepulse.InputError, match=r"must be a real number in [\[(]"):
+            make(value)
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: facepulse.PipelineParams(band=(0.7, 4.0)),
-     r"band must be a BandLimits, not \(0.7, 4.0\)"),
-    (lambda: facepulse.estimate_series(_SIGNAL, 10.0), "spec must be a WindowSpec, not float"),
-    (lambda: facepulse.estimate_series(np.arange(600.0), facepulse.WindowSpec(10.0)),
+    (lambda out: facepulse.PipelineParams(band=(0.7, 4.0)),
+     "band must be a BandLimits, not tuple"),
+    (lambda out: facepulse.estimate_series(_SIGNAL, 10.0), "spec must be a WindowSpec, not float"),
+    (lambda out: facepulse.estimate_series(np.arange(600.0), facepulse.WindowSpec(10.0)),
      "signal must be a PulseSignal, not ndarray"),
-    (lambda: facepulse.load_session("s", None, require_groundtruth=False),
+    (lambda out: facepulse.load_session("s", None, require_groundtruth=False),
      "params must be a PipelineParams, not NoneType"),
-    (lambda: facepulse.evaluate_sessions(["s"], [10.0], params=None),
+    (lambda out: facepulse.evaluate_sessions(["s"], [10.0], params=None),
      "params must be a PipelineParams, not NoneType"),
+    (lambda out: facepulse.SynthConfig(seed=True), "seed must be an int, not bool"),
+    (lambda out: facepulse.WindowSpec(True),
+     r"window length must be a real number in \(0, inf\), not bool"),
+    (lambda out: facepulse.evaluate_sessions([1, 2], [10.0]),
+     "session path must be a str or PathLike, not int"),
+    (lambda out: facepulse.load_session(None, require_groundtruth=False),
+     "session path must be a str or PathLike, not NoneType"),
+    (lambda out: facepulse.open_session(None),
+     "session path must be a str or PathLike, not NoneType"),
+    (lambda out: facepulse.load_groundtruth(None),
+     "groundtruth path must be a str or PathLike, not NoneType"),
+    (lambda out: facepulse.render_session(None, out),
+     "config must be a SynthConfig, not NoneType"),
+    (lambda out: facepulse.write_report_csv(None, out),
+     "report must be an EvalReport, not NoneType"),
+    (lambda out: facepulse.write_report_json(None, out),
+     "report must be an EvalReport, not NoneType"),
 ], ids=["PipelineParams.band", "estimate_series.spec", "estimate_series.signal",
-        "load_session.params", "evaluate_sessions.params"])
-def test_wrong_typed_records_refused(call, message):
-    """A record of the wrong type is refused where it is taken, not left
-    to fail on a missing attribute later."""
+        "load_session.params", "evaluate_sessions.params", "SynthConfig.seed", "WindowSpec.length",
+        "evaluate_sessions.sessions", "load_session.source", "open_session.source",
+        "load_groundtruth.path", "render_session.config", "write_report_csv.report",
+        "write_report_json.report"])
+def test_wrong_typed_records_refused(call, message, tmp_path):
+    """A record or path of the wrong type is refused where it is taken, not
+    left to fail on a missing attribute later, and nothing is written."""
+    out = tmp_path / "out"
     with pytest.raises(facepulse.InputError, match=message):
-        call()
+        call(out)
+    assert not out.exists()
+
+
+_INPUT_ERRORS = {name for name, obj in vars(facepulse.errors).items()
+                 if isinstance(obj, type) and issubclass(obj, facepulse.InputError)}
+# refusals outside frameio that test a type or an order, each relating
+# two values or parsing a sidecar rather than checking one setting
+_OWN_CHECKS = {
+    "evaluate.evaluate_sessions",  # a str or bytes is iterable: refused where a list is wanted
+    "pulse.BandLimits.check_below_nyquist",  # the band against a session's fps
+    "pulse.BandLimits.check_two_cycles",  # the band against a window's length
+    "roi.load_box_track",  # box-track rows against the manifest's frame count
+}
+
+
+def _own_setting_refusals(tree: ast.Module, module: str) -> set[str]:
+    """module.qualname of each function with an `if` that calls isinstance,
+    or orders (<, <=, >, >=) one of its parameters or a field of its
+    class through self, and raises an InputError in its body."""
+    found = set()
+
+    def visit(node: ast.AST, scope: list[str], params: set[str], fields: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                names = {s.target.id for s in child.body
+                         if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)}
+                visit(child, scope + [child.name], set(), names)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                visit(child, scope + [child.name], names - {"self"}, fields)
+                continue
+            if (isinstance(child, ast.If) and _raises_input_error(child.body)
+                    and _tests_setting(child.test, params, fields)):
+                found.add(".".join([module, *scope]))
+            visit(child, scope, params, fields)
+
+    visit(tree, [], set(), set())
+    return found
+
+
+def _raises_input_error(body: list[ast.stmt]) -> bool:
+    return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and getattr(node.exc.func, "id", None) in _INPUT_ERRORS
+               for stmt in body for node in ast.walk(stmt))
+
+
+def _tests_setting(test: ast.expr, params: set[str], fields: set[str]) -> bool:
+    def setting(expr: ast.expr) -> bool:
+        if isinstance(expr, ast.Attribute) and getattr(expr.value, "id", None) == "self":
+            return expr.attr in fields
+        return isinstance(expr, ast.Name) and expr.id in params
+
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    return any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        or isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops)
+        and any(map(setting, [node.left, *node.comparators]))
+        for node in ast.walk(test))
+
+
+def test_checker_finds_own_setting_refusals():
+    source = ("class A:\n    x: float\n    def __post_init__(self):\n"
+              "        if self.x < 0:\n            raise InputError('x')\n"
+              "def f(p, q):\n    if isinstance(p, int):\n        raise MissingFileError()\n"
+              "    if q > len(p):\n        raise ProcessingError()\n"
+              "def g(p):\n    n = len(p)\n    if n < 1:\n        raise InputError()\n")
+    assert _own_setting_refusals(ast.parse(source), "m") == {"m.A.__post_init__", "m.f"}
+
+
+def test_settings_refused_only_through_frameio():
+    """Outside frameio, a setting's type and range are refused only by
+    frameio.require_type and frameio.require_real, so every refusal has
+    one wording."""
+    found = set()
+    for path in sorted((ROOT / "src" / "facepulse").glob("*.py")):
+        if path.name != "frameio.py":
+            found |= _own_setting_refusals(ast.parse(path.read_text()), path.stem)
+    assert found == _OWN_CHECKS
 
 
 def test_synth_defaults_are_synth_configs():

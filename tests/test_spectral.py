@@ -46,7 +46,7 @@ class TestWindowSpec:
     @pytest.mark.parametrize("length, hop, name", [("10", None, "length"), (10.0, "1", "hop"),
                                                    (None, None, "length")])
     def test_rejects_non_numbers(self, length, hop, name):
-        with pytest.raises(InputError, match=f"^window {name} .* is not a number$"):
+        with pytest.raises(InputError, match=f"^window {name} must be a real number in .*, not "):
             WindowSpec(length, hop)
 
     def test_stores_floats(self):
