@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # SynthConfig's defaults; argparse passes non-string defaults through untyped
-    p = sub.add_parser("synth", parents=[], help="render a synthetic session")
+    p = sub.add_parser("synth", help="render a synthetic session")
     p.add_argument("--out", required=True, type=Path,
                    help="output session directory")
     p.add_argument("--hr", default=None, type=float,

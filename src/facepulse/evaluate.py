@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -149,6 +149,7 @@ def load_session(source: str | os.PathLike, params: PipelineParams = PipelinePar
     than the bandpass filter stay usable.
     """
     require_type(params, PipelineParams, "params")
+    require_type(require_groundtruth, bool, "require_groundtruth")
     manifest = open_session(source)
     gt_path = manifest.groundtruth_path
     if gt_path is None and require_groundtruth:
@@ -317,17 +318,8 @@ def write_report_json(report: EvalReport, path: str | os.PathLike) -> None:
     payload = {
         "channel": report.channel,
         "aggregation": "unweighted mean across sessions",
-        "sessions": [
-            {"session": r.session, "window_s": r.window_s,
-             "sub51_bpm": r.sub51_bpm, "sub52_bpm": r.sub52_bpm,
-             "n_windows": r.n_windows}
-            for r in report.rows
-        ],
-        "dataset": [
-            {"window_s": a.window_s, "sub51_bpm": a.sub51_bpm,
-             "sub52_bpm": a.sub52_bpm, "n_sessions": a.n_sessions}
-            for a in report.aggregates
-        ],
+        "sessions": [asdict(r) for r in report.rows],
+        "dataset": [asdict(a) for a in report.aggregates],
         "skipped": [
             {"session": s.session, "window_s": s.window_s, "error": s.error}
             for s in report.skipped

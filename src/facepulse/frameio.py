@@ -51,6 +51,18 @@ class SessionManifest:
     boxes_path: Path
     groundtruth_path: Path | None = None
 
+    def __post_init__(self):
+        for name, lower in (("width", MIN_FRAME_DIM), ("height", MIN_FRAME_DIM),
+                            ("frame_count", 1)):
+            value = getattr(self, name)
+            if not require_real(value, name, lower, math.inf, "[)").is_integer():
+                raise InputError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "fps", require_real(self.fps, "fps", 0, math.inf))
+        if require_type(self.pixel_format, str, "pixel_format") not in BYTES_PER_PIXEL:
+            raise InputError(f"pixel_format must be one of {sorted(BYTES_PER_PIXEL)}, "
+                             f"got {self.pixel_format!r}")
+
     @property
     def frame_bytes(self) -> int:
         return self.width * self.height * BYTES_PER_PIXEL[self.pixel_format]
@@ -60,28 +72,24 @@ class SessionManifest:
         return self.frame_count / self.fps
 
 
-def parse_finite(value, what: str, error: type[InputError] = InputError,
-                 integral: bool = False) -> float | int:
-    """Read one sidecar number: finite, and a whole number when integral.
-
-    Anything else raises `error` with a message that starts with `what`,
-    so NaN, infinities and fractional sizes never reach the arrays.
-    """
+def parse_finite(value: str, what: str) -> float:
+    """Read one number from text, a CLI argument or a CSV cell: a finite
+    float, or InputError with a message that starts with `what`, so NaN
+    and infinities never reach the arrays."""
     try:
         number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge JSON int
-        raise error(f"{what}: {exc}") from exc
-    if not math.isfinite(number) or (integral and not number.is_integer()):
-        kind = "a whole number" if integral else "a finite number"
-        raise error(f"{what} must be {kind}, got {value!r}")
-    return int(number) if integral else number
+    except ValueError as exc:
+        raise InputError(f"{what}: {exc}") from exc
+    if not math.isfinite(number):
+        raise InputError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def require_type(value, kind, what: str):
     """value, when it is an instance of kind (a class or a union of
     classes); otherwise InputError "{what} must be a {kind}, not {type}".
-    A bool is refused as well: isinstance takes it for an int."""
-    if isinstance(value, kind) and not isinstance(value, bool):
+    A bool is refused unless kind is bool: isinstance takes it for an int."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
     names = [k.__name__ for k in get_args(kind) or (kind,)]
     name = ", ".join(names[:-1]) + " or " * (len(names) > 1) + names[-1]
@@ -177,29 +185,6 @@ def _parse_manifest(manifest_path: Path) -> SessionManifest:
         raise MalformedManifestError(
             f"{manifest_path}: missing manifest keys {sorted(missing)}")
 
-    def number(key: str, integral: bool = False):
-        return parse_finite(raw[key], f"{manifest_path}: {key}",
-                            MalformedManifestError, integral)
-
-    width = number("width", integral=True)
-    height = number("height", integral=True)
-    fps = number("fps")
-    frame_count = number("frame_count", integral=True)
-    pixel_format = raw["pixel_format"]
-    if not isinstance(pixel_format, str) or pixel_format not in BYTES_PER_PIXEL:
-        raise MalformedManifestError(
-            f"{manifest_path}: pixel_format must be one of {sorted(BYTES_PER_PIXEL)}, "
-            f"got {pixel_format!r}")
-    if width < MIN_FRAME_DIM or height < MIN_FRAME_DIM:
-        raise MalformedManifestError(
-            f"{manifest_path}: frame dimensions must be at least "
-            f"{MIN_FRAME_DIM}x{MIN_FRAME_DIM}, got {width}x{height}")
-    if fps <= 0:
-        raise MalformedManifestError(f"{manifest_path}: fps must be positive, got {fps}")
-    if frame_count < 1:
-        raise MalformedManifestError(
-            f"{manifest_path}: frame_count must be at least 1, got {frame_count}")
-
     base = manifest_path.parent
 
     def _resolve(key: str) -> Path | None:
@@ -210,16 +195,12 @@ def _parse_manifest(manifest_path: Path) -> SessionManifest:
             raise MalformedManifestError(f"{manifest_path}: {key} must be a file name")
         return base / value
 
-    return SessionManifest(
-        width=width,
-        height=height,
-        fps=fps,
-        pixel_format=pixel_format,
-        frame_count=frame_count,
-        frames_path=_resolve("frames"),
-        boxes_path=_resolve("boxes"),
-        groundtruth_path=_resolve("groundtruth"),
-    )
+    paths = [_resolve(key) for key in ("frames", "boxes", "groundtruth")]
+    try:
+        return SessionManifest(raw["width"], raw["height"], raw["fps"], raw["pixel_format"],
+                               raw["frame_count"], *paths)
+    except InputError as exc:
+        raise MalformedManifestError(f"{manifest_path}: {exc}") from exc
 
 
 def _manifest_path(source: str | os.PathLike) -> Path:

@@ -157,6 +157,8 @@ class SynthConfig:
             require_real(c, "base_color component", 0, 255, "[]") for c in color))
         if isinstance(require_type(self.hr_profile, HrProfile, "hr_profile"), StepProfile):
             require_real(self.hr_profile.t_switch, "step profile t_switch", 0, self.duration)
+        for name in ("mono", "second_harmonic"):
+            require_type(getattr(self, name), bool, name)
 
     @property
     def frame_count(self) -> int:

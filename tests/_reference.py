@@ -3,9 +3,10 @@
 Deliberately written without vectorisation across windows, regions or
 frames and without any import from the package, so the fast
 implementations are checked against separately derived arithmetic.  The
-metric references use only the standard library; the spectral and
-combine references make the same numpy calls on one window or one
-region at a time, so the batched code must match them bit for bit.
+metric, detrend and bandpass references use only the standard library,
+so the fast code matches them within rounding; the spectral and combine
+references make the same numpy calls on one window or one region at a
+time, so the batched code must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -131,3 +132,32 @@ def ref_combine_region(chans: np.ndarray, method: str) -> np.ndarray:
         return intensity
     out = x - (sx / sy) * y
     return intensity if out.std() <= 1e-9 * (sx + sy) else out
+
+
+def ref_detrend(signal: list[float], fps: float, window_s: float) -> list[float]:
+    """Each sample less the mean of the round(window_s * fps) samples
+    centred on it, (w - 1) // 2 before and w // 2 after, cut to the ones
+    the signal holds: a per-sample math.fsum over the truncated window."""
+    w, n = round(window_s * fps), len(signal)
+    out = []
+    for i, x in enumerate(signal):
+        inside = signal[max(0, i - (w - 1) // 2):min(n, i + w // 2 + 1)]
+        out.append(x - math.fsum(inside) / len(inside))
+    return out
+
+
+def ref_bandpass(signal: list[float], taps: list[float]) -> list[float]:
+    """Convolution of the taps with the signal reflected (edge sample not
+    repeated) by the group delay at both ends, one direct math.fsum per
+    output sample, centred so each output lines up with its input; then
+    the mean of the outputs removed."""
+    n, delay = len(signal), (len(taps) - 1) // 2
+    assert delay < n
+
+    def reflected(k: int) -> float:
+        return signal[-k if k < 0 else 2 * (n - 1) - k if k >= n else k]
+
+    out = [math.fsum(t * reflected(i + delay - j) for j, t in enumerate(taps))
+           for i in range(n)]
+    mean = math.fsum(out) / n
+    return [y - mean for y in out]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ def test_manifest_fields_and_relative_paths(tiny_session):
     ({"codec": "h264"}, None, "unknown"),
     (None, ["fps"], "missing"),
     ({"pixel_format": "rgb16"}, None, "pixel_format"),
-    ({"width": 8}, None, "at least 16"),
+    ({"width": 8}, None, r"width .* \[16, inf\), got 8\.0"),
     ({"fps": 0}, None, "fps"),
     ({"frame_count": 0}, None, "frame_count"),
     ({"fps": float("nan")}, None, "fps"),
@@ -64,11 +65,23 @@ def test_manifest_fields_and_relative_paths(tiny_session):
     ({"frame_count": 1.5}, None, "frame_count"),
     ({"height": "sixteen"}, None, "height"),
     (None, ["boxes"], "missing.*boxes"),
+    # manifest numbers are JSON numbers, not strings or booleans
+    ({"fps": True}, None, r"fps must be a real number in \(0, inf\), not bool"),
+    ({"fps": "30"}, None, r"fps must be a real number in \(0, inf\), not str"),
+    ({"width": "16"}, None, r"width must be a real number in \[16, inf\), not str"),
+    ({"width": True}, None, r"width must be a real number in \[16, inf\), not bool"),
+    ({"frame_count": "360"}, None, r"frame_count must be a real number in \[1, inf\), not str"),
 ])
 def test_manifest_rejected(tmp_path, extra, drop, message):
     path = _write_session(tmp_path, extra=extra, drop=drop)
-    with pytest.raises(MalformedManifestError, match=message):
+    with pytest.raises(MalformedManifestError, match=f"^{re.escape(str(path))}: .*{message}"):
         open_session(path)
+
+
+def test_manifest_whole_floats_and_int_fps_accepted(tmp_path):
+    m = open_session(_write_session(tmp_path, width=16.0, fps=10))
+    assert (m.width, m.fps) == (16, 10.0)
+    assert (type(m.width), type(m.fps)) == (int, float)
 
 
 def test_manifest_invalid_json(tmp_path):

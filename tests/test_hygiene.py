@@ -11,7 +11,8 @@ every float setting of a public dataclass refuses NaN, infinity, an
 int beyond the float range and a bool, every ranged setting is refused
 just outside its interval, a record that holds arrays compares by
 identity, and a record of the wrong type is refused where it is taken.
-No module but frameio refuses a setting's type or range itself.
+No module but frameio refuses a setting's type or range itself, and
+parse_finite reads only CLI arguments and CSV cells.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import pytest
 import facepulse
 from facepulse.cli import _synth_config, build_parser, main
 from facepulse.evaluate import CHANNEL_OF_FORMAT, CHANNELS, PROTOCOL_LENGTHS
-from facepulse.frameio import BYTES_PER_PIXEL
+from facepulse.frameio import BYTES_PER_PIXEL, SessionManifest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "facepulse").glob("*.py")) + \
@@ -133,6 +134,14 @@ def test_signal_checks_have_fixed_sites():
     assert [c for c in _callers("asarray") if c.startswith("spectral.")] == []
 
 
+def test_parse_finite_reads_only_text():
+    """parse_finite reads CLI arguments and CSV cells; a manifest's JSON
+    numbers are checked by SessionManifest itself, as settings are."""
+    assert _callers("parse_finite") == {"cli._parse_band", "cli._parse_base_color",
+                                        "cli._parse_lengths", "synth.parse_profile",
+                                        "roi._parse_row", "evaluate.load_groundtruth"}
+
+
 def test_manifest_name_only_in_frameio_and_synth():
     """Only frameio, which resolves a session to its manifest, and synth,
     which writes one, know the session layout."""
@@ -202,7 +211,8 @@ def test_sweep_defaults_to_monitoring_lengths(clean72_session, tmp_path, capsys)
 _VALID_SETTINGS = [facepulse.BandLimits(), facepulse.WindowSpec(10.0), facepulse.SynthConfig(),
                    facepulse.ConstantProfile(72.0), facepulse.StepProfile(70.0, 100.0, 30.0),
                    facepulse.RampProfile(70.0, 100.0),
-                   facepulse.PulseSignal(30.0, [0.0, 1.0], facepulse.DEFAULT_BAND)]
+                   facepulse.PulseSignal(30.0, [0.0, 1.0], facepulse.DEFAULT_BAND),
+                   SessionManifest(16, 16, 10.0, "gray8", 1, Path("f"), Path("b"))]
 _FLOAT_FIELDS = [(valid, f.name) for valid in _VALID_SETTINGS
                  for f in dataclasses.fields(valid) if f.type.startswith("float")]
 
@@ -232,7 +242,7 @@ def test_array_records_compare_by_identity(record):
     assert hash(record) == hash(record)
 
 
-_BAND, _SPEC, _SYNTH, _CONSTANT, _STEP, _RAMP, _VALID_SIGNAL = _VALID_SETTINGS
+_BAND, _SPEC, _SYNTH, _CONSTANT, _STEP, _RAMP, _VALID_SIGNAL, _MANIFEST = _VALID_SETTINGS
 
 
 def _field(valid, name):
@@ -265,6 +275,10 @@ _RANGED = [
      0.0, 255.0, "[]"),
     ("SynthConfig.hr_profile.t_switch", lambda t: dataclasses.replace(
         _SYNTH, hr_profile=dataclasses.replace(_STEP, t_switch=t)), 0.0, _SYNTH.duration, "()"),
+    ("SessionManifest.width", _field(_MANIFEST, "width"), 16, math.inf, "[)"),
+    ("SessionManifest.height", _field(_MANIFEST, "height"), 16, math.inf, "[)"),
+    ("SessionManifest.fps", _field(_MANIFEST, "fps"), 0.0, math.inf, "()"),
+    ("SessionManifest.frame_count", _field(_MANIFEST, "frame_count"), 1, math.inf, "[)"),
 ]
 # each finite end: the bound, whether it is closed, and the way out of the interval
 _ENDS = [(f"{name}-{'upper' if way > 0 else 'lower'}", make, bound, closed, way)
@@ -298,6 +312,9 @@ def test_ranged_settings_bounds(make, bound, closed, way):
     (lambda out: facepulse.evaluate_sessions(["s"], [10.0], params=None),
      "params must be a PipelineParams, not NoneType"),
     (lambda out: facepulse.SynthConfig(seed=True), "seed must be an int, not bool"),
+    (lambda out: facepulse.SynthConfig(mono="no"), "mono must be a bool, not str"),
+    (lambda out: facepulse.load_session(out, require_groundtruth="no"),
+     "require_groundtruth must be a bool, not str"),
     (lambda out: facepulse.WindowSpec(True),
      r"window length must be a real number in \(0, inf\), not bool"),
     (lambda out: facepulse.evaluate_sessions([1, 2], [10.0]),
@@ -315,7 +332,8 @@ def test_ranged_settings_bounds(make, bound, closed, way):
     (lambda out: facepulse.write_report_json(None, out),
      "report must be an EvalReport, not NoneType"),
 ], ids=["PipelineParams.band", "estimate_series.spec", "estimate_series.signal",
-        "load_session.params", "evaluate_sessions.params", "SynthConfig.seed", "WindowSpec.length",
+        "load_session.params", "evaluate_sessions.params", "SynthConfig.seed", "SynthConfig.mono",
+        "load_session.require_groundtruth", "WindowSpec.length",
         "evaluate_sessions.sessions", "load_session.source", "open_session.source",
         "load_groundtruth.path", "render_session.config", "write_report_csv.report",
         "write_report_json.report"])

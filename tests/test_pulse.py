@@ -17,7 +17,7 @@ from facepulse.pulse import (COMBINE_METHODS, DETREND_WINDOW_S, REDUCE_BLOCK_FRA
                              extract_traces, normalize_segment)
 from facepulse.roi import load_box_track, place_regions
 
-from _reference import ref_combine_region, ref_roi_means
+from _reference import ref_bandpass, ref_combine_region, ref_detrend, ref_roi_means
 
 
 def _traces(frames: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +222,18 @@ class TestNormalize:
                                    "chrom")
 
 
+# frame rates for the reference comparisons: odd and even detrend
+# windows, a window rounded half to even (7.5 at 5 fps) and NTSC's rate
+_REFERENCE_FPS = [5.0, 10.0, 20.0, 29.97, 30.0]
+
+
+def _reference_signal(n: int, fps: float) -> np.ndarray:
+    """A normalised trace: pulse, slow drift, noise and an offset."""
+    t = np.arange(n) / fps
+    noise = np.random.default_rng(n).standard_normal(n)
+    return 0.02 * np.sin(2 * np.pi * 1.2 * t) + 0.01 * t + 0.003 * noise + 0.05
+
+
 class TestDetrend:
     def test_constant_to_zero(self):
         out = detrend(np.full(300, 5.0), 30.0)
@@ -256,6 +268,16 @@ class TestDetrend:
         twice = detrend(once, 30.0)
         assert np.allclose(once, twice, atol=1e-9)
         assert np.allclose(twice, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("fps", _REFERENCE_FPS)
+    @pytest.mark.parametrize("n", [3, 10, 44, 46, 600])
+    def test_matches_reference(self, fps, n):
+        """Every sample, edges and signals shorter than the window
+        included, matches a per-sample fsum mean within 1e-12 of
+        max|signal| (1.2e-14 at most over these cases)."""
+        signal = _reference_signal(n, fps)
+        expected = ref_detrend(signal.tolist(), fps, DETREND_WINDOW_S)
+        assert np.max(np.abs(detrend(signal, fps) - expected)) <= 1e-12 * np.max(np.abs(signal))
 
     def test_window_too_short(self):
         with pytest.raises(WindowTooShortError):
@@ -303,6 +325,17 @@ class TestBandpass:
             signal = rng.normal(rng.uniform(-5, 5), 1.0, 500)
             out = bandpass(signal, taps)
             assert abs(out.mean()) <= 1e-6 * np.max(np.abs(out))
+
+    @pytest.mark.parametrize("fps", _REFERENCE_FPS)
+    @pytest.mark.parametrize("extra", [0, 1, 300])
+    def test_matches_reference(self, fps, extra):
+        """Every sample, the reflected edges included, of a signal as long
+        as the filter or longer matches a direct fsum over the reflected
+        signal within 1e-12 of max|signal| (1.6e-16 at most here)."""
+        n = len(design_bandpass_taps(fps, 10**6, DEFAULT_BAND)) + extra
+        signal, taps = _reference_signal(n, fps), design_bandpass_taps(fps, n, DEFAULT_BAND)
+        expected = ref_bandpass(signal.tolist(), taps.tolist())
+        assert np.max(np.abs(bandpass(signal, taps) - expected)) <= 1e-12 * np.max(np.abs(signal))
 
     def test_signal_shorter_than_filter(self):
         with pytest.raises(SignalTooShortError, match="100 samples shorter than the 171-tap"):
