@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, get_args
@@ -71,6 +72,11 @@ class SessionManifest:
     def duration(self) -> float:
         return self.frame_count / self.fps
 
+    @property
+    def size_text(self) -> str:  # for messages, in short form
+        return (f"{short_number(self.frame_count * self.frame_bytes)} bytes "
+                f"({short_number(self.frame_count)} frames of {short_number(self.frame_bytes)})")
+
 
 def parse_finite(value: str, what: str) -> float:
     """Read one number from text, a CLI argument or a CSV cell: a finite
@@ -80,9 +86,15 @@ def parse_finite(value: str, what: str) -> float:
         number = float(value)
     except ValueError as exc:
         raise InputError(f"{what}: {exc}") from exc
-    if not math.isfinite(number):
-        raise InputError(f"{what} must be a finite number, got {value!r}")
+    if not math.isfinite(number):  # the float, not the text, which may run to any length
+        raise InputError(f"{what} must be a finite number, got {number}")
     return number
+
+
+def short_number(value) -> str:
+    """A number for a message to 15 significant digits, 1e+300 for a 301-digit one;
+    one beyond the float range, where .15g raises OverflowError, as the float limit."""
+    return f"{min(max(value, -sys.float_info.max), sys.float_info.max):.15g}"
 
 
 def require_type(value, kind, what: str):
@@ -233,12 +245,10 @@ def open_session(source: str | os.PathLike) -> SessionManifest:
     require_file(manifest_path, "manifest")
     manifest = _parse_manifest(manifest_path)
     require_file(manifest.frames_path, "frames file")
-    expected = manifest.frame_count * manifest.frame_bytes
     actual = manifest.frames_path.stat().st_size
-    if actual != expected:
+    if actual != manifest.frame_count * manifest.frame_bytes:
         raise SizeMismatchError(
-            f"{manifest.frames_path}: expected {expected} bytes "
-            f"({manifest.frame_count} frames of {manifest.frame_bytes}), got {actual}")
+            f"{manifest.frames_path}: expected {manifest.size_text}, got {actual}")
     return manifest
 
 
@@ -260,6 +270,5 @@ def map_frames(manifest: SessionManifest) -> np.ndarray:
     except (ValueError, OSError) as exc:
         actual = m.frames_path.stat().st_size if m.frames_path.is_file() else 0
         raise FrameReadError(
-            f"{m.frames_path}: cannot map {m.frame_count * m.frame_bytes} bytes "
-            f"({m.frame_count} frames of {m.frame_bytes}), file has {actual}: "
+            f"{m.frames_path}: cannot map {m.size_text}, file has {actual}: "
             f"{exc}") from exc

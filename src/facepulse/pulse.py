@@ -25,7 +25,7 @@ from .errors import (
     SignalTooShortError,
     WindowTooShortError,
 )
-from .frameio import require_real, require_type
+from .frameio import require_real, require_type, short_number
 from .parallel import run_spans
 
 # the rgb8 channels (R, G, B) each combine method reads; gray8's one is read by all
@@ -143,34 +143,30 @@ def extract_traces(frames: np.ndarray, rects: np.ndarray, valid: np.ndarray) -> 
     (n,) mask that roi.place_regions places in those frames.  Returns the
     float64 (3 regions, bpp channels, n) means.  A run of consecutive
     frames with identical rects that holds REDUCE_BLOCK_FRAMES or more
-    frames is sliced in blocks of REDUCE_BLOCK_FRAMES, with the frame axis
-    split across parallel.WORKERS threads.  The frames of shorter runs are
-    gathered, one call per region, rect size and GATHER_BYTES of regions
-    (at least one frame).  Degenerate frames, False in the mask, are
-    interpolated from their valid neighbours so the trace keeps exactly
-    one entry per frame.
+    frames is cut into blocks of at most REDUCE_BLOCK_FRAMES, and the
+    blocks are split across parallel.WORKERS threads.  The frames of
+    shorter runs are gathered, one call per region, rect size and
+    GATHER_BYTES of regions (at least one frame).  Degenerate frames,
+    False in the mask, are interpolated from their valid neighbours so the
+    trace keeps exactly one entry per frame.
     """
     n, bpp = len(frames), frames.shape[-1]
     values = np.zeros((3, bpp, n), dtype=np.float64)
     starts = np.flatnonzero(np.r_[True, (rects[1:] != rects[:-1]).any(axis=(1, 2))])
     lengths = np.diff(np.append(starts, n))
     sliced = valid[starts] & (lengths >= REDUCE_BLOCK_FRAMES)
-    run_lo, run_hi = starts[sliced], starts[sliced] + lengths[sliced]
+    # (first, end) frames of each block, cut from the sliced runs
+    blocks = [(f, min(f + REDUCE_BLOCK_FRAMES, a + k))
+              for a, k in zip(starts[sliced].tolist(), lengths[sliced].tolist())
+              for f in range(a, a + k, REDUCE_BLOCK_FRAMES)]
 
-    def reduce_span(lo: int, hi: int) -> None:
-        # runs are cut at the span edges; the sums are exact, so the cut
-        # does not change a bit
-        a_cut, b_cut = np.maximum(run_lo, lo), np.minimum(run_hi, hi)
-        inside = a_cut < b_cut
-        for a, b in zip(a_cut[inside].tolist(), b_cut[inside].tolist()):
+    def reduce_blocks(lo: int, hi: int) -> None:
+        for a, b in blocks[lo:hi]:
             for r, (x, y, w, h) in enumerate(rects[a].tolist()):
-                for f in range(a, b, REDUCE_BLOCK_FRAMES):
-                    sums = _patch_sums(frames[f:min(f + REDUCE_BLOCK_FRAMES, b),
-                                              y:y + h, x:x + w])
-                    values[r, :, f:f + len(sums)] = (sums / (w * h)).T
+                sums = _patch_sums(frames[a:b, y:y + h, x:x + w])
+                values[r, :, a:b] = (sums / (w * h)).T
 
-    if run_lo.size:
-        run_spans(n, reduce_span)
+    run_spans(len(blocks), reduce_blocks)
     gathered = np.flatnonzero(np.repeat(valid[starts] & ~sliced, lengths))
     if gathered.size:
         _gather_means(frames, rects, gathered, values)
@@ -257,7 +253,8 @@ def design_bandpass_taps(fps: float, n: int, band: BandLimits) -> np.ndarray:
         raise SignalTooShortError(f"signal of {n} samples shorter than an unbounded filter")
     n_taps = round(span) | 1
     if n < n_taps:
-        raise SignalTooShortError(f"signal of {n} samples shorter than the {n_taps}-tap filter")
+        raise SignalTooShortError(
+            f"signal of {n} samples shorter than the {short_number(n_taps)}-tap filter")
     m = np.arange(n_taps) - (n_taps - 1) / 2
 
     def ideal_lowpass(fc: float) -> np.ndarray:

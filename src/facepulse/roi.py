@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     NonMonotonicIndicesError,
 )
-from .frameio import parse_finite, read_csv_rows
+from .frameio import parse_finite, read_csv_rows, short_number
 
 MIN_ROI_AREA = 4
 
@@ -99,11 +99,11 @@ def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> np.ndarra
     if back.size:
         raise NonMonotonicIndicesError(
             f"{boxes_path}: frame indices must be strictly increasing "
-            f"({keys[back[0]]} then {keys[back[0] + 1]})")
+            f"({short_number(keys[back[0]])} then {short_number(keys[back[0] + 1])})")
     if keys[0] < 0 or keys[-1] >= frame_count:
         raise InputError(
-            f"{boxes_path}: frame indices must lie in [0, {frame_count}), "
-            f"got range [{keys[0]}, {keys[-1]}]")
+            f"{boxes_path}: frame indices must lie in [0, {short_number(frame_count)}), "
+            f"got range [{short_number(keys[0])}, {short_number(keys[-1])}]")
     # k is the first anchor at or past each frame; frames on an anchor
     # or outside the annotated span copy the nearest anchor, k1, and
     # frames between two anchors interpolate

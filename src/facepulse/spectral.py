@@ -21,7 +21,7 @@ from .errors import (
     InputError,
     SessionTooShortError,
 )
-from .frameio import require_real, require_type
+from .frameio import require_real, require_type, short_number
 from .parallel import run_spans
 from .pulse import PulseSignal
 
@@ -67,8 +67,8 @@ class HrSeries:
         return len(self.bpm)
 
 
-def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> np.ndarray:
-    """(n_windows, 2) start/end sample indices of every full window;
+def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> tuple[int, int, int]:
+    """(win, hop, count) in samples of the full windows from sample 0;
     trailing partial samples are discarded.  The window holds at least
     four samples, as the two-cycle and PulseSignal's Nyquist checks
     leave it.  Raises SessionTooShortError if no window fits."""
@@ -84,12 +84,9 @@ def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> np.ndarra
     if hop < 1:
         raise InputError(f"hop of {spec.hop} s is below one sample at {fps} fps")
     if n_samples < win:
-        # 15 significant digits quote every count below 1e15 in full,
-        # and a 300-digit one as 1e+300
         raise SessionTooShortError(
-            f"{n_samples} samples cannot fit one {win:.15g}-sample window")
-    starts = np.arange((n_samples - win) // hop + 1) * hop
-    return np.column_stack((starts, starts + win))
+            f"{n_samples} samples cannot fit one {short_number(win)}-sample window")
+    return win, hop, (n_samples - win) // hop + 1
 
 
 def _next_pow2(n: int) -> int:
@@ -112,9 +109,8 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
     require_type(spec, WindowSpec, "spec")
     band = signal.band
     band.check_two_cycles(spec.length)
-    bounds = partition_windows(len(signal.samples), signal.fps, spec)
-    n = int(bounds[0, 1] - bounds[0, 0])
-    padded = ZERO_PAD_FACTOR * _next_pow2(n)
+    win, hop, count = partition_windows(len(signal.samples), signal.fps, spec)
+    padded = ZERO_PAD_FACTOR * _next_pow2(win)
     freqs = np.fft.rfftfreq(padded, 1.0 / signal.fps)
     # f_lo > 0 and f_hi < fps / 2 leave a bin on each side of the band for
     # the refinement; the Nyquist bin is kept out in case rounding puts it
@@ -124,27 +120,24 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
         raise EmptyBandError(
             f"no spectrum bins inside {band.f_lo}..{band.f_hi} Hz")
     lo, hi = in_band[0] - 1, in_band[-1] + 2
-    taper = np.hanning(n)
-    # window starts are arange * step, so a block of windows is a basic
-    # strided slice of this view
-    windows = sliding_window_view(signal.samples, n)
-    n_windows = len(bounds)
-    step = int(bounds[1, 0] - bounds[0, 0]) if n_windows > 1 else 1
+    taper = np.hanning(win)
+    # every full window, a basic strided view: a block is a slice of it
+    windows = sliding_window_view(signal.samples, win)[::hop]
     bins = padded // 2 + 1
-    rows = max(1, min(SPECTRUM_BLOCK_BYTES // (16 * bins), n_windows))
+    rows = max(1, min(SPECTRUM_BLOCK_BYTES // (16 * bins), count))
+    blocks = range(0, count, rows)  # the first window of each block
     # per window, the peak bin and the power there and one bin each side;
     # the refinement runs once over all windows after the blocks
-    peak_bin = np.empty(n_windows, dtype=np.intp)
-    peak_power = np.empty((n_windows, 3))
+    peak_bin = np.empty(count, dtype=np.intp)
+    peak_power = np.empty((count, 3))
 
     def estimate_blocks(first: int, last: int) -> None:
-        block = np.empty((rows, n))
+        block = np.empty((rows, win))
         spectrum = np.empty((rows, bins), dtype=np.complex128)
         power = np.empty((rows, hi - lo))
-        for a in range(first * rows, min(last * rows, n_windows), rows):
-            m = min(rows, n_windows - a)
-            src = windows[a * step:(a + m - 1) * step + 1:step]
-            b, p = block[:m], power[:m]
+        for a in blocks[first:last]:
+            m = min(rows, count - a)
+            src, b, p = windows[a:a + m], block[:m], power[:m]
             # each row's mean sums along the contiguous time axis, as a
             # single window's mean does
             np.subtract(src, src.mean(axis=-1, keepdims=True), out=b)
@@ -155,7 +148,7 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
             peak_bin[a:a + m] = k
             peak_power[a:a + m] = np.take_along_axis(p, k[:, None] + np.arange(3), -1)
 
-    run_spans(-(-n_windows // rows), estimate_blocks)
+    run_spans(len(blocks), estimate_blocks)
     p_lo, p0, p_hi = peak_power.T
     denom = p_lo - 2.0 * p0 + p_hi
     # denom >= 0: the parabola has no maximum to refine to
@@ -163,5 +156,5 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
                       where=denom < 0.0)
     f_peak = freqs[lo + 1 + peak_bin] + np.clip(shift, -0.5, 0.5) * (freqs[1] - freqs[0])
     bpm = np.clip(60.0 * f_peak, band.bpm_lo, band.bpm_hi)
-    return HrSeries(window_start=bounds[:, 0] / signal.fps,
-                    window_end=bounds[:, 1] / signal.fps, bpm=bpm)
+    starts = np.arange(count) * hop
+    return HrSeries(starts / signal.fps, (starts + win) / signal.fps, bpm)

@@ -3,7 +3,7 @@
 Deliberately written without vectorisation across windows, regions or
 frames and without any import from the package, so the fast
 implementations are checked against separately derived arithmetic.  The
-metric, detrend and bandpass references use only the standard library,
+metric, detrend, bandpass and tap references use only the standard library,
 so the fast code matches them within rounding; the spectral and combine
 references make the same numpy calls on one window or one region at a
 time, so the batched code must match them bit for bit.
@@ -161,3 +161,26 @@ def ref_bandpass(signal: list[float], taps: list[float]) -> list[float]:
            for i in range(n)]
     mean = math.fsum(out) / n
     return [y - mean for y in out]
+
+
+def ref_bandpass_taps(fps: float, f_lo: float, f_hi: float,
+                      periods: float = 4.0) -> list[float]:
+    """Windowed-sinc bandpass taps, one at a time with math alone:
+    round(periods * fps / f_lo) taps, made odd by adding one; the ideal
+    lowpass at f_hi less the one at f_lo, times a Hamming window, scaled
+    to unit gain at the band centre."""
+    n = round(periods * fps / f_lo)
+    if n % 2 == 0:
+        n += 1
+    half = (n - 1) / 2
+
+    def lowpass(fc: float, m: float) -> float:
+        x = 2.0 * fc * m / fps
+        return 2.0 * fc / fps * (1.0 if x == 0 else math.sin(math.pi * x) / (math.pi * x))
+
+    taps = [(lowpass(f_hi, k - half) - lowpass(f_lo, k - half))
+            * (0.54 - 0.46 * math.cos(2.0 * math.pi * k / (n - 1))) for k in range(n)]
+    w = 2.0 * math.pi * 0.5 * (f_lo + f_hi) / fps
+    gain = math.hypot(math.fsum(t * math.cos(w * (k - half)) for k, t in enumerate(taps)),
+                      math.fsum(t * math.sin(w * (k - half)) for k, t in enumerate(taps)))
+    return [t / gain for t in taps]

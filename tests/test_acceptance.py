@@ -227,9 +227,9 @@ def test_a6_dsp_invariants(clean72_session, tmp_path, check):
         duration = int(rng.integers(3, 300))
         length = int(rng.integers(2, duration + 1))
         hop = int(rng.integers(1, length + 1))
-        windows = partition_windows(int(duration * fps), fps,
-                                    WindowSpec(float(length), float(hop)))
-        if len(windows) != math.floor((duration - length) / hop) + 1:
+        _, _, count = partition_windows(int(duration * fps), fps,
+                                        WindowSpec(float(length), float(hop)))
+        if count != math.floor((duration - length) / hop) + 1:
             count_ok = False
             break
 

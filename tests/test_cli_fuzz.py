@@ -345,18 +345,49 @@ def test_two_cycle_refusal_is_short(base, tmp_path):
     assert len(line.encode()) < 200 and "need at least 2e+300 s" in line
 
 
-@pytest.mark.parametrize("argv, quoted", [
-    (["estimate", "{s}", "--window", "1e290"], "cannot fit one 1e+291-sample window"),
-    (["evaluate", "{s}", "--window", "1e290"], "cannot fit one 1e+291-sample window"),
-    (["synth", "--fps", "1e300", "--duration", "1"], "needs at least 1.23e+304 bytes"),
-], ids=["estimate", "evaluate", "synth"])
-def test_huge_count_refusal_is_short(base, tmp_path, argv, quoted):
-    """A sample or byte count worked out from a huge flag is quoted in
-    short form: the error line, the evaluate skip note and its report.csv
-    row stay under 200 bytes."""
-    out = tmp_path / "out"
-    rc, err = _run([a.format(s=base) for a in argv] + ["--out", str(out)])
-    assert rc == (1 if argv[0] == "synth" else 2)
+# outside input that makes a refusal quote a huge number: each is
+# quoted to 15 significant digits, and one beyond the float range as the
+# float limit
+HUGE_WIDTH, HUGE_HEIGHT, HUGE_FPS_1E300 = (("json", "session.json", key, 1e300)
+                                           for key in ("width", "height", "fps"))
+HUGE_INDEX = ("text", "boxes.csv", "frame,x,y,w,h\n0,4,4,8,8\n" + "1" * 400 + ",4,4,8,8\n")
+HUGE_ORDER = ("text", "boxes.csv",
+              "frame,x,y,w,h\n" + "2" * 400 + ",4,4,8,8\n" + "1" * 400 + ",4,4,8,8\n")
+HUGE_CELL = ("text", "boxes.csv", "frame,x,y,w,h\n0," + "1" * 2000 + ",4,8,8\n")
+FLOAT_MAX = "1.79769313486232e+308"
+
+
+@pytest.mark.parametrize("argv, code, quoted, mutations", [
+    (["estimate", "{s}", "--window", "1e290"], 2, "cannot fit one 1e+291-sample window", ()),
+    (["evaluate", "{s}", "--window", "1e290"], 2, "cannot fit one 1e+291-sample window", ()),
+    (["synth", "--fps", "1e300", "--duration", "1"], 1, "needs at least 1.23e+304 bytes", ()),
+    (["estimate", "{s}"], 1, "expected 5.76e+303 bytes (120 frames of 4.8e+301)",
+     (HUGE_WIDTH,)),
+    (["estimate", "{s}"], 1, f"expected {FLOAT_MAX} bytes (120 frames of {FLOAT_MAX})",
+     (HUGE_WIDTH, HUGE_HEIGHT)),
+    (["estimate", "{s}"], 2, "shorter than the 5.71428571428572e+300-tap filter",
+     (HUGE_FPS_1E300,)),
+    (["estimate", "{s}"], 1, f"got range [0, {FLOAT_MAX}]", (HUGE_INDEX,)),
+    (["estimate", "{s}"], 1, f"increasing ({FLOAT_MAX} then {FLOAT_MAX})", (HUGE_ORDER,)),
+    (["estimate", "{s}"], 1, "box coordinate must be a finite number, got inf", (HUGE_CELL,)),
+], ids=["estimate", "evaluate", "synth", "width", "width-height", "fps", "frame-index",
+        "frame-order", "box-cell"])
+def test_huge_count_refusal_is_short(base, tmp_path, monkeypatch, argv, code, quoted,
+                                     mutations):
+    """A number worked out from a huge flag or read from a session's files
+    is quoted in short form: the error line, the evaluate skip note and
+    its report.csv row stay under 200 bytes."""
+    session, out = base, tmp_path / "out"
+    if mutations:
+        # a relative path keeps the quoted file names short wherever
+        # tmp_path lies
+        monkeypatch.chdir(tmp_path)
+        session = Path("s")
+        shutil.copytree(base, session)
+        for mutation in mutations:
+            _apply(session, mutation)
+    rc, err = _run([a.format(s=session) for a in argv] + ["--out", str(out)])
+    assert rc == code
     lines = [line for line in err.splitlines() if line.startswith(("error:", "note:"))]
     if argv[0] == "evaluate":
         lines += [line for line in (out / "report.csv").read_text().splitlines()

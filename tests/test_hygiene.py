@@ -12,7 +12,8 @@ int beyond the float range and a bool, every ranged setting is refused
 just outside its interval, a record that holds arrays compares by
 identity, and a record of the wrong type is refused where it is taken.
 No module but frameio refuses a setting's type or range itself, and
-parse_finite reads only CLI arguments and CSV cells.
+parse_finite reads only CLI arguments and CSV cells.  Every function the
+benchmark's tracer wraps by name exists, but for the ones known gone.
 """
 
 from __future__ import annotations
@@ -154,6 +155,40 @@ def test_package_all_resolves():
     names = facepulse.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(facepulse, n)] == []
+
+
+# tracer targets whose functions were deleted or renamed; the tracer
+# reports them unmeasured (ROADMAP item 1 re-points or drops them)
+_GONE_TRACE_TARGETS = {"frameio:FrameStream.next_frame", "roi:derive_rois",
+                       "pulse:spatial_mean", "pipeline:load_session_trace",
+                       "pipeline:build_session_signal", "pipeline:estimate_session"}
+
+
+def _trace_targets() -> list[str]:
+    """The "module:attr" of each entry of perfbench/tracing.py's TARGETS,
+    read with ast: the benchmark is not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        names = [node.target] if isinstance(node, ast.AnnAssign) else getattr(node, "targets", [])
+        if any(getattr(name, "id", None) == "TARGETS" for name in names):
+            return [ast.literal_eval(entry.elts[1]) for entry in node.value.elts]
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_trace_targets_resolve():
+    """Every function the benchmark's tracer wraps by name resolves in
+    the package, but the ones known gone: a rename or a deletion that
+    would leave a per-layer metric at 0 fails here."""
+    missing = set()
+    for target in _trace_targets():
+        module, _, attr = target.partition(":")
+        try:
+            found = importlib.import_module(f"facepulse.{module}")
+            for part in attr.split("."):
+                found = getattr(found, part)
+        except (ImportError, AttributeError):
+            missing.add(target)
+    assert missing - _GONE_TRACE_TARGETS == set()
 
 
 @pytest.mark.parametrize("argv", [["estimate", "s"], ["evaluate", "s"], ["sweep", "s"]],

@@ -101,10 +101,10 @@ class TestExtractTracesSplit:
         return results[0]
 
     def test_runs_and_degenerate_frames_at_span_edges(self, monkeypatch):
-        # 2 and 3 workers cut 3 * REDUCE_BLOCK_FRAMES + 6 frames at
-        # n / 3, n / 2 and 2n / 3: one run of identical rects spans the
-        # first two edges, and degenerate frames sit on both sides of the
-        # middle edge and on the last one
+        # in 3 * REDUCE_BLOCK_FRAMES + 6 frames, runs of 21 and 17
+        # identical rects are cut into 4 blocks, the last of one frame,
+        # which 2 and 3 workers split; gathered runs of 5 and 7 frames and
+        # two pairs of degenerate frames lie around them
         n = 3 * REDUCE_BLOCK_FRAMES + 6
         rng = np.random.default_rng(21)
         frames = rng.integers(0, 256, (n, 24, 32, 3), dtype=np.uint8)
@@ -125,14 +125,14 @@ class TestExtractTracesSplit:
 
     def test_mixed_run_lengths(self, monkeypatch, mixed_runs):
         # sliced and gathered runs, degenerate frames among the gathered
-        # ones; 2 and 3 workers cut the sliced runs at their span edges
+        # ones; 2 and 3 workers split the sliced runs' blocks
         frames, boxes, _ = mixed_runs
         self._assert_split_invariant(monkeypatch, frames, boxes)
         self._assert_split_invariant(monkeypatch, frames[..., 1:2].copy(), boxes)
 
     def test_tall_regions(self, monkeypatch, tall_gray):
         # cheek regions over 257 rows are summed in two uint16 chunks
-        # in every span
+        # in every block
         frames, static, _ = tall_gray
         self._assert_split_invariant(monkeypatch, frames, static)
 
@@ -195,13 +195,21 @@ class TestSplitChoice:
     def test_reduction_split_when_a_run_is_sliced(self, thread_pools, size, shift,
                                                   split):
         # split: whether the reduction starts worker threads; a box that
-        # moves every frame has no run to slice and so no span to split
+        # moves every frame has no run to slice and so no block to split
         n = 2 * REDUCE_BLOCK_FRAMES
         frames = np.zeros((n, size, size, 3), dtype=np.uint8)
         boxes = np.tile([0.0, 0.0, float(size), float(size)], (n, 1))
         boxes[:, 0] += shift * (np.arange(n) % 2)
         _traces(frames, boxes)
         assert thread_pools == ([2] if split else [])
+
+    def test_one_block_runs_inline(self, thread_pools):
+        # a static run of exactly REDUCE_BLOCK_FRAMES frames is one
+        # block, so no thread starts
+        n = REDUCE_BLOCK_FRAMES
+        frames = np.zeros((n, 192, 192, 3), dtype=np.uint8)
+        _traces(frames, np.tile([0.0, 0.0, 192.0, 192.0], (n, 1)))
+        assert thread_pools == []
 
     @pytest.mark.parametrize("length, hop_frames, split", [
         (10.0, 1, True),     # 4096-point transforms, 1501 windows in 101 blocks

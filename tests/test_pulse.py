@@ -17,7 +17,8 @@ from facepulse.pulse import (COMBINE_METHODS, DETREND_WINDOW_S, REDUCE_BLOCK_FRA
                              extract_traces, normalize_segment)
 from facepulse.roi import load_box_track, place_regions
 
-from _reference import ref_bandpass, ref_combine_region, ref_detrend, ref_roi_means
+from _reference import (ref_bandpass, ref_bandpass_taps, ref_combine_region, ref_detrend,
+                        ref_roi_means)
 
 
 def _traces(frames: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,6 +226,10 @@ class TestNormalize:
 # frame rates for the reference comparisons: odd and even detrend
 # windows, a window rounded half to even (7.5 at 5 fps) and NTSC's rate
 _REFERENCE_FPS = [5.0, 10.0, 20.0, 29.97, 30.0]
+# (fps, band) pairs from 5 to 60 fps, each band below Nyquist
+_TAP_CASES = [(fps, band) for fps in (5.0, 10.0, 12.5, 29.97, 30.0, 60.0)
+              for band in (DEFAULT_BAND, BandLimits(0.5, 2.0)) if band.f_hi < fps / 2]
+_TAP_IDS = [f"{fps:g}fps-{band.f_lo:g}-{band.f_hi:g}Hz" for fps, band in _TAP_CASES]
 
 
 def _reference_signal(n: int, fps: float) -> np.ndarray:
@@ -337,14 +342,38 @@ class TestBandpass:
         expected = ref_bandpass(signal.tolist(), taps.tolist())
         assert np.max(np.abs(bandpass(signal, taps) - expected)) <= 1e-12 * np.max(np.abs(signal))
 
+    @pytest.mark.parametrize("fps, band", _TAP_CASES, ids=_TAP_IDS)
+    def test_taps_match_reference(self, fps, band):
+        """The taps match the windowed-sinc Hamming design re-derived with
+        math alone: the same odd length, and every tap within 1e-12 of
+        the largest (2.8e-16 at most over these cases)."""
+        taps = design_bandpass_taps(fps, 10**6, band)
+        expected = np.array(ref_bandpass_taps(fps, band.f_lo, band.f_hi))
+        assert len(taps) == len(expected) and len(taps) % 2 == 1
+        assert np.max(np.abs(taps - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("fps, band", _TAP_CASES, ids=_TAP_IDS)
+    @pytest.mark.parametrize("extra", [0, 300])
+    def test_filter_matches_reference_taps(self, fps, band, extra):
+        """bandpass on design_bandpass_taps matches ref_bandpass on
+        ref_bandpass_taps, so the filter is checked without a tap from
+        the package: within 1e-12 of max|signal| (2.3e-16 at most here)."""
+        expected_taps = ref_bandpass_taps(fps, band.f_lo, band.f_hi)
+        signal = _reference_signal(len(expected_taps) + extra, fps)
+        out = bandpass(signal, design_bandpass_taps(fps, len(signal), band))
+        expected = ref_bandpass(signal.tolist(), expected_taps)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(signal))
+
     def test_signal_shorter_than_filter(self):
         with pytest.raises(SignalTooShortError, match="100 samples shorter than the 171-tap"):
             design_bandpass_taps(30.0, 100, DEFAULT_BAND)
         assert len(design_bandpass_taps(30.0, 171, DEFAULT_BAND)) == 171
 
     def test_huge_filter_refused_before_its_taps(self):
-        # 1.2e302 taps are compared with the signal, never allocated
-        with pytest.raises(SignalTooShortError, match="100 samples shorter than the 12"):
+        # 1.2e302 taps are compared with the signal, never allocated, and
+        # quoted in short form
+        with pytest.raises(SignalTooShortError,
+                           match=r"100 samples shorter than the 1\.2e\+302-tap filter$"):
             design_bandpass_taps(30.0, 100, BandLimits(1e-300, 4.0))
 
     def test_band_above_nyquist(self, tiny_session, monkeypatch):

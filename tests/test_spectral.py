@@ -93,21 +93,21 @@ class TestPulseSignal:
 
 
 class TestPartitionWindows:
+    """partition_windows gives (win, hop, count) in samples; window k
+    spans [k * hop, k * hop + win)."""
+
     def test_trailing_partial_discarded(self):
-        # 125 s at 20 s windows: the last 5 s never form a window
-        windows = partition_windows(125 * 30, 30.0, WindowSpec(20.0))
-        assert len(windows) == 6
-        assert windows[0].tolist() == [0, 600]
-        assert windows[-1].tolist() == [3000, 3600]
+        # 125 s at 20 s windows: the last 5 s never form a window, and
+        # the sixth window ends at 3600
+        win, hop, count = partition_windows(125 * 30, 30.0, WindowSpec(20.0))
+        assert (win, hop, count) == (600, 600, 6)
+        assert (count - 1) * hop + win == 3600
 
     def test_exact_cover(self):
-        windows = partition_windows(900, 30.0, WindowSpec(10.0))
-        assert windows.tolist() == [[0, 300], [300, 600], [600, 900]]
+        assert partition_windows(900, 30.0, WindowSpec(10.0)) == (300, 300, 3)
 
     def test_overlapping_hop(self):
-        windows = partition_windows(1800, 30.0, WindowSpec(10.0, 2.0))
-        assert len(windows) == 26
-        assert windows[1].tolist() == [60, 360]
+        assert partition_windows(1800, 30.0, WindowSpec(10.0, 2.0)) == (300, 60, 26)
 
     def test_too_short(self):
         with pytest.raises(SessionTooShortError):
@@ -134,7 +134,9 @@ class TestPartitionWindows:
                 with pytest.raises(SessionTooShortError):
                     partition_windows(n, fps, spec)
             else:
-                assert partition_windows(n, fps, spec).tolist() == expected
+                got_win, got_hop, count = partition_windows(n, fps, spec)
+                assert [[s, s + got_win] for s in range(0, count * got_hop, got_hop)] \
+                    == expected
 
     def test_count_formula_on_aligned_draws(self):
         # with integer seconds everywhere the window count reduces to
@@ -145,9 +147,9 @@ class TestPartitionWindows:
             duration = int(rng.integers(5, 200))
             length = int(rng.integers(2, duration + 1))
             hop = int(rng.integers(1, length + 1))
-            windows = partition_windows(int(duration * fps), fps,
-                                        WindowSpec(float(length), float(hop)))
-            assert len(windows) == math.floor((duration - length) / hop) + 1
+            _, _, count = partition_windows(int(duration * fps), fps,
+                                            WindowSpec(float(length), float(hop)))
+            assert count == math.floor((duration - length) / hop) + 1
 
 
 class TestPeriodogram:
