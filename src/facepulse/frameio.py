@@ -62,7 +62,7 @@ class SessionManifest:
         object.__setattr__(self, "fps", require_real(self.fps, "fps", 0, math.inf))
         if require_type(self.pixel_format, str, "pixel_format") not in BYTES_PER_PIXEL:
             raise InputError(f"pixel_format must be one of {sorted(BYTES_PER_PIXEL)}, "
-                             f"got {self.pixel_format!r}")
+                             f"got {short_text(self.pixel_format)}")
 
     @property
     def frame_bytes(self) -> int:
@@ -85,7 +85,7 @@ def parse_finite(value: str, what: str) -> float:
     try:
         number = float(value)
     except ValueError as exc:
-        raise InputError(f"{what}: {exc}") from exc
+        raise InputError(f"{what} must be a finite number, got {short_text(value)}") from exc
     if not math.isfinite(number):  # the float, not the text, which may run to any length
         raise InputError(f"{what} must be a finite number, got {number}")
     return number
@@ -95,6 +95,13 @@ def short_number(value) -> str:
     """A number for a message to 15 significant digits, 1e+300 for a 301-digit one;
     one beyond the float range, where .15g raises OverflowError, as the float limit."""
     return f"{min(max(value, -sys.float_info.max), sys.float_info.max):.15g}"
+
+
+def short_text(value) -> str:
+    """repr(value) for a message, a text or list from outside input: its
+    first 32 characters and "..." when it is longer."""
+    text = repr(value)
+    return text if len(text) <= 32 else text[:32] + "..."
 
 
 def require_type(value, kind, what: str):
@@ -191,7 +198,7 @@ def _parse_manifest(manifest_path: Path) -> SessionManifest:
     unknown = set(raw) - _MANIFEST_KEYS
     if unknown:
         raise MalformedManifestError(
-            f"{manifest_path}: unknown manifest keys {sorted(unknown)}")
+            f"{manifest_path}: unknown manifest keys {short_text(sorted(unknown))}")
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise MalformedManifestError(

@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     NonMonotonicIndicesError,
 )
-from .frameio import parse_finite, read_csv_rows, short_number
+from .frameio import parse_finite, read_csv_rows, short_number, short_text
 
 MIN_ROI_AREA = 4
 
@@ -36,13 +36,15 @@ def place_regions(boxes: np.ndarray, frame_w: int,
                   frame_h: int) -> tuple[np.ndarray, np.ndarray]:
     """Place the three measurement rectangles for every face box.
 
-    Returns integer (x, y, w, h) rects of shape (n, 3, 4) in forehead,
-    left cheek, right cheek order, rounded half-to-even and clamped to
-    the frame, and a (n,) mask that is False where any clamped rectangle
-    falls below MIN_ROI_AREA pixels.
+    Returns (x, y, w, h) rects of shape (n, 3, 4) in forehead, left
+    cheek, right cheek order, rounded half-to-even and clamped to the
+    frame, in the narrowest unsigned type that holds the frame's longer
+    side (uint8 up to 255 px), and a (n,) mask that is False where any
+    clamped rectangle falls below MIN_ROI_AREA pixels.
     """
     frac = np.array(REGION_FRACTIONS)
-    rects = np.empty((len(boxes), len(frac), 4), dtype=np.int64)
+    rects = np.empty((len(boxes), len(frac), 4),
+                     dtype=np.min_scalar_type(max(frame_w, frame_h)))
     # x then y, each through the same two (n, 3) scratch arrays: the
     # rounded start and end of every region, then clamped to the frame
     start, end = np.empty((2, *rects.shape[:2]))
@@ -61,7 +63,9 @@ def place_regions(boxes: np.ndarray, frame_w: int,
         np.clip(end, 0, limit, out=end)
         rects[..., axis] = start
         rects[..., axis + 2] = np.subtract(end, start, out=end)
-    valid = (rects[..., 2] * rects[..., 3] >= MIN_ROI_AREA).all(axis=1)
+    # the area in int64: a 16x16 region would wrap to 0 in uint8
+    area = np.multiply(rects[..., 2], rects[..., 3], dtype=np.int64)
+    valid = (area >= MIN_ROI_AREA).all(axis=1)
     return rects, valid
 
 
@@ -73,7 +77,7 @@ def _parse_row(row: list[str], path: Path, line_no: int) -> tuple[int | None, li
     try:
         return int(idx_field), coords
     except ValueError as exc:
-        raise InputError(f"{path}:{line_no}: bad frame index {idx_field!r}") from exc
+        raise InputError(f"{path}:{line_no}: bad frame index {short_text(idx_field)}") from exc
 
 
 def load_box_track(boxes_path: str | os.PathLike, frame_count: int) -> np.ndarray:

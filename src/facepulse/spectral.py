@@ -32,10 +32,10 @@ ZERO_PAD_FACTOR = 8
 # at most the window count, so the per-worker heap does not grow with
 # the window length: 15 rows of 10 s windows at 30 fps (4096 points).
 # On 9000 samples at a 1-frame hop, estimate_series' own tracemalloc
-# peak is 1.28 MB on one thread and 1.99 MB on 2 workers.  Within a
+# peak is 0.95 MB on one thread and 1.65 MB on 2 workers.  Within a
 # whole 9000-frame 64x64 estimate op on 2 workers the stage peaks at
-# 2.05 MB, below the ROI reduction's 2.11 MB, where the placed rects and
-# the trace are both held
+# 1.79 MB, 0.01 MB below conditioning's 1.81 MB, so what the block loop
+# adds per window lands on the op's peak
 SPECTRUM_BLOCK_BYTES = 512 * 1024
 
 
@@ -126,9 +126,10 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
     bins = padded // 2 + 1
     rows = max(1, min(SPECTRUM_BLOCK_BYTES // (16 * bins), count))
     blocks = range(0, count, rows)  # the first window of each block
-    # per window, the peak bin and the power there and one bin each side;
-    # the refinement runs once over all windows after the blocks
-    peak_bin = np.empty(count, dtype=np.intp)
+    # per window, the peak bin, in the narrowest type that holds the band
+    # slice's width, and the power there and one bin each side; the
+    # refinement runs once over all windows after the blocks
+    peak_bin = np.empty(count, dtype=np.min_scalar_type(hi - lo))
     peak_power = np.empty((count, 3))
 
     def estimate_blocks(first: int, last: int) -> None:

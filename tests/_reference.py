@@ -4,9 +4,11 @@ Deliberately written without vectorisation across windows, regions or
 frames and without any import from the package, so the fast
 implementations are checked against separately derived arithmetic.  The
 metric, detrend, bandpass and tap references use only the standard library,
-so the fast code matches them within rounding; the spectral and combine
-references make the same numpy calls on one window or one region at a
-time, so the batched code must match them bit for bit.
+so the fast code matches them within rounding; the placement reference
+uses it too, and rounds each rect alone as the fast code does, so they
+match exactly.  The spectral and combine references make the same numpy
+calls on one window or one region at a time, so the batched code must
+match them bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +44,26 @@ def ref_sub52(est: list[float], gt_means: list[float]) -> float:
 def ref_aggregate(values: list[float]) -> float:
     assert values
     return math.fsum(values) / len(values)
+
+
+def ref_place_regions(boxes: list, frame_w: int, frame_h: int, fractions: list,
+                      min_area: int) -> tuple[list, list[bool]]:
+    """Per box (x, y, w, h), one (x, y, w, h) rect per (dx, dy, dw, dh)
+    fraction: start x + dx * w and size dw * w, each rounded half-to-even
+    by Python's round(), the start and the end clamped to the frame, the
+    same along y.  A box is valid when every rect holds min_area pixels."""
+    rects, valid = [], []
+    for x, y, w, h in boxes:
+        box_rects = []
+        for fx, fy, fw, fh in fractions:
+            x0, y0 = round(x + fx * w), round(y + fy * h)
+            x1, y1 = x0 + round(fw * w), y0 + round(fh * h)
+            x0, x1 = (min(max(v, 0), frame_w) for v in (x0, x1))
+            y0, y1 = (min(max(v, 0), frame_h) for v in (y0, y1))
+            box_rects.append([x0, y0, x1 - x0, y1 - y0])
+        rects.append(box_rects)
+        valid.append(all(rw * rh >= min_area for _, _, rw, rh in box_rects))
+    return rects, valid
 
 
 def ref_roi_means(frames: list, rects: list) -> list[list[list[float]]]:

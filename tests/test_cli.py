@@ -79,21 +79,45 @@ class TestSynthCommand:
 
 # peak heap of a 1-frame-hop estimate, in (3, 3, n) trace bytes, once the
 # scratch sized by design is shrunk (test_dense_hop_heap_per_frame):
-# 3.40-3.54 when each per-frame and per-window array is held once,
-# 4.78-4.94 when conditioning held a second trace while the box track and
-# the rects lived on; the bound leaves over 10 % to each
-DENSE_HOP_HEAP_TRACES = 4.1
+# 3.13-3.16 with the rects in uint8, where conditioning sets the peak;
+# 3.52-3.55 with int64 rects, where placement did; 4.78-4.94 when
+# conditioning held a second trace while the box track and the rects
+# lived on; the bound leaves over 10 % to the first
+DENSE_HOP_HEAP_TRACES = 3.5
+
+# the same for estimate on a static box at the default hop
+# (test_static_heap_per_frame): 2.99-3.08 with uint8 rects, where
+# conditioning sets the peak, and 3.37-3.49 with int64 rects, where
+# placement did.  The rects alone are 0.17 traces in uint8, 1.33 in int64
+STATIC_HEAP_TRACES = 3.3
+
+
+def _small_scratch(monkeypatch) -> None:
+    """One worker, 16 KiB spectrum blocks and 4 KiB gathers: the scratch
+    whose size is fixed shrinks, so a heap peak is what grows with frames
+    and windows."""
+    monkeypatch.setattr(parallel, "WORKERS", 1)
+    monkeypatch.setattr(spectral, "SPECTRUM_BLOCK_BYTES", 16 * 1024)
+    monkeypatch.setattr(pulse, "GATHER_BYTES", 4 * 1024)
+
+
+def _peak_heap(argv) -> int:
+    """Peak traced bytes of main(argv), run once before to keep first-call
+    allocations out of the peak."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_dense_hop_heap_per_frame(tmp_path, monkeypatch, capsys):
     """estimate at a 1-frame hop on a box that moves and leaves the frame
-    peaks within DENSE_HOP_HEAP_TRACES times its trace's bytes.  One
-    worker, 16 KiB spectrum blocks and 4 KiB gathers shrink the scratch
-    whose size is fixed, so the peak is what grows with frames and
-    windows."""
-    monkeypatch.setattr(parallel, "WORKERS", 1)
-    monkeypatch.setattr(spectral, "SPECTRUM_BLOCK_BYTES", 16 * 1024)
-    monkeypatch.setattr(pulse, "GATHER_BYTES", 4 * 1024)
+    peaks within DENSE_HOP_HEAP_TRACES times its trace's bytes, with
+    small scratch."""
+    _small_scratch(monkeypatch)
     session = tmp_path / "moving"
     config = SynthConfig(width=32, height=32, duration=60.0, noise_sigma=0.5, seed=3)
     render_session(config, session)
@@ -106,17 +130,22 @@ def test_dense_hop_heap_per_frame(tmp_path, monkeypatch, capsys):
     w, h = 20 + rng.normal(0, 0.5, (2, len(anchors)))
     (session / "boxes.csv").write_text("frame,x,y,w,h\n" + "".join(
         f"{f},{a:.2f},{b:.2f},{c:.2f},{d:.2f}\n" for f, a, b, c, d in zip(anchors, x, y, w, h)))
-    argv = ["estimate", str(session), "--out", str(tmp_path / "out"),
-            "--hop", repr(1 / config.fps)]
-    assert main(argv) == 0  # warm-up: first-call allocations stay out of the peak
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_heap(["estimate", str(session), "--out", str(tmp_path / "out"),
+                       "--hop", repr(1 / config.fps)])
     assert "over 1501 windows" in capsys.readouterr().out
     assert peak <= DENSE_HOP_HEAP_TRACES * 3 * 3 * n * 8
+
+
+def test_static_heap_per_frame(tmp_path, monkeypatch):
+    """estimate on a 64x64 rgb8 session with a static `*` box peaks
+    within STATIC_HEAP_TRACES times its trace's bytes, with small scratch."""
+    _small_scratch(monkeypatch)
+    session = tmp_path / "static"
+    config = SynthConfig(width=64, height=64, duration=60.0, noise_sigma=0.5, seed=3)
+    render_session(config, session)
+    assert (session / "boxes.csv").read_text().splitlines()[1].startswith("*,")
+    peak = _peak_heap(["estimate", str(session), "--out", str(tmp_path / "out")])
+    assert peak <= STATIC_HEAP_TRACES * 3 * 3 * config.frame_count * 8
 
 
 class TestEstimateCommand:

@@ -396,3 +396,37 @@ def test_huge_count_refusal_is_short(base, tmp_path, monkeypatch, argv, code, qu
     assert all(len(line.encode()) < 200 for line in lines)
     # the skip note and row quote the count; evaluate's error line does not
     assert sum(quoted in line for line in lines) == (2 if argv[0] == "evaluate" else 1)
+
+
+# outside text that a refusal quotes: each is cut to its first 32
+# characters, the opening quote or bracket included
+LONG_INDEX = ("text", "boxes.csv", "frame,x,y,w,h\n" + "1" * 5000 + ",4,4,8,8\n")
+LONG_CELL = ("text", "boxes.csv", "frame,x,y,w,h\n0," + "x" * 3000 + ",4,8,8\n")
+LONG_FORMAT = ("json", "session.json", "pixel_format", "p" * 3000)
+LONG_KEY = ("json", "session.json", "k" * 3000, 1)
+
+
+@pytest.mark.parametrize("command", ["estimate", "evaluate"])
+@pytest.mark.parametrize("mutation, quoted", [
+    (LONG_INDEX, "bad frame index '" + "1" * 31 + "..."),
+    (LONG_CELL, "box coordinate must be a finite number, got '" + "x" * 31 + "..."),
+    (LONG_FORMAT, "pixel_format must be one of ['gray8', 'rgb8'], got '" + "p" * 31 + "..."),
+    (LONG_KEY, "unknown manifest keys ['" + "k" * 30 + "..."),
+], ids=["frame-index", "box-cell", "pixel-format", "manifest-key"])
+def test_long_text_refusal_is_short(base, tmp_path, monkeypatch, command, mutation, quoted):
+    """Text from a session's files that a refusal quotes is cut short: the
+    error and note lines and evaluate's report.csv skip row stay under
+    200 bytes.  A bad manifest stops evaluate before it writes a report."""
+    monkeypatch.chdir(tmp_path)  # a relative path keeps the file names short
+    session = Path("s")
+    shutil.copytree(base, session)
+    _apply(session, mutation)
+    rc, err = _run([command, str(session), "--out", "out"])
+    assert rc == 1
+    lines = [line for line in err.splitlines() if line.startswith(("error:", "note:"))]
+    if command == "evaluate" and mutation[1] == "boxes.csv":
+        lines += [line for line in Path("out/report.csv").read_text().splitlines()
+                  if line.startswith("# skipped,")]
+    assert _error_lines(err) == 1
+    assert all(len(line.encode()) < 200 for line in lines)
+    assert any(quoted in line for line in lines)

@@ -9,6 +9,8 @@ from facepulse.errors import (EmptyTrackError, InputError, MissingFileError,
                               NonMonotonicIndicesError)
 from facepulse.roi import MIN_ROI_AREA, REGION_FRACTIONS, load_box_track, place_regions
 
+from _reference import ref_place_regions
+
 
 def _place(*box):
     """Rects and validity of one face box (x, y, w, h) in a 1280x720 frame."""
@@ -76,41 +78,72 @@ def test_scale_covariance():
     assert np.array_equal(doubled[..., 2:], 2 * base[..., 2:])
 
 
-def _jittered_boxes(n: int, seed: int) -> np.ndarray:
-    """n face boxes jittering around the middle of a 64x64 frame, some
-    of them partly off it."""
+def _boxes_in(frame_w: int, frame_h: int, n: int, seed: int) -> np.ndarray:
+    """n face boxes jittering around the middle of a frame_w x frame_h
+    frame, half its height across: every 7th with its corner on a half
+    pixel and every 5th of whole even size, which put rounding ties in
+    the region starts and sizes, and every 11th moved off the frame."""
     rng = np.random.default_rng(seed)
-    return np.column_stack((rng.normal(16, 8, n), rng.normal(16, 8, n),
-                            rng.normal(32, 4, n), rng.normal(32, 4, n)))
+    side = frame_h / 2
+    boxes = np.column_stack((rng.normal(frame_w / 2 - side / 2, side / 4, n),
+                             rng.normal(frame_h / 4, side / 4, n),
+                             np.abs(rng.normal(side, side / 8, (2, n))).T + 1))
+    boxes[::7, :2] = np.round(boxes[::7, :2] * 2) / 2
+    boxes[::5, 2:] = 2 * np.round(boxes[::5, 2:] / 2)
+    boxes[::11, 0] -= frame_w  # left of the frame
+    boxes[1::11, 0] += frame_w  # right of it
+    boxes[2::11, 1] += frame_h  # below it
+    return boxes
 
 
 def test_matches_per_region_reference():
-    # Python's round() is half-to-even, like the placement
-    boxes = _jittered_boxes(500, 9)
-    boxes[::7, :2] = np.round(boxes[::7, :2] * 2) / 2  # ties at .5
-    rects, valid = place_regions(boxes, 64, 48)
-    for (x, y, w, h), box_rects, ok in zip(boxes.tolist(), rects.tolist(), valid):
-        expected = []
-        for fx, fy, fw, fh in REGION_FRACTIONS:
-            x0, y0 = round(x + fx * w), round(y + fy * h)
-            x1, y1 = x0 + round(fw * w), y0 + round(fh * h)
-            x0, x1 = (min(max(v, 0), 64) for v in (x0, x1))
-            y0, y1 = (min(max(v, 0), 48) for v in (y0, y1))
-            expected.append([x0, y0, x1 - x0, y1 - y0])
-        assert box_rects == expected
-        assert ok == all(w * h >= MIN_ROI_AREA for _, _, w, h in expected)
+    # uint8 rects up to 255 px, uint16 from 256
+    for frame_w, frame_h in ((64, 48), (255, 200), (256, 200), (1280, 720)):
+        boxes = _boxes_in(frame_w, frame_h, 500, 9)
+        rects, valid = place_regions(boxes, frame_w, frame_h)
+        expected, expected_valid = ref_place_regions(boxes.tolist(), frame_w, frame_h,
+                                                     REGION_FRACTIONS, MIN_ROI_AREA)
+        assert rects.tolist() == expected
+        assert valid.tolist() == expected_valid
+        assert not all(expected_valid) and any(expected_valid)
 
 
-def test_peak_heap_within_twice_output():
-    # scratch space is two (n, 3) float arrays reused for x and y
-    boxes = _jittered_boxes(9000, 10)
-    tracemalloc.start()
-    try:
-        rects, valid = place_regions(boxes, 64, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * (rects.nbytes + valid.nbytes)
+@pytest.mark.parametrize("side, dtype", [(255, np.uint8), (256, np.uint16),
+                                         (70_000, np.uint32)])
+def test_rects_in_narrowest_type(side, dtype):
+    # the longer side sets the type, whichever axis it is
+    box = np.array([[10.0, 10.0, 200.0, 120.0]])
+    assert place_regions(box, side, 16)[0].dtype == dtype
+    assert place_regions(box, 16, side)[0].dtype == dtype
+
+
+@pytest.mark.parametrize("frame_side, box_side", [(200, 80), (2000, 1280)])
+def test_area_does_not_wrap_in_rect_type(frame_side, box_side):
+    # the cheeks are 16x16 in a uint8 frame and 256x256 in a uint16 one:
+    # their area, 2**8 or 2**16, would wrap to 0 in the rect type
+    rects, valid = place_regions(np.array([[0.0, 0.0, box_side, box_side]]),
+                                 frame_side, frame_side)
+    assert rects[0, 1:, 2:].tolist() == [[box_side // 5] * 2] * 2
+    assert valid.tolist() == [True]
+
+
+# peak bytes per frame of place_regions alone, at n = 9000: two (n, 3)
+# float64 scratch arrays reused for x and y, the rects, the int64 areas
+# and the masks; 99.0 with uint8 rects (64x64) and 110.8 with uint16
+# rects (640x480), 171.3 when the rects were int64
+PLACE_HEAP_BYTES_PER_FRAME = 125
+
+
+def test_peak_heap_per_frame():
+    boxes = _boxes_in(64, 64, 9000, 10)
+    for frame_w, frame_h in ((64, 64), (640, 480)):
+        tracemalloc.start()
+        try:
+            place_regions(boxes, frame_w, frame_h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PLACE_HEAP_BYTES_PER_FRAME * len(boxes), (frame_w, frame_h, peak)
 
 
 def _write_track(tmp_path, text):
