@@ -16,13 +16,16 @@ from pathlib import Path
 from .errors import FacePulseError, InputError, ProcessingError
 from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions, load_session,
                        write_report_csv, write_report_json)
-from .frameio import nearest_existing, parse_finite
+from .frameio import nearest_existing, parse_finite, short_text
 from .pulse import COMBINE_METHODS, BandLimits, PipelineParams
 from .spectral import WindowSpec, estimate_series
 from .synth import ConstantProfile, SynthConfig, parse_profile, render_session
 
 # --window of estimate and evaluate, in seconds
 WINDOW_S = 10.0
+
+# windows per slice of the estimate CSV columns turned into Python floats
+WRITE_ROWS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,18 +39,18 @@ class _Parser(argparse.ArgumentParser):
 def _parse_band(text: str) -> BandLimits:
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise InputError(f"bad band {text!r}; expected LO:HI in Hz")
-    return BandLimits(parse_finite(lo, f"bad band {text!r}: LO"),
-                      parse_finite(hi, f"bad band {text!r}: HI"))
+        raise InputError(f"bad band {short_text(text)}; expected LO:HI in Hz")
+    return BandLimits(parse_finite(lo, f"bad band {short_text(text)}: LO"),
+                      parse_finite(hi, f"bad band {short_text(text)}: HI"))
 
 
 def _parse_lengths(text: str) -> list[float]:
-    return [parse_finite(p, f"bad lengths {text!r}: length")
+    return [parse_finite(p, f"bad lengths {short_text(text)}: length")
             for p in text.split(",") if p.strip()]
 
 
 def _parse_base_color(text: str) -> tuple[float, ...]:
-    return tuple(parse_finite(p, f"bad base color {text!r}: component")
+    return tuple(parse_finite(p, f"bad base color {short_text(text)}: component")
                  for p in text.split(","))
 
 
@@ -101,20 +104,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     # one loop writes both files, formatting each bound and bpm once; rows
-    # are streamed, not joined: at a 1-frame hop a per-window string list
-    # or a file-sized string would raise the op's heap peak
+    # are streamed, not joined, and the columns become Python floats
+    # WRITE_ROWS windows at a time: at a 1-frame hop a per-window list or
+    # string, or a file-sized string, would raise the op's heap peak
     with open(out / "estimates.csv", "w") as est, \
             (open(out / "compare.csv", "w") if aligned is not None else nullcontext()) as cmp:
         est.write("window_start_s,window_end_s,bpm\n")
         if cmp:
             cmp.write("window_start_s,window_end_s,gt_bpm,est_bpm\n")
-        for start, end, bpm, gt in zip(series.window_start.tolist(),
-                                       series.window_end.tolist(), series.bpm.tolist(),
-                                       repeat(None) if aligned is None else aligned.tolist()):
-            bounds, bpm = f"{start:g},{end:g}", f"{bpm:.6f}"
-            est.write(f"{bounds},{bpm}\n")
-            if cmp:
-                cmp.write(f"{bounds},{gt:.6f},{bpm}\n")
+        for lo in range(0, len(series), WRITE_ROWS):
+            part = slice(lo, lo + WRITE_ROWS)
+            for start, end, bpm, gt in zip(
+                    series.window_start[part].tolist(), series.window_end[part].tolist(),
+                    series.bpm[part].tolist(),
+                    repeat(None) if aligned is None else aligned[part].tolist()):
+                bounds, bpm = f"{start:g},{end:g}", f"{bpm:.6f}"
+                est.write(f"{bounds},{bpm}\n")
+                if cmp:
+                    cmp.write(f"{bounds},{gt:.6f},{bpm}\n")
 
     mean_bpm = float(series.bpm.mean())
     summary = {

@@ -218,7 +218,9 @@ def normalize_segment(segment: np.ndarray) -> np.ndarray:
     mean = segment.mean()
     if mean <= 0:
         raise NonPositiveMeanError(f"segment mean {mean} is not positive")
-    return segment / mean - 1.0
+    out = segment / mean
+    out -= 1.0
+    return out
 
 
 def detrend(signal: np.ndarray, fps: float) -> np.ndarray:
@@ -232,12 +234,20 @@ def detrend(signal: np.ndarray, fps: float) -> np.ndarray:
     if w < 3:
         raise WindowTooShortError(
             f"detrend window of {w} samples ({DETREND_WINDOW_S} s at {fps} fps); need >= 3")
-    idx = np.arange(n)
-    lo = np.clip(idx - (w - 1) // 2, 0, n)
-    hi = np.clip(idx + w // 2 + 1, 0, n)
-    csum = np.concatenate(([0.0], np.cumsum(signal)))
-    moving = (csum[hi] - csum[lo]) / (hi - lo)
-    return signal - moving
+    before, after = (w - 1) // 2, w // 2 + 1  # a window is [i - before, i + after)
+    csum = np.zeros(n + 1)
+    np.cumsum(signal, out=csum[1:])
+    # the m full windows, samples before .. before + m - 1, in one pass;
+    # only the fewer than w edge samples take index arrays
+    m = max(n + 1 - w, 0)
+    moving = np.empty(n)
+    inner = np.subtract(csum[w:], csum[:m], out=moving[before:before + m])
+    inner /= w
+    idx = np.r_[0:min(before, n), before + m:n]
+    lo = np.clip(idx - before, 0, n)
+    hi = np.clip(idx + after, 0, n)
+    moving[idx] = (csum[hi] - csum[lo]) / (hi - lo)
+    return np.subtract(signal, moving, out=moving)
 
 
 def design_bandpass_taps(fps: float, n: int, band: BandLimits) -> np.ndarray:
@@ -273,7 +283,8 @@ def bandpass(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     regardless of edge transients."""
     delay = (len(taps) - 1) // 2
     out = np.convolve(np.pad(signal, delay, mode="reflect"), taps, mode="valid")
-    return out - out.mean()
+    out -= out.mean()
+    return out
 
 
 def combine_channels(rows: np.ndarray, method: str) -> np.ndarray:

@@ -4,8 +4,9 @@ The conditioned pulse signal is cut into fixed-length windows; each
 window's dominant in-band frequency (Hann-windowed, zero-padded DFT,
 quadratic peak refinement) becomes one bpm estimate.  Windows are
 estimated in blocks whose spectra fill SPECTRUM_BLOCK_BYTES, along the
-last (time) axis; the blocks are split across parallel.WORKERS threads,
-each worker reusing one set of block buffers.
+last (time) axis, and each block's peaks are refined where they are
+found; the blocks are split across parallel.WORKERS threads, each worker
+reusing one set of block buffers.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ ZERO_PAD_FACTOR = 8
 # at most the window count, so the per-worker heap does not grow with
 # the window length: 15 rows of 10 s windows at 30 fps (4096 points).
 # On 9000 samples at a 1-frame hop, estimate_series' own tracemalloc
-# peak is 0.95 MB on one thread and 1.65 MB on 2 workers.  Within a
+# peak is 0.79 MB on one thread and 1.50 MB on 2 workers.  Within a
 # whole 9000-frame 64x64 estimate op on 2 workers the stage peaks at
-# 1.79 MB, 0.01 MB below conditioning's 1.81 MB, so what the block loop
-# adds per window lands on the op's peak
+# 1.64 MB, 0.11 MB above channel combination's 1.53 MB, and sets the
+# op's peak, so what the block loop adds per window lands on it
 SPECTRUM_BLOCK_BYTES = 512 * 1024
 
 
@@ -126,11 +127,12 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
     bins = padded // 2 + 1
     rows = max(1, min(SPECTRUM_BLOCK_BYTES // (16 * bins), count))
     blocks = range(0, count, rows)  # the first window of each block
-    # per window, the peak bin, in the narrowest type that holds the band
-    # slice's width, and the power there and one bin each side; the
-    # refinement runs once over all windows after the blocks
-    peak_bin = np.empty(count, dtype=np.min_scalar_type(hi - lo))
-    peak_power = np.empty((count, 3))
+    step = freqs[1] - freqs[0]
+    # flat offsets into a (rows, hi - lo) power block of each row's first
+    # three bins: adding a row's inner-column peak k gives the peak bin
+    # and one bin each side
+    near = np.arange(rows)[:, None] * (hi - lo) + np.arange(3)
+    bpm = np.empty(count)
 
     def estimate_blocks(first: int, last: int) -> None:
         block = np.empty((rows, win))
@@ -145,17 +147,16 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
             b *= taper
             np.abs(np.fft.rfft(b, padded, axis=-1, out=spectrum[:m])[:, lo:hi], out=p)
             p *= p
+            # each block's peaks are refined and clamped where they are found
             k = np.argmax(p[:, 1:-1], axis=-1)
-            peak_bin[a:a + m] = k
-            peak_power[a:a + m] = np.take_along_axis(p, k[:, None] + np.arange(3), -1)
+            p_lo, p0, p_hi = p.ravel().take(near[:m] + k[:, None]).T
+            denom = p_lo - 2.0 * p0 + p_hi
+            # denom >= 0: the parabola has no maximum to refine to
+            shift = np.divide(0.5 * (p_lo - p_hi), denom, out=0.5 * np.sign(p_hi - p_lo),
+                              where=denom < 0.0)
+            f_peak = freqs[lo + 1 + k] + shift.clip(-0.5, 0.5) * step
+            (60.0 * f_peak).clip(band.bpm_lo, band.bpm_hi, out=bpm[a:a + m])
 
     run_spans(len(blocks), estimate_blocks)
-    p_lo, p0, p_hi = peak_power.T
-    denom = p_lo - 2.0 * p0 + p_hi
-    # denom >= 0: the parabola has no maximum to refine to
-    shift = np.divide(0.5 * (p_lo - p_hi), denom, out=0.5 * np.sign(p_hi - p_lo),
-                      where=denom < 0.0)
-    f_peak = freqs[lo + 1 + peak_bin] + np.clip(shift, -0.5, 0.5) * (freqs[1] - freqs[0])
-    bpm = np.clip(60.0 * f_peak, band.bpm_lo, band.bpm_hi)
     starts = np.arange(count) * hop
     return HrSeries(starts / signal.fps, (starts + win) / signal.fps, bpm)

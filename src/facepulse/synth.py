@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError
 from .frameio import (BYTES_PER_PIXEL, MANIFEST_NAME, MIN_FRAME_DIM, SessionManifest, as_path,
                       nearest_existing, open_session, parse_finite, require_real,
-                      require_type)
+                      require_type, short_text)
 from .pulse import DEFAULT_BAND
 
 # validity range for configured heart rates: the default pulse band
@@ -107,7 +107,7 @@ def pulse_phase(t: float, profile: HrProfile, duration: float) -> float:
 def parse_profile(text: str) -> HrProfile:
     """Parse "constant:BPM", "step:A,B,T", or "ramp:A,B"."""
     kind, _, args = text.partition(":")
-    parts = [parse_finite(p, f"bad profile {text!r}: argument")
+    parts = [parse_finite(p, f"bad profile {short_text(text)}: argument")
              for p in args.split(",")] if args else []
     if kind == "constant" and len(parts) == 1:
         return ConstantProfile(parts[0])
@@ -116,7 +116,7 @@ def parse_profile(text: str) -> HrProfile:
     if kind == "ramp" and len(parts) == 2:
         return RampProfile(parts[0], parts[1])
     raise InputError(
-        f"bad profile {text!r}; expected constant:BPM, step:A,B,T or ramp:A,B")
+        f"bad profile {short_text(text)}; expected constant:BPM, step:A,B,T or ramp:A,B")
 
 
 @dataclass(frozen=True)

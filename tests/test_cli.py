@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import shutil
 import tracemalloc
@@ -79,17 +80,24 @@ class TestSynthCommand:
 
 # peak heap of a 1-frame-hop estimate, in (3, 3, n) trace bytes, once the
 # scratch sized by design is shrunk (test_dense_hop_heap_per_frame):
-# 3.13-3.16 with the rects in uint8, where conditioning sets the peak;
-# 3.52-3.55 with int64 rects, where placement did; 4.78-4.94 when
+# 2.82-2.83 since detrend works from one running-sum buffer, where
+# channel combination sets the peak and region placement is within 0.03
+# traces of it; 3.25-3.27 when detrend set it.  Earlier figures, taken
+# with no gc.collect() before the op, so that a collection of cyclic
+# garbage during it could lower them by up to 0.3 traces: 3.52-3.55 with
+# int64 rects, where placement set the peak; 4.78-4.94 when
 # conditioning held a second trace while the box track and the rects
-# lived on; the bound leaves over 10 % to the first
-DENSE_HOP_HEAP_TRACES = 3.5
+# lived on.  The bound leaves over 10 % to the first
+DENSE_HOP_HEAP_TRACES = 3.15
 
 # the same for estimate on a static box at the default hop
-# (test_static_heap_per_frame): 2.99-3.08 with uint8 rects, where
-# conditioning sets the peak, and 3.37-3.49 with int64 rects, where
-# placement did.  The rects alone are 0.17 traces in uint8, 1.33 in int64
-STATIC_HEAP_TRACES = 3.3
+# (test_static_heap_per_frame): 2.84-2.85 since detrend works from one
+# running-sum buffer, where channel combination sets the peak and region
+# placement is within 0.01 traces of it; 3.28 when detrend set it.  With
+# no gc.collect() before the op: 3.37-3.49 with int64 rects, where
+# placement set it.  The rects alone are 0.17 traces in uint8, 1.33 in
+# int64
+STATIC_HEAP_TRACES = 3.15
 
 
 def _small_scratch(monkeypatch) -> None:
@@ -103,8 +111,12 @@ def _small_scratch(monkeypatch) -> None:
 
 def _peak_heap(argv) -> int:
     """Peak traced bytes of main(argv), run once before to keep first-call
-    allocations out of the peak."""
+    allocations out of the peak.  Cyclic garbage is collected before the
+    traced run, as the bench does before each op, so that where the
+    collector next runs, and what it frees, does not hang on the tests
+    run before."""
     assert main(argv) == 0
+    gc.collect()
     tracemalloc.start()
     try:
         assert main(argv) == 0

@@ -430,3 +430,23 @@ def test_long_text_refusal_is_short(base, tmp_path, monkeypatch, command, mutati
     assert _error_lines(err) == 1
     assert all(len(line.encode()) < 200 for line in lines)
     assert any(quoted in line for line in lines)
+
+
+# flag text that a refusal quotes: cut the same way
+LONG_ARG = "x" * 3000
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (["estimate", "{s}", "--band", LONG_ARG + ":4"], "bad band '" + "x" * 31 + "..."),
+    (["sweep", "{s}", "--lengths", "5," + LONG_ARG], "bad lengths '5," + "x" * 29 + "..."),
+    (["synth", "--profile", "ramp:" + LONG_ARG], "bad profile 'ramp:" + "x" * 26 + "..."),
+    (["synth", "--base-color", "1,2," + LONG_ARG], "bad base color '1,2," + "x" * 27 + "..."),
+], ids=["estimate-band", "sweep-lengths", "synth-profile", "synth-base-color"])
+def test_long_argument_refusal_is_short(base, tmp_path, monkeypatch, argv, quoted):
+    """A flag's text that a refusal quotes is cut short: exit 1 with one
+    error line, and every stderr line stays under 200 bytes."""
+    monkeypatch.chdir(tmp_path)
+    rc, err = _run([a.format(s=base) for a in argv] + ["--out", "out"])
+    assert rc == 1 and _error_lines(err) == 1
+    assert all(len(line.encode()) < 200 for line in err.splitlines())
+    assert quoted in err

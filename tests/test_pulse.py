@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ class TestDetrend:
         assert np.allclose(twice, 0.0, atol=1e-9)
 
     @pytest.mark.parametrize("fps", _REFERENCE_FPS)
-    @pytest.mark.parametrize("n", [3, 10, 44, 46, 600])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 44, 46, 600])
     def test_matches_reference(self, fps, n):
         """Every sample, edges and signals shorter than the window
         included, matches a per-sample fsum mean within 1e-12 of
@@ -284,10 +285,41 @@ class TestDetrend:
         expected = ref_detrend(signal.tolist(), fps, DETREND_WINDOW_S)
         assert np.max(np.abs(detrend(signal, fps) - expected)) <= 1e-12 * np.max(np.abs(signal))
 
+    # w = 30 samples at 20 fps, 45 at 30 fps.  At n = w - 1 no window is
+    # full, at n = w one is and each longer signal adds one: these lengths
+    # cross where detrend starts taking full windows from the running sum
+    # in one pass, with edge windows at both ends
+    @pytest.mark.parametrize("fps, w", [(20.0, 30), (30.0, 45)])
+    @pytest.mark.parametrize("dn", [-2, -1, 0, 1, 2])
+    def test_matches_reference_around_window_length(self, fps, w, dn):
+        assert round(DETREND_WINDOW_S * fps) == w
+        signal = _reference_signal(w + dn, fps)
+        expected = ref_detrend(signal.tolist(), fps, DETREND_WINDOW_S)
+        assert np.max(np.abs(detrend(signal, fps) - expected)) <= 1e-12 * np.max(np.abs(signal))
+
     def test_window_too_short(self):
         with pytest.raises(WindowTooShortError):
             # 1.5 s at 1 fps rounds to a 2-sample window
             detrend(np.ones(100), 1.0)
+
+
+# peak float64 rows of one call on 9000 samples (tracemalloc), the result
+# included: detrend 2.06 from one running-sum buffer and its result (7.94
+# with n-length index arrays and a concatenated running sum), and
+# normalize_segment 1.00 dividing then subtracting in place (2.00 before)
+@pytest.mark.parametrize("stage, rows", [(lambda x: detrend(x, 30.0), 2.5),
+                                         (normalize_segment, 1.5)],
+                         ids=["detrend", "normalize_segment"])
+def test_peak_heap_rows(stage, rows):
+    signal = _reference_signal(9000, 30.0)
+    stage(signal)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        stage(signal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * signal.nbytes
 
 
 class TestBandpass:
