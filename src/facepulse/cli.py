@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import FacePulseError, InputError, ProcessingError
 from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions, load_session,
                        write_report_csv, write_report_json)
-from .frameio import nearest_existing, parse_finite, short_text
+from .frameio import nearest_existing, open_session, parse_finite, short_text
 from .pulse import COMBINE_METHODS, BandLimits, PipelineParams
 from .spectral import WindowSpec, estimate_series
 from .synth import ConstantProfile, SynthConfig, parse_profile, render_session
@@ -29,11 +29,12 @@ WRITE_ROWS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse's default error path exits with status 2; bad arguments
-    # are input errors here and must exit 1
+    # argparse's default error path exits with status 2; bad arguments are
+    # input errors here and must exit 1.  A bad argument it quotes is cut
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise InputError(message)
+        cut = message.encode()[:160].decode(errors="ignore")
+        raise InputError(cut if cut == message else cut + "...")
 
 
 def _parse_band(text: str) -> BandLimits:
@@ -57,11 +58,8 @@ def _parse_base_color(text: str) -> tuple[float, ...]:
 def _out_dir(text: str) -> Path:
     """--out as a Path, refused before any work when it, or the nearest
     part of it that exists, is not a directory."""
-    out = Path(text)
-    nearest = nearest_existing(out, "--out")
-    if not nearest.is_dir():
-        raise InputError(f"--out {text}: {nearest} exists and is not a directory")
-    return out
+    nearest_existing(Path(text), "--out")
+    return Path(text)
 
 
 def _synth_config(args: argparse.Namespace) -> SynthConfig:
@@ -90,7 +88,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     params = PipelineParams(args.band, args.combine)
     params.band.check_two_cycles(spec.length)
     # a malformed groundtruth file is bad input: refused before any frame is read
-    session = load_session(args.session, params, require_groundtruth=False)
+    session = load_session(open_session(args.session), params)
     series = estimate_series(session.signal, spec)
 
     aligned = None
@@ -257,10 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # once: a parser made per call outlives it in reference cycles
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except FacePulseError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

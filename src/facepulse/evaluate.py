@@ -1,10 +1,10 @@
 """Session loading and accuracy metrics against reference heart-rate
 measurements.
 
-load_session is the one path from a session to its pulse signal: it
-opens the session, loads its groundtruth and maps, reduces and
-conditions its frames.  Two complementary error protocols then score
-the same windowed estimates:
+load_session is the one path from an opened session to its pulse
+signal: it loads the groundtruth its manifest names and maps, reduces
+and conditions its frames.  Two complementary error protocols then
+score the same windowed estimates:
 
 * session error: one number per session, the absolute gap between the
   mean estimated rate and the mean reference rate,
@@ -28,8 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyWindowGtError, FacePulseError, InputError, MissingFileError
-from .frameio import (as_path, map_frames, open_session, parse_finite, read_csv_rows,
-                      require_type, session_id)
+from .frameio import (SessionManifest, as_path, map_frames, open_session, parse_finite,
+                      read_csv_rows, require_type, session_id)
 from .pulse import PipelineParams, PulseSignal, build_pulse_signal, extract_traces
 from .roi import load_box_track, place_regions
 from .spectral import HrSeries, WindowSpec, estimate_series
@@ -134,13 +134,12 @@ class Session:
     signal: PulseSignal
 
 
-def load_session(source: str | os.PathLike, params: PipelineParams = PipelineParams(),
-                 *, require_groundtruth: bool) -> Session:
-    """Open a session directory or manifest, load its groundtruth and build
-    its pulse signal, in that order: a bad manifest, a missing groundtruth
-    (when required) or a malformed one, a bad box track or a band whose
-    upper edge is not below the session's Nyquist frequency is refused
-    before any frame is read.
+def load_session(manifest: SessionManifest, params: PipelineParams = PipelineParams()) -> Session:
+    """Load the groundtruth a session's manifest names, if any, and build
+    its pulse signal, in that order: a manifest that is not the
+    SessionManifest open_session returns, a malformed groundtruth, a bad
+    box track or a band whose upper edge is not below the session's
+    Nyquist frequency is refused before any frame is read.
 
     The signal is built by loading the box track, placing the regions in
     every frame, mapping the frames, reducing them to per-region channel
@@ -149,12 +148,8 @@ def load_session(source: str | os.PathLike, params: PipelineParams = PipelinePar
     than the bandpass filter stay usable.
     """
     require_type(params, PipelineParams, "params")
-    require_type(require_groundtruth, bool, "require_groundtruth")
-    manifest = open_session(source)
-    gt_path = manifest.groundtruth_path
-    if gt_path is None and require_groundtruth:
-        raise MissingFileError(f"session {session_id(source)} has no groundtruth file")
-    gt = None if gt_path is None else load_groundtruth(gt_path)
+    require_type(manifest, SessionManifest, "session")
+    gt = None if manifest.groundtruth_path is None else load_groundtruth(manifest.groundtruth_path)
     # the float track is dropped once the regions are placed, and the
     # rects once the frames are reduced: conditioning holds only the means
     rects, valid = place_regions(load_box_track(manifest.boxes_path, manifest.frame_count),
@@ -210,16 +205,16 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     no sessions, two paths that share a session_id, no lengths, a length
     that is not a number, not positive and finite, or shorter than two
     cycles of the band's lower edge raise InputError before any session
-    is opened.  Every session is then opened, which reads no frame: the
-    report's channel is CHANNEL_OF_FORMAT of the pixel format of those
-    that open, and InputError is raised when none opens, quoting the
-    first one's error, or when they mix formats, naming one of each.
-    Each session is loaded by load_session, which requires its
-    groundtruth; its conditioned signal is built once and re-windowed
-    per length.
-    A session that fails to open or process is recorded and skipped; a
-    (session, length) pair that fails (too short, missing reference
-    samples) is recorded and left out of that length's aggregate.
+    is opened.  Every session is then opened once, which reads no frame:
+    the report's channel is CHANNEL_OF_FORMAT of the pixel format of
+    those that open, and InputError is raised when none opens, quoting
+    the first one's error, or when they mix formats, naming one of each.
+    Each manifest that names a groundtruth goes to load_session, and its
+    conditioned signal is built once and re-windowed per length.
+    A session that fails to open or load, or has no groundtruth, is
+    recorded and skipped; a (session, length) pair that fails (too short,
+    missing reference samples) is recorded and left out of that length's
+    aggregate.
     """
     require_type(params, PipelineParams, "params")
     if isinstance(sessions, (str, os.PathLike)):
@@ -237,25 +232,27 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
         raise InputError("no window lengths given")
     params.band.check_two_cycles(specs[0].length)  # the shortest
     first = {}  # pixel format -> the id of its first session
-    error = None  # the first error opening a session gave
+    kept, skipped = [], []  # the (id, manifest) pairs to load; SkippedSessions
     for sid, source in order:
         try:
-            first.setdefault(open_session(source).pixel_format, sid)
+            manifest = open_session(source)
+            first.setdefault(manifest.pixel_format, sid)
+            if manifest.groundtruth_path is None:
+                raise MissingFileError(f"session {sid} has no groundtruth file")
+            kept.append((sid, manifest))
         except FacePulseError as exc:
-            error = error or exc
+            skipped.append(_skip(sid, None, exc))
     if not first:
-        raise InputError(f"no session could be opened; {order[0][0]} gave "
-                         f"{type(error).__name__}: {error}")
+        raise InputError(f"no session could be opened; {skipped[0].error}")
     if len(first) > 1:
         raise InputError("sessions mix pixel formats: " + ", ".join(
             f"{sid} is {fmt}" for fmt, sid in first.items()))
     channel = CHANNEL_OF_FORMAT[next(iter(first))]
     rows: list[SessionResult] = []
-    skipped: list[SkippedSession] = []
 
-    for sid, source in order:
+    for sid, manifest in kept:
         try:
-            session = load_session(source, params, require_groundtruth=True)
+            session = load_session(manifest, params)
         except FacePulseError as exc:
             skipped.append(_skip(sid, None, exc))
             continue
@@ -271,6 +268,7 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
                     n_windows=len(series)))
             except FacePulseError as exc:
                 skipped.append(_skip(sid, spec.length, exc))
+    skipped.sort(key=lambda s: s.session)  # stable: each session's lengths stay in order
 
     by_length = ([r for r in rows if r.window_s == spec.length] for spec in specs)
     aggregates = [

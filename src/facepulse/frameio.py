@@ -157,12 +157,15 @@ def require_file(path: Path, what: str) -> None:
 
 
 def nearest_existing(path: Path, what: str) -> Path:
-    """The nearest existing part of path, itself or a parent; a lookup that
-    fails with OSError (e.g. ENAMETOOLONG) raises InputError naming what."""
+    """The nearest existing part of path, itself or a parent; InputError
+    naming what when it is not a directory or a lookup fails (OSError)."""
     try:
-        return next(p for p in (path, *path.parents) if p.exists())
+        nearest = next(p for p in (path, *path.parents) if p.exists())
     except OSError as exc:
         raise InputError(f"{what} {path}: {exc.strerror}") from exc
+    if not nearest.is_dir():
+        raise InputError(f"{what} {path}: {nearest} exists and is not a directory")
+    return nearest
 
 
 def read_csv_rows(path: Path, what: str, header: str,

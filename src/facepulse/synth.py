@@ -206,9 +206,9 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     Rendering is deterministic: the same config (seed included) produces
     bitwise-identical files.  Returns the manifest re-read through the
     ingest path, so the emitted files are validated on the way out.
-    A session whose frames and groundtruth rows (9 bytes or more each)
-    exceed the free disk space, or an out_dir whose nearest existing
-    part is not a directory, is refused before anything is made.
+    An out_dir whose nearest existing part is not a directory, or a
+    session whose frames and groundtruth rows (9 bytes or more each)
+    exceed the free disk space, is refused before anything is made.
     """
     require_type(config, SynthConfig, "config")
     out_dir = as_path(out_dir, "out_dir")
@@ -221,8 +221,6 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
         # a count beyond the float range is quoted as the float maximum
         raise InputError(f"the session needs at least {min(need, sys.float_info.max):.3g} "
                          f"bytes; {nearest} has {free} free")
-    if not nearest.is_dir():
-        raise InputError(f"out_dir {out_dir}: {nearest} exists and is not a directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     # noise is drawn frame by frame from one PCG64 stream
     rng = np.random.default_rng(config.seed) if config.noise_sigma > 0 else None

@@ -85,7 +85,7 @@ def test_a2_step_change(tmp_path, check):
                             hr_profile=StepProfile(70.0, 100.0, 30.0))
     t_switch = 30.0
 
-    signal = load_session(manifest_path, require_groundtruth=False).signal
+    signal = load_session(open_session(manifest_path)).signal
     series5 = estimate_series(signal, WindowSpec(5.0))
     pre, post, straddle5 = [], [], []
     for s, e, bpm in zip(series5.window_start, series5.window_end, series5.bpm):
@@ -246,7 +246,7 @@ def test_a7_performance(tmp_path, check):
                             hr_profile=ConstantProfile(72.0))
     try:
         start = time.perf_counter()
-        series = estimate_series(load_session(manifest_path, require_groundtruth=False).signal,
+        series = estimate_series(load_session(open_session(manifest_path)).signal,
                                  WindowSpec(10.0))
         elapsed = time.perf_counter() - start
     finally:

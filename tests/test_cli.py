@@ -315,9 +315,9 @@ class TestEvaluateCommand:
         out = tmp_path / "rep"
         rc = main(["evaluate", str(tmp_path / "missing"), str(bad), "--out", str(out)])
         assert rc == 1
-        # the first session in id order is quoted
+        # the first session in id order is quoted, once
         assert capsys.readouterr().err == (
-            "error: InputError: no session could be opened; bad gave "
+            "error: InputError: no session could be opened; "
             f"MalformedManifestError: {bad / 'session.json'}: missing manifest keys "
             "['boxes', 'fps', 'frame_count', 'frames', 'height', 'pixel_format', "
             "'width']\n")
@@ -530,6 +530,25 @@ class TestSweepCommand:
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage:" in capsys.readouterr().err
+
+
+def test_parser_built_once(tmp_path, monkeypatch, capsys):
+    """main parses with the one parser built at import: a parser built per
+    call would outlive it in reference cycles, for the collector to free."""
+    def no_parser():
+        raise AssertionError("a parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    argv = ["estimate", str(tmp_path / "missing"), "--out", str(tmp_path / "out")]
+    gc.collect()
+    gc.disable()  # no collection may run inside the call
+    try:
+        assert main(argv) == 1
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
+    assert capsys.readouterr().err.startswith("error: MissingFileError: manifest not found")
 
 
 def test_os_error_exits_2(tmp_path, monkeypatch, capsys):

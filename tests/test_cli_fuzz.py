@@ -1,7 +1,7 @@
-"""CLI robustness: mutated sidecar files, edited pixels and out-of-range
-numbers.
+"""CLI robustness: mutated sidecar files, edited pixels, out-of-range
+numbers and odd argument text.
 
-Whatever the sidecars, the frames or the numeric flags hold, `main()`
+Whatever the sidecars, the frames or the flags hold, `main()`
 returns 0, 1 or 2 and prints at most one `error:` line, and no number it
 writes is NaN or infinite.  Skip notes (`#` lines of a report CSV, `error` strings of a
 report JSON) quote the offending input on purpose, so only the numbers
@@ -450,3 +450,80 @@ def test_long_argument_refusal_is_short(base, tmp_path, monkeypatch, argv, quote
     assert rc == 1 and _error_lines(err) == 1
     assert all(len(line.encode()) < 200 for line in err.splitlines())
     assert quoted in err
+
+
+# flag text that no setting holds: long, non-ASCII, empty, not a number
+# or beyond the float range, and negative zero
+ODD_TEXT = ["x" * 3000, "é" * 3000, "héllo ☃ 日本", "", "nan", "1e400", "-0", "inf"]
+USABLE = "usable"  # a flag given its usable value, from USABLE_VALUES
+# each subcommand's flags with a usable value (None: a flag that takes
+# none), and the fewest and most sessions it is given; synth renders 2 s
+# of 16x16 frames unless a drawn flag changes that
+USABLE_VALUES = {
+    "synth": {"--out": "out", "--hr": "72", "--profile": "ramp:60,80", "--duration": "2",
+              "--fps": "10", "--width": "16", "--height": "16", "--base-color": "170,120,100",
+              "--amplitude": "0.01", "--noise": "1", "--drift": "0.05", "--seed": "1",
+              "--mono": None, "--second-harmonic": None},
+    "estimate": {"--out": "out", "--window": "5", "--hop": "2.5", "--band": "0.7:4",
+                 "--combine": "green"},
+    "evaluate": {"--out": "out", "--window": "5", "--band": "0.7:4", "--combine": "green"},
+    "sweep": {"--out": "out", "--protocol": "5.1", "--lengths": "5,6", "--band": "0.7:4",
+              "--combine": "green"},
+}
+SESSION_COUNTS = {"synth": (0, 0), "estimate": (1, 1), "evaluate": (1, 2), "sweep": (1, 2)}
+SYNTH_SMALL = ["--width", "16", "--height", "16", "--fps", "10", "--duration", "2"]
+# the sessions a drawn argv may name
+SESSIONS = ("tiny", "base", "refused", "missing")
+
+
+@pytest.fixture(scope="module")
+def named_sessions(base, tiny_session, tmp_path_factory) -> dict[str, str]:
+    """conftest's tiny session, the 12 s `base`, a session whose manifest
+    is refused, under a name of over 30 bytes, and one that is missing."""
+    root = tmp_path_factory.mktemp("argv")
+    refused = root / "a-session-whose-manifest-is-refused"
+    refused.mkdir()
+    (refused / "session.json").write_text("{}")
+    return {"tiny": str(tiny_session), "base": str(base), "refused": str(refused),
+            "missing": str(root / "missing")}
+
+
+_argv = st.sampled_from(sorted(USABLE_VALUES)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.lists(st.sampled_from(SESSIONS), min_size=SESSION_COUNTS[command][0],
+             max_size=SESSION_COUNTS[command][1], unique=True),
+    st.dictionaries(st.sampled_from(sorted(USABLE_VALUES[command])),
+                    st.sampled_from([USABLE, *ODD_TEXT]), max_size=3)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(drawn=_argv)
+@example(drawn=("evaluate", ["refused"], {}))
+@example(drawn=("evaluate", ["refused", "missing"], {"--out": "é" * 3000}))
+@example(drawn=("synth", [], {"--width": "x" * 3000}))
+@example(drawn=("synth", [], {"--mono": "é" * 3000}))
+@example(drawn=("estimate", ["base"], {"--combine": "é" * 3000}))
+@example(drawn=("sweep", ["base"], {"--protocol": "x" * 3000}))
+@example(drawn=("estimate", ["base"], {"--window": USABLE}))
+def test_argv_exits_cleanly(named_sessions, drawn):
+    """Any argv of a subcommand exits 0, 1 or 2 with at most one error
+    line, and every stderr line stays under 200 bytes plus the length of
+    the paths given (the sessions and --out)."""
+    command, sessions, flags = drawn
+    sessions = [named_sessions[s] for s in sessions]
+    values = {flag: USABLE_VALUES[command][flag] if value == USABLE else value
+              for flag, value in flags.items()}
+    argv = [command, *sessions, "--out", "out", *(SYNTH_SMALL if command == "synth" else [])]
+    for flag, value in values.items():
+        # odd text after a flag that takes no value is an argument the
+        # subcommand does not take
+        argv += [flag] if value is None else [flag, value]
+    paths = [*sessions, values.get("--out", "out")]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        mp.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
+        rc, err = _run(argv)
+    assert rc in (0, 1, 2)
+    assert _error_lines(err) == (rc != 0) and "Traceback" not in err
+    budget = 200 + sum(len(p.encode()) for p in paths)
+    assert all(len(line.encode()) < budget for line in err.splitlines())

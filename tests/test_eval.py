@@ -15,6 +15,7 @@ from facepulse import (ConstantProfile, EvalReport, GroundTruth, HrSeries, Synth
                        render_session, write_report_csv, write_report_json)
 from facepulse.cli import main
 from facepulse.errors import EmptyWindowGtError, InputError, MissingFileError
+from facepulse.frameio import map_frames, open_session
 from facepulse.evaluate import (CHANNELS, PROTOCOL_LENGTHS, PUBLISHED_MAE,
                                 AggregateResult, align_groundtruth, session_id, sub51_error,
                                 sub52_mae)
@@ -302,8 +303,8 @@ class TestEvaluateSessions:
             evaluate_sessions([mono, *eval_sessions], [10.0])
 
     def test_no_session_opens(self, tmp_path):
-        # the first session in id order is quoted
-        message = (f"no session could be opened; a gave MissingFileError: "
+        # the first session in id order is quoted, once
+        message = (f"no session could be opened; MissingFileError: "
                    f"manifest not found: {tmp_path / 'a'}")
         with pytest.raises(InputError, match=re.escape(message) + "$"):
             evaluate_sessions([tmp_path / "b", tmp_path / "a"], [10.0])
@@ -379,6 +380,35 @@ class TestEvaluateSessions:
         assert len(report.skipped) == 1
         assert report.skipped[0].window_s is None
         assert "groundtruth" in report.skipped[0].error
+
+    def test_each_session_opened_once(self, eval_sessions, tmp_path, monkeypatch):
+        """One open per session: a session without groundtruth is skipped
+        before any frame is mapped, and the skips keep session id order,
+        then length order."""
+        nogt = tmp_path / "hr99"
+        render_session(SynthConfig(width=16, height=16, duration=20.0), nogt)
+        manifest = json.loads((nogt / "session.json").read_text())
+        del manifest["groundtruth"]
+        (nogt / "session.json").write_text(json.dumps(manifest))
+        opened, mapped = [], []
+
+        def counting_open(source):
+            opened.append(session_id(source))
+            return open_session(source)
+
+        def recording_map(manifest):
+            mapped.append(manifest.frames_path.parent.name)
+            return map_frames(manifest)
+
+        monkeypatch.setattr(evaluate, "open_session", counting_open)
+        monkeypatch.setattr(evaluate, "map_frames", recording_map)
+        report = evaluate_sessions([nogt, *eval_sessions, tmp_path / "hr70"], [5.0, 30.0])
+        assert sorted(opened) == ["hr66", "hr70", "hr84", "hr99"]
+        assert mapped == ["hr66", "hr84"]
+        assert [(s.session, s.window_s, s.error.split(":")[0]) for s in report.skipped] == [
+            ("hr66", 30.0, "SessionTooShortError"), ("hr70", None, "MissingFileError"),
+            ("hr84", 30.0, "SessionTooShortError"), ("hr99", None, "MissingFileError")]
+        assert report.skipped[3].error == "MissingFileError: session hr99 has no groundtruth file"
 
     def test_deterministic(self, eval_sessions):
         a = evaluate_sessions(eval_sessions, [5.0, 10.0])

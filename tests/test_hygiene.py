@@ -342,20 +342,20 @@ def test_ranged_settings_bounds(make, bound, closed, way):
     (lambda out: facepulse.estimate_series(_SIGNAL, 10.0), "spec must be a WindowSpec, not float"),
     (lambda out: facepulse.estimate_series(np.arange(600.0), facepulse.WindowSpec(10.0)),
      "signal must be a PulseSignal, not ndarray"),
-    (lambda out: facepulse.load_session("s", None, require_groundtruth=False),
+    (lambda out: facepulse.load_session("s", None),
      "params must be a PipelineParams, not NoneType"),
     (lambda out: facepulse.evaluate_sessions(["s"], [10.0], params=None),
      "params must be a PipelineParams, not NoneType"),
     (lambda out: facepulse.SynthConfig(seed=True), "seed must be an int, not bool"),
     (lambda out: facepulse.SynthConfig(mono="no"), "mono must be a bool, not str"),
-    (lambda out: facepulse.load_session(out, require_groundtruth="no"),
-     "require_groundtruth must be a bool, not str"),
+    (lambda out: facepulse.load_session(str(out)),
+     "session must be a SessionManifest, not str"),
     (lambda out: facepulse.WindowSpec(True),
      r"window length must be a real number in \(0, inf\), not bool"),
     (lambda out: facepulse.evaluate_sessions([1, 2], [10.0]),
      "session path must be a str or PathLike, not int"),
-    (lambda out: facepulse.load_session(None, require_groundtruth=False),
-     "session path must be a str or PathLike, not NoneType"),
+    (lambda out: facepulse.load_session(None),
+     "session must be a SessionManifest, not NoneType"),
     (lambda out: facepulse.open_session(None),
      "session path must be a str or PathLike, not NoneType"),
     (lambda out: facepulse.load_groundtruth(None),
@@ -368,7 +368,7 @@ def test_ranged_settings_bounds(make, bound, closed, way):
      "report must be an EvalReport, not NoneType"),
 ], ids=["PipelineParams.band", "estimate_series.spec", "estimate_series.signal",
         "load_session.params", "evaluate_sessions.params", "SynthConfig.seed", "SynthConfig.mono",
-        "load_session.require_groundtruth", "WindowSpec.length",
+        "load_session.path", "WindowSpec.length",
         "evaluate_sessions.sessions", "load_session.source", "open_session.source",
         "load_groundtruth.path", "render_session.config", "write_report_csv.report",
         "write_report_json.report"])

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facepulse import (PipelineParams, RampProfile, SynthConfig, WindowSpec, estimate_series,
-                       load_session, render_session)
+                       load_session, open_session, render_session)
 from facepulse.pulse import COMBINE_METHODS
 
 FPS = 10.0
@@ -47,8 +47,7 @@ def _write_session(root: Path, frames: np.ndarray, boxes: np.ndarray,
 
 
 def _signal(session: Path, combine: str) -> np.ndarray:
-    return load_session(session, PipelineParams(combine=combine),
-                        require_groundtruth=False).signal.samples
+    return load_session(open_session(session), PipelineParams(combine=combine)).signal.samples
 
 
 @st.composite
@@ -140,7 +139,7 @@ def test_time_reversal(tmp_path, mono):
     backward = _write_session(tmp_path / "backward", frames[::-1], boxes[::-1], config.fps)
     spec = WindowSpec(10.0, 1.0)
     for combine in COMBINE_METHODS:
-        a, b = (load_session(s, PipelineParams(combine=combine), require_groundtruth=False).signal
+        a, b = (load_session(open_session(s), PipelineParams(combine=combine)).signal
                 for s in (forward, backward))
         assert np.max(np.abs(a.samples - b.samples[::-1])) <= 1e-12 * np.max(np.abs(a.samples))
         bpm_a, bpm_b = estimate_series(a, spec).bpm, estimate_series(b, spec).bpm

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from facepulse import BandLimits, DEFAULT_BAND, PipelineParams, load_session
+from facepulse import BandLimits, DEFAULT_BAND, PipelineParams, load_session, open_session
 from facepulse import evaluate, parallel, pulse, roi
 from facepulse.errors import (AllFramesInvalidError, FlatSignalError, InputError,
                               NonPositiveMeanError, SignalTooShortError,
@@ -416,8 +416,7 @@ class TestBandpass:
         monkeypatch.setattr(evaluate, "map_frames", no_frames)
         monkeypatch.setattr(evaluate, "extract_traces", no_frames)
         with pytest.raises(InputError, match="upper edge 5.0 Hz must be below Nyquist 5.0 Hz"):
-            load_session(tiny_session, PipelineParams(BandLimits(0.7, 5.0)),
-                         require_groundtruth=False)
+            load_session(open_session(tiny_session), PipelineParams(BandLimits(0.7, 5.0)))
 
 
 def _combine(window: np.ndarray, method: str) -> np.ndarray:

@@ -169,14 +169,10 @@ class TestRendering:
         {"fps": 1e-300, "duration": 1e300},  # one frame, 1e300 groundtruth rows
     ], ids=["fps", "duration", "frame-size", "groundtruth-rows"])
     def test_larger_than_free_space_refused(self, tmp_path, kwargs):
-        # out_dir lies under a regular file, so a render that made
-        # anything before the check would fail at mkdir, not write
-        blocker = tmp_path / "file"
-        blocker.write_text("kept\n")
+        # refused before out_dir or any file in it is made
         with pytest.raises(InputError, match="needs at least"):
-            render_session(SynthConfig(**kwargs), blocker / "s")
-        assert list(tmp_path.iterdir()) == [blocker]
-        assert blocker.read_text() == "kept\n"
+            render_session(SynthConfig(**kwargs), tmp_path / "s")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("out", ["file", "file/sub", "n" * 300],
                              ids=["file", "under-file", "long-name"])
@@ -216,7 +212,7 @@ class TestClosure:
         for name, drift in (("still", 0.0), ("drift", 0.1)):
             d = tmp_path / name
             render_session(SynthConfig(illum_drift=drift, **base), d)
-            series = estimate_series(load_session(d, require_groundtruth=False).signal,
+            series = estimate_series(load_session(open_session(d)).signal,
                                      WindowSpec(10.0))
             means.append(float(series.bpm.mean()))
         assert abs(means[0] - means[1]) < 1.0
@@ -227,7 +223,7 @@ class TestClosure:
         for name, mono in (("rgb", False), ("mono", True)):
             d = tmp_path / name
             render_session(SynthConfig(mono=mono, **base), d)
-            series = estimate_series(load_session(d, require_groundtruth=False).signal,
+            series = estimate_series(load_session(open_session(d)).signal,
                                      WindowSpec(10.0))
             means.append(float(series.bpm.mean()))
         assert abs(means[0] - means[1]) < 1.0
@@ -236,6 +232,6 @@ class TestClosure:
     def test_second_harmonic_keeps_fundamental(self, tmp_path):
         render_session(SynthConfig(duration=30.0, second_harmonic=True,
                                    hr_profile=ConstantProfile(66.0)), tmp_path)
-        series = estimate_series(load_session(tmp_path, require_groundtruth=False).signal,
+        series = estimate_series(load_session(open_session(tmp_path)).signal,
                                  WindowSpec(10.0))
         assert float(series.bpm.mean()) == pytest.approx(66.0, abs=2.0)
