@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 from itertools import repeat
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions, l
 from .frameio import nearest_existing, open_session, parse_finite, short_text
 from .pulse import COMBINE_METHODS, BandLimits, PipelineParams
 from .spectral import WindowSpec, estimate_series
-from .synth import ConstantProfile, SynthConfig, parse_profile, render_session
+from .synth import SynthConfig, parse_profile, render_session
 
 # --window of estimate and evaluate, in seconds
 WINDOW_S = 10.0
@@ -62,22 +63,9 @@ def _out_dir(text: str) -> Path:
     return Path(text)
 
 
-def _synth_config(args: argparse.Namespace) -> SynthConfig:
-    if args.hr is not None and args.profile is not None:
-        raise InputError("give either --hr or --profile, not both")
-    profile = (ConstantProfile(args.hr) if args.hr is not None
-               else parse_profile(args.profile) if args.profile is not None
-               else SynthConfig.hr_profile)
-    return SynthConfig(
-        width=args.width, height=args.height, fps=args.fps,
-        duration=args.duration, base_color=args.base_color,
-        pulse_amplitude=args.amplitude, hr_profile=profile,
-        noise_sigma=args.noise, illum_drift=args.drift, seed=args.seed,
-        mono=args.mono, second_harmonic=args.second_harmonic)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    manifest = render_session(_synth_config(args), args.out)
+    config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
+    manifest = render_session(config, args.out)
     print(f"wrote {manifest.frame_count} {manifest.pixel_format} frames "
           f"({manifest.duration:g} s) to {args.out}")
     return 0
@@ -195,35 +183,33 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Heart-rate estimation from face video.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # SynthConfig's defaults; argparse passes non-string defaults through untyped
+    # each flag's dest is the SynthConfig field it sets, and its default is
+    # that field's; argparse passes non-string defaults through untyped
     p = sub.add_parser("synth", help="render a synthetic session")
     p.add_argument("--out", required=True, type=Path,
                    help="output session directory")
-    p.add_argument("--hr", default=None, type=float,
-                   help=f"constant heart rate in bpm (default {SynthConfig.hr_profile.bpm:g})")
-    p.add_argument("--profile", default=None,
-                   help="constant:BPM, step:A,B,T or ramp:A,B")
-    p.add_argument("--duration", default=SynthConfig.duration, type=float,
-                   help="seconds (default %(default)s)")
-    p.add_argument("--fps", default=SynthConfig.fps, type=float,
-                   help="frames per second (default %(default)s)")
-    p.add_argument("--width", type=int, default=SynthConfig.width)
-    p.add_argument("--height", type=int, default=SynthConfig.height)
-    p.add_argument("--base-color", type=_parse_base_color, default=SynthConfig.base_color,
-                   metavar="R,G,B", help="skin base colour (default "
-                   + ",".join(f"{c:g}" for c in SynthConfig.base_color) + ")")
-    p.add_argument("--amplitude", default=SynthConfig.pulse_amplitude, type=float,
+    p.add_argument("--profile", dest="hr_profile", type=parse_profile, metavar="PROFILE",
+                   help="constant:BPM, step:A,B,T or ramp:A,B (default "
+                        f"constant:{SynthConfig.hr_profile.bpm:g})")
+    p.add_argument("--duration", type=float, help="seconds (default %(default)s)")
+    p.add_argument("--fps", type=float, help="frames per second (default %(default)s)")
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--base-color", type=_parse_base_color, metavar="R,G,B",
+                   help="skin base colour (default "
+                        + ",".join(f"{c:g}" for c in SynthConfig.base_color) + ")")
+    p.add_argument("--amplitude", dest="pulse_amplitude", type=float, metavar="AMPLITUDE",
                    help="fractional pulse amplitude (default %(default)s)")
-    p.add_argument("--noise", default=SynthConfig.noise_sigma, metavar="SIGMA", type=float,
+    p.add_argument("--noise", dest="noise_sigma", type=float, metavar="SIGMA",
                    help="gaussian pixel noise (default %(default)s)")
-    p.add_argument("--drift", default=SynthConfig.illum_drift, type=float,
+    p.add_argument("--drift", dest="illum_drift", type=float, metavar="DRIFT",
                    help="illumination drift depth (default %(default)s)")
-    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--mono", action="store_true",
                    help="render single-channel gray8 frames")
     p.add_argument("--second-harmonic", action="store_true",
                    help="add a 0.3x second harmonic to the pulse wave")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, **{f.name: f.default for f in fields(SynthConfig)})
 
     p = sub.add_parser("estimate", help="estimate heart rate for one session")
     p.add_argument("session", help="session directory or manifest path")

@@ -29,7 +29,7 @@ def _pair(root, *flags):
     """Two quick 20 s sessions for the report commands."""
     for name, hr in (("s01", "66"), ("s02", "84")):
         rc = main(["synth", "--out", str(root / name), "--duration", "20",
-                   "--width", "16", "--height", "16", "--hr", hr, *flags])
+                   "--width", "16", "--height", "16", "--profile", f"constant:{hr}", *flags])
         assert rc == 0
     return [str(root / "s01"), str(root / "s02")]
 
@@ -57,16 +57,18 @@ class TestSynthCommand:
         assert "wrote 60 rgb8 frames" in capsys.readouterr().out
 
     def test_hr_out_of_range(self, tmp_path, capsys):
-        rc = main(["synth", "--out", str(tmp_path), "--hr", "500"])
+        rc = main(["synth", "--out", str(tmp_path), "--profile", "constant:500"])
         assert rc == 1
         err = capsys.readouterr().err
         assert "42" in err and "240" in err
 
-    def test_hr_and_profile_conflict(self, tmp_path, capsys):
-        rc = main(["synth", "--out", str(tmp_path), "--hr", "70",
-                   "--profile", "ramp:60,90"])
+    def test_hr_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the constant profile is --profile constant:BPM; --hr is gone
+        out = tmp_path / "sess"
+        rc = main(["synth", "--out", str(out), "--hr", "70"])
         assert rc == 1
-        assert "not both" in capsys.readouterr().err
+        assert "unrecognized arguments: --hr 70" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_step_profile_and_mono(self, tmp_path):
         out = tmp_path / "mono"

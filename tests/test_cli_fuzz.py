@@ -260,7 +260,7 @@ REPRODUCERS = [
     (["synth", "--base-color", "nan,1,1"], 1),
     (["synth", "--base-color", "1,2"], 1),
     (["synth", "--base-color", "1,2,3,4"], 1),
-    (["synth", "--hr", "nan"], 1),
+    (["synth", "--profile", "constant:nan"], 1),
     (["synth", "--amplitude", "inf"], 1),
     (["synth", "--drift", "nan"], 1),
     (["evaluate", "{s}", "--window", "nan"], 1),
@@ -460,7 +460,7 @@ USABLE = "usable"  # a flag given its usable value, from USABLE_VALUES
 # none), and the fewest and most sessions it is given; synth renders 2 s
 # of 16x16 frames unless a drawn flag changes that
 USABLE_VALUES = {
-    "synth": {"--out": "out", "--hr": "72", "--profile": "ramp:60,80", "--duration": "2",
+    "synth": {"--out": "out", "--profile": "ramp:60,80", "--duration": "2",
               "--fps": "10", "--width": "16", "--height": "16", "--base-color": "170,120,100",
               "--amplitude": "0.01", "--noise": "1", "--drift": "0.05", "--seed": "1",
               "--mono": None, "--second-harmonic": None},

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 import facepulse
-from facepulse.cli import _synth_config, build_parser, main
+from facepulse.cli import build_parser, main
 from facepulse.evaluate import CHANNEL_OF_FORMAT, CHANNELS, PROTOCOL_LENGTHS
 from facepulse.frameio import BYTES_PER_PIXEL, SessionManifest
 
@@ -461,9 +461,16 @@ def test_settings_refused_only_through_frameio():
 
 
 def test_synth_defaults_are_synth_configs():
-    """synth without flags renders the SynthConfig defaults."""
-    args = build_parser().parse_args(["synth", "--out", "x"])
-    assert _synth_config(args) == facepulse.SynthConfig()
+    """Every SynthConfig field is the dest of one synth flag, and synth
+    without flags parses to SynthConfig()."""
+    names = [f.name for f in dataclasses.fields(facepulse.SynthConfig)]
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in sub.choices["synth"]._actions]
+    assert sorted(dest for dest in dests if dest in names) == sorted(names)
+    args = parser.parse_args(["synth", "--out", "x"])
+    assert facepulse.SynthConfig(**{name: getattr(args, name) for name in names}) \
+        == facepulse.SynthConfig()
 
 
 def _library_section() -> str:
