@@ -131,9 +131,10 @@ def _run_report(args: argparse.Namespace, lengths: list[float], stem: str) -> in
     path = args.out / stem.format(channel=report.channel)
     write_report_csv(report, path.with_suffix(".csv"))
     write_report_json(report, path.with_suffix(".json"))
+    # the error often names the session's path: the id is quoted short
     for s in report.skipped:
         where = "all lengths" if s.window_s is None else f"T={s.window_s:g}s"
-        print(f"note: skipped {s.session} ({where}): {s.error}", file=sys.stderr)
+        print(f"note: skipped {short_text(s.session)} ({where}): {s.error}", file=sys.stderr)
     for a in report.aggregates:
         print(f"T={a.window_s:g}s sub51={a.sub51_bpm:.2f} bpm "
               f"sub52={a.sub52_bpm:.2f} bpm (n={a.n_sessions})")

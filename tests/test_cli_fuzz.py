@@ -479,13 +479,14 @@ SESSIONS = ("tiny", "base", "refused", "missing")
 @pytest.fixture(scope="module")
 def named_sessions(base, tiny_session, tmp_path_factory) -> dict[str, str]:
     """conftest's tiny session, the 12 s `base`, a session whose manifest
-    is refused, under a name of over 30 bytes, and one that is missing."""
+    is refused, under a name of over 30 bytes, one that is missing, and
+    one missing under a 250-byte name (a directory name may hold 255)."""
     root = tmp_path_factory.mktemp("argv")
     refused = root / "a-session-whose-manifest-is-refused"
     refused.mkdir()
     (refused / "session.json").write_text("{}")
     return {"tiny": str(tiny_session), "base": str(base), "refused": str(refused),
-            "missing": str(root / "missing")}
+            "missing": str(root / "missing"), "missing-long": str(root / ("m" * 250))}
 
 
 _argv = st.sampled_from(sorted(USABLE_VALUES)).flatmap(lambda command: st.tuples(
@@ -500,6 +501,7 @@ _argv = st.sampled_from(sorted(USABLE_VALUES)).flatmap(lambda command: st.tuples
 @given(drawn=_argv)
 @example(drawn=("evaluate", ["refused"], {}))
 @example(drawn=("evaluate", ["refused", "missing"], {"--out": "é" * 3000}))
+@example(drawn=("evaluate", ["tiny", "missing-long"], {}))  # its skip note names it once
 @example(drawn=("synth", [], {"--width": "x" * 3000}))
 @example(drawn=("synth", [], {"--mono": "é" * 3000}))
 @example(drawn=("estimate", ["base"], {"--combine": "é" * 3000}))
