@@ -1,4 +1,4 @@
-"""Command-line front end: synth, estimate, evaluate, sweep.
+"""Command-line front end: synth, estimate, sweep.
 
 Exit codes: 0 success, 1 bad input (missing or malformed files, bad
 arguments), 2 processing failure on well-formed input.
@@ -22,7 +22,7 @@ from .pulse import COMBINE_METHODS, BandLimits, PipelineParams
 from .spectral import WindowSpec, estimate_series
 from .synth import SynthConfig, parse_profile, render_session
 
-# --window of estimate and evaluate, in seconds
+# --window of estimate, in seconds
 WINDOW_S = 10.0
 
 # windows per slice of the estimate CSV columns turned into Python floats
@@ -122,13 +122,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_report(args: argparse.Namespace, lengths: list[float], stem: str) -> int:
-    """Evaluate the sessions and write stem.csv and stem.json, where
-    stem may name the report's {channel}."""
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Evaluate the sessions and write report_{channel}.csv and .json."""
+    if args.lengths is not None:
+        lengths = _parse_lengths(args.lengths)
+    else:
+        lengths = list(PROTOCOL_LENGTHS[args.protocol])
     report = evaluate_sessions(args.sessions, lengths,
                                params=PipelineParams(args.band, args.combine))
     args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / stem.format(channel=report.channel)
+    path = args.out / f"report_{report.channel}"
     write_report_csv(report, path.with_suffix(".csv"))
     write_report_json(report, path.with_suffix(".json"))
     # the error often names the session's path: the id is quoted short
@@ -147,18 +150,6 @@ def _run_report(args: argparse.Namespace, lengths: list[float], stem: str) -> in
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    return _run_report(args, [args.window], "report")
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.lengths is not None:
-        lengths = _parse_lengths(args.lengths)
-    else:
-        lengths = list(PROTOCOL_LENGTHS[args.protocol])
-    return _run_report(args, lengths, "report_{channel}")
-
-
 def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
     band = PipelineParams.band
     sub.add_argument("--band", type=_parse_band, default=band, metavar="LO:HI",
@@ -168,15 +159,6 @@ def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
                      help="rgb8 channel combination (default %(default)s); green "
                           "reads G only, and gray8 passes its one channel "
                           "through under every method")
-
-
-def _add_report_flags(sub: argparse.ArgumentParser) -> None:
-    """The sessions, --out and signal flags of evaluate and sweep."""
-    sub.add_argument("sessions", nargs="+",
-                     help="session directories or manifest paths")
-    sub.add_argument("--out", required=True, type=_out_dir,
-                     help="output directory")
-    _add_signal_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,15 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_signal_flags(p)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("evaluate",
-                       help="score sessions against their groundtruth")
-    _add_report_flags(p)
-    p.add_argument("--window", default=WINDOW_S, type=float,
-                   help="window length in seconds (default %(default)s)")
-    p.set_defaults(func=cmd_evaluate)
-
     p = sub.add_parser("sweep", help="evaluate across window lengths")
-    _add_report_flags(p)
+    p.add_argument("sessions", nargs="+",
+                   help="session directories or manifest paths")
+    p.add_argument("--out", required=True, type=_out_dir,
+                   help="output directory")
+    _add_signal_flags(p)
     p.add_argument("--protocol", choices=sorted(PROTOCOL_LENGTHS),
                    default="5.2",
                    help="default length set to sweep (default %(default)s)")

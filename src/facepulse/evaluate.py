@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyWindowGtError, FacePulseError, InputError, MissingFileError
 from .frameio import (SessionManifest, as_path, map_frames, open_session, parse_finite,
-                      read_csv_rows, require_type, session_id)
+                      read_csv_rows, require_type, session_id, short_text)
 from .pulse import PipelineParams, PulseSignal, build_pulse_signal, extract_traces
 from .roi import load_box_track, place_regions
 from .spectral import HrSeries, WindowSpec, estimate_series
@@ -89,7 +89,7 @@ def align_groundtruth(gt: GroundTruth, starts: np.ndarray,
 
     gt.times must increase strictly, as load_groundtruth guarantees.
     Every window must contain at least one sample; windows that do not
-    are all collected into one EmptyWindowGtError.
+    are counted in one EmptyWindowGtError naming the first and the last.
     """
     starts = np.asarray(starts, dtype=np.float64)
     ends = np.asarray(ends, dtype=np.float64)
@@ -97,10 +97,10 @@ def align_groundtruth(gt: GroundTruth, starts: np.ndarray,
     hi = np.searchsorted(gt.times, ends, side="left")
     empty = hi <= lo
     if empty.any():
-        raise EmptyWindowGtError(
-            "windows without groundtruth samples: " + ", ".join(
-                f"[{start:g}, {end:g})"
-                for start, end in zip(starts[empty].tolist(), ends[empty].tolist())))
+        first, last = (f"[{starts[i]:g}, {ends[i]:g})"
+                       for i in np.flatnonzero(empty)[[0, -1]].tolist())
+        raise EmptyWindowGtError(f"{int(empty.sum())} of {len(starts)} windows without "
+                                 f"groundtruth samples, from {first} to {last}")
     # windows of equal sample count c are gathered into (k, c) rows and
     # averaged along the contiguous last axis, which sums each row
     # pairwise as gt.bpm[a:b].mean() does; a cumulative sum or reduceat
@@ -218,7 +218,8 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     """
     require_type(params, PipelineParams, "params")
     if isinstance(sessions, (str, os.PathLike)):
-        raise InputError(f"sessions must be a list of paths, not the one path {sessions!r}")
+        raise InputError("sessions must be a list of paths, not the one path "
+                         + short_text(sessions))
     order = sorted(((session_id(p), p) for p in sessions), key=lambda named: named[0])
     for (sid, a), (other, b) in zip(order, order[1:]):
         if sid == other:
@@ -226,7 +227,7 @@ def evaluate_sessions(sessions: list[str | os.PathLike],
     if not order:
         raise InputError("no sessions given")
     if isinstance(lengths, (str, bytes)) or not np.iterable(lengths):
-        raise InputError(f"lengths must be a list of seconds, not {lengths!r}")
+        raise InputError(f"lengths must be a list of seconds, not {short_text(lengths)}")
     specs = sorted({WindowSpec(length=t) for t in lengths}, key=lambda spec: spec.length)
     if not specs:
         raise InputError("no window lengths given")

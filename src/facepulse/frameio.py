@@ -99,9 +99,9 @@ def short_number(value) -> str:
 
 def short_text(value) -> str:
     """repr(value) for a message, a text or list from outside input: its
-    first 32 characters and "..." when it is longer."""
-    text = repr(value)
-    return text if len(text) <= 32 else text[:32] + "..."
+    first 32 bytes in UTF-8, no character cut, and "..." when it is longer."""
+    text = repr(value).encode()
+    return text.decode() if len(text) <= 32 else text[:32].decode(errors="ignore") + "..."
 
 
 def require_type(value, kind, what: str):

@@ -25,7 +25,7 @@ from .errors import (
     SignalTooShortError,
     WindowTooShortError,
 )
-from .frameio import require_real, require_type, short_number
+from .frameio import require_real, require_type, short_number, short_text
 from .parallel import run_spans
 
 # the rgb8 channels (R, G, B) each combine method reads; gray8's one is read by all
@@ -104,7 +104,7 @@ class PipelineParams:
     def __post_init__(self):
         require_type(self.band, BandLimits, "band")
         if self.combine not in COMBINE_METHODS:
-            raise InputError(f"unknown combine method {self.combine!r}; "
+            raise InputError(f"unknown combine method {short_text(self.combine)}; "
                              f"use one of {COMBINE_METHODS}")
 
 

@@ -4,11 +4,11 @@ Deliberately written without vectorisation across windows, regions or
 frames and without any import from the package, so the fast
 implementations are checked against separately derived arithmetic.  The
 metric, detrend, bandpass and tap references use only the standard library,
-so the fast code matches them within rounding; the placement reference
-uses it too, and rounds each rect alone as the fast code does, so they
-match exactly.  The spectral and combine references make the same numpy
-calls on one window or one region at a time, so the batched code must
-match them bit for bit.
+so the fast code matches them within rounding; the placement and box
+track references use it too, and work out each rect or box alone with
+the fast code's arithmetic, so they match exactly.  The spectral and
+combine references make the same numpy calls on one window or one
+region at a time, so the batched code must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -64,6 +64,27 @@ def ref_place_regions(boxes: list, frame_w: int, frame_h: int, fractions: list,
         rects.append(box_rects)
         valid.append(all(rw * rh >= min_area for _, _, rw, rh in box_rects))
     return rects, valid
+
+
+def ref_box_track(anchors: list, frame_count: int) -> list[list[float]]:
+    """One x, y, w, h box per frame from (frame index, box) anchors in
+    increasing frame order, a frame at a time: a lone ("*", box) anchor is
+    copied to every frame, a frame on an anchor or outside the annotated
+    span copies the nearest anchor, and a frame i between the anchors
+    (ka, a) and (kb, b) gets (b - a) * ((i - ka) / (kb - ka)) + a."""
+    if anchors[0][0] == "*":
+        return [list(anchors[0][1]) for _ in range(frame_count)]
+    track = []
+    for i in range(frame_count):
+        if i <= anchors[0][0]:
+            track.append(list(anchors[0][1]))
+        elif i >= anchors[-1][0]:
+            track.append(list(anchors[-1][1]))
+        else:
+            (ka, a), (kb, b) = next((lo, hi) for lo, hi in zip(anchors, anchors[1:])
+                                    if lo[0] <= i < hi[0])
+            track.append([(vb - va) * ((i - ka) / (kb - ka)) + va for va, vb in zip(a, b)])
+    return track
 
 
 def ref_roi_means(frames: list, rects: list) -> list[list[list[float]]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import shutil
@@ -237,6 +238,20 @@ class TestEstimateCommand:
         assert sorted(p.name for p in out.iterdir()) == ["estimates.csv", "summary.json"]
         assert "skipping compare.csv" in capsys.readouterr().err
 
+    def test_empty_window_note_is_short(self, cli_session, tmp_path, capsys):
+        # groundtruth ends at 9 s: at a 0.1 s hop over 400 windows hold no
+        # sample, and the note counts them, naming the first and the last
+        session = tmp_path / "sess"
+        shutil.copytree(cli_session, session)
+        gt = session / "groundtruth.csv"
+        gt.write_text("\n".join(_lines(gt)[:11]) + "\n")
+        out = tmp_path / "est"
+        assert main(["estimate", str(session), "--out", str(out), "--hop", "0.1"]) == 0
+        [note] = capsys.readouterr().err.splitlines()
+        assert note == ("note: skipping compare.csv: 410 of 501 windows without groundtruth "
+                        "samples, from [9.1, 19.1) to [50, 60)")
+        assert len(note.encode()) < 200 + len(str(session)) + len(str(out))
+
     def test_session_shorter_than_filter(self, tmp_path, capsys):
         out = tmp_path / "blip"
         main(["synth", "--out", str(out), "--duration", "4",
@@ -259,12 +274,15 @@ class TestEstimateCommand:
 
 
 class TestEvaluateCommand:
+    """Scoring sessions against their groundtruth, as sweep does at one
+    window length."""
+
     def test_report_files(self, short_pair, tmp_path, capsys):
         out = tmp_path / "rep"
-        rc = main(["evaluate", *short_pair, "--out", str(out)])
+        rc = main(["sweep", *short_pair, "--out", str(out), "--lengths", "10"])
         assert rc == 0
-        assert (out / "report.csv").is_file()
-        payload = json.loads((out / "report.json").read_text())
+        assert (out / "report_rgb.csv").is_file()
+        payload = json.loads((out / "report_rgb.json").read_text())
         assert len(payload["sessions"]) == 2
         assert payload["dataset"][0]["n_sessions"] == 2
         for row in payload["sessions"]:
@@ -275,27 +293,25 @@ class TestEvaluateCommand:
     def test_channel_label(self, mono_pair, tmp_path, capsys):
         # gray8 sessions are labelled nir, and quote the NIR figures
         out = tmp_path / "rep"
-        assert main(["evaluate", *mono_pair, "--out", str(out), "--window", "15"]) == 0
-        payload = json.loads((out / "report.json").read_text())
+        assert main(["sweep", *mono_pair, "--out", str(out), "--lengths", "15"]) == 0
+        payload = json.loads((out / "report_nir.json").read_text())
         assert payload["channel"] == "nir"
         assert payload["reference_mae_bpm"] == {"session": {"15": 7.08},
                                                 "monitoring": {"15": 9.67}}
-        assert {line.split(",")[1] for line in _lines(out / "report.csv")[1:]} == {"nir"}
-        assert main(["sweep", *mono_pair, "--out", str(out), "--lengths", "15"]) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "report.csv", "report.json", "report_nir.csv", "report_nir.json"]
+        assert {line.split(",")[1] for line in _lines(out / "report_nir.csv")[1:]} == {"nir"}
+        assert sorted(p.name for p in out.iterdir()) == ["report_nir.csv", "report_nir.json"]
         capsys.readouterr()
 
     def test_channel_flag_is_a_usage_error(self, short_pair, tmp_path, capsys):
         out = tmp_path / "rep"
-        rc = main(["evaluate", *short_pair, "--out", str(out), "--channel", "rgb"])
+        rc = main(["sweep", *short_pair, "--out", str(out), "--lengths", "10",
+                   "--channel", "rgb"])
         assert rc == 1
         assert "unrecognized arguments: --channel rgb" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_mixed_pixel_formats_exit_1(self, short_pair, mono_pair, tmp_path,
-                                        monkeypatch, capsys, command):
+                                        monkeypatch, capsys):
         # refused before any frame is read: one session of each format is named
         def no_frames(manifest):
             raise AssertionError("a frame was read")
@@ -304,7 +320,7 @@ class TestEvaluateCommand:
         rgb = tmp_path / "rgb"
         shutil.copytree(short_pair[1], rgb)
         out = tmp_path / "rep"
-        rc = main([command, *mono_pair, str(rgb), "--out", str(out)])
+        rc = main(["sweep", *mono_pair, str(rgb), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: InputError: sessions mix pixel formats: rgb is rgb8, s01 is gray8\n")
@@ -315,7 +331,8 @@ class TestEvaluateCommand:
         bad.mkdir()
         (bad / "session.json").write_text("{}")
         out = tmp_path / "rep"
-        rc = main(["evaluate", str(tmp_path / "missing"), str(bad), "--out", str(out)])
+        rc = main(["sweep", str(tmp_path / "missing"), str(bad), "--out", str(out),
+                   "--lengths", "10"])
         assert rc == 1
         # the first session in id order is quoted, once
         assert capsys.readouterr().err == (
@@ -330,7 +347,8 @@ class TestEvaluateCommand:
         # one session scored twice would count twice in the dataset means
         s01, s02 = short_pair
         out = tmp_path / "rep"
-        rc = main(["evaluate", s01, twice.format(s=s01), s02, "--out", str(out)])
+        rc = main(["sweep", s01, twice.format(s=s01), s02, "--out", str(out),
+                   "--lengths", "10"])
         assert rc == 1
         err = capsys.readouterr().err
         # the message quotes both paths as given, not as resolved
@@ -344,13 +362,13 @@ class TestEvaluateCommand:
         gt = _lines(out / "groundtruth.csv")
         (out / "groundtruth.csv").write_text("\n".join(gt[:3]) + "\n")
         rep = tmp_path / "rep"
-        rc = main(["evaluate", str(out), "--out", str(rep)])
+        rc = main(["sweep", str(out), "--out", str(rep), "--lengths", "10"])
         assert rc == 2
         assert "note: skipped" in capsys.readouterr().err
         # the report is still written, with the skip recorded
         assert any(line.startswith("# skipped,")
-                   for line in _lines(rep / "report.csv"))
-        assert json.loads((rep / "report.json").read_text())["sessions"] == []
+                   for line in _lines(rep / "report_rgb.csv"))
+        assert json.loads((rep / "report_rgb.json").read_text())["sessions"] == []
 
     def test_nan_groundtruth_skips_session(self, cli_session, tmp_path,
                                            capsys):
@@ -360,12 +378,12 @@ class TestEvaluateCommand:
         gt = session / "groundtruth.csv"
         gt.write_text(gt.read_text().replace("1.0,72.0", "1.0,nan"))
         rep = tmp_path / "rep"
-        rc = main(["evaluate", str(session), "--out", str(rep)])
+        rc = main(["sweep", str(session), "--out", str(rep), "--lengths", "10"])
         assert rc == 1
         captured = capsys.readouterr()
         assert "=nan" not in captured.out
         assert "must be a finite number" in captured.err
-        assert json.loads((rep / "report.json").read_text())["dataset"] == []
+        assert json.loads((rep / "report_rgb.json").read_text())["dataset"] == []
 
     def test_bad_input_and_processing_skips_exit_2(self, cli_session,
                                                    tmp_path, capsys):
@@ -379,12 +397,12 @@ class TestEvaluateCommand:
         gt = short / "groundtruth.csv"
         gt.write_text("\n".join(gt.read_text().splitlines()[:3]) + "\n")
         rep = tmp_path / "rep"
-        rc = main(["evaluate", str(bad), str(short), "--out", str(rep)])
+        rc = main(["sweep", str(bad), str(short), "--out", str(rep), "--lengths", "10"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "must be a finite number" in err
         assert "EmptyWindowGtError" in err
-        payload = json.loads((rep / "report.json").read_text())
+        payload = json.loads((rep / "report_rgb.json").read_text())
         assert [s["session"] for s in payload["skipped"]] == ["bad", "short"]
         assert all(set(s) == {"session", "window_s", "error"}
                    for s in payload["skipped"])
@@ -407,10 +425,11 @@ class TestGroundtruthReadFirst:
         monkeypatch.setattr(evaluate, "extract_traces", no_frames)
         return session
 
-    @pytest.mark.parametrize("command", ["estimate", "evaluate"])
+    @pytest.mark.parametrize("argv", [["estimate"], ["sweep", "--lengths", "10"]],
+                             ids=lambda argv: argv[0])
     def test_malformed_groundtruth_exits_1(self, bad_gt_session, tmp_path, capsys,
-                                           command):
-        rc = main([command, str(bad_gt_session), "--out", str(tmp_path / "out")])
+                                           argv):
+        rc = main([*argv, str(bad_gt_session), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "groundtruth.csv:3: bpm" in capsys.readouterr().err
 
@@ -485,8 +504,9 @@ class TestPixelContent:
         assert err.count("error:") == 1 and "FlatSignalError" in err
         assert not out.exists()
         rep = tmp_path / "rep"
-        assert main(["evaluate", str(session), "--out", str(rep)]) == 2
-        skipped = json.loads((rep / "report.json").read_text())["skipped"]
+        assert main(["sweep", str(session), "--out", str(rep), "--lengths", "10"]) == 2
+        report = rep / f"report_{'nir' if mono else 'rgb'}.json"
+        skipped = json.loads(report.read_text())["skipped"]
         assert [(s["window_s"], s["error"].split(":")[0]) for s in skipped] == [
             (None, "FlatSignalError")]
 
@@ -527,6 +547,17 @@ class TestSweepCommand:
             outs.append(out)
         for name in ("report_rgb.csv", "report_rgb.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_subcommands_are_synth_estimate_sweep(short_pair, tmp_path, capsys):
+    """sweep is the one report command: evaluate is refused as an unknown
+    command, exit 1, before anything is written."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["synth", "estimate", "sweep"]
+    assert main(["evaluate", *short_pair, "--out", str(tmp_path / "out")]) == 1
+    assert "invalid choice: 'evaluate'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_subcommand(capsys):

@@ -41,8 +41,8 @@ def base(tmp_path_factory) -> Path:
     out = root / "s"
     assert main(["synth", "--out", str(out), "--duration", "12", "--fps", "10",
                  "--width", "16", "--height", "16"]) == 0
-    assert _run(["evaluate", str(out), "--out", str(root / "e"),
-                 "--window", "5"]) == (0, "")
+    assert _run(["sweep", str(out), "--out", str(root / "e"),
+                 "--lengths", "5"]) == (0, "")
     return out
 
 
@@ -98,9 +98,9 @@ def _error_lines(err: str) -> int:
 
 
 def _check_session(session: Path, out: Path, *flags: str) -> None:
-    for command in ("estimate", "evaluate"):
+    for command, length in (("estimate", "--window"), ("sweep", "--lengths")):
         rc, err = _run([command, str(session), "--out", str(out / command),
-                        "--window", "5", *flags])
+                        length, "5", *flags])
         assert rc in (0, 1, 2)
         assert _error_lines(err) == (rc != 0)
         _assert_finite_outputs(out / command)
@@ -245,7 +245,7 @@ MUTATION_IDS = [(HUGE_FPS, "fps=1e308"), (NULL_FRAMES, "frames=null"),
                 (m, f"{m[2]}=10**400") for m in HUGE_INTS]
 REPRODUCERS = [
     (["estimate", "{s}", "--window", "inf"], 1),
-    (["evaluate", "{s}", "--window", "inf"], 1),
+    (["sweep", "{s}", "--lengths", "inf"], 1),
     (["estimate", "{s}", "--hop", "nan"], 1),
     (["sweep", "{s}", "--lengths", "5,inf"], 1),
     (["sweep", "{s}", "--lengths", "0,10"], 1),
@@ -263,7 +263,7 @@ REPRODUCERS = [
     (["synth", "--profile", "constant:nan"], 1),
     (["synth", "--amplitude", "inf"], 1),
     (["synth", "--drift", "nan"], 1),
-    (["evaluate", "{s}", "--window", "nan"], 1),
+    (["sweep", "{s}", "--lengths", "nan"], 1),
     (["sweep", "{s}", "--lengths", ","], 1),
     (["synth", "--profile", "step:60,70,nan"], 1),
     (["synth", "--seed", "-1", "--noise", "1"], 1),
@@ -274,15 +274,14 @@ REPRODUCERS = [
     (["synth", "--out", "{file}/sub"], 1),
     (["synth", "--out", "{s}/{long}"], 1),
     (["estimate", "{s}", "--window", "1e308"], 2),
-    (["evaluate", "{s}", "--window", "1e308"], 2),
     (["sweep", "{s}", "--lengths", "1e308"], 2),
     # the 10 s window holds fewer than two cycles of the band's lower edge
     (["estimate", "{s}", "--band", "1e-300:4"], 1),
     (["estimate", "{s}", "--band", "1e-7:4"], 1),
     (["estimate", "{s}"], 2, HUGE_FPS),
-    (["evaluate", "{s}"], 2, HUGE_FPS),
+    (["sweep", "{s}", "--lengths", "10"], 2, HUGE_FPS),
     *((["estimate", "{s}"], 1, m) for m in HUGE_INTS),
-    *((["evaluate", "{s}"], 1, m) for m in HUGE_INTS),
+    *((["sweep", "{s}", "--lengths", "10"], 1, m) for m in HUGE_INTS),
     (["estimate", "{s}"], 1, NULL_FRAMES),
     (["estimate", "{s}"], 1, LONG_FRAMES),
     (["estimate", "{s}"], 1, LONG_BOXES),
@@ -291,12 +290,10 @@ REPRODUCERS = [
     (["estimate", "{s}"], 1, DICT_FORMAT),
     (["estimate", "{s}/{long}"], 1),
     # the bad session is skipped and the good one scored
-    (["evaluate", "{s}", "{base}"], 0, LONG_GT),
+    (["sweep", "{s}", "{base}", "--lengths", "10"], 0, LONG_GT),
     (["estimate", "{s}", "--out", "{file}"], 1),
     (["estimate", "{s}", "--out", "{file}/sub"], 1),
     (["estimate", "{s}", "--out", "{s}/{long}"], 1),
-    (["evaluate", "{s}", "--out", "{file}"], 1),
-    (["evaluate", "{s}", "--out", "{file}/sub"], 1),
     (["sweep", "{s}", "--out", "{file}"], 1),
     (["sweep", "{s}", "--out", "{file}/sub"], 1),
 ]
@@ -329,7 +326,7 @@ def test_bad_numbers_exit_cleanly(base, tmp_path, case):
     else:
         _assert_finite_outputs(out)
     if code == 0:
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report_rgb.json").read_text())
         assert report["sessions"]
         assert [(s["window_s"], s["error"].split(":")[0])
                 for s in report["skipped"]] == [(None, "MissingFileError")]
@@ -359,7 +356,7 @@ FLOAT_MAX = "1.79769313486232e+308"
 
 @pytest.mark.parametrize("argv, code, quoted, mutations", [
     (["estimate", "{s}", "--window", "1e290"], 2, "cannot fit one 1e+291-sample window", ()),
-    (["evaluate", "{s}", "--window", "1e290"], 2, "cannot fit one 1e+291-sample window", ()),
+    (["sweep", "{s}", "--lengths", "1e290"], 2, "cannot fit one 1e+291-sample window", ()),
     (["synth", "--fps", "1e300", "--duration", "1"], 1, "needs at least 1.23e+304 bytes", ()),
     (["estimate", "{s}"], 1, "expected 5.76e+303 bytes (120 frames of 4.8e+301)",
      (HUGE_WIDTH,)),
@@ -370,13 +367,13 @@ FLOAT_MAX = "1.79769313486232e+308"
     (["estimate", "{s}"], 1, f"got range [0, {FLOAT_MAX}]", (HUGE_INDEX,)),
     (["estimate", "{s}"], 1, f"increasing ({FLOAT_MAX} then {FLOAT_MAX})", (HUGE_ORDER,)),
     (["estimate", "{s}"], 1, "box coordinate must be a finite number, got inf", (HUGE_CELL,)),
-], ids=["estimate", "evaluate", "synth", "width", "width-height", "fps", "frame-index",
+], ids=["estimate", "sweep", "synth", "width", "width-height", "fps", "frame-index",
         "frame-order", "box-cell"])
 def test_huge_count_refusal_is_short(base, tmp_path, monkeypatch, argv, code, quoted,
                                      mutations):
     """A number worked out from a huge flag or read from a session's files
-    is quoted in short form: the error line, the evaluate skip note and
-    its report.csv row stay under 200 bytes."""
+    is quoted in short form: the error line, the sweep skip note and
+    its report_rgb.csv row stay under 200 bytes."""
     session, out = base, tmp_path / "out"
     if mutations:
         # a relative path keeps the quoted file names short wherever
@@ -389,13 +386,13 @@ def test_huge_count_refusal_is_short(base, tmp_path, monkeypatch, argv, code, qu
     rc, err = _run([a.format(s=session) for a in argv] + ["--out", str(out)])
     assert rc == code
     lines = [line for line in err.splitlines() if line.startswith(("error:", "note:"))]
-    if argv[0] == "evaluate":
-        lines += [line for line in (out / "report.csv").read_text().splitlines()
+    if argv[0] == "sweep":
+        lines += [line for line in (out / "report_rgb.csv").read_text().splitlines()
                   if line.startswith("# skipped,")]
-    assert len(lines) == (3 if argv[0] == "evaluate" else 1)
+    assert len(lines) == (3 if argv[0] == "sweep" else 1)
     assert all(len(line.encode()) < 200 for line in lines)
-    # the skip note and row quote the count; evaluate's error line does not
-    assert sum(quoted in line for line in lines) == (2 if argv[0] == "evaluate" else 1)
+    # the skip note and row quote the count; sweep's error line does not
+    assert sum(quoted in line for line in lines) == (2 if argv[0] == "sweep" else 1)
 
 
 # outside text that a refusal quotes: each is cut to its first 32
@@ -406,7 +403,8 @@ LONG_FORMAT = ("json", "session.json", "pixel_format", "p" * 3000)
 LONG_KEY = ("json", "session.json", "k" * 3000, 1)
 
 
-@pytest.mark.parametrize("command", ["estimate", "evaluate"])
+@pytest.mark.parametrize("command", [["estimate"], ["sweep", "--lengths", "10"]],
+                         ids=lambda command: command[0])
 @pytest.mark.parametrize("mutation, quoted", [
     (LONG_INDEX, "bad frame index '" + "1" * 31 + "..."),
     (LONG_CELL, "box coordinate must be a finite number, got '" + "x" * 31 + "..."),
@@ -415,17 +413,17 @@ LONG_KEY = ("json", "session.json", "k" * 3000, 1)
 ], ids=["frame-index", "box-cell", "pixel-format", "manifest-key"])
 def test_long_text_refusal_is_short(base, tmp_path, monkeypatch, command, mutation, quoted):
     """Text from a session's files that a refusal quotes is cut short: the
-    error and note lines and evaluate's report.csv skip row stay under
-    200 bytes.  A bad manifest stops evaluate before it writes a report."""
+    error and note lines and sweep's report_rgb.csv skip row stay under
+    200 bytes.  A bad manifest stops sweep before it writes a report."""
     monkeypatch.chdir(tmp_path)  # a relative path keeps the file names short
     session = Path("s")
     shutil.copytree(base, session)
     _apply(session, mutation)
-    rc, err = _run([command, str(session), "--out", "out"])
+    rc, err = _run([*command, str(session), "--out", "out"])
     assert rc == 1
     lines = [line for line in err.splitlines() if line.startswith(("error:", "note:"))]
-    if command == "evaluate" and mutation[1] == "boxes.csv":
-        lines += [line for line in Path("out/report.csv").read_text().splitlines()
+    if command[0] == "sweep" and mutation[1] == "boxes.csv":
+        lines += [line for line in Path("out/report_rgb.csv").read_text().splitlines()
                   if line.startswith("# skipped,")]
     assert _error_lines(err) == 1
     assert all(len(line.encode()) < 200 for line in lines)
@@ -466,11 +464,10 @@ USABLE_VALUES = {
               "--mono": None, "--second-harmonic": None},
     "estimate": {"--out": "out", "--window": "5", "--hop": "2.5", "--band": "0.7:4",
                  "--combine": "green"},
-    "evaluate": {"--out": "out", "--window": "5", "--band": "0.7:4", "--combine": "green"},
     "sweep": {"--out": "out", "--protocol": "5.1", "--lengths": "5,6", "--band": "0.7:4",
               "--combine": "green"},
 }
-SESSION_COUNTS = {"synth": (0, 0), "estimate": (1, 1), "evaluate": (1, 2), "sweep": (1, 2)}
+SESSION_COUNTS = {"synth": (0, 0), "estimate": (1, 1), "sweep": (1, 2)}
 SYNTH_SMALL = ["--width", "16", "--height", "16", "--fps", "10", "--duration", "2"]
 # the sessions a drawn argv may name
 SESSIONS = ("tiny", "base", "refused", "missing")
@@ -499,11 +496,13 @@ _argv = st.sampled_from(sorted(USABLE_VALUES)).flatmap(lambda command: st.tuples
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(drawn=_argv)
-@example(drawn=("evaluate", ["refused"], {}))
-@example(drawn=("evaluate", ["refused", "missing"], {"--out": "é" * 3000}))
-@example(drawn=("evaluate", ["tiny", "missing-long"], {}))  # its skip note names it once
+@example(drawn=("sweep", ["refused"], {"--lengths": "10"}))
+@example(drawn=("sweep", ["refused", "missing"], {"--out": "é" * 3000, "--lengths": "10"}))
+# its skip note names it once
+@example(drawn=("sweep", ["tiny", "missing-long"], {"--lengths": "10"}))
 @example(drawn=("synth", [], {"--width": "x" * 3000}))
 @example(drawn=("synth", [], {"--mono": "é" * 3000}))
+@example(drawn=("synth", [], {"--base-color": "é" * 3000}))  # quoted twice, in short form
 @example(drawn=("estimate", ["base"], {"--combine": "é" * 3000}))
 @example(drawn=("sweep", ["base"], {"--protocol": "x" * 3000}))
 @example(drawn=("estimate", ["base"], {"--window": USABLE}))

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facepulse import (ConstantProfile, EvalReport, GroundTruth, HrSeries, SynthConfig,
-                       evaluate, evaluate_sessions, load_groundtruth,
+from facepulse import (ConstantProfile, EvalReport, GroundTruth, HrSeries, PipelineParams,
+                       SynthConfig, evaluate, evaluate_sessions, load_groundtruth,
                        render_session, write_report_csv, write_report_json)
 from facepulse.cli import main
 from facepulse.errors import EmptyWindowGtError, InputError, MissingFileError
@@ -416,6 +416,21 @@ class TestEvaluateSessions:
         assert a == b
 
 
+@pytest.mark.parametrize("refuse, quoted", [
+    (lambda: evaluate_sessions("x" * 3000, [10.0]), "the one path 'x"),
+    (lambda: evaluate_sessions(["a"], "y" * 3000), "seconds, not 'y"),
+    (lambda: PipelineParams(combine="z" * 3000), "combine method 'z"),
+], ids=["sessions", "lengths", "combine"])
+def test_refusal_quotes_long_text_short(refuse, quoted):
+    """A library refusal quotes a long text it was given in short form:
+    its first 32 bytes, the opening quote included."""
+    with pytest.raises(InputError) as err:
+        refuse()
+    message = str(err.value)
+    assert quoted + quoted[-1] * 30 + "..." in message
+    assert len(message.encode()) < 200
+
+
 class TestReportFiles:
     def test_library_and_cli_reports_identical(self, eval_sessions, tmp_path, capsys):
         """A session directory, its manifest and the CLI give one report."""
@@ -425,10 +440,10 @@ class TestReportFiles:
             report = evaluate_sessions([source], [10.0])
             assert (len(report.rows), report.skipped) == (1, ())
             out.mkdir()
-            write_report_csv(report, out / "report.csv")
-            write_report_json(report, out / "report.json")
-        assert main(["evaluate", str(directory), "--out", str(outs[2])]) == 0
-        for name in ("report.csv", "report.json"):
+            write_report_csv(report, out / "report_rgb.csv")
+            write_report_json(report, out / "report_rgb.json")
+        assert main(["sweep", str(directory), "--out", str(outs[2]), "--lengths", "10"]) == 0
+        for name in ("report_rgb.csv", "report_rgb.json"):
             first, *rest = [(out / name).read_bytes() for out in outs]
             assert rest == [first, first]
 

@@ -105,13 +105,12 @@ def cases(by_format: dict[str, list[str]]) -> dict[str, list[str]]:
             for name, flags in ESTIMATE_FLAGS.items():
                 runs[f"estimate/{session[2:]}/{name}"] = ["estimate", session, "--out", "out",
                                                           *flags]
-        runs[f"evaluate/{fmt}"] = ["evaluate", *sessions, "--out", "out"]
+        runs[f"sweep-10/{fmt}"] = ["sweep", *sessions, "--out", "out", "--lengths", "10"]
         runs[f"sweep/{fmt}"] = ["sweep", *sessions, "--out", "out"]
     # exit 1: no session opens; exit 2: every session is too short
-    runs["refused/evaluate-none-opens"] = ["evaluate", "s/missing", "s/refused",
-                                           "--out", "out"]
-    runs["refused/evaluate-too-short"] = ["evaluate", *by_format["gray8"][:2], "--window",
-                                          "20", "--out", "out"]
+    runs["refused/sweep-none-opens"] = ["sweep", "s/missing", "s/refused", "--out", "out"]
+    runs["refused/sweep-too-short"] = ["sweep", *by_format["gray8"][:2], "--lengths", "20",
+                                       "--out", "out"]
     return runs
 
 
@@ -136,6 +135,15 @@ def run_matrix(runs: dict[str, list[str]]) -> dict[str, dict[str, object]]:
     return digests
 
 
+def moved_keys(old: dict, new: dict) -> list[str]:
+    """Each "run key" whose record differs between old and new, where the
+    key is exit, stdout, stderr or a written file's path; a run or key
+    that only one side holds is listed too."""
+    return [f"{run} {key}" for run in sorted(old.keys() | new.keys())
+            for key in sorted(old.get(run, {}).keys() | new.get(run, {}).keys())
+            if old.get(run, {}).get(key) != new.get(run, {}).get(key)]
+
+
 def environment() -> dict[str, str]:
     return {"numpy": np.__version__, "machine": platform.machine()}
 
@@ -156,10 +164,8 @@ def test_outputs_match_golden(matrix, monkeypatch, workers):
     root, runs = matrix
     monkeypatch.chdir(root)
     monkeypatch.setattr(parallel, "WORKERS", workers)
-    digests = run_matrix(runs)
-    moved = sorted(k for k in golden["runs"].keys() | digests.keys()
-                   if golden["runs"].get(k) != digests.get(k))
-    assert not moved, f"outputs moved from golden.json: {moved}"
+    moved = moved_keys(golden["runs"], run_matrix(runs))
+    assert not moved, "outputs moved from golden.json:\n  " + "\n  ".join(moved)
 
 
 def test_moving_track_sits_on_ties():

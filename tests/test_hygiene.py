@@ -191,7 +191,7 @@ def test_trace_targets_resolve():
     assert missing - _GONE_TRACE_TARGETS == set()
 
 
-@pytest.mark.parametrize("argv", [["estimate", "s"], ["evaluate", "s"], ["sweep", "s"]],
+@pytest.mark.parametrize("argv", [["estimate", "s"], ["sweep", "s"]],
                          ids=lambda argv: argv[0])
 def test_combine_default_has_one_definition(argv):
     """--band and --combine fall back to the PipelineParams defaults, not
@@ -215,9 +215,8 @@ def test_protocol_and_channel_choices_have_one_definition():
     assert _subcommand_option("sweep", "protocol").choices == sorted(PROTOCOL_LENGTHS)
     assert list(CHANNEL_OF_FORMAT) == list(BYTES_PER_PIXEL)
     assert tuple(CHANNEL_OF_FORMAT.values()) == CHANNELS
-    for command in ("evaluate", "sweep"):
-        with pytest.raises(StopIteration):
-            _subcommand_option(command, "channel")
+    with pytest.raises(StopIteration):
+        _subcommand_option("sweep", "channel")
 
 
 def _readme_commands() -> list[str]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from facepulse.errors import (EmptyTrackError, InputError, MissingFileError,
                               NonMonotonicIndicesError)
 from facepulse.roi import MIN_ROI_AREA, REGION_FRACTIONS, load_box_track, place_regions
 
-from _reference import ref_place_regions
+from _reference import ref_box_track, ref_place_regions
 
 
 def _place(*box):
@@ -176,6 +177,29 @@ def test_track_edge_copy_and_exact_anchors(tmp_path):
         assert track[i, 0] == 40
     assert track[2, 0] == 10 and track[5, 0] == 40
     assert track[3, 0] == 20 and track[4, 0] == 30
+
+
+def _uneven_boxes(keys: list[int], seed: int) -> list:
+    """(key, box) anchors whose coordinates use every mantissa bit."""
+    rng = random.Random(seed)
+    return [(k, [rng.uniform(-20, 40), rng.uniform(-20, 40), rng.uniform(5, 60),
+                 rng.uniform(5, 60)]) for k in keys]
+
+
+@pytest.mark.parametrize("anchors, frame_count", [
+    ([("*", [3.25, 4.5, 20.75, 30.125])], 6),
+    ([(3, [1.5, 2.25, 10.0, 12.5])], 8),
+    # anchors at both ends and inside, gaps of 1 to 7 frames
+    (_uneven_boxes([0, 1, 3, 6, 10, 15, 21, 28], 1), 29),
+    # frames before the first anchor and after the last
+    (_uneven_boxes([4, 9, 11, 18], 2), 24),
+    ([(2, [0.1, 1 / 3, 7.7, 9.9]), (5, [-0.3, 2 / 3, 8.8, 10.1])], 7),
+], ids=["star", "one-anchor", "gaps-1-to-7", "outside-span", "thirds"])
+def test_track_matches_reference(tmp_path, anchors, frame_count):
+    """The filled track equals the frame-by-frame reference bit for bit."""
+    text = "".join(f"{k},{','.join(map(repr, box))}\n" for k, box in anchors)
+    track = load_box_track(_write_track(tmp_path, text), frame_count)
+    assert np.array_equal(track, np.array(ref_box_track(anchors, frame_count)))
 
 
 def test_track_empty(tmp_path):

@@ -15,15 +15,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from test_golden import GOLDEN, build_sessions, cases, environment, run_matrix
+from test_golden import GOLDEN, build_sessions, cases, environment, moved_keys, run_matrix
 
 from facepulse import parallel
-
-
-def _moved(old: dict, new: dict) -> list[str]:
-    return [f"{run} {item}" for run in sorted(old.keys() | new.keys())
-            for item in sorted(old.get(run, {}).keys() | new.get(run, {}).keys())
-            if old.get(run, {}).get(item) != new.get(run, {}).get(item)]
 
 
 def main() -> int:
@@ -39,10 +33,10 @@ def main() -> int:
     one, two = by_workers
     if one != two:
         print("outputs differ between 1 and 2 workers; golden.json left as it is:",
-              *_moved(one, two), sep="\n  ", file=sys.stderr)
+              *moved_keys(one, two), sep="\n  ", file=sys.stderr)
         return 1
     old = json.loads(GOLDEN.read_text())["runs"] if GOLDEN.exists() else {}
-    for line in _moved(old, one):
+    for line in moved_keys(old, one):
         print(f"moved: {line}")
     GOLDEN.write_text(json.dumps({**environment(), "runs": one}, indent=1, sort_keys=True)
                       + "\n")
