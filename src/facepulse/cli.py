@@ -124,11 +124,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Evaluate the sessions and write report_{channel}.csv and .json."""
-    if args.lengths is not None:
-        lengths = _parse_lengths(args.lengths)
-    else:
-        lengths = list(PROTOCOL_LENGTHS[args.protocol])
-    report = evaluate_sessions(args.sessions, lengths,
+    report = evaluate_sessions(args.sessions, args.lengths,
                                params=PipelineParams(args.band, args.combine))
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"report_{report.channel}"
@@ -211,12 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, type=_out_dir,
                    help="output directory")
     _add_signal_flags(p)
-    p.add_argument("--protocol", choices=sorted(PROTOCOL_LENGTHS),
-                   default="5.2",
-                   help="default length set to sweep (default %(default)s)")
-    p.add_argument("--lengths", default=None, metavar="T1,T2,...",
-                   help="explicit window lengths in seconds, overriding "
-                        "--protocol")
+    p.add_argument("--lengths", type=_parse_lengths, default=PROTOCOL_LENGTHS["5.2"],
+                   metavar="T1,T2,...",
+                   help="window lengths in seconds (default the 5.2 set "
+                        + ",".join(f"{t:g}" for t in PROTOCOL_LENGTHS["5.2"]) + ")")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -177,7 +177,7 @@ def read_csv_rows(path: Path, what: str, header: str,
     the caller's own row checks the first bad row of the file is named."""
     require_file(path, what)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -192,7 +192,7 @@ def read_csv_rows(path: Path, what: str, header: str,
 
 def _parse_manifest(manifest_path: Path) -> SessionManifest:
     try:
-        raw = json.loads(manifest_path.read_text())
+        raw = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # bad JSON or bytes, deep nesting
         raise MalformedManifestError(f"{manifest_path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

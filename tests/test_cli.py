@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +230,22 @@ class TestEstimateCommand:
         assert rc == 1
         assert error in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
+
+    def test_byte_order_mark_read_as_text(self, cli_session, tmp_path, capsys):
+        # spreadsheet and smartwatch exports often start with a UTF-8 BOM
+        session = tmp_path / "bom"
+        shutil.copytree(cli_session, session)
+        for name in ("groundtruth.csv", "boxes.csv", "session.json"):
+            path = session / name
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        runs = []
+        for source in (cli_session, session):
+            out = tmp_path / f"est-{source.name}"
+            assert main(["estimate", str(source), "--out", str(out)]) == 0
+            runs.append([capsys.readouterr().out] + [
+                (out / name).read_bytes()
+                for name in ("estimates.csv", "compare.csv", "summary.json")])
+        assert runs[0] == runs[1]
 
     def test_window_without_groundtruth_skips_compare(self, cli_session, tmp_path,
                                                       capsys):
@@ -523,7 +544,7 @@ class TestSweepCommand:
     def test_session_protocol(self, short_pair, tmp_path):
         out = tmp_path / "sweep51"
         rc = main(["sweep", *short_pair, "--out", str(out),
-                   "--protocol", "5.1"])
+                   "--lengths", "5,10,15,20"])
         assert rc == 0
         payload = json.loads((out / "report_rgb.json").read_text())
         assert [d["window_s"] for d in payload["dataset"]] == [
@@ -582,6 +603,25 @@ def test_parser_built_once(tmp_path, monkeypatch, capsys):
         gc.enable()
     assert garbage == 0
     assert capsys.readouterr().err.startswith("error: MissingFileError: manifest not found")
+
+
+@pytest.mark.parametrize("module", ["facepulse", "facepulse.cli"])
+def test_module_entry_point(module, tmp_path):
+    """python -m runs main and exits with its code: 0 for a small synth, 1
+    with one error line for a missing session, 2 for a session shorter
+    than the bandpass filter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    done = run("synth", "--out", "s", "--width", "16", "--height", "16", "--duration", "2")
+    assert done.returncode == 0, done.stderr
+    done = run("estimate", "missing", "--out", "est")
+    assert done.returncode == 1 and done.stderr.count("error:") == 1
+    done = run("estimate", "s", "--out", "est", "--window", "2", "--band", "1:4")
+    assert done.returncode == 2 and "SignalTooShortError" in done.stderr
 
 
 def test_os_error_exits_2(tmp_path, monkeypatch, capsys):

@@ -464,8 +464,7 @@ USABLE_VALUES = {
               "--mono": None, "--second-harmonic": None},
     "estimate": {"--out": "out", "--window": "5", "--hop": "2.5", "--band": "0.7:4",
                  "--combine": "green"},
-    "sweep": {"--out": "out", "--protocol": "5.1", "--lengths": "5,6", "--band": "0.7:4",
-              "--combine": "green"},
+    "sweep": {"--out": "out", "--lengths": "5,6", "--band": "0.7:4", "--combine": "green"},
 }
 SESSION_COUNTS = {"synth": (0, 0), "estimate": (1, 1), "sweep": (1, 2)}
 SYNTH_SMALL = ["--width", "16", "--height", "16", "--fps", "10", "--duration", "2"]
@@ -504,7 +503,7 @@ _argv = st.sampled_from(sorted(USABLE_VALUES)).flatmap(lambda command: st.tuples
 @example(drawn=("synth", [], {"--mono": "é" * 3000}))
 @example(drawn=("synth", [], {"--base-color": "é" * 3000}))  # quoted twice, in short form
 @example(drawn=("estimate", ["base"], {"--combine": "é" * 3000}))
-@example(drawn=("sweep", ["base"], {"--protocol": "x" * 3000}))
+@example(drawn=("sweep", ["base"], {"--lengths": "x" * 3000}))
 @example(drawn=("estimate", ["base"], {"--window": USABLE}))
 def test_argv_exits_cleanly(named_sessions, drawn):
     """Any argv of a subcommand exits 0, 1 or 2 with at most one error

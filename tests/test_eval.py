@@ -55,6 +55,11 @@ class TestLoadGroundtruth:
         p.write_text("0.0,70\n1.0,72\n")
         assert load_groundtruth(p).bpm.tolist() == [70.0, 72.0]
 
+    def test_rates_just_inside_range_kept(self, tmp_path):
+        p = tmp_path / "gt.csv"
+        p.write_text("0.0,20.5\n1.0,249.5\n")
+        assert load_groundtruth(p).bpm.tolist() == [20.5, 249.5]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFileError):
             load_groundtruth(tmp_path / "nope.csv")
@@ -75,6 +80,7 @@ class TestLoadGroundtruth:
         "1.0,70\n1.0,72\n",          # times not strictly increasing
         "0.0,70\n1.0,12\n",          # rate at or below 20
         "0.0,70\n1.0,250\n",         # rate at or above 250
+        "0.0,70\n1.0,20\n",          # rate at the lower edge
         "t,bpm\n",                   # no samples
         "0.0,70\n1.0,nan\n",         # non-finite rate
         "0.0,inf\n",                 # non-finite rate

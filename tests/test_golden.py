@@ -15,8 +15,10 @@ held on either side of the uint8/uint16 boundary), each with the synth
 static box and with a moving box.  That box starts off the frame's left
 edge (and at 64x64 runs off its right and bottom edges), is interpolated
 between anchors on every other frame, and puts its regions' edges on
-half-pixel ties.  A change that means to move outputs rewrites the
-digests with
+half-pixel ties.  One 24 s 64x64 session of each format, without the
+texture, is swept at both protocols' lengths, so that its report prints
+every published figure of its channel.  A change that means to move
+outputs rewrites the digests with
 
     PYTHONPATH=src python tests/update_golden.py
 
@@ -44,6 +46,8 @@ GOLDEN = Path(__file__).with_name("golden.json")
 FORMATS = ("rgb8", "gray8")
 SIZES = ((64, 64), (255, 200), (256, 200))
 FPS, DURATION = 10.0, 12.0
+# both protocols' lengths, swept over sessions that hold a 20 s window
+ALL_LENGTHS, LONG_DURATION = "5,7,9,10,11,13,15,17,19,20", 24.0
 TEXTURE = 20  # the texture's largest step from the rendered level, either way
 
 ESTIMATE_FLAGS = {
@@ -91,6 +95,8 @@ def build_sessions(root: Path) -> dict[str, list[str]]:
             (root / f"{name}-moving" / "boxes.csv").write_text(
                 _moving_track(width, height, manifest.frame_count))
             by_format[fmt] += [f"{name}-static", f"{name}-moving"]
+        render_session(SynthConfig(width=64, height=64, fps=FPS, duration=LONG_DURATION,
+                                   mono=fmt == "gray8"), root / f"s/{fmt}-long")
     (root / "s" / "refused").mkdir()
     (root / "s" / "refused" / "session.json").write_text("{}")
     return by_format
@@ -107,6 +113,8 @@ def cases(by_format: dict[str, list[str]]) -> dict[str, list[str]]:
                                                           *flags]
         runs[f"sweep-10/{fmt}"] = ["sweep", *sessions, "--out", "out", "--lengths", "10"]
         runs[f"sweep/{fmt}"] = ["sweep", *sessions, "--out", "out"]
+        runs[f"sweep-all/{fmt}"] = ["sweep", f"s/{fmt}-long", "--out", "out",
+                                    "--lengths", ALL_LENGTHS]
     # exit 1: no session opens; exit 2: every session is too short
     runs["refused/sweep-none-opens"] = ["sweep", "s/missing", "s/refused", "--out", "out"]
     runs["refused/sweep-too-short"] = ["sweep", *by_format["gray8"][:2], "--lengths", "20",

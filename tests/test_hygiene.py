@@ -210,13 +210,15 @@ def _subcommand_option(command: str, dest: str) -> argparse.Action:
 
 
 def test_protocol_and_channel_choices_have_one_definition():
-    """--protocol offers the protocols of evaluate's table, and each pixel
-    format maps to one of its channel labels, which no option repeats."""
-    assert _subcommand_option("sweep", "protocol").choices == sorted(PROTOCOL_LENGTHS)
+    """--lengths defaults to the 5.2 set of evaluate's table, which no
+    --protocol option names again, and each pixel format maps to one of
+    its channel labels, which no option repeats."""
+    assert _subcommand_option("sweep", "lengths").default is PROTOCOL_LENGTHS["5.2"]
     assert list(CHANNEL_OF_FORMAT) == list(BYTES_PER_PIXEL)
     assert tuple(CHANNEL_OF_FORMAT.values()) == CHANNELS
-    with pytest.raises(StopIteration):
-        _subcommand_option("sweep", "channel")
+    for dest in ("protocol", "channel"):
+        with pytest.raises(StopIteration):
+            _subcommand_option("sweep", dest)
 
 
 def _readme_commands() -> list[str]:
@@ -231,7 +233,7 @@ def test_readme_commands_parse(line):
 
 
 def test_sweep_defaults_to_monitoring_lengths(clean72_session, tmp_path, capsys):
-    """sweep without --protocol or --lengths sweeps the 5.2 lengths, and
+    """sweep without --lengths sweeps the 5.2 lengths, and
     reports the published figure at each of them."""
     out = tmp_path / "out"
     assert main(["sweep", str(clean72_session), "--out", str(out)]) == 0
