@@ -233,8 +233,8 @@ def test_readme_commands_parse(line):
 
 
 def test_sweep_defaults_to_monitoring_lengths(clean72_session, tmp_path, capsys):
-    """sweep without --lengths sweeps the 5.2 lengths, and
-    reports the published figure at each of them."""
+    """sweep without --lengths sweeps the 5.2 lengths, and reports the
+    published figure at each of them."""
     out = tmp_path / "out"
     assert main(["sweep", str(clean72_session), "--out", str(out)]) == 0
     capsys.readouterr()
