@@ -89,6 +89,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
+    if aligned is None:
+        # an earlier run's compare.csv would pair its groundtruth with these estimates
+        (out / "compare.csv").unlink(missing_ok=True)
     # one loop writes both files, formatting each bound and bpm once; rows
     # are streamed, not joined, and the columns become Python floats
     # WRITE_ROWS windows at a time: at a 1-frame hop a per-window list or

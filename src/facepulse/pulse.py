@@ -120,7 +120,10 @@ class PulseSignal:
         object.__setattr__(self, "fps", require_real(self.fps, "fps", 0, math.inf))
         require_type(self.band, BandLimits, "band").check_below_nyquist(self.fps)
         try:  # a float64 array is kept, not copied
-            object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+            samples = np.asarray(self.samples)
+            if samples.dtype.kind in "bcSU":  # each would convert to float64 silently
+                raise InputError(f"samples must be real numbers, not {samples.dtype.name}")
+            object.__setattr__(self, "samples", samples.astype(np.float64, copy=False))
         except (TypeError, ValueError) as exc:
             raise InputError(f"samples are not numbers: {exc}") from None
         except OverflowError:  # an int beyond the float range

@@ -31,9 +31,8 @@ BPM_MAX = DEFAULT_BAND.bpm_hi
 # fixed frequency of the slow illumination drift; safely below the pulse band
 DRIFT_FREQ_HZ = 0.1
 
-# red/blue fractional modulation relative to the green depth
-RED_DEPTH = 0.5
-BLUE_DEPTH = 0.3
+# R, G, B pulse depths relative to green; gray8, the base colour's mean, takes green's
+CHANNEL_DEPTHS = (0.5, 1.0, 0.3)
 
 SECOND_HARMONIC_DEPTH = 0.3
 
@@ -97,11 +96,6 @@ class RampProfile:
 
 
 HrProfile = ConstantProfile | StepProfile | RampProfile
-
-
-def pulse_phase(t: float, profile: HrProfile, duration: float) -> float:
-    """Pulse phase in radians: 2*pi times the heart-rate integral up to t."""
-    return 2.0 * math.pi * profile.cycles_at(t, duration)
 
 
 def parse_profile(text: str) -> HrProfile:
@@ -172,21 +166,16 @@ def _quantize(values: np.ndarray) -> np.ndarray:
 
 def _channel_levels(config: SynthConfig, t: float) -> np.ndarray:
     """Ideal (unquantized) channel values at time t, before pixel noise."""
-    phase = pulse_phase(t, config.hr_profile, config.duration)
+    phase = 2.0 * math.pi * config.hr_profile.cycles_at(t, config.duration)
     wave = math.sin(phase)
     if config.second_harmonic:
         wave += SECOND_HARMONIC_DEPTH * math.sin(2.0 * phase)
     drift = 1.0 + config.illum_drift * math.sin(2.0 * math.pi * DRIFT_FREQ_HZ * t)
     a = config.pulse_amplitude
+    base, depth = config.base_color, CHANNEL_DEPTHS
     if config.mono:
-        base = sum(config.base_color) / 3.0
-        return np.array([base * (1.0 + a * wave) * drift])
-    r, g, b = config.base_color
-    return np.array([
-        r * (1.0 + RED_DEPTH * a * wave) * drift,
-        g * (1.0 + a * wave) * drift,
-        b * (1.0 + BLUE_DEPTH * a * wave) * drift,
-    ])
+        base, depth = (sum(base) / 3.0,), CHANNEL_DEPTHS[1:2]
+    return np.array([c * (1.0 + d * a * wave) * drift for c, d in zip(base, depth)])
 
 
 def _render_frame(config: SynthConfig, t: float,

@@ -249,15 +249,34 @@ class TestEstimateCommand:
 
     def test_window_without_groundtruth_skips_compare(self, cli_session, tmp_path,
                                                       capsys):
-        # groundtruth ends at 30 s: the later windows hold no sample
+        # groundtruth ends at 30 s: the later windows hold no sample, and the
+        # compare.csv of an earlier run into the same --out goes
         session = tmp_path / "sess"
         shutil.copytree(cli_session, session)
+        out = tmp_path / "est"
+        assert main(["estimate", str(session), "--out", str(out)]) == 0
+        assert (out / "compare.csv").exists()
         gt = session / "groundtruth.csv"
         gt.write_text("\n".join(_lines(gt)[:31]) + "\n")
-        out = tmp_path / "est"
         assert main(["estimate", str(session), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["estimates.csv", "summary.json"]
         assert "skipping compare.csv" in capsys.readouterr().err
+
+    def test_no_groundtruth_removes_earlier_compare(self, cli_session, tmp_path, capsys):
+        # a manifest that names no groundtruth writes no compare.csv, silently,
+        # and leaves none behind from an earlier run into the same --out
+        session = tmp_path / "sess"
+        shutil.copytree(cli_session, session)
+        out = tmp_path / "est"
+        assert main(["estimate", str(session), "--out", str(out)]) == 0
+        assert (out / "compare.csv").exists()
+        manifest = json.loads((session / "session.json").read_text())
+        del manifest["groundtruth"]
+        (session / "session.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["estimate", str(session), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["estimates.csv", "summary.json"]
+        assert capsys.readouterr().err == ""
 
     def test_empty_window_note_is_short(self, cli_session, tmp_path, capsys):
         # groundtruth ends at 9 s: at a 0.1 s hop over 400 windows hold no

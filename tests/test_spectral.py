@@ -70,8 +70,16 @@ class TestPulseSignal:
         (30.0, np.array([]), DEFAULT_BAND, SessionTooShortError),
         (30.0, ["x", "y"], DEFAULT_BAND, InputError),
         (30.0, [10**400], BandLimits(), InputError),
+        (30.0, np.array([1 + 1j, 2, 3 + 5j]), DEFAULT_BAND, InputError),
+        (30.0, np.array(["1", "2", "3"]), DEFAULT_BAND, InputError),
+        (30.0, ["1", "2", "3"], DEFAULT_BAND, InputError),
+        (30.0, np.array([b"1", b"2", b"3"]), DEFAULT_BAND, InputError),
+        (30.0, np.array([True, False, True]), DEFAULT_BAND, InputError),
+        (30.0, [True, False, True], DEFAULT_BAND, InputError),
+        (30.0, np.array([1.0, 2.0, None], dtype=object), DEFAULT_BAND, InputError),
     ], ids=["all-nan", "one-inf", "zero", "constant", "2-d", "negative-fps",
-            "band-tuple", "empty", "text", "int-beyond-float"])
+            "band-tuple", "empty", "text", "int-beyond-float", "complex", "numeric-text-array",
+            "numeric-text-list", "bytes", "bool-array", "bool-list", "object-none"])
     def test_refused_on_construction(self, fps, samples, band, error):
         with pytest.raises(error) as caught:
             PulseSignal(fps, samples, band)

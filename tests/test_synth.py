@@ -1,26 +1,28 @@
 from __future__ import annotations
 
 import math
+import shutil
 
 import numpy as np
 import pytest
 
 from facepulse import (ConstantProfile, RampProfile, StepProfile, SynthConfig,
                        WindowSpec, estimate_series, evaluate_sessions, load_session,
-                       parse_profile, render_session)
+                       parse_profile, render_session, synth)
 from facepulse.errors import InputError
 from facepulse.frameio import map_frames, open_session
-from facepulse.synth import _channel_levels, _quantize, _render_frame, pulse_phase
+from facepulse.synth import _channel_levels, _quantize, _render_frame
 
 
 class TestProfiles:
     def test_phase_examples(self):
-        assert pulse_phase(1.0, ConstantProfile(60.0), 60.0) == pytest.approx(
+        # the rendered pulse phase is 2*pi times the profile's cycle count
+        assert 2 * math.pi * ConstantProfile(60.0).cycles_at(1.0, 60.0) == pytest.approx(
             2 * math.pi)
-        assert pulse_phase(5.0, ConstantProfile(72.0), 60.0) == pytest.approx(
+        assert 2 * math.pi * ConstantProfile(72.0).cycles_at(5.0, 60.0) == pytest.approx(
             2 * math.pi * 6.0)
         step = StepProfile(60.0, 120.0, 10.0)
-        assert pulse_phase(20.0, step, 60.0) == pytest.approx(2 * math.pi * 30.0)
+        assert 2 * math.pi * step.cycles_at(20.0, 60.0) == pytest.approx(2 * math.pi * 30.0)
 
     @pytest.mark.parametrize("profile", [
         StepProfile(70.0, 100.0, 12.5),
@@ -64,6 +66,7 @@ class TestProfiles:
     def test_boundary_rates_just_inside(self):
         ConstantProfile(42.01)
         ConstantProfile(239.99)
+        SynthConfig(hr_profile=StepProfile(70.0, 100.0, 0.01))
 
 
 class TestParseProfile:
@@ -144,6 +147,34 @@ class TestRendering:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_default_seed_is_zero(self, tmp_path):
+        for name, seed in (("default", {}), ("zero", {"seed": 0})):
+            render_session(SynthConfig(width=16, height=16, duration=2.0, noise_sigma=2.0,
+                                       **seed), tmp_path / name)
+        assert (tmp_path / "default" / "frames.raw").read_bytes() == \
+            (tmp_path / "zero" / "frames.raw").read_bytes()
+
+    def test_sub_unit_noise_is_drawn(self, tmp_path):
+        for name, sigma in (("clean", 0.0), ("noisy", 0.5)):
+            render_session(SynthConfig(width=16, height=16, duration=2.0, noise_sigma=sigma),
+                           tmp_path / name)
+        assert (tmp_path / "clean" / "frames.raw").read_bytes() != \
+            (tmp_path / "noisy" / "frames.raw").read_bytes()
+
+    @pytest.mark.parametrize("spare, made", [(0, True), (-1, False)])
+    def test_free_space_bound_is_exact(self, tmp_path, monkeypatch, spare, made):
+        # 20 frames of 16x16 rgb8 and 9 bytes for each of 2 groundtruth rows
+        need = 20 * 16 * 16 * 3 + 9 * 2
+        usage = shutil.disk_usage(tmp_path)._replace(free=need + spare)
+        monkeypatch.setattr(synth.shutil, "disk_usage", lambda path: usage)
+        config = SynthConfig(width=16, height=16, fps=10.0, duration=2.0)
+        if made:
+            render_session(config, tmp_path / "s")
+        else:
+            with pytest.raises(InputError, match="needs at least"):
+                render_session(config, tmp_path / "s")
+        assert (tmp_path / "s").exists() == made
+
     def test_uniform_frame_fast_path_matches_general_path(self):
         config = SynthConfig(width=16, height=16, duration=2.0)
         rng = np.random.default_rng(0)  # sigma is 0, draws do not perturb
@@ -183,6 +214,16 @@ class TestRendering:
             render_session(SynthConfig(width=16, height=16, duration=2.0), tmp_path / out)
         assert list(tmp_path.iterdir()) == [blocker]
         assert blocker.read_text() == "kept\n"
+
+    def test_levels_follow_harmonic_and_drift(self):
+        # mono base level 130: at 2.5 s the 0.1 Hz drift peaks and a 72 bpm
+        # pulse completes its third cycle
+        config = SynthConfig(illum_drift=0.2, mono=True)
+        assert _channel_levels(config, 2.5)[0] == pytest.approx(130.0 * 1.2)
+        # an eighth of a 60 bpm cycle: the fundamental is sin(pi/4), the harmonic 1
+        config = SynthConfig(hr_profile=ConstantProfile(60.0), second_harmonic=True, mono=True)
+        assert _channel_levels(config, 0.125)[0] == pytest.approx(
+            130.0 * (1.0 + 0.02 * (math.sqrt(0.5) + 0.3)))
 
     def test_channel_depth_ordering(self):
         config = SynthConfig()
