@@ -121,7 +121,7 @@ class PulseSignal:
         require_type(self.band, BandLimits, "band").check_below_nyquist(self.fps)
         try:  # a float64 array is kept, not copied
             samples = np.asarray(self.samples)
-            if samples.dtype.kind in "bcSU":  # each would convert to float64 silently
+            if samples.dtype.kind in "bcSUmM":  # each would convert to float64 silently
                 raise InputError(f"samples must be real numbers, not {samples.dtype.name}")
             object.__setattr__(self, "samples", samples.astype(np.float64, copy=False))
         except (TypeError, ValueError) as exc:

@@ -8,7 +8,9 @@ so the fast code matches them within rounding; the placement and box
 track references use it too, and work out each rect or box alone with
 the fast code's arithmetic, so they match exactly.  The spectral and
 combine references make the same numpy calls on one window or one
-region at a time, so the batched code must match them bit for bit.
+region at a time, so the batched code must match them bit for bit; the
+noisy render reference draws one frame's normals at a time, so the
+blocked renderer must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -227,3 +229,17 @@ def ref_bandpass_taps(fps: float, f_lo: float, f_hi: float,
     gain = math.hypot(math.fsum(t * math.cos(w * (k - half)) for k, t in enumerate(taps)),
                       math.fsum(t * math.sin(w * (k - half)) for k, t in enumerate(taps)))
     return [t / gain for t in taps]
+
+
+def ref_render_frames(levels: list, height: int, width: int, sigma: float,
+                      seed: int) -> bytes:
+    """Noisy frames one at a time: frame i is levels[i], one value per
+    channel, plus sigma times one standard_normal((height, width,
+    channels)) draw from a PCG64 stream seeded with seed, rounded
+    half-to-even and saturated to 8 bits."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for level in levels:
+        pixels = level + sigma * rng.standard_normal((height, width, len(level)))
+        frames.append(np.clip(np.round(pixels), 0.0, 255.0).astype(np.uint8).tobytes())
+    return b"".join(frames)

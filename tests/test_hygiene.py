@@ -88,6 +88,32 @@ def test_csv_read_only_in_frameio():
     assert readers == ["frameio.py"]
 
 
+def thread_imports(source: str) -> list[str]:
+    """Modules of the thread APIs (threading, _thread, concurrent.futures)
+    that a module imports."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [n for n in names if n.split(".")[0] in ("threading", "_thread", "concurrent")]
+
+
+def test_checker_finds_thread_imports():
+    source = ("import os, threading\nfrom concurrent import futures\n"
+              "import _thread as t\nfrom . import parallel\nimport concurrent.futures\n")
+    assert thread_imports(source) == ["threading", "concurrent", "_thread", "concurrent.futures"]
+
+
+def test_threads_started_only_in_parallel():
+    """parallel.WORKERS is the one thread setting: no module but parallel
+    imports a thread API."""
+    importers = [p.name for p in sorted((ROOT / "src" / "facepulse").glob("*.py"))
+                 if thread_imports(p.read_text())]
+    assert importers == ["parallel.py"]
+
+
 def test_session_stages_used_only_in_evaluate():
     """load_session is the one path from a session to its signal: outside
     the modules that define them, only evaluate uses the stages."""

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 import facepulse
-from facepulse import DEFAULT_BAND, PulseSignal, WindowSpec, estimate_series, parallel
+from facepulse import (DEFAULT_BAND, PulseSignal, SynthConfig, WindowSpec, estimate_series,
+                       parallel, render_session, synth)
 from facepulse.cli import main
-from facepulse.parallel import run_spans
+from facepulse.parallel import run_ahead, run_spans
 from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
 from facepulse.roi import place_regions
 from facepulse.spectral import SPECTRUM_BLOCK_BYTES
 
-from _reference import ref_block_rows, ref_hr_series
+from _reference import ref_block_rows, ref_hr_series, ref_render_frames
 
 
 def _traces(frames: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,6 +91,102 @@ class TestRunSpans:
 
         with pytest.raises(ValueError, match="span 5..10"):
             run_spans(10, work)
+
+
+class TestRunAhead:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_items_produced_and_consumed_in_order(self, monkeypatch, n, workers):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        produced, consumed = [], []
+
+        def produce(item):
+            produced.append(item)
+            return 10 * item
+
+        run_ahead(range(n), produce, lambda item, result: consumed.append((item, result)))
+        assert produced == list(range(n))
+        assert consumed == [(i, 10 * i) for i in range(n)]
+
+    @pytest.mark.parametrize("workers, n", [(1, 3), (2, 1)])
+    def test_runs_inline(self, monkeypatch, workers, n):
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        seen = []
+        run_ahead(range(n), lambda item: threading.current_thread(),
+                  lambda item, producer: seen.append((producer, threading.current_thread())))
+        assert seen == [(threading.current_thread(),) * 2] * n
+
+    def test_next_item_produced_on_a_worker_during_consume(self, monkeypatch):
+        # each consume waits until the next item's produce has started
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        started = [threading.Event() for _ in range(4)]
+        producers = []
+
+        def produce(item):
+            producers.append(threading.current_thread())
+            started[item].set()
+
+        def consume(item, result):
+            assert item == 3 or started[item + 1].wait(timeout=10)
+
+        run_ahead(range(4), produce, consume)
+        assert len(set(producers)) == 1
+        assert producers[0] is not threading.current_thread()
+
+    @pytest.mark.parametrize("where", ["produce", "consume"])
+    def test_exception_raised_after_join(self, monkeypatch, where):
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        consumed = []
+
+        def produce(item):
+            if where == "produce" and item == 2:
+                raise ValueError("produce 2")
+            return item
+
+        def consume(item, result):
+            if where == "consume" and item == 2:
+                raise ValueError("consume 2")
+            consumed.append(result)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"{where} 2"):
+            run_ahead(range(5), produce, consume)
+        assert consumed == [0, 1]
+        assert threading.active_count() == before
+
+
+def _noisy_config(mono: bool) -> SynthConfig:
+    # 20 frames of 20x16, with the harmonic and drift in every level
+    return SynthConfig(width=20, height=16, fps=10.0, duration=2.0, noise_sigma=2.5, seed=5,
+                       mono=mono, second_harmonic=True, illum_drift=0.1)
+
+
+class TestNoisyRenderSplit:
+    # normals per block, in frames: one, three (20 frames leave a short
+    # last block), less than one (each frame a block alone) and the
+    # default (the whole session in one block)
+    @pytest.mark.parametrize("block", [1.0, 3.4, 0.9, None],
+                             ids=["one-frame", "three-frames", "part-frame", "default"])
+    @pytest.mark.parametrize("mono", [False, True], ids=["rgb8", "gray8"])
+    def test_frames_match_per_frame_reference(self, monkeypatch, tmp_path, block, mono):
+        config = _noisy_config(mono)
+        channels = 1 if mono else 3
+        if block is not None:
+            monkeypatch.setattr(synth, "NOISE_BLOCK_BYTES",
+                                int(block * 8 * config.height * config.width * channels))
+        levels = [synth._channel_levels(config, i / config.fps)
+                  for i in range(config.frame_count)]
+        expected = ref_render_frames(levels, config.height, config.width,
+                                     config.noise_sigma, config.seed)
+        runs = iter(range(len(WORKER_COUNTS)))
+
+        def render():
+            out = tmp_path / str(next(runs))
+            render_session(config, out)
+            return (out / "frames.raw").read_bytes()
+
+        for frames in _per_worker_count(monkeypatch, render):
+            assert frames == expected
 
 
 class TestExtractTracesSplit:
@@ -233,6 +330,28 @@ class TestNoThreadLeak:
         rc = main(["estimate", str(clean72_session), "--out", str(tmp_path / "est"),
                    "--hop", "0.1"])
         assert rc == 0
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_render_joins_its_worker(self, monkeypatch, tmp_path, fails):
+        # a block of one frame: the level of frame 12 fails after 12 blocks
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        config = _noisy_config(mono=False)
+        monkeypatch.setattr(synth, "NOISE_BLOCK_BYTES", 8 * config.height * config.width * 3)
+        levels = synth._channel_levels
+
+        def failing_levels(config, t):
+            if t >= 1.2:
+                raise RuntimeError(f"level at {t} s")
+            return levels(config, t)
+
+        before = threading.active_count()
+        if fails:
+            monkeypatch.setattr(synth, "_channel_levels", failing_levels)
+            with pytest.raises(RuntimeError, match="level at 1.2 s"):
+                render_session(config, tmp_path)
+        else:
+            render_session(config, tmp_path)
         assert threading.active_count() == before
 
     def test_import_starts_no_thread(self):

@@ -77,9 +77,12 @@ class TestPulseSignal:
         (30.0, np.array([True, False, True]), DEFAULT_BAND, InputError),
         (30.0, [True, False, True], DEFAULT_BAND, InputError),
         (30.0, np.array([1.0, 2.0, None], dtype=object), DEFAULT_BAND, InputError),
+        (30.0, np.arange(900).astype("m8[s]"), DEFAULT_BAND, InputError),
+        (30.0, np.arange(900).astype("M8[s]"), DEFAULT_BAND, InputError),
     ], ids=["all-nan", "one-inf", "zero", "constant", "2-d", "negative-fps",
             "band-tuple", "empty", "text", "int-beyond-float", "complex", "numeric-text-array",
-            "numeric-text-list", "bytes", "bool-array", "bool-list", "object-none"])
+            "numeric-text-list", "bytes", "bool-array", "bool-list", "object-none",
+            "timedelta", "datetime"])
     def test_refused_on_construction(self, fps, samples, band, error):
         with pytest.raises(error) as caught:
             PulseSignal(fps, samples, band)
@@ -100,6 +103,13 @@ class TestPulseSignal:
     def test_float64_samples_not_copied(self):
         samples = _tone(1.2, 30.0)
         assert PulseSignal(30.0, samples, DEFAULT_BAND).samples is samples
+
+    @pytest.mark.parametrize("kind, name", [("m8[s]", "timedelta64[s]"),
+                                            ("M8[s]", "datetime64[s]")])
+    def test_time_samples_named_in_refusal(self, kind, name):
+        with pytest.raises(InputError) as caught:
+            PulseSignal(30.0, np.arange(900).astype(kind), DEFAULT_BAND)
+        assert str(caught.value) == f"samples must be real numbers, not {name}"
 
 
 class TestPartitionWindows:

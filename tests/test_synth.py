@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import math
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from facepulse import (ConstantProfile, RampProfile, StepProfile, SynthConfig,
                        WindowSpec, estimate_series, evaluate_sessions, load_session,
-                       parse_profile, render_session, synth)
+                       parallel, parse_profile, render_session, synth)
 from facepulse.errors import InputError
 from facepulse.frameio import map_frames, open_session
-from facepulse.synth import _channel_levels, _quantize, _render_frame
+from facepulse.synth import _channel_levels, _noisy_frames, _quantize, _render_frame
 
 
 class TestProfiles:
@@ -176,11 +177,10 @@ class TestRendering:
         assert (tmp_path / "s").exists() == made
 
     def test_uniform_frame_fast_path_matches_general_path(self):
+        # zero normals compose to the levels alone: frames 3 to 7 tiled
         config = SynthConfig(width=16, height=16, duration=2.0)
-        rng = np.random.default_rng(0)  # sigma is 0, draws do not perturb
-        for t in (0.0, 0.4, 1.7):
-            assert _render_frame(config, t, None) == \
-                _render_frame(config, t, rng)
+        tiled = b"".join(_render_frame(config, i / config.fps) for i in range(3, 8))
+        assert _noisy_frames(config, 3, np.zeros((5, 16, 16, 3))).tobytes() == tiled
 
     def test_mono_levels_and_format(self, tmp_path):
         manifest = render_session(
@@ -233,6 +233,27 @@ class TestRendering:
         assert g - 1.0 == pytest.approx(0.02, rel=1e-3)
         assert (r - 1.0) / (g - 1.0) == pytest.approx(0.5, rel=1e-3)
         assert (b - 1.0) / (g - 1.0) == pytest.approx(0.3, rel=1e-3)
+
+
+class TestRenderHeap:
+    """tracemalloc peak of a 2 s noisy render on 2 workers: the block being
+    composed, the next one being drawn, and the composed block's pixels."""
+
+    # 640x480: a frame is a block alone, two of normals (7.4 MB each) and
+    # one of pixels (0.9 MB), under the 22.8 MB of one frame composed out
+    # of place; 64x64: two 10-frame blocks of normals (0.98 MB each) and
+    # one of pixels (0.12 MB)
+    @pytest.mark.parametrize("width, height, limit_mb", [(640, 480, 22.8), (64, 64, 2.15)])
+    def test_peak(self, monkeypatch, tmp_path, width, height, limit_mb):
+        monkeypatch.setattr(parallel, "WORKERS", 2)
+        config = SynthConfig(width=width, height=height, duration=2.0, noise_sigma=2.0)
+        tracemalloc.start()
+        try:
+            render_session(config, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
 
 class TestClosure:
