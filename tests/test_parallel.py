@@ -133,6 +133,11 @@ class TestRunAhead:
         assert len(set(producers)) == 1
         assert producers[0] is not threading.current_thread()
 
+    def test_one_worker_thread(self, thread_pools):
+        # one item is produced ahead at a time, so the pool holds one thread
+        run_ahead(range(3), lambda item: item, lambda item, result: None)
+        assert thread_pools == [1]
+
     @pytest.mark.parametrize("where", ["produce", "consume"])
     def test_exception_raised_after_join(self, monkeypatch, where):
         monkeypatch.setattr(parallel, "WORKERS", 2)
