@@ -15,8 +15,8 @@ from itertools import repeat
 from pathlib import Path
 
 from .errors import FacePulseError, InputError, ProcessingError
-from .evaluate import (PROTOCOL_LENGTHS, align_groundtruth, evaluate_sessions, load_session,
-                       write_report_csv, write_report_json)
+from .evaluate import (PROTOCOL_LENGTHS, WRITE_ROWS, align_groundtruth, evaluate_sessions,
+                       load_session, write_report_csv, write_report_json)
 from .frameio import nearest_existing, open_session, parse_finite, short_text
 from .pulse import COMBINE_METHODS, BandLimits, PipelineParams
 from .spectral import WindowSpec, estimate_series
@@ -24,9 +24,6 @@ from .synth import SynthConfig, parse_profile, render_session
 
 # --window of estimate, in seconds
 WINDOW_S = 10.0
-
-# windows per slice of the estimate CSV columns turned into Python floats
-WRITE_ROWS = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,8 +72,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     spec = WindowSpec(length=args.window, hop=args.hop)
     params = PipelineParams(args.band, args.combine)
     params.band.check_two_cycles(spec.length)
-    # a malformed groundtruth file is bad input: refused before any frame is read
-    session = load_session(open_session(args.session), params)
+    # bad input, and a session shorter than one window, refused before any frame is read
+    session = load_session(open_session(args.session), params, spec)
     series = estimate_series(session.signal, spec)
 
     aligned = None

@@ -30,9 +30,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import EmptyWindowGtError, FacePulseError, InputError, MissingFileError
 from .frameio import (SessionManifest, as_path, map_frames, open_session, parse_finite,
                       read_csv_rows, require_type, session_id, short_text)
-from .pulse import PipelineParams, PulseSignal, build_pulse_signal, extract_traces
+from .pulse import PipelineParams, PulseSignal, build_pulse_signal, design_bandpass_taps, extract_traces
 from .roi import load_box_track, place_regions
-from .spectral import HrSeries, WindowSpec, estimate_series
+from .spectral import HrSeries, WindowSpec, estimate_series, partition_windows
 
 # Dataset-level MAE (bpm) published for this pipeline family on the edBB
 # desktop student-monitoring benchmark (25 subjects, RGB and NIR cameras),
@@ -58,6 +58,10 @@ CHANNELS = tuple(PUBLISHED_MAE["5.1"][1])
 CHANNEL_OF_FORMAT = {"rgb8": "rgb", "gray8": "nir"}
 PROTOCOL_LENGTHS = {protocol: tuple(by_channel[CHANNELS[0]])
                     for protocol, (_, by_channel) in PUBLISHED_MAE.items()}
+
+# windows per slice of align_groundtruth's gathered reference samples
+# and of the estimate CSV columns turned into Python floats
+WRITE_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +105,16 @@ def align_groundtruth(gt: GroundTruth, starts: np.ndarray,
                        for i in np.flatnonzero(empty)[[0, -1]].tolist())
         raise EmptyWindowGtError(f"{int(empty.sum())} of {len(starts)} windows without "
                                  f"groundtruth samples, from {first} to {last}")
-    # windows of equal sample count c are gathered into (k, c) rows and
-    # averaged along the contiguous last axis, which sums each row
-    # pairwise as gt.bpm[a:b].mean() does; a cumulative sum or reduceat
-    # would round differently
+    # windows of equal sample count c are gathered into (k, c) rows,
+    # WRITE_ROWS windows at a time, and averaged along the contiguous last
+    # axis, which sums each row pairwise as gt.bpm[a:b].mean() does; a
+    # cumulative sum or reduceat would round differently
     counts = hi - lo
     aligned = np.empty(len(lo))
     for c in np.unique(counts).tolist():
         sel = np.flatnonzero(counts == c)
-        aligned[sel] = sliding_window_view(gt.bpm, c)[lo[sel]].mean(axis=-1)
+        for rows in (sel[i:i + WRITE_ROWS] for i in range(0, len(sel), WRITE_ROWS)):
+            aligned[rows] = sliding_window_view(gt.bpm, c)[lo[rows]].mean(axis=-1)
     return aligned
 
 
@@ -134,12 +139,15 @@ class Session:
     signal: PulseSignal
 
 
-def load_session(manifest: SessionManifest, params: PipelineParams = PipelineParams()) -> Session:
+def load_session(manifest: SessionManifest, params: PipelineParams = PipelineParams(),
+                 spec: WindowSpec | None = None) -> Session:
     """Load the groundtruth a session's manifest names, if any, and build
     its pulse signal, in that order: a manifest that is not the
     SessionManifest open_session returns, a malformed groundtruth, a bad
-    box track or a band whose upper edge is not below the session's
-    Nyquist frequency is refused before any frame is read.
+    box track, a band whose upper edge is not below the session's Nyquist
+    frequency, a session shorter than the bandpass filter and, given a
+    spec, a hop below one sample or a session shorter than one window are
+    refused before any frame is read.
 
     The signal is built by loading the box track, placing the regions in
     every frame, mapping the frames, reducing them to per-region channel
@@ -155,6 +163,9 @@ def load_session(manifest: SessionManifest, params: PipelineParams = PipelinePar
     rects, valid = place_regions(load_box_track(manifest.boxes_path, manifest.frame_count),
                                  manifest.width, manifest.height)
     params.band.check_below_nyquist(manifest.fps)
+    design_bandpass_taps(manifest.fps, manifest.frame_count, params.band)
+    if spec is not None:
+        partition_windows(manifest.frame_count, manifest.fps, require_type(spec, WindowSpec, "spec"))
     values = extract_traces(map_frames(manifest), rects, valid)
     del rects
     return Session(gt, build_pulse_signal(values, manifest.fps, params.band,

@@ -316,23 +316,25 @@ def combine_channels(rows: np.ndarray, method: str) -> np.ndarray:
 
 def build_pulse_signal(values: np.ndarray, fps: float, band: BandLimits,
                        method: str) -> PulseSignal:
-    """Full conditioning chain for the (3, C, n) means extract_traces returns.
+    """Full conditioning chain for the (3, C, n) means extract_traces
+    returns, which it consumes.
 
     One region at a time, each channel row the method reads
     (COMBINE_CHANNELS of rgb8, gray8's one channel) is normalised,
-    detrended and bandpassed on its own into one reused buffer, which
-    combine_channels collapses to the region's series.  The regions are
-    fused by their mean, then made zero-mean; PulseSignal refuses a flat
-    one, as read channels that never change leave it.
+    detrended and bandpassed in place, and combine_channels collapses the
+    region's rows to its series.  The regions are fused by their mean,
+    then made zero-mean; PulseSignal refuses a flat one, as read channels
+    that never change leave it.
     """
     if values.shape[1] == 3:
         values = values[:, COMBINE_CHANNELS[method]]  # a view: no copy
     taps = design_bandpass_taps(fps, values.shape[-1], band)
-    regions = np.empty((len(values), values.shape[-1]))
-    conditioned = np.empty(values.shape[1:])  # one region's channels, reused
-    for region, out in zip(values, regions):
-        for row, cond in zip(region, conditioned):
-            cond[:] = bandpass(detrend(normalize_segment(row), fps), taps)
-        out[:] = combine_channels(conditioned, method)
-    fused = regions.mean(axis=0)
-    return PulseSignal(fps=fps, samples=fused - fused.mean(), band=band)
+    fused = np.zeros(values.shape[-1])
+    for region in values:
+        for row in region:
+            row[:] = bandpass(detrend(normalize_segment(row), fps), taps)
+        # summed from 0.0 in region order: the bits of regions.mean(axis=0)
+        fused += combine_channels(region, method)
+    fused /= len(values)
+    fused -= fused.mean()
+    return PulseSignal(fps=fps, samples=fused, band=band)

@@ -4,9 +4,9 @@ The conditioned pulse signal is cut into fixed-length windows; each
 window's dominant in-band frequency (Hann-windowed, zero-padded DFT,
 quadratic peak refinement) becomes one bpm estimate.  Windows are
 estimated in blocks whose spectra fill SPECTRUM_BLOCK_BYTES, along the
-last (time) axis, and each block's peaks are refined where they are
-found; the blocks are split across parallel.WORKERS threads, each worker
-reusing one set of block buffers.
+last (time) axis, RFFT_ROWS windows per rfft call; each block's peaks
+are refined where they are found, and the blocks are split across
+parallel.WORKERS threads, each worker reusing one set of block buffers.
 """
 
 from __future__ import annotations
@@ -28,16 +28,18 @@ from .pulse import PulseSignal
 
 ZERO_PAD_FACTOR = 8
 
-# bytes of the (rows, padded // 2 + 1) complex spectrum block each
-# worker fills per rfft call: rows = this // (16 * bins), at least 1 and
-# at most the window count, so the per-worker heap does not grow with
-# the window length: 15 rows of 10 s windows at 30 fps (4096 points).
-# On 9000 samples at a 1-frame hop, estimate_series' own tracemalloc
-# peak is 0.79 MB on one thread and 1.50 MB on 2 workers.  Within a
-# whole 9000-frame 64x64 estimate op on 2 workers the stage peaks at
-# 1.64 MB, 0.11 MB above channel combination's 1.53 MB, and sets the
-# op's peak, so what the block loop adds per window lands on it
+# bytes of a block's (rows, padded // 2 + 1) complex spectra: a block is
+# rows = this // (16 * bins) windows, at least 1 and at most the window
+# count, so the per-worker heap does not grow with the window length: 15
+# rows of 10 s windows at 30 fps (4096 points)
 SPECTRUM_BLOCK_BYTES = 512 * 1024
+
+# rows per rfft call, each worker's one spectrum buffer.  On 9000 samples
+# at a 1-frame hop one thread took 190 ms with one call per block, 195
+# with 8 rows, 208 with 4 and 216 with 7-row blocks (medians of 25;
+# 2-core x86-64 VM); estimate_series' own tracemalloc peak is 0.52 MB
+# there, 0.97 MB on 2 workers (0.79 and 1.50 with one call per block)
+RFFT_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
 
     def estimate_blocks(first: int, last: int) -> None:
         block = np.empty((rows, win))
-        spectrum = np.empty((rows, bins), dtype=np.complex128)
+        spectrum = np.empty((min(RFFT_ROWS, rows), bins), dtype=np.complex128)
         power = np.empty((rows, hi - lo))
         for a in blocks[first:last]:
             m = min(rows, count - a)
@@ -145,7 +147,10 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
             # single window's mean does
             np.subtract(src, src.mean(axis=-1, keepdims=True), out=b)
             b *= taper
-            np.abs(np.fft.rfft(b, padded, axis=-1, out=spectrum[:m])[:, lo:hi], out=p)
+            for s in range(0, m, len(spectrum)):
+                sub = b[s:s + len(spectrum)]
+                np.abs(np.fft.rfft(sub, padded, axis=-1, out=spectrum[:len(sub)])[:, lo:hi],
+                       out=p[s:s + len(sub)])
             p *= p
             # each block's peaks are refined and clamped where they are found
             k = np.argmax(p[:, 1:-1], axis=-1)

@@ -195,8 +195,9 @@ def test_a6_dsp_invariants(clean72_session, tmp_path, check):
     boxes = load_box_track(manifest.boxes_path, manifest.frame_count)
     values = extract_traces(map_frames(manifest),
                             *place_regions(boxes, manifest.width, manifest.height))
-    reference = estimate_series(build_pulse_signal(values, manifest.fps, DEFAULT_BAND, "chrom"),
-                                WindowSpec(10.0))
+    # build_pulse_signal consumes the means it is given: each call gets its own
+    reference = estimate_series(build_pulse_signal(values.copy(), manifest.fps, DEFAULT_BAND,
+                                                   "chrom"), WindowSpec(10.0))
     scale_gap = 0.0
     for c in (0.5, 1.5):
         series = estimate_series(build_pulse_signal(c * values, manifest.fps, DEFAULT_BAND,

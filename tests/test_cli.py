@@ -88,24 +88,25 @@ class TestSynthCommand:
 
 # peak heap of a 1-frame-hop estimate, in (3, 3, n) trace bytes, once the
 # scratch sized by design is shrunk (test_dense_hop_heap_per_frame):
-# 2.82-2.83 since detrend works from one running-sum buffer, where
-# channel combination sets the peak and region placement is within 0.03
-# traces of it; 3.25-3.27 when detrend set it.  Earlier figures, taken
-# with no gc.collect() before the op, so that a collection of cyclic
-# garbage during it could lower them by up to 0.3 traces: 3.52-3.55 with
-# int64 rects, where placement set the peak; 4.78-4.94 when
-# conditioning held a second trace while the box track and the rects
-# lived on.  The bound leaves over 10 % to the first
-DENSE_HOP_HEAP_TRACES = 3.15
+# 2.51 since conditioning works in place in the means, where region
+# placement sets the peak and conditioning is at 2.00; 2.55 when
+# conditioning set it with its own region and channel rows.  Earlier
+# figures: 2.82-2.83 and 3.25-3.27 while detrend held more rows; with no
+# gc.collect() before the op, so that a collection of cyclic garbage
+# during it could lower them by up to 0.3 traces, 3.52-3.55 with int64
+# rects, where placement set the peak, and 4.78-4.94 when conditioning
+# held a second trace while the box track and the rects lived on.  The
+# bound leaves over 9 % to the first
+DENSE_HOP_HEAP_TRACES = 2.75
 
 # the same for estimate on a static box at the default hop
-# (test_static_heap_per_frame): 2.84-2.85 since detrend works from one
-# running-sum buffer, where channel combination sets the peak and region
-# placement is within 0.01 traces of it; 3.28 when detrend set it.  With
-# no gc.collect() before the op: 3.37-3.49 with int64 rects, where
-# placement set it.  The rects alone are 0.17 traces in uint8, 1.33 in
-# int64
-STATIC_HEAP_TRACES = 3.15
+# (test_static_heap_per_frame): 2.45 since conditioning works in place,
+# where region placement sets the peak and conditioning is at 1.92; 2.47
+# when conditioning set it; 2.84-2.85 and 3.28 while detrend held more
+# rows.  With no gc.collect() before the op: 3.37-3.49 with int64 rects,
+# where placement set it.  The rects alone are 0.17 traces in uint8, 1.33
+# in int64
+STATIC_HEAP_TRACES = 2.75
 
 
 def _small_scratch(monkeypatch) -> None:
@@ -503,6 +504,28 @@ class TestShortWindowRefusedFirst:
         assert rc == 1
         assert ("InputError: window of 2.0 s holds fewer than two cycles at 0.7 Hz"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestWindowsPartitionedFirst:
+    """A hop below one sample and a session shorter than one window are
+    refused with the spectral stage's messages and exit codes, before any
+    frame is mapped."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--hop", "0.001"], 1, "InputError: hop of 0.001 s is below one sample at 30.0 fps"),
+        (["--window", "100"], 2,
+         "SessionTooShortError: 1800 samples cannot fit one 3000-sample window"),
+    ], ids=["hop", "window"])
+    def test_refused_before_frames(self, cli_session, tmp_path, monkeypatch, capsys, argv,
+                                   code, message):
+        def no_frames(manifest):
+            raise AssertionError("frames mapped before the windows were partitioned")
+
+        monkeypatch.setattr(evaluate, "map_frames", no_frames)
+        out = tmp_path / "out"
+        assert main(["estimate", str(cli_session), "--out", str(out), *argv]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,50 @@ def test_align_matches_masked_reference(n_windows, hop):
     expected = ref_window_means_masked(gt.times, gt.bpm, starts.tolist(),
                                        ends.tolist())
     assert np.array_equal(align_groundtruth(gt, starts, ends), expected)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_align_in_slices_matches_masked_reference(monkeypatch, rows):
+    # each sample-count group is gathered WRITE_ROWS windows at a time:
+    # slices of 1, 3 and 7 windows, over 10 s windows at a 1-frame hop
+    # that hold from 6 to 21 samples each, give the reference's bits
+    monkeypatch.setattr(evaluate, "WRITE_ROWS", rows)
+    starts = np.arange(120) / 30.0
+    ends = starts + 10.0
+    rng = np.random.default_rng(rows)
+    times = np.cumsum(rng.uniform(0.45, 1.6, 40))
+    gt = _gt(times, rng.uniform(45, 210, len(times)))
+    counts = np.searchsorted(times, ends) - np.searchsorted(times, starts)
+    assert len(np.unique(counts)) > 1 and np.bincount(counts).max() > rows
+    expected = ref_window_means_masked(gt.times, gt.bpm, starts.tolist(), ends.tolist())
+    assert np.array_equal(align_groundtruth(gt, starts, ends), expected)
+
+
+# bytes a window that align_groundtruth's peak grows by: its per-window
+# arrays are 42 (both searchsorted results, the counts, one count's
+# window indices and the output in 8 bytes each, and two bool masks).
+# With the samples gathered WRITE_ROWS windows at a time it grows 41.2 a
+# window from 2000 to 20000 windows of 10 samples each; gathered per
+# sample count at once, 129 (the 80 bytes of each window's samples too)
+ALIGN_HEAP_BYTES_PER_WINDOW = 48
+
+
+def test_align_heap_does_not_grow_with_windows():
+    # 10 s windows at a 1-frame hop over 1 Hz reference samples
+    peaks = []
+    for n in (2000, 20000):
+        starts = np.arange(n) / 30.0
+        ends = starts + 10.0
+        times = np.arange(0.0, ends[-1] + 2.0) + 0.25
+        gt = _gt(times, 70.0 + np.sin(times))
+        align_groundtruth(gt, starts, ends)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            align_groundtruth(gt, starts, ends)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= ALIGN_HEAP_BYTES_PER_WINDOW * 18000
 
 
 class TestMae:

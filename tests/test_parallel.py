@@ -15,7 +15,7 @@ import pytest
 
 import facepulse
 from facepulse import (DEFAULT_BAND, PulseSignal, SynthConfig, WindowSpec, estimate_series,
-                       parallel, render_session, synth)
+                       parallel, render_session, spectral, synth)
 from facepulse.cli import main
 from facepulse.parallel import run_ahead, run_spans
 from facepulse.pulse import REDUCE_BLOCK_FRAMES, extract_traces
@@ -286,6 +286,24 @@ class TestEstimateSeriesSplit:
         bpm = self._bpm_per_worker_count(monkeypatch, samples,
                                          WindowSpec(win / fps, hop / fps))
         assert np.array_equal(bpm, ref_hr_series(samples, fps, win, hop)[2])
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bpm_independent_of_rfft_rows(self, monkeypatch, workers):
+        # each block's spectra taken 1, 3 or 8 rows per rfft call, or the
+        # whole block in one call, give the reference's bits; ROWS_5S is
+        # 31, so 3 and 8 rows leave a shorter last call in every block
+        monkeypatch.setattr(parallel, "WORKERS", workers)
+        fps, win, n_windows = 30.0, 150, ROWS_5S * 3 + 5
+        rng = np.random.default_rng(workers)
+        n = win + n_windows - 1
+        samples = np.sin(2 * np.pi * 1.3 * np.arange(n) / fps) + rng.normal(0, 1, n)
+        expected = ref_hr_series(samples, fps, win, 1)[2]
+        for rows in (1, 3, 8, ROWS_5S):
+            monkeypatch.setattr(spectral, "RFFT_ROWS", rows)
+            signal = PulseSignal(fps, samples, DEFAULT_BAND)
+            assert np.array_equal(estimate_series(signal, WindowSpec(5.0, 1 / fps)).bpm,
+                                  expected)
 
 
 class TestSplitChoice:

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from facepulse import BandLimits, DEFAULT_BAND, PipelineParams, load_session, open_session
+from facepulse import (BandLimits, DEFAULT_BAND, PipelineParams, WindowSpec, load_session,
+                       open_session)
 from facepulse import evaluate, parallel, pulse, roi
 from facepulse.errors import (AllFramesInvalidError, FlatSignalError, InputError,
-                              NonPositiveMeanError, SignalTooShortError,
-                              WindowTooShortError)
+                              NonPositiveMeanError, SessionTooShortError,
+                              SignalTooShortError, WindowTooShortError)
 from facepulse.frameio import map_frames, open_session
 from facepulse.pulse import (COMBINE_METHODS, DETREND_WINDOW_S, REDUCE_BLOCK_FRAMES,
                              bandpass, build_pulse_signal,
@@ -418,6 +419,25 @@ class TestBandpass:
         with pytest.raises(InputError, match="upper edge 5.0 Hz must be below Nyquist 5.0 Hz"):
             load_session(open_session(tiny_session), PipelineParams(BandLimits(0.7, 5.0)))
 
+    def test_filter_and_spec_checked_before_frames(self, tiny_session, clean72_session,
+                                                  monkeypatch):
+        # load_session refuses a session shorter than the bandpass filter
+        # and, given a spec, one shorter than a window or a hop below one
+        # sample, before any frame is mapped
+        def no_frames(*args):
+            raise AssertionError("frames read before the filter and windows were checked")
+
+        monkeypatch.setattr(evaluate, "map_frames", no_frames)
+        with pytest.raises(SignalTooShortError, match="20 samples shorter than the 57-tap"):
+            load_session(open_session(tiny_session))
+        manifest = open_session(clean72_session)
+        with pytest.raises(InputError, match="spec must be a WindowSpec, not float"):
+            load_session(manifest, PipelineParams(), 10.0)
+        with pytest.raises(SessionTooShortError, match="1800 samples cannot fit one 3000-sample"):
+            load_session(manifest, PipelineParams(), WindowSpec(100.0))
+        with pytest.raises(InputError, match="hop of 0.01 s is below one sample at 30.0 fps"):
+            load_session(manifest, PipelineParams(), WindowSpec(10.0, 0.01))
+
 
 def _combine(window: np.ndarray, method: str) -> np.ndarray:
     """combine_channels on one region given as an (n, 3) R,G,B window."""
@@ -429,9 +449,9 @@ class TestCombine:
         # green is the conditioned G row of each region, intensity the
         # mean of the three conditioned rows
         trace = _raw_trace(np.random.default_rng(4).uniform(90, 110, (3, 3, 300)))
-        green = build_pulse_signal(trace, 30.0, DEFAULT_BAND, "green")
+        green = build_pulse_signal(trace.copy(), 30.0, DEFAULT_BAND, "green")
         assert np.array_equal(green.samples, _expected(trace, "green"))
-        intensity = build_pulse_signal(trace, 30.0, DEFAULT_BAND, "intensity")
+        intensity = build_pulse_signal(trace.copy(), 30.0, DEFAULT_BAND, "intensity")
         assert np.allclose(intensity.samples, _expected(trace, "intensity"),
                            rtol=0, atol=1e-15)
 
@@ -480,8 +500,8 @@ class TestCombine:
         trace = _raw_trace(np.random.default_rng(7).normal(100, 1, (3, 1, 300)))
         direct = np.mean([_chain(row) for row in trace[:, 0]], axis=0)
         for method in ("green", "intensity", "chrom"):
-            assert np.array_equal(build_pulse_signal(trace, 30.0, DEFAULT_BAND, method).samples,
-                                  direct - direct.mean())
+            assert np.array_equal(build_pulse_signal(trace.copy(), 30.0, DEFAULT_BAND,
+                                                     method).samples, direct - direct.mean())
 
     @pytest.mark.parametrize("method", ["green", "intensity", "chrom"])
     def test_one_row_returned_as_is(self, method):
@@ -568,8 +588,8 @@ class TestBuildPulseSignal:
         trace = self._trace()
         trace[:, 0] = trace[:, 1]
         trace[:, 2] = trace[:, 1]
-        chrom = build_pulse_signal(trace, 30.0, DEFAULT_BAND, "chrom")
-        intensity = build_pulse_signal(trace, 30.0, DEFAULT_BAND, "intensity")
+        chrom = build_pulse_signal(trace.copy(), 30.0, DEFAULT_BAND, "chrom")
+        intensity = build_pulse_signal(trace.copy(), 30.0, DEFAULT_BAND, "intensity")
         assert np.allclose(chrom.samples, intensity.samples, atol=1e-12)
 
     def test_chrom_fallback_is_per_region(self):
@@ -590,8 +610,8 @@ class TestBuildPulseSignal:
             assert np.array_equal([combine_channels(region, method) for region in conditioned],
                                   expected)
         for method in ("green", "chrom"):
-            assert np.array_equal(build_pulse_signal(trace, 30.0, DEFAULT_BAND, method).samples,
-                                  _expected(trace, method))
+            assert np.array_equal(build_pulse_signal(trace.copy(), 30.0, DEFAULT_BAND,
+                                                     method).samples, _expected(trace, method))
 
     def test_mono_replication_equivalence(self):
         # a one-channel (gray8) trace must equal its plane pushed through
@@ -599,7 +619,8 @@ class TestBuildPulseSignal:
         gray = self._trace()[:, 1:2]
         direct = np.mean([_chain(gray[r, 0]) for r in range(3)], axis=0)
         for method in ("green", "intensity", "chrom"):
-            via_pipeline = build_pulse_signal(_raw_trace(gray), 30.0, DEFAULT_BAND, method)
+            via_pipeline = build_pulse_signal(_raw_trace(gray.copy()), 30.0, DEFAULT_BAND,
+                                              method)
             assert np.array_equal(via_pipeline.samples, direct - direct.mean())
 
     @pytest.mark.parametrize("channels, method, calls", [
@@ -623,6 +644,28 @@ class TestBuildPulseSignal:
             assert [row.tolist() for row in rows] == values[:, 1].tolist()
 
 
+    def test_running_fused_row_is_the_region_mean(self, monkeypatch):
+        # the regions are summed into one running row from 0.0, in order,
+        # then divided by the count: the bits of regions.mean(axis=0), which
+        # fuses -0.0 in every region to 0.0 where a copy of the first region
+        # would keep -0.0.  Each column is followed by its negation, so the
+        # fused row's mean is exactly 0 and subtracting it keeps every bit
+        rng = np.random.default_rng(12)
+        half = rng.normal(0.0, 1.0, (3, 32))
+        half[:, 0] = -0.0                   # -0.0 in every region
+        half[:, 1] = [-0.0, 0.0, -0.0]      # 0.0 once summed
+        half[:, 2] = [1e16, 1.0, 1.0]       # (a + b) + c != a + (b + c)
+        half[:, 3] = [1.0, 1.0, 1e16]
+        regions = np.stack([half, -half], axis=-1).reshape(3, 64)
+        series = iter(regions)
+        monkeypatch.setattr(pulse, "combine_channels", lambda rows, method: next(series))
+        values = np.random.default_rng(13).uniform(90, 110, (3, 3, 64))
+        signal = build_pulse_signal(values, 10.0, DEFAULT_BAND, "chrom")
+        expected = regions.mean(axis=0)
+        assert expected.mean() == 0.0 and expected[:2].tobytes() == np.zeros(2).tobytes()
+        assert signal.samples.tobytes() == (expected - expected.mean()).tobytes()
+
+
 class TestFlatSignal:
     @pytest.mark.parametrize("channels", [3, 1])
     @pytest.mark.parametrize("level", [128.0, 255.0])
@@ -632,7 +675,7 @@ class TestFlatSignal:
         trace = _raw_trace(np.full((3, channels, 300), level))
         for method in COMBINE_METHODS:
             with pytest.raises(FlatSignalError, match="signal is constant at 0:"):
-                build_pulse_signal(trace, 30.0, DEFAULT_BAND, method)
+                build_pulse_signal(trace.copy(), 30.0, DEFAULT_BAND, method)
 
     def test_only_the_read_channels_count(self):
         # a flat G channel leaves green without a pulse, not chrom
@@ -640,8 +683,8 @@ class TestFlatSignal:
         values[:, 1] = 120.0
         trace = _raw_trace(values)
         with pytest.raises(FlatSignalError):
-            build_pulse_signal(trace, 30.0, DEFAULT_BAND, "green")
-        assert build_pulse_signal(trace, 30.0, DEFAULT_BAND, "chrom").samples.any()
+            build_pulse_signal(trace.copy(), 30.0, DEFAULT_BAND, "green")
+        assert build_pulse_signal(trace.copy(), 30.0, DEFAULT_BAND, "chrom").samples.any()
 
 
 class TestPixelScaleInvariance:

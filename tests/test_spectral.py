@@ -11,7 +11,7 @@ from facepulse import (DEFAULT_BAND, BandLimits, HrSeries, PulseSignal, WindowSp
 from facepulse.errors import (EmptyBandError, FlatSignalError, InputError,
                               SessionTooShortError)
 from facepulse.evaluate import sub51_error
-from facepulse.spectral import (SPECTRUM_BLOCK_BYTES, ZERO_PAD_FACTOR,
+from facepulse.spectral import (RFFT_ROWS, SPECTRUM_BLOCK_BYTES, ZERO_PAD_FACTOR,
                                 _next_pow2, partition_windows)
 
 from _reference import ref_block_rows, ref_hr_series
@@ -244,6 +244,24 @@ class TestPeakBpm:
         assert _bpm(samples, 5.0)[0] == edge
         assert ref_hr_series(samples, 30.0, 150, 150)[2] == [edge]
 
+    # 10 s windows at 32 fps have bins 1/128 Hz apart, so a band edge can
+    # lie on a bin or a tenth of a bin inside one; the last two windows
+    # are 256 and 257 samples, which take 2048- and 4096-point transforms
+    @pytest.mark.parametrize("fps, win, band, freq", [
+        (32.0, 320, (0.75, 4.0), 94 / 128),             # the bin on f_lo is searched
+        (32.0, 320, (0.75, 4.0), 514 / 128),            # and the bin on f_hi
+        (32.0, 320, (96.1 / 128, 4.0), 94 / 128),       # half a bin down stays in the band
+        (32.0, 320, (0.75, 511.9 / 128), 514 / 128),    # half a bin up stays in the band
+        (32.0, 320, (0.75, 511.9 / 128), 511.7 / 128),  # the bin above f_hi is not searched
+        (25.6, 256, (0.7, 4.0), 1.2),
+        (25.7, 257, (0.7, 4.0), 1.2),
+    ], ids=["lo-on-bin", "hi-on-bin", "lo-inside", "hi-inside", "above-hi", "pow2", "pow2+1"])
+    def test_band_edges_match_reference(self, fps, win, band, freq):
+        samples = np.sin(2 * np.pi * freq * np.arange(win) / fps)
+        series = estimate_series(PulseSignal(fps, samples, BandLimits(*band)),
+                                 WindowSpec(win / fps))
+        assert series.bpm.tolist() == ref_hr_series(samples, fps, win, win, *band)[2]
+
     def test_no_bins_in_band(self):
         # the nearest bins of 10 s windows at 30 fps are 0.6958 and 0.7031 Hz
         with pytest.raises(EmptyBandError):
@@ -335,39 +353,49 @@ def test_blocked_windows_match_per_window_reference(n_windows, hop):
     assert np.array_equal(series.bpm, bpm)
 
 
-@pytest.mark.parametrize("win, n_windows", [(300, 8701), (600, 40), (150, 3), (4500, 2)])
+@pytest.mark.parametrize("win, n_windows", [(300, 8701), (600, 40), (150, 3), (150, 100),
+                                             (4500, 2)])
 def test_blocks_sized_in_bytes(monkeypatch, win, n_windows):
-    # every rfft call fills at most SPECTRUM_BLOCK_BYTES of spectrum,
-    # whatever the window length (one window when a single spectrum is
-    # larger), in ref_block_rows windows (fewer for the last block, or
-    # for fewer windows than that)
+    # windows are estimated in blocks of ref_block_rows windows (fewer
+    # for the last block, or for fewer windows than that), whose spectra
+    # fill at most SPECTRUM_BLOCK_BYTES whatever the window length (one
+    # window when a single spectrum is larger); each block is transformed
+    # RFFT_ROWS rows per rfft call (fewer for its last call) into one
+    # buffer of at most RFFT_ROWS spectra
     shapes = []
     rfft = np.fft.rfft
 
     def recording(a, n=None, axis=-1, norm=None, out=None):
-        shapes.append((a.shape, out.nbytes))
+        shapes.append((a.shape, out.base.nbytes))
         return rfft(a, n, axis, norm, out)
 
     monkeypatch.setattr(np.fft, "rfft", recording)
     samples = np.random.default_rng(win).normal(0, 1, win + n_windows - 1)
     estimate_series(PulseSignal(30.0, samples, DEFAULT_BAND), WindowSpec(win / 30.0, 1 / 30.0))
     rows = min(ref_block_rows(win, SPECTRUM_BLOCK_BYTES), n_windows)
+    blocks = [rows] * (n_windows // rows) + ([n_windows % rows] if n_windows % rows else [])
+    calls = [min(RFFT_ROWS, m - s) for m in blocks for s in range(0, m, RFFT_ROWS)]
     # worker threads may interleave their calls
-    assert sorted((s[0] for s, _ in shapes), reverse=True) == (
-        [rows] * (n_windows // rows) + ([n_windows % rows] if n_windows % rows else []))
+    assert sorted((s[0] for s, _ in shapes), reverse=True) == sorted(calls, reverse=True)
     assert all(s[1] == win for s, _ in shapes)
-    assert all(nbytes <= max(SPECTRUM_BLOCK_BYTES, nbytes // s[0]) for s, nbytes in shapes)
+    bins = ZERO_PAD_FACTOR * _next_pow2(win) // 2 + 1
+    assert {nbytes for _, nbytes in shapes} == {min(RFFT_ROWS, rows) * 16 * bins}
 
 
 # peak bytes per window of estimate_series alone on one worker, 9000
 # samples at a 1-frame hop (8701 windows), the fixed block buffers
-# included: 90.7 with each block's peaks refined in the block loop, 108.6
-# when every window's peak bin and three powers were kept until it ended
-SERIES_HEAP_BYTES_PER_WINDOW = 100
+# included: 60.3 with 8-row rfft calls, 90.7 with one call per 15-row
+# block, 108.6 when every window's peak bin and three powers were kept
+# until it ended
+SERIES_HEAP_BYTES_PER_WINDOW = 70
+
+# the same on 2 workers, each with its own block buffers: 111.1 with
+# 8-row rfft calls, 172.2 with one call per 15-row block
+SERIES_HEAP_BYTES_PER_WINDOW_2_WORKERS = 125
 
 
-def test_peak_heap_per_window(monkeypatch):
-    monkeypatch.setattr(parallel, "WORKERS", 1)
+def _series_peak(monkeypatch, workers: int) -> int:
+    monkeypatch.setattr(parallel, "WORKERS", workers)
     signal = PulseSignal(30.0, np.random.default_rng(9).normal(0, 1, 9000), DEFAULT_BAND)
     spec = WindowSpec(10.0, 1 / 30.0)
     estimate_series(signal, spec)  # first-call allocations stay out of the peak
@@ -378,7 +406,15 @@ def test_peak_heap_per_window(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(series) == 8701
-    assert peak <= SERIES_HEAP_BYTES_PER_WINDOW * len(series)
+    return peak
+
+
+def test_peak_heap_per_window(monkeypatch):
+    assert _series_peak(monkeypatch, 1) <= SERIES_HEAP_BYTES_PER_WINDOW * 8701
+
+
+def test_peak_heap_per_window_two_workers(monkeypatch):
+    assert _series_peak(monkeypatch, 2) <= SERIES_HEAP_BYTES_PER_WINDOW_2_WORKERS * 8701
 
 
 class TestSessionMean:
