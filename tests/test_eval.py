@@ -143,7 +143,7 @@ def test_align_matches_masked_reference(n_windows, hop):
 def test_align_in_slices_matches_masked_reference(monkeypatch, rows):
     # each sample-count group is gathered WRITE_ROWS windows at a time:
     # slices of 1, 3 and 7 windows, over 10 s windows at a 1-frame hop
-    # that hold from 6 to 21 samples each, give the reference's bits
+    # that hold from 8 to 11 samples each, give the reference's bits
     monkeypatch.setattr(evaluate, "WRITE_ROWS", rows)
     starts = np.arange(120) / 30.0
     ends = starts + 10.0
