@@ -20,7 +20,7 @@ from .evaluate import (PROTOCOL_LENGTHS, WRITE_ROWS, align_groundtruth, evaluate
 from .frameio import nearest_existing, open_session, parse_finite, short_text
 from .pulse import COMBINE_METHODS, BandLimits, PipelineParams
 from .spectral import WindowSpec, estimate_series
-from .synth import SynthConfig, parse_profile, render_session
+from .synth import SECOND_HARMONIC_DEPTH, SynthConfig, parse_profile, render_session
 
 # --window of estimate, in seconds
 WINDOW_S = 10.0
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mono", action="store_true",
                    help="render single-channel gray8 frames")
     p.add_argument("--second-harmonic", action="store_true",
-                   help="add a 0.3x second harmonic to the pulse wave")
+                   help=f"add a {SECOND_HARMONIC_DEPTH}x second harmonic to the pulse wave")
     p.set_defaults(func=cmd_synth, **{f.name: f.default for f in fields(SynthConfig)})
 
     p = sub.add_parser("estimate", help="estimate heart rate for one session")

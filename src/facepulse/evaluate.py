@@ -145,8 +145,8 @@ def load_session(manifest: SessionManifest, params: PipelineParams = PipelinePar
     its pulse signal, in that order: a manifest that is not the
     SessionManifest open_session returns, a malformed groundtruth, a bad
     box track, a band whose upper edge is not below the session's Nyquist
-    frequency, a session shorter than the bandpass filter and, given a
-    spec, a hop below one sample or a session shorter than one window are
+    frequency, given a spec, a hop below one sample or a session shorter
+    than one window, and a session shorter than the bandpass filter are
     refused before any frame is read.
 
     The signal is built by loading the box track, placing the regions in
@@ -163,9 +163,9 @@ def load_session(manifest: SessionManifest, params: PipelineParams = PipelinePar
     rects, valid = place_regions(load_box_track(manifest.boxes_path, manifest.frame_count),
                                  manifest.width, manifest.height)
     params.band.check_below_nyquist(manifest.fps)
-    design_bandpass_taps(manifest.fps, manifest.frame_count, params.band)
     if spec is not None:
         partition_windows(manifest.frame_count, manifest.fps, require_type(spec, WindowSpec, "spec"))
+    design_bandpass_taps(manifest.fps, manifest.frame_count, params.band)
     values = extract_traces(map_frames(manifest), rects, valid)
     del rects
     return Session(gt, build_pulse_signal(values, manifest.fps, params.band,

@@ -15,7 +15,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterator, get_args
 
@@ -33,10 +33,6 @@ BYTES_PER_PIXEL = {"rgb8": 3, "gray8": 1}
 
 # file name of the manifest inside a session directory
 MANIFEST_NAME = "session.json"
-
-_MANIFEST_KEYS = {"width", "height", "fps", "pixel_format", "frame_count",
-                  "frames", "boxes", "groundtruth"}
-_REQUIRED_KEYS = _MANIFEST_KEYS - {"groundtruth"}
 
 MIN_FRAME_DIM = 16
 
@@ -76,6 +72,10 @@ class SessionManifest:
     def size_text(self) -> str:  # for messages, in short form
         return (f"{short_number(self.frame_count * self.frame_bytes)} bytes "
                 f"({short_number(self.frame_count)} frames of {short_number(self.frame_bytes)})")
+
+
+# manifest key -> SessionManifest field; a *_path field is keyed without the suffix
+_MANIFEST_KEYS = {f.name.removesuffix("_path"): f for f in fields(SessionManifest)}
 
 
 def parse_finite(value: str, what: str) -> float:
@@ -198,31 +198,36 @@ def _parse_manifest(manifest_path: Path) -> SessionManifest:
     if not isinstance(raw, dict):
         raise MalformedManifestError(f"{manifest_path}: manifest must be a JSON object")
 
-    unknown = set(raw) - _MANIFEST_KEYS
+    unknown = set(raw) - set(_MANIFEST_KEYS)
     if unknown:
         raise MalformedManifestError(
             f"{manifest_path}: unknown manifest keys {short_text(sorted(unknown))}")
-    missing = _REQUIRED_KEYS - set(raw)
+    missing = {k for k, f in _MANIFEST_KEYS.items() if f.default is MISSING} - set(raw)
     if missing:
         raise MalformedManifestError(
             f"{manifest_path}: missing manifest keys {sorted(missing)}")
 
-    base = manifest_path.parent
-
-    def _resolve(key: str) -> Path | None:
+    values = {}
+    for key, f in _MANIFEST_KEYS.items():
         value = raw.get(key)
-        if value is None and key not in _REQUIRED_KEYS:
-            return None
-        if not isinstance(value, str) or not value:
-            raise MalformedManifestError(f"{manifest_path}: {key} must be a file name")
-        return base / value
-
-    paths = [_resolve(key) for key in ("frames", "boxes", "groundtruth")]
+        if key != f.name and value is not f.default:
+            if not isinstance(value, str) or not value:
+                raise MalformedManifestError(f"{manifest_path}: {key} must be a file name")
+            value = manifest_path.parent / value
+        values[f.name] = value
     try:
-        return SessionManifest(raw["width"], raw["height"], raw["fps"], raw["pixel_format"],
-                               raw["frame_count"], *paths)
+        return SessionManifest(**values)
     except InputError as exc:
         raise MalformedManifestError(f"{manifest_path}: {exc}") from exc
+
+
+def write_manifest(manifest: SessionManifest) -> None:
+    """Write MANIFEST_NAME beside the frames file, paths relative to it, a None one left out."""
+    base = manifest.frames_path.parent
+    raw = {key: value if key == f.name else os.path.relpath(value, base)
+           for key, f in _MANIFEST_KEYS.items() if (value := getattr(manifest, f.name)) is not None}
+    (base / MANIFEST_NAME).write_text(
+        json.dumps(raw, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _manifest_path(source: str | os.PathLike) -> Path:

@@ -74,7 +74,11 @@ def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> tuple[int
     """(win, hop, count) in samples of the full windows from sample 0;
     trailing partial samples are discarded.  The window holds at least
     four samples, as the two-cycle and PulseSignal's Nyquist checks
-    leave it.  Raises SessionTooShortError if no window fits."""
+    leave it.  Raises InputError for a hop below one sample, then
+    SessionTooShortError if no window fits."""
+    # round() gives 0 exactly when the product is at most 0.5
+    if spec.hop * fps <= 0.5:
+        raise InputError(f"hop of {spec.hop} s is below one sample at {fps} fps")
     span = spec.length * fps
     # an infinite product fits no signal and would overflow int(); a
     # finite one is compared with n_samples below, before any allocation
@@ -84,8 +88,6 @@ def partition_windows(n_samples: int, fps: float, spec: WindowSpec) -> tuple[int
             f"at {fps:g} fps")
     win = int(round(span))
     hop = int(round(spec.hop * fps))
-    if hop < 1:
-        raise InputError(f"hop of {spec.hop} s is below one sample at {fps} fps")
     if n_samples < win:
         raise SessionTooShortError(
             f"{n_samples} samples cannot fit one {short_number(win)}-sample window")
@@ -106,7 +108,9 @@ def estimate_series(signal: PulseSignal, spec: WindowSpec) -> HrSeries:
     neighbours, shifted by at most half a bin, and clamped to the band.
     Where the fit has no maximum (a band-edge bin on the flank of a peak
     outside the band), the shift is half a bin toward the larger
-    neighbour, so such a peak is clamped to the band edge.
+    neighbour, so such a peak is clamped to the band edge only when the
+    edge bin lies within half a bin of it; otherwise it reads half a bin
+    beyond the edge bin, inside the band.
     """
     require_type(signal, PulseSignal, "signal")
     require_type(spec, WindowSpec, "spec")

@@ -9,7 +9,6 @@ illumination drift.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -20,9 +19,9 @@ import numpy as np
 
 from . import parallel
 from .errors import InputError
-from .frameio import (BYTES_PER_PIXEL, MANIFEST_NAME, MIN_FRAME_DIM, SessionManifest, as_path,
+from .frameio import (BYTES_PER_PIXEL, MIN_FRAME_DIM, SessionManifest, as_path,
                       nearest_existing, open_session, parse_finite, require_real,
-                      require_type, short_text)
+                      require_type, short_text, write_manifest)
 from .pulse import DEFAULT_BAND
 
 # validity range for configured heart rates: the default pulse band
@@ -216,9 +215,10 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     """
     require_type(config, SynthConfig, "config")
     out_dir = as_path(out_dir, "out_dir")
-    pixel_format = "gray8" if config.mono else "rgb8"
-    need = (config.frame_count * config.width * config.height * BYTES_PER_PIXEL[pixel_format]
-            + 9 * math.floor(config.duration))
+    manifest = SessionManifest(config.width, config.height, config.fps,
+                               "gray8" if config.mono else "rgb8", config.frame_count,
+                               *(out_dir / n for n in (FRAMES_NAME, BOXES_NAME, GROUNDTRUTH_NAME)))
+    need = manifest.frame_count * manifest.frame_bytes + 9 * math.floor(config.duration)
     nearest = nearest_existing(out_dir, "out_dir")
     free = shutil.disk_usage(nearest).free
     if need > free:
@@ -227,12 +227,12 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
                          f"bytes; {nearest} has {free} free")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(out_dir / FRAMES_NAME, "wb") as fh:
+    with open(manifest.frames_path, "wb") as fh:
         if config.noise_sigma > 0:
             # noise comes from one PCG64 stream in frame order, drawn a block
             # ahead while the block before it is composed and written
             rng = np.random.default_rng(config.seed)
-            shape = (config.height, config.width, BYTES_PER_PIXEL[pixel_format])
+            shape = (config.height, config.width, BYTES_PER_PIXEL[manifest.pixel_format])
             per_block = max(1, NOISE_BLOCK_BYTES // (8 * math.prod(shape)))
             n = config.frame_count
             parallel.run_ahead(
@@ -248,24 +248,12 @@ def render_session(config: SynthConfig, out_dir: str | os.PathLike) -> SessionMa
     by = int(round(0.2 * config.height))
     bw = int(round(0.6 * config.width))
     bh = int(round(0.6 * config.height))
-    (out_dir / BOXES_NAME).write_text(f"frame,x,y,w,h\n*,{bx},{by},{bw},{bh}\n")
+    manifest.boxes_path.write_text(f"frame,x,y,w,h\n*,{bx},{by},{bw},{bh}\n")
 
-    with open(out_dir / GROUNDTRUTH_NAME, "w") as fh:
+    with open(manifest.groundtruth_path, "w") as fh:
         fh.write("t,bpm\n")
         for t in map(float, range(math.floor(config.duration))):
             fh.write(f"{t!r},{float(config.hr_profile.bpm_at(t, config.duration))!r}\n")
 
-    manifest = {
-        "width": config.width,
-        "height": config.height,
-        "fps": config.fps,
-        "pixel_format": pixel_format,
-        "frame_count": config.frame_count,
-        "frames": FRAMES_NAME,
-        "boxes": BOXES_NAME,
-        "groundtruth": GROUNDTRUTH_NAME,
-    }
-    (out_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
+    write_manifest(manifest)
     return open_session(out_dir)

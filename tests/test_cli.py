@@ -528,6 +528,21 @@ class TestWindowsPartitionedFirst:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("duration, argv", [
+        ("5", ["--hop", "0.001"]),  # 150 samples, shorter than the 171-tap filter
+        ("60", ["--window", "1e308", "--hop", "0.001"]),  # a window no session fits
+    ], ids=["short-session", "huge-window"])
+    def test_bad_hop_is_bad_input(self, tmp_path, capsys, duration, argv):
+        """A hop below one sample is bad input (exit 1), reported ahead of
+        a window or filter longer than the session (exit 2)."""
+        session, out = tmp_path / "s", tmp_path / "out"
+        assert main(["synth", "--out", str(session), "--duration", duration,
+                     "--width", "16", "--height", "16"]) == 0
+        capsys.readouterr()
+        assert main(["estimate", str(session), "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err == (
+            "error: InputError: hop of 0.001 s is below one sample at 30.0 fps\n")
+
 
 def _short_session(out, *flags):
     """A 20 s 16x16 session rendered by the synth command."""

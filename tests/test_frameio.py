@@ -9,7 +9,8 @@ import pytest
 
 from facepulse.errors import (FrameReadError, MalformedManifestError,
                               MissingFileError, SizeMismatchError)
-from facepulse.frameio import SessionManifest, map_frames, open_session
+from facepulse.frameio import (SessionManifest, map_frames, open_session, short_text,
+                               write_manifest)
 
 
 def _write_session(tmp_path: Path, *, width=16, height=16, fps=10.0,
@@ -71,11 +72,57 @@ def test_manifest_fields_and_relative_paths(tiny_session):
     ({"width": "16"}, None, r"width must be a real number in \[16, inf\), not str"),
     ({"width": True}, None, r"width must be a real number in \[16, inf\), not bool"),
     ({"frame_count": "360"}, None, r"frame_count must be a real number in \[1, inf\), not str"),
+    # a file is named by a non-empty string; only groundtruth may be null
+    ({"frames": None}, None, "frames must be a file name"),
+    ({"boxes": ""}, None, "boxes must be a file name"),
+    ({"groundtruth": 3}, None, "groundtruth must be a file name"),
 ])
 def test_manifest_rejected(tmp_path, extra, drop, message):
     path = _write_session(tmp_path, extra=extra, drop=drop)
     with pytest.raises(MalformedManifestError, match=f"^{re.escape(str(path))}: .*{message}"):
         open_session(path)
+
+
+def test_manifest_paths_refused_in_order(tmp_path):
+    # frames, then boxes, then groundtruth, each before any number
+    bad = {"frames": 1, "boxes": 1, "groundtruth": 1, "width": "x"}
+    for key in ("frames", "boxes", "groundtruth"):
+        path = _write_session(tmp_path, extra=bad)
+        with pytest.raises(MalformedManifestError, match=f": {key} must be a file name$"):
+            open_session(path)
+        del bad[key]
+
+
+def test_null_groundtruth_opens_as_none(tmp_path):
+    assert open_session(_write_session(tmp_path, extra={"groundtruth": None})).groundtruth_path is None
+
+
+@pytest.mark.parametrize("pixel_format", ["rgb8", "gray8"])
+@pytest.mark.parametrize("groundtruth", ["groundtruth.csv", None])
+def test_write_manifest_round_trip(tmp_path, pixel_format, groundtruth):
+    manifest = SessionManifest(
+        width=16, height=24, fps=12.5, pixel_format=pixel_format, frame_count=3,
+        frames_path=tmp_path / "frames.raw", boxes_path=tmp_path / "boxes.csv",
+        groundtruth_path=groundtruth and tmp_path / groundtruth)
+    (tmp_path / "frames.raw").write_bytes(bytes(3 * manifest.frame_bytes))
+    write_manifest(manifest)
+    assert open_session(tmp_path) == manifest
+    assert ("groundtruth" in json.loads((tmp_path / "session.json").read_text())) == bool(groundtruth)
+
+
+def test_write_manifest_bytes(tmp_path):
+    # no groundtruth key; sorted keys, two-space indent, trailing newline
+    write_manifest(SessionManifest(16, 16, 10.0, "gray8", 1, tmp_path / "frames.raw",
+                                   tmp_path / "boxes.csv"))
+    assert (tmp_path / "session.json").read_text() == (
+        '{\n  "boxes": "boxes.csv",\n  "fps": 10.0,\n  "frame_count": 1,\n'
+        '  "frames": "frames.raw",\n  "height": 16,\n  "pixel_format": "gray8",\n'
+        '  "width": 16\n}\n')
+
+
+def test_short_text_cuts_past_32_bytes():
+    assert short_text("a" * 30) == "'" + "a" * 30 + "'"  # a 32-byte repr, whole
+    assert short_text("a" * 31) == "'" + "a" * 31 + "..."  # 33 bytes, cut to 32
 
 
 def test_manifest_whole_floats_and_int_fps_accepted(tmp_path):
@@ -169,6 +216,14 @@ def test_short_read_names_frame_index(tmp_path):
     with pytest.raises(FrameReadError,
                        match=r"frames\.raw: cannot map 768 bytes \(3 frames of "
                              r"256\), file has 512"):
+        map_frames(manifest)
+
+
+def test_vanished_frames_file_reads_as_empty(tmp_path):
+    manifest = open_session(_write_session(tmp_path))
+    (tmp_path / "frames.raw").unlink()
+    with pytest.raises(FrameReadError, match=r"cannot map 256 bytes \(1 frames of 256\), "
+                                             r"file has 0: "):
         map_frames(manifest)
 
 

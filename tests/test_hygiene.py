@@ -169,12 +169,12 @@ def test_parse_finite_reads_only_text():
                                         "roi._parse_row", "evaluate.load_groundtruth"}
 
 
-def test_manifest_name_only_in_frameio_and_synth():
-    """Only frameio, which resolves a session to its manifest, and synth,
-    which writes one, know the session layout."""
+def test_manifest_name_only_in_frameio():
+    """Only frameio, which writes a session's manifest and resolves a
+    session to it, knows the session layout."""
     users = [p.name for p in sorted((ROOT / "src" / "facepulse").glob("*.py"))
              if re.search(r"\bMANIFEST_NAME\b", p.read_text())]
-    assert users == ["frameio.py", "synth.py"]
+    assert users == ["frameio.py"]
 
 
 def test_package_all_resolves():

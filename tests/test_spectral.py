@@ -133,6 +133,13 @@ class TestPartitionWindows:
         with pytest.raises(SessionTooShortError):
             partition_windows(299, 30.0, WindowSpec(10.0))
 
+    def test_hop_of_half_a_sample_refused_first(self):
+        # round() takes half a sample to 0 hops; that is refused ahead of a
+        # window no session fits, and just over half a sample is one hop
+        with pytest.raises(InputError, match="^hop of 0.05 s is below one sample at 10.0 fps$"):
+            partition_windows(5, 10.0, WindowSpec(1e308, 0.05))
+        assert partition_windows(30, 10.0, WindowSpec(1.0, 0.051)) == (10, 1, 21)
+
     def test_matches_stepping_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(300):
